@@ -7,7 +7,7 @@ Subcommands:
 * ``sweep CONFIG``       the full (J_s, f, seed) grid with incremental output
 * ``emit --results DIR`` plot-ready per-figure CSVs from a finished sweep
 * ``validate``           randomized physics-invariant suite
-* ``gen-signals CONFIG`` export the nine input sequences per frequency
+* ``gen-signals CONFIG`` export the nine input sequences of seed 0 per frequency
 
 Exit codes: 0 success, 1 runtime failure, 2 invalid configuration or usage.
 """
@@ -20,7 +20,6 @@ import sys
 from dataclasses import replace
 
 from . import __version__
-from .dynamics import random_model
 from .entanglement import write_summary_json
 from .experiments import (
     FIGURE_NAMES,
@@ -35,7 +34,7 @@ from .experiments import (
     run_sweep,
 )
 from .learning import write_capacity_csv, write_capacity_json
-from .reservoir import run_reservoir, write_trajectory_csv
+from .reservoir import write_trajectory_csv
 from .signals import N_SEQUENCES, make_input_sequence, write_sequence_csv
 
 
@@ -59,14 +58,8 @@ def _cmd_run(args) -> int:
         return 1
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
-    # Regenerate the cell's records (same seeds as run_cell) for export.
-    model = random_model(js, seed=(cfg.base_seed, 0))
-    seqs = [make_input_sequence(f, q, (cfg.base_seed, 0), time_axis=cfg.time_axis)
-            for q in range(4)]
-    train = run_reservoir(model, seqs[0], seqs[1], cfg.run, cfg.dissipator_convention)
-    test = run_reservoir(model, seqs[2], seqs[3], cfg.run, cfg.dissipator_convention)
-    write_trajectory_csv(train, os.path.join(out, "trajectory_train.csv"))
-    write_trajectory_csv(test, os.path.join(out, "trajectory_test.csv"))
+    write_trajectory_csv(result.train, os.path.join(out, "trajectory_train.csv"))
+    write_trajectory_csv(result.test, os.path.join(out, "trajectory_test.csv"))
     write_capacity_csv(result.capacity, os.path.join(out, "capacity.csv"))
     write_capacity_json(result.capacity, os.path.join(out, "capacity.json"),
                         fingerprint=cfg.fingerprint())
@@ -137,7 +130,7 @@ def _cmd_gen_signals(args) -> int:
     os.makedirs(out, exist_ok=True)
     for f in cfg.f_values:
         for q in range(N_SEQUENCES):
-            seq = make_input_sequence(f, q, cfg.base_seed, time_axis=cfg.time_axis)
+            seq = make_input_sequence(f, q, (cfg.base_seed, 0), time_axis=cfg.time_axis)
             path = os.path.join(out, f"signal_f{f:g}_seq{q}.csv")
             write_sequence_csv(seq, path)
             print(f"wrote {path}")
@@ -151,12 +144,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"spinqrc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
-        if config:
-            p.add_argument("config", help="path to a key = value config file")
+    def common(p):
+        p.add_argument("config", help="path to a key = value config file")
         p.add_argument("--seed", type=int, default=None, help="override base_seed")
         p.add_argument("--out", default=None, help="override output directory")
-        p.add_argument("--threads", type=int, default=1, help="worker processes")
 
     p_run = sub.add_parser("run", help="run a single (J_s, f, seed) cell")
     common(p_run)
@@ -164,6 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run the configured sweep grid")
     common(p_sweep)
+    p_sweep.add_argument("--threads", type=int, default=1, help="worker processes")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_emit = sub.add_parser("emit", help="emit plot-ready figure CSVs from a sweep")

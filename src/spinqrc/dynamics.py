@@ -170,7 +170,6 @@ class LindbladSystem:
         eigs = np.linalg.eigvalsh(self.hamiltonian)
         self.spectral_spread = float(eigs[-1] - eigs[0])
         self._step_props: dict[float, np.ndarray] = {}
-        self._interval_props: dict[tuple[float, int], np.ndarray] = {}
 
     def step_propagator(self, dt: float) -> np.ndarray:
         """RK4 one-step map I + dt M + ... + dt^4/24 M^4 on vec(rho)."""
@@ -188,12 +187,7 @@ class LindbladSystem:
 
     def interval_propagator(self, dt: float, n_steps: int) -> np.ndarray:
         """n_steps-fold composition of the RK4 one-step map."""
-        key = (dt, n_steps)
-        p = self._interval_props.get(key)
-        if p is None:
-            p = np.linalg.matrix_power(self.step_propagator(dt), n_steps)
-            self._interval_props[key] = p
-        return p
+        return np.linalg.matrix_power(self.step_propagator(dt), n_steps)
 
 
 def build_lindblad_system(model: SpinNetworkModel, convention: str = "paper") -> LindbladSystem:

@@ -8,7 +8,6 @@ partial transpose, computed from the full 4-qubit state.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 
@@ -122,20 +121,3 @@ def write_summary_json(summary: EntanglementSummary, path, key: dict | None = No
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-SUMMARY_CSV_COLUMNS = (["J_s", "seed"] + list(PARTITION_LABELS)
-                       + ["diff_single", "diff_pair", "ratio_single", "ratio_pair"])
-
-
-def write_summaries_csv(keyed_summaries, path) -> None:
-    """Rows of ((J_s, seed), summary) pairs; undefined ratios become nan."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_CSV_COLUMNS)
-        for (js, seed), s in keyed_summaries:
-            row = [repr(float(js)), int(seed)]
-            row += [repr(s.means[lbl]) for lbl in PARTITION_LABELS]
-            row += [repr(s.diff_single), repr(s.diff_pair)]
-            row += ["nan" if v is None else repr(v) for v in (s.ratio_single, s.ratio_pair)]
-            writer.writerow(row)

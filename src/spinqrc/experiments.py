@@ -23,17 +23,18 @@ import math
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import __version__
-from .dynamics import build_lindblad_system, random_model, stable_step_count
+from .dynamics import random_model
 from .entanglement import (
     PARTITION_LABELS,
     PARTITIONS,
     EntanglementSummary,
     log_negativity,
+    seed_average,
     steady_state_average,
     summary_from_means,
 )
@@ -43,8 +44,7 @@ from .learning import (
     CapacityProfile,
     evaluate_capacity_profile,
 )
-from .linalg import hermitianize
-from .reservoir import RunConfig, all_zero_state, inject, run_reservoir
+from .reservoir import RunConfig, TrajectoryRecord, run_reservoir, run_steps
 from .signals import (
     HOLDOUT_SEQUENCE_IDS,
     TEST_SEQUENCE_IDS,
@@ -223,7 +223,11 @@ def parse_config_file(path) -> ExperimentConfig:
 
 @dataclass(frozen=True, eq=False)
 class CellResult:
-    """Outcome of one (J_s, f, seed) sweep cell."""
+    """Outcome of one (J_s, f, seed) sweep cell.
+
+    ``train`` and ``test`` are the records the capacity was scored on; a
+    sweep drops them and keeps only the summaries.
+    """
 
     js: float
     f: float
@@ -233,6 +237,8 @@ class CellResult:
     entanglement: EntanglementSummary | None
     wall_time_s: float
     error: str = ""
+    train: TrajectoryRecord | None = None
+    test: TrajectoryRecord | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,7 +254,11 @@ class SweepResult:
 
 
 def run_cell(cfg: ExperimentConfig, js: float, f: float, seed_index: int) -> CellResult:
-    """Run the train and test reservoirs for one cell and evaluate them."""
+    """Run the train and test reservoirs for one cell and evaluate them.
+
+    The result carries both records, so a caller can export or rescore them
+    without running the reservoirs again.
+    """
     start = time.perf_counter()
     try:
         model = random_model(js, seed=(cfg.base_seed, seed_index))
@@ -275,7 +285,7 @@ def run_cell(cfg: ExperimentConfig, js: float, f: float, seed_index: int) -> Cel
         summary = steady_state_average(samples, washout=0)
         return CellResult(js=float(js), f=float(f), seed_index=int(seed_index), status="ok",
                           capacity=profile, entanglement=summary,
-                          wall_time_s=time.perf_counter() - start)
+                          wall_time_s=time.perf_counter() - start, train=train, test=test)
     except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
         return CellResult(js=float(js), f=float(f), seed_index=int(seed_index), status="error",
                           capacity=None, entanglement=None,
@@ -283,8 +293,8 @@ def run_cell(cfg: ExperimentConfig, js: float, f: float, seed_index: int) -> Cel
 
 
 def _cell_worker(args):
-    cfg, js, f, seed_index = args
-    return run_cell(cfg, js, f, seed_index)
+    """One sweep cell without its records, which a sweep does not keep."""
+    return replace(run_cell(*args), train=None, test=None)
 
 
 def sweep_cells(cfg: ExperimentConfig):
@@ -326,7 +336,7 @@ def run_sweep(cfg: ExperimentConfig, threads: int = 1, out_dir=None,
     results: dict[tuple, CellResult] = {}
     if threads <= 1:
         for cell in cells:
-            res = run_cell(cfg, *cell)
+            res = _cell_worker((cfg, *cell))
             record(res)
             results[cell] = res
     else:
@@ -516,9 +526,7 @@ def emit_figure_data(result: SweepResult, figure: str, out_dir) -> list[str]:
             for (ff, js), cells in grouped.items():
                 if ff != f:
                     continue
-                seed_means = summary_from_means({
-                    lbl: float(np.mean([c.entanglement.means[lbl] for c in cells]))
-                    for lbl in PARTITION_LABELS})
+                seed_means = seed_average(c.entanglement for c in cells)
                 _, err_s = _mean_stderr([c.entanglement.diff_single for c in cells])
                 _, err_p = _mean_stderr([c.entanglement.diff_pair for c in cells])
                 rows.append((repr(js), repr(seed_means.diff_single), repr(err_s),
@@ -534,9 +542,7 @@ def emit_figure_data(result: SweepResult, figure: str, out_dir) -> list[str]:
             for (ff, js), cells in grouped.items():
                 if ff != f:
                     continue
-                seed_means = summary_from_means({
-                    lbl: float(np.mean([c.entanglement.means[lbl] for c in cells]))
-                    for lbl in PARTITION_LABELS})
+                seed_means = seed_average(c.entanglement for c in cells)
                 per_seed_rs = [c.entanglement.ratio_single for c in cells]
                 per_seed_rp = [c.entanglement.ratio_pair for c in cells]
                 err_rs = (_mean_stderr([v for v in per_seed_rs if v is not None])[1]
@@ -595,14 +601,14 @@ def seed_averaged_metric(result: SweepResult, f: float, metric) -> dict[float, f
     return out
 
 
-def run_invariant_suite(n_runs: int = 100, n_injections: int = 50, base_seed: int = 7,
-                        js_max: float = 10.0, f: float = 2.0,
-                        convention: str = "paper") -> dict:
+def run_invariant_suite(n_runs: int = 100, n_injections: int = 50, base_seed: int = 7) -> dict:
     """Randomized short runs checking the physics invariants.
 
-    Every 10th run uses J_s = 0 so the uncoupled-network entanglement check
-    is exercised. Returns worst-case diagnostics across all runs and steps;
-    callers assert the tolerances.
+    Run i draws J_s uniformly from [0, 10) (J_s = 0 on every 10th run, so
+    the uncoupled-network entanglement check is exercised) and drives the
+    ``run_steps`` loop at f = 2; every post-evolve state is checked.
+    Returns worst-case diagnostics across all runs and steps; callers assert
+    the tolerances.
     """
     report = {
         "n_runs": n_runs,
@@ -616,21 +622,12 @@ def run_invariant_suite(n_runs: int = 100, n_injections: int = 50, base_seed: in
     run_cfg = RunConfig(t_final=n_injections * 7.5, delta_t=7.5, dt=0.025, washout_steps=0)
     for i in range(n_runs):
         rng = stream(0x56, base_seed, i)
-        js = 0.0 if i % 10 == 0 else float(rng.uniform(0.0, js_max))
+        js = 0.0 if i % 10 == 0 else float(rng.uniform(0.0, 10.0))
         model = random_model(js, seed=(base_seed, i))
-        seq1 = make_input_sequence(f, 0, (base_seed, i))
-        seq2 = make_input_sequence(f, 1, (base_seed, i))
-        sys = build_lindblad_system(model, convention)
-        n_sub = stable_step_count(sys, run_cfg.delta_t, run_cfg.dt)
-        propagator = sys.interval_propagator(run_cfg.delta_t / n_sub, n_sub)
-        rho = all_zero_state(4)
-        for k in range(n_injections):
-            idx = run_cfg.sample_index(k)
-            rho = inject(rho, float(seq1.samples[idx]), float(seq2.samples[idx]))
-            raw = (propagator @ rho.reshape(-1)).reshape(16, 16)
+        seqs = [make_input_sequence(2.0, q, (base_seed, i)) for q in TRAIN_SEQUENCE_IDS]
+        for _, _, raw, rho in run_steps(model, *seqs, run_cfg):
             report["max_hermiticity_error"] = max(
                 report["max_hermiticity_error"], float(np.abs(raw - raw.conj().T).max()))
-            rho = hermitianize(raw)
             report["max_trace_error"] = max(
                 report["max_trace_error"],
                 abs(float(np.trace(rho).real) - 1.0) + abs(float(np.trace(rho).imag)))

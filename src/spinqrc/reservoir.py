@@ -133,43 +133,58 @@ def inject(rho: np.ndarray, s1: float, s2: float,
     return permute_qubits(out, perm)
 
 
-def run_reservoir(model: SpinNetworkModel, seq1: InputSequence, seq2: InputSequence,
-                  cfg: RunConfig, convention: str = "paper",
-                  initial_state: np.ndarray | None = None) -> TrajectoryRecord:
-    """Drive the reservoir with two input sequences and record observables.
+def run_steps(model: SpinNetworkModel, seq1: InputSequence, seq2: InputSequence,
+              cfg: RunConfig, convention: str = "paper",
+              initial_state: np.ndarray | None = None):
+    """The run loop: yield ``(rho_k, (s1, s2), raw_next, rho_next)`` per step.
 
-    Starts from the all-|0> state unless ``initial_state`` is given (the
-    washout discard makes the choice immaterial). Deterministic for fixed
-    inputs.
+    ``rho_k`` is the state at t_k, before the step's pair (s1, s2) enters;
+    ``raw_next`` is the state at t_{k+1} as the propagator returns it, and
+    ``rho_next`` its ``hermitianize``-d form, the next step's ``rho_k``.
+    Starts from the all-|0> state unless ``initial_state`` is given.
     """
     if model.n_qubits != 4:
         raise ValueError("the run loop records 4-qubit observables; n_qubits must be 4")
-    k_steps = cfg.n_steps
-    needed = cfg.sample_index(k_steps - 1) + 1
+    needed = cfg.sample_index(cfg.n_steps - 1) + 1
     if len(seq1) < needed or len(seq2) < needed:
         raise ValueError(f"need at least {needed} samples per input sequence")
 
     sys = build_lindblad_system(model, convention)
     n_sub = stable_step_count(sys, cfg.delta_t, cfg.dt)
     propagator = sys.interval_propagator(cfg.delta_t / n_sub, n_sub)
-    z_ops = [embed_single_qubit(PAULI_Z, i, 4) for i in range(4)]
 
     rho = all_zero_state(4) if initial_state is None else np.asarray(initial_state, dtype=complex)
+    for k in range(cfg.n_steps):
+        idx = cfg.sample_index(k)
+        pair = (float(seq1.samples[idx]), float(seq2.samples[idx]))
+        raw = (propagator @ inject(rho, *pair, cfg.input_qubits).reshape(-1)).reshape(16, 16)
+        rho_next = hermitianize(raw)
+        yield rho, pair, raw, rho_next
+        rho = rho_next
+
+
+def run_reservoir(model: SpinNetworkModel, seq1: InputSequence, seq2: InputSequence,
+                  cfg: RunConfig, convention: str = "paper",
+                  initial_state: np.ndarray | None = None) -> TrajectoryRecord:
+    """Drive the reservoir with two input sequences and record observables.
+
+    Records every ``run_steps`` state at its injection instant (the washout
+    discard makes the initial state immaterial). Deterministic for fixed
+    inputs.
+    """
+    z_ops = [embed_single_qubit(PAULI_Z, i, 4) for i in range(4)]
+    k_steps = cfg.n_steps
     features = np.empty((k_steps, 5))
     ent = np.empty((k_steps, len(PARTITION_LABELS)))
     injected = np.empty((k_steps, 2))
 
-    for k in range(k_steps):
+    for k, (rho, pair, _, _) in enumerate(run_steps(model, seq1, seq2, cfg, convention,
+                                                 initial_state)):
         for i in range(4):
             features[k, i] = expectation(rho, z_ops[i])
         features[k, 4] = 1.0
         ent[k] = sample_all_partitions(rho)
-        idx = cfg.sample_index(k)
-        s1 = float(seq1.samples[idx])
-        s2 = float(seq2.samples[idx])
-        injected[k] = (s1, s2)
-        rho = inject(rho, s1, s2, cfg.input_qubits)
-        rho = hermitianize((propagator @ rho.reshape(-1)).reshape(16, 16))
+        injected[k] = pair
 
     return TrajectoryRecord(features=features, entanglement_samples=ent,
                             injected_values=injected, washout_steps=cfg.washout_steps)

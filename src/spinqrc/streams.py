@@ -8,6 +8,10 @@ across platforms and independent draws never share a stream:
 * coupling matrices:     (COUPLING_DOMAIN, *coupling_seed)
 
 where ``coupling_seed`` is the experiment's (base_seed, seed_index) pair.
+
+``SeedSequence`` zero-pads keys shorter than four words, so (d, b) and
+(d, b, 0) give the same stream: within one domain every key must have one
+length, or a short key silently aliases a longer one.
 """
 
 from __future__ import annotations

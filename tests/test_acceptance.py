@@ -18,19 +18,20 @@ import math
 import numpy as np
 import pytest
 
-from spinqrc.dynamics import SpinNetworkModel, build_lindblad_system, evolve, random_model
+from spinqrc.dynamics import SpinNetworkModel, build_lindblad_system, evolve
 from spinqrc.entanglement import PARTITIONS, log_negativity
 from spinqrc.experiments import (
     DEFAULT_JS_GRID,
     ExperimentConfig,
     invariant_suite_ok,
+    run_cell,
     run_invariant_suite,
     run_sweep,
     seed_averaged_metric,
 )
 from spinqrc.learning import evaluate_capacity_profile, ridge_fit
 from spinqrc.linalg import kron_all, partial_trace
-from spinqrc.reservoir import RunConfig, run_reservoir
+from spinqrc.reservoir import RunConfig
 from spinqrc.signals import TEST_SEQUENCE_IDS, TRAIN_SEQUENCE_IDS, make_input_sequence
 
 from oracles import (
@@ -80,12 +81,12 @@ def dip_sweep():
 def null_control(sweep):
     """Null capacity profiles of a sweep's cells, per (J_s, f) in seed order.
 
-    Each cell's train and test records are made again as ``run_cell`` makes
-    them. The null scores those same features, with the same
+    Each cell runs again through ``run_cell``, which returns its train and
+    test records. The null scores those same features, with the same
     ``evaluate_capacity_profile`` call, against s1'(k-tau)*s2'(k-tau): the
     products of four sequences drawn at the cell's f under the null key,
     sampled at the run's injection steps, that never drove the reservoir.
-    Also returns whether every recomputed real profile equals the sweep's.
+    Also returns whether every rerun cell's real profile equals the sweep's.
     """
     cfg = sweep.config
     ids = TRAIN_SEQUENCE_IDS + TEST_SEQUENCE_IDS
@@ -93,16 +94,12 @@ def null_control(sweep):
     null, reproduced = {}, True
     for row in sweep.ok_rows():
         key = (cfg.base_seed, row.seed_index)
-        seqs = [make_input_sequence(row.f, q, key) for q in ids]
         null_seqs = [make_input_sequence(row.f, q, key + (NULL_TAG,)).samples[steps] for q in ids]
-        model = random_model(row.js, seed=key)
-        train = run_reservoir(model, seqs[0], seqs[1], cfg.run)
-        test = run_reservoir(model, seqs[2], seqs[3], cfg.run)
-        real = evaluate_capacity_profile(train, test, cfg.tau_max, cfg.lambda_grid)
-        reproduced &= bool(np.array_equal(real.per_tau, row.capacity.per_tau))
+        cell = run_cell(cfg, row.js, row.f, row.seed_index)
+        reproduced &= bool(np.array_equal(cell.capacity.per_tau, row.capacity.per_tau))
         profile = evaluate_capacity_profile(
-            dataclasses.replace(train, injected_values=np.column_stack(null_seqs[:2])),
-            dataclasses.replace(test, injected_values=np.column_stack(null_seqs[2:])),
+            dataclasses.replace(cell.train, injected_values=np.column_stack(null_seqs[:2])),
+            dataclasses.replace(cell.test, injected_values=np.column_stack(null_seqs[2:])),
             cfg.tau_max, cfg.lambda_grid)
         null.setdefault((row.js, row.f), []).append(profile.per_tau)
     return {k: np.array(v) for k, v in null.items()}, reproduced

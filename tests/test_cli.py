@@ -63,6 +63,11 @@ def test_invalid_config_exits_two(tmp_path, capsys):
     assert "not_a_key" in err and ":2:" in err
 
 
+SINGLE_CFG = ("experiment = single_run\njs_values = 0.3\nf_values = 2\n"
+              "n_coupling_seeds = 1\nbase_seed = 42\nt_final = 750\n"
+              "washout_steps = 30\ntau_max = 10\n")
+
+
 def test_gen_signals_writes_nine_sequences_per_frequency(tmp_path):
     cfg = tmp_path / "sig.cfg"
     cfg.write_text("experiment = single_run\njs_values = 0.1\nf_values = 1, 2\n"
@@ -82,9 +87,7 @@ def test_gen_signals_writes_nine_sequences_per_frequency(tmp_path):
 
 def test_single_run_outputs(tmp_path, capsys):
     cfg = tmp_path / "single.cfg"
-    cfg.write_text("experiment = single_run\njs_values = 0.3\nf_values = 2\n"
-                   "n_coupling_seeds = 1\nbase_seed = 42\nt_final = 750\n"
-                   "washout_steps = 30\ntau_max = 10\n")
+    cfg.write_text(SINGLE_CFG)
     out = tmp_path / "run_out"
     assert main(["run", str(cfg), "--out", str(out)]) == 0
     produced = sorted(os.listdir(out))
@@ -106,6 +109,48 @@ def test_single_run_outputs(tmp_path, capsys):
     recomputed = evaluate_capacity_profile(train, test, tau_max=10)
     reported = json.loads((out / "capacity.json").read_text())
     assert np.allclose(recomputed.per_tau, reported["per_tau"], atol=1e-12)
+
+
+def test_gen_signals_exports_the_run_cells_inputs(tmp_path):
+    from spinqrc.reservoir import RunConfig, read_trajectory_csv
+    from spinqrc.signals import read_sequence_csv
+
+    cfg = tmp_path / "single.cfg"
+    cfg.write_text(SINGLE_CFG)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    assert main(["gen-signals", str(cfg), "--out", str(tmp_path / "sig")]) == 0
+    train = read_trajectory_csv(tmp_path / "run" / "trajectory_train.csv")
+    steps = [RunConfig(t_final=750).sample_index(k) for k in range(train.n_steps)]
+    for q in (0, 1):
+        seq = read_sequence_csv(tmp_path / "sig" / f"signal_f2_seq{q}.csv")
+        assert np.array_equal(seq[steps], train.injected_values[:, q])
+
+
+def test_run_runs_each_reservoir_once(tmp_path, monkeypatch):
+    import spinqrc.cli
+    import spinqrc.experiments
+
+    calls = []
+    for module in (spinqrc.cli, spinqrc.experiments):
+        original = getattr(module, "run_reservoir", None)
+        if original is not None:
+            def counted(*args, _original=original, **kwargs):
+                calls.append(1)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(module, "run_reservoir", counted)
+    cfg = tmp_path / "single.cfg"
+    cfg.write_text(SINGLE_CFG)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    assert len(calls) == 2
+
+
+def test_threads_is_a_sweep_option_only(tmp_path):
+    cfg = tmp_path / "single.cfg"
+    cfg.write_text(SINGLE_CFG)
+    for command in ("run", "gen-signals"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(cfg), "--threads", "2"])
+        assert exc.value.code == 2
 
 
 def test_sweep_then_emit_reproduces_golden_files(tmp_path):

@@ -143,20 +143,6 @@ class TestSeedAverage:
             seed_average([])
 
 
-def test_summaries_csv_keyed_by_js_and_seed(tmp_path):
-    rng = np.random.default_rng(5)
-    rows = [((0.5, 0), summary_from_means(dict(zip(PARTITION_LABELS, rng.uniform(0.1, 1, 7))))),
-            ((0.5, 1), summary_from_means(dict(zip(PARTITION_LABELS, np.zeros(7)))))]
-    from spinqrc.entanglement import SUMMARY_CSV_COLUMNS, write_summaries_csv
-
-    path = tmp_path / "summaries.csv"
-    write_summaries_csv(rows, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == ",".join(SUMMARY_CSV_COLUMNS)
-    assert len(lines) == 3
-    assert lines[2].split(",")[-1] == "nan"  # undefined ratio for the zero summary
-
-
 def test_summary_json_round_trip(tmp_path):
     import json
 

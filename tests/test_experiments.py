@@ -18,6 +18,7 @@ from spinqrc.experiments import (
     seed_averaged_metric,
     sweep_cells,
 )
+from spinqrc.learning import evaluate_capacity_profile
 from spinqrc.reservoir import RunConfig
 
 TINY_RUN = RunConfig(t_final=750.0, washout_steps=30)
@@ -128,6 +129,11 @@ class TestSweep:
         assert row.status == single.status == "ok"
         assert np.array_equal(row.capacity.per_tau, single.capacity.per_tau)
         assert row.entanglement.means == single.entanglement.means
+        # A cell returns the records it scored; a sweep does not keep them.
+        assert row.train is None and row.test is None
+        rescored = evaluate_capacity_profile(single.train, single.test, cfg.tau_max,
+                                             cfg.lambda_grid)
+        assert np.array_equal(rescored.per_tau, single.capacity.per_tau)
 
     def test_cells_enumerated_in_config_order(self):
         cfg = tiny_config()
@@ -296,3 +302,4 @@ def test_invariant_suite_small():
     assert invariant_suite_ok(report)
     assert report["max_trace_error"] <= 1e-9
     assert report["min_eigenvalue"] >= -1e-7
+

@@ -8,6 +8,7 @@ from spinqrc.linalg import (
     QubitPartition,
     embed_single_qubit,
     expectation,
+    hermitianize,
     kron,
     partial_trace,
 )
@@ -17,6 +18,7 @@ from spinqrc.reservoir import (
     inject,
     read_trajectory_csv,
     run_reservoir,
+    run_steps,
     write_trajectory_csv,
 )
 from spinqrc.signals import InputSequence, encode_input_state, make_input_sequence
@@ -141,6 +143,21 @@ class TestRunReservoir:
                                [s1.samples[idx], s2.samples[idx]], atol=0)
             rho = inject(rho, float(s1.samples[idx]), float(s2.samples[idx]))
             rho = evolve(rho, sys, cfg.delta_t, cfg.delta_t / n_sub)
+
+    def test_run_steps_hands_each_state_on(self):
+        # Step k yields hermitianize(raw_next), and that is step k+1's state.
+        model = random_model(0.8, seed=3)
+        cfg = short_cfg(n_steps=6)
+        s1 = make_input_sequence(2.0, 0, 12)
+        s2 = make_input_sequence(2.0, 1, 12)
+        steps = list(run_steps(model, s1, s2, cfg))
+        assert len(steps) == 6
+        assert np.array_equal(steps[0][0], all_zero_state(4))
+        for (_, _, raw, rho_next), (rho_k, _, _, _) in zip(steps, steps[1:]):
+            assert np.array_equal(hermitianize(raw), rho_next)
+            assert np.array_equal(rho_next, rho_k)
+        rec = run_reservoir(model, s1, s2, cfg)
+        assert np.array_equal([pair for _, pair, _, _ in steps], rec.injected_values)
 
     def test_determinism(self):
         model = random_model(1.0, seed=1)
