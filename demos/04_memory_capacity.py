@@ -9,7 +9,7 @@ import numpy as np
 
 from spinqrc.dynamics import random_model
 from spinqrc.learning import evaluate_capacity_profile
-from spinqrc.reservoir import RunConfig, run_reservoir
+from spinqrc.reservoir import RunConfig, interval_map, run_reservoir
 from spinqrc.signals import make_input_sequence
 
 cfg = RunConfig()
@@ -19,10 +19,10 @@ SEEDS = 3
 def profile(js, f):
     acc = []
     for seed in range(SEEDS):
-        model = random_model(js, seed=(2024, seed))
+        propagator = interval_map(random_model(js, seed=(2024, seed)), cfg)
         seqs = [make_input_sequence(f, q, (2024, seed)) for q in range(4)]
-        train = run_reservoir(model, seqs[0], seqs[1], cfg)
-        test = run_reservoir(model, seqs[2], seqs[3], cfg)
+        train = run_reservoir(propagator, seqs[0], seqs[1], cfg)
+        test = run_reservoir(propagator, seqs[2], seqs[3], cfg)
         acc.append(evaluate_capacity_profile(train, test).per_tau)
     return np.mean(acc, axis=0)
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from spinqrc.dynamics import random_model
 from spinqrc.entanglement import PARTITION_LABELS, seed_average, steady_state_average
-from spinqrc.reservoir import RunConfig, run_reservoir
+from spinqrc.reservoir import RunConfig, interval_map, run_reservoir
 from spinqrc.signals import make_input_sequence
 
 cfg = RunConfig()
@@ -19,10 +19,10 @@ SEEDS = 3
 def summary(js):
     per_seed = []
     for seed in range(SEEDS):
-        model = random_model(js, seed=(2024, seed))
+        propagator = interval_map(random_model(js, seed=(2024, seed)), cfg)
         s1 = make_input_sequence(2.0, 0, (2024, seed))
         s2 = make_input_sequence(2.0, 1, (2024, seed))
-        rec = run_reservoir(model, s1, s2, cfg)
+        rec = run_reservoir(propagator, s1, s2, cfg)
         per_seed.append(steady_state_average(
             rec.entanglement_samples[cfg.washout_steps:], washout=0))
     return seed_average(per_seed)

@@ -17,7 +17,7 @@ import numpy as np
 
 from spinqrc.dynamics import SpinNetworkModel, sample_coupling_matrix
 from spinqrc.learning import evaluate_capacity_profile
-from spinqrc.reservoir import RunConfig, run_reservoir
+from spinqrc.reservoir import RunConfig, interval_map, run_reservoir
 from spinqrc.signals import InputSequence
 
 cfg = RunConfig()
@@ -34,10 +34,10 @@ def genuine_profile(js, gamma=0.01):
     acc = []
     for seed in range(SEEDS):
         coupling = sample_coupling_matrix(js, 4, (2024, seed))
-        model = SpinNetworkModel(coupling=coupling, gamma=gamma)
+        propagator = interval_map(SpinNetworkModel(coupling=coupling, gamma=gamma), cfg)
         seqs = [white_sequence(q, 99 + seed) for q in range(4)]
-        train = run_reservoir(model, seqs[0], seqs[1], cfg)
-        test = run_reservoir(model, seqs[2], seqs[3], cfg)
+        train = run_reservoir(propagator, seqs[0], seqs[1], cfg)
+        test = run_reservoir(propagator, seqs[2], seqs[3], cfg)
         acc.append(evaluate_capacity_profile(train, test).per_tau)
     return np.mean(acc, axis=0)
 

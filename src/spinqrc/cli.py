@@ -47,6 +47,13 @@ def _load_config(args) -> ExperimentConfig:
     return cfg
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _cmd_run(args) -> int:
     cfg = _load_config(args)
     js, f = cfg.js_values[0], cfg.f_values[0]
@@ -155,7 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run the configured sweep grid")
     common(p_sweep)
-    p_sweep.add_argument("--threads", type=int, default=1, help="worker processes")
+    p_sweep.add_argument("--threads", type=positive_int, default=1,
+                         help="worker processes (at most one per cell)")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_emit = sub.add_parser("emit", help="emit plot-ready figure CSVs from a sweep")

@@ -3,7 +3,9 @@
 Partition labels follow the 1-based qubit naming used for reporting (E1 is
 qubit 1 against the rest; E13 is the pair {1,3} against {2,4}); internally
 qubit i maps to index i-1. Negativity is log2 of the trace norm of the
-partial transpose, computed from the full 4-qubit state.
+partial transpose, computed from the full 4-qubit state: per state by
+``log_negativity``, the reference, and per run by ``negativities``, which
+gives the same numbers bit for bit from stacked eigensolves.
 """
 
 from __future__ import annotations
@@ -13,7 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import QubitPartition, partial_transpose, trace_norm
+from .linalg import (
+    QubitPartition,
+    check_hermitian,
+    hermitianize,
+    partial_transpose,
+    trace_norm,
+)
 
 PARTITION_LABELS = ("E1", "E2", "E3", "E4", "E12", "E13", "E14")
 
@@ -29,6 +37,12 @@ PARTITIONS = {
 
 RATIO_DENOMINATOR_FLOOR = 1e-9
 
+# States per stacked eigensolve in ``negativities``; it bounds the
+# temporaries. For one 366-state run, peak allocation was 1.7 MiB in blocks of
+# 128, 4.5 MiB for the whole run at once and 30 MiB for one (K, 7, 16, 16)
+# stack of all partial transposes; blocks of 128 were also the fastest.
+NEGATIVITY_BLOCK = 128
+
 
 def log_negativity(rho: np.ndarray, partition: QubitPartition, clamp: bool = True) -> float:
     """log2 ||rho^{T_A}||_1, clamped at zero unless ``clamp`` is False.
@@ -42,9 +56,24 @@ def log_negativity(rho: np.ndarray, partition: QubitPartition, clamp: bool = Tru
     return value
 
 
-def sample_all_partitions(rho: np.ndarray) -> np.ndarray:
-    """The seven negativities in PARTITION_LABELS order."""
-    return np.array([log_negativity(rho, PARTITIONS[lbl]) for lbl in PARTITION_LABELS])
+def negativities(states: np.ndarray) -> np.ndarray:
+    """Raw (unclamped) log negativities of a (K, 16, 16) stack of states.
+
+    Returns K x 7 in PARTITION_LABELS order, equal bit for bit to
+    ``log_negativity(states[k], PARTITIONS[lbl], clamp=False)``. The
+    Hermiticity check of ``trace_norm`` runs once per block on the states
+    themselves: a partial transpose permutes the entries of rho - rho†, so the
+    relative residue is the same number.
+    """
+    states = np.asarray(states)
+    out = np.empty((len(states), len(PARTITION_LABELS)))
+    for start in range(0, len(states), NEGATIVITY_BLOCK):
+        block = states[start:start + NEGATIVITY_BLOCK]
+        check_hermitian(block)
+        for j, lbl in enumerate(PARTITION_LABELS):
+            eigs = np.linalg.eigvalsh(hermitianize(partial_transpose(block, PARTITIONS[lbl])))
+            out[start:start + len(block), j] = np.log2(np.abs(eigs).sum(axis=-1))
+    return out
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ import csv
 import hashlib
 import json
 import math
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -31,9 +30,8 @@ from . import __version__
 from .dynamics import random_model
 from .entanglement import (
     PARTITION_LABELS,
-    PARTITIONS,
     EntanglementSummary,
-    log_negativity,
+    negativities,
     seed_average,
     steady_state_average,
     summary_from_means,
@@ -44,7 +42,7 @@ from .learning import (
     CapacityProfile,
     evaluate_capacity_profile,
 )
-from .reservoir import RunConfig, TrajectoryRecord, run_reservoir, run_steps
+from .reservoir import RunConfig, TrajectoryRecord, interval_map, run_reservoir, run_steps
 from .signals import (
     HOLDOUT_SEQUENCE_IDS,
     TEST_SEQUENCE_IDS,
@@ -226,7 +224,10 @@ class CellResult:
     """Outcome of one (J_s, f, seed) sweep cell.
 
     ``train`` and ``test`` are the records the capacity was scored on; a
-    sweep drops them and keeps only the summaries.
+    sweep drops them and keeps only the summaries. ``stage_s`` holds the
+    seconds an ok cell spent in each stage: ``propagator`` (the interval
+    map), ``reservoirs`` (every run of the cell) and ``readout`` (capacity
+    and entanglement summary); it is empty for a failed cell.
     """
 
     js: float
@@ -239,6 +240,7 @@ class CellResult:
     error: str = ""
     train: TrajectoryRecord | None = None
     test: TrajectoryRecord | None = None
+    stage_s: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,8 +258,9 @@ class SweepResult:
 def run_cell(cfg: ExperimentConfig, js: float, f: float, seed_index: int) -> CellResult:
     """Run the train and test reservoirs for one cell and evaluate them.
 
-    The result carries both records, so a caller can export or rescore them
-    without running the reservoirs again.
+    Every run of the cell shares one interval map. The result carries both
+    records, so a caller can export or rescore them without running the
+    reservoirs again.
     """
     start = time.perf_counter()
     try:
@@ -267,15 +270,18 @@ def run_cell(cfg: ExperimentConfig, js: float, f: float, seed_index: int) -> Cel
             for q in TRAIN_SEQUENCE_IDS + TEST_SEQUENCE_IDS + (
                 HOLDOUT_SEQUENCE_IDS if cfg.lambda_selection == "holdout" else ())
         }
-        train = run_reservoir(model, seqs[TRAIN_SEQUENCE_IDS[0]], seqs[TRAIN_SEQUENCE_IDS[1]],
-                              cfg.run, cfg.dissipator_convention)
-        test = run_reservoir(model, seqs[TEST_SEQUENCE_IDS[0]], seqs[TEST_SEQUENCE_IDS[1]],
-                             cfg.run, cfg.dissipator_convention)
+        t_build = time.perf_counter()
+        propagator = interval_map(model, cfg.run, cfg.dissipator_convention)
+        t_runs = time.perf_counter()
+        train = run_reservoir(propagator, seqs[TRAIN_SEQUENCE_IDS[0]],
+                              seqs[TRAIN_SEQUENCE_IDS[1]], cfg.run)
+        test = run_reservoir(propagator, seqs[TEST_SEQUENCE_IDS[0]],
+                             seqs[TEST_SEQUENCE_IDS[1]], cfg.run)
         selection = None
         if cfg.lambda_selection == "holdout":
-            selection = run_reservoir(model, seqs[HOLDOUT_SEQUENCE_IDS[0]],
-                                      seqs[HOLDOUT_SEQUENCE_IDS[1]],
-                                      cfg.run, cfg.dissipator_convention)
+            selection = run_reservoir(propagator, seqs[HOLDOUT_SEQUENCE_IDS[0]],
+                                      seqs[HOLDOUT_SEQUENCE_IDS[1]], cfg.run)
+        t_readout = time.perf_counter()
         profile = evaluate_capacity_profile(train, test, cfg.tau_max, cfg.lambda_grid,
                                             selection=selection)
         # Entanglement statistics use the post-washout samples of both runs.
@@ -283,9 +289,12 @@ def run_cell(cfg: ExperimentConfig, js: float, f: float, seed_index: int) -> Cel
         samples = np.vstack([train.entanglement_samples[washout:],
                              test.entanglement_samples[washout:]])
         summary = steady_state_average(samples, washout=0)
+        end = time.perf_counter()
+        stage_s = {"propagator": t_runs - t_build, "reservoirs": t_readout - t_runs,
+                   "readout": end - t_readout}
         return CellResult(js=float(js), f=float(f), seed_index=int(seed_index), status="ok",
-                          capacity=profile, entanglement=summary,
-                          wall_time_s=time.perf_counter() - start, train=train, test=test)
+                          capacity=profile, entanglement=summary, wall_time_s=end - start,
+                          train=train, test=test, stage_s=stage_s)
     except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
         return CellResult(js=float(js), f=float(f), seed_index=int(seed_index), status="error",
                           capacity=None, entanglement=None,
@@ -312,8 +321,12 @@ def run_sweep(cfg: ExperimentConfig, threads: int = 1, out_dir=None,
     With ``out_dir`` set, each finished cell is appended to ``cells.jsonl``
     (completion order, crash resilience) and the sorted ``sweep_results.csv``
     plus ``manifest.json`` are written at the end. Results are identical for
-    any thread count.
+    any thread count. ``threads`` > 1 runs the cells on a pool of at most
+    that many worker processes; if a worker dies, every cell it left
+    unfinished is recorded as an error and the sweep still completes.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     cells = sweep_cells(cfg)
     jsonl_path = None
     if out_dir is not None:
@@ -322,35 +335,47 @@ def run_sweep(cfg: ExperimentConfig, threads: int = 1, out_dir=None,
         with open(jsonl_path, "w"):
             pass
 
-    def record(result: CellResult):
+    results: dict[tuple, CellResult] = {}
+
+    def record(cell, result: CellResult):
+        results[cell] = result
         if jsonl_path is not None:
             with open(jsonl_path, "a") as fh:
-                fh.write(json.dumps({
-                    "J_s": result.js, "f": result.f, "seed": result.seed_index,
-                    "status": result.status, "error": result.error,
-                    "wall_time_s": result.wall_time_s,
-                }) + "\n")
+                fh.write(json.dumps(_cell_log(result)) + "\n")
         if progress is not None:
             progress(result)
 
-    results: dict[tuple, CellResult] = {}
-    if threads <= 1:
+    if threads == 1:
         for cell in cells:
-            res = _cell_worker((cfg, *cell))
-            record(res)
-            results[cell] = res
+            record(cell, _cell_worker((cfg, *cell)))
     else:
-        args = [(cfg, js, f, j) for (js, f, j) in cells]
-        with multiprocessing.Pool(processes=threads) as pool:
-            for res in pool.imap_unordered(_cell_worker, args):
-                record(res)
-                results[(res.js, res.f, res.seed_index)] = res
+        # Imported here: a serial run and every other command skip their start-up cost.
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+        from concurrent.futures.process import BrokenProcessPool
+
+        with ProcessPoolExecutor(max_workers=min(threads, len(cells))) as pool:
+            futures = {pool.submit(_cell_worker, (cfg, *cell)): cell for cell in cells}
+            for future in as_completed(futures):
+                js, f, j = cell = futures[future]
+                try:
+                    res = future.result()
+                except BrokenProcessPool:
+                    res = CellResult(js=float(js), f=float(f), seed_index=int(j),
+                                     status="error", capacity=None, entanglement=None,
+                                     wall_time_s=0.0, error="worker process died")
+                record(cell, res)
 
     ordered = tuple(results[cell] for cell in cells)
     sweep = SweepResult(config=cfg, rows=ordered, fingerprint=cfg.fingerprint())
     if out_dir is not None:
         write_sweep_outputs(sweep, out_dir)
     return sweep
+
+
+def _cell_log(r: CellResult) -> dict:
+    """A cell's status and timing, as cells.jsonl and the manifest list it."""
+    return {"J_s": r.js, "f": r.f, "seed": r.seed_index, "status": r.status,
+            "error": r.error, "wall_time_s": r.wall_time_s, "stage_s": r.stage_s}
 
 
 def _ratio_repr(value) -> str:
@@ -366,7 +391,8 @@ def sweep_csv_header(tau_max: int) -> list[str]:
 
 def write_sweep_outputs(result: SweepResult, out_dir) -> None:
     """Write sweep_results.csv (no wall times, byte-reproducible) and the
-    manifest (config, fingerprint, code version, per-cell status and timing)."""
+    manifest (config, fingerprint, code version, per-cell status, wall time
+    and stage times)."""
     os.makedirs(out_dir, exist_ok=True)
     tau_max = result.config.tau_max
     with open(os.path.join(out_dir, "sweep_results.csv"), "w", newline="") as fh:
@@ -390,11 +416,7 @@ def write_sweep_outputs(result: SweepResult, out_dir) -> None:
         "output_dir": result.config.output_dir,
         "fingerprint": result.fingerprint,
         "code_version": __version__,
-        "cells": [
-            {"J_s": r.js, "f": r.f, "seed": r.seed_index, "status": r.status,
-             "error": r.error, "wall_time_s": r.wall_time_s}
-            for r in result.rows
-        ],
+        "cells": [_cell_log(r) for r in result.rows],
     }
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -606,7 +628,8 @@ def run_invariant_suite(n_runs: int = 100, n_injections: int = 50, base_seed: in
 
     Run i draws J_s uniformly from [0, 10) (J_s = 0 on every 10th run, so
     the uncoupled-network entanglement check is exercised) and drives the
-    ``run_steps`` loop at f = 2; every post-evolve state is checked.
+    ``run_steps`` loop at f = 2; every post-evolve state is checked, its
+    negativities once per run.
     Returns worst-case diagnostics across all runs and steps; callers assert
     the tolerances.
     """
@@ -625,7 +648,8 @@ def run_invariant_suite(n_runs: int = 100, n_injections: int = 50, base_seed: in
         js = 0.0 if i % 10 == 0 else float(rng.uniform(0.0, 10.0))
         model = random_model(js, seed=(base_seed, i))
         seqs = [make_input_sequence(2.0, q, (base_seed, i)) for q in TRAIN_SEQUENCE_IDS]
-        for _, _, raw, rho in run_steps(model, *seqs, run_cfg):
+        states = []
+        for _, _, raw, rho in run_steps(interval_map(model, run_cfg), *seqs, run_cfg):
             report["max_hermiticity_error"] = max(
                 report["max_hermiticity_error"], float(np.abs(raw - raw.conj().T).max()))
             report["max_trace_error"] = max(
@@ -633,13 +657,13 @@ def run_invariant_suite(n_runs: int = 100, n_injections: int = 50, base_seed: in
                 abs(float(np.trace(rho).real) - 1.0) + abs(float(np.trace(rho).imag)))
             report["min_eigenvalue"] = min(
                 report["min_eigenvalue"], float(np.linalg.eigvalsh(rho)[0]))
-            raw_negs = [log_negativity(rho, PARTITIONS[lbl], clamp=False)
-                        for lbl in PARTITION_LABELS]
-            report["min_raw_negativity"] = min(report["min_raw_negativity"], min(raw_negs))
-            report["max_negativity"] = max(report["max_negativity"], max(raw_negs))
-            if js == 0.0:
-                report["max_zero_coupling_negativity"] = max(
-                    report["max_zero_coupling_negativity"], max(raw_negs))
+            states.append(rho)
+        raw_negs = negativities(np.stack(states))
+        report["min_raw_negativity"] = min(report["min_raw_negativity"], float(raw_negs.min()))
+        report["max_negativity"] = max(report["max_negativity"], float(raw_negs.max()))
+        if js == 0.0:
+            report["max_zero_coupling_negativity"] = max(
+                report["max_zero_coupling_negativity"], float(raw_negs.max()))
     return report
 
 

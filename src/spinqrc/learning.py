@@ -59,9 +59,14 @@ def feature_window(features: np.ndarray, tau: int, washout: int) -> np.ndarray:
     return features[washout + tau:]
 
 
-def ridge_fit(features: np.ndarray, targets: np.ndarray, lam: float, tau: int = 0) -> ReadoutModel:
-    """Solve the regularized normal equations (R'R + lam I) w = R'g exactly."""
-    if lam <= 0:
+def ridge_weights(features: np.ndarray, targets: np.ndarray, lams) -> np.ndarray:
+    """Ridge weights for every lambda: row i solves (R'R + lams[i] I) w = R'g.
+
+    R'R and R'g are formed once; the systems go through one stacked solve,
+    which runs the same LAPACK routine on each as a solve of that system alone.
+    """
+    lams = np.asarray(lams, dtype=float).reshape(-1)
+    if np.any(lams <= 0):
         raise ValueError("lambda must be positive")
     r = np.asarray(features, dtype=float)
     g = np.asarray(targets, dtype=float)
@@ -69,16 +74,26 @@ def ridge_fit(features: np.ndarray, targets: np.ndarray, lam: float, tau: int = 
         raise ValueError(f"need at least {r.shape[1]} feature rows, got {r.shape[0]}")
     if r.shape[0] != g.shape[0]:
         raise ValueError("features and targets disagree in length")
-    gram = r.T @ r + lam * np.eye(r.shape[1])
+    grams = r.T @ r + lams[:, None, None] * np.eye(r.shape[1])
     rhs = r.T @ g
     try:
-        weights = np.linalg.solve(gram, rhs)
+        weights = np.linalg.solve(grams, np.broadcast_to(rhs[:, None], grams.shape[:-1] + (1,)))
     except np.linalg.LinAlgError as exc:
+        # R'R + lam I is worst conditioned at the smallest lambda.
         raise np.linalg.LinAlgError(
-            f"ridge system singular at lambda={lam:g}; increase lambda") from exc
-    if not np.all(np.isfinite(weights)):
-        raise np.linalg.LinAlgError(f"non-finite ridge solution at lambda={lam:g}")
-    return ReadoutModel(weights=weights, lam=float(lam), tau=int(tau))
+            f"ridge system singular at lambda={lams.min():g}; increase lambda") from exc
+    weights = weights[..., 0]
+    finite = np.all(np.isfinite(weights), axis=1)
+    if not finite.all():
+        raise np.linalg.LinAlgError(
+            f"non-finite ridge solution at lambda={lams[~finite][0]:g}")
+    return weights
+
+
+def ridge_fit(features: np.ndarray, targets: np.ndarray, lam: float, tau: int = 0) -> ReadoutModel:
+    """Solve the regularized normal equations (R'R + lam I) w = R'g exactly."""
+    return ReadoutModel(weights=ridge_weights(features, targets, [lam])[0],
+                        lam=float(lam), tau=int(tau))
 
 
 def stm_capacity(predicted, target) -> float:
@@ -142,22 +157,20 @@ def evaluate_capacity_profile(train: TrajectoryRecord, test: TrajectoryRecord,
             r_sel = feature_window(selection.features, tau, washout)
             g_sel = bilinear_target(selection.injected_values[:, 0],
                                     selection.injected_values[:, 1], tau, k_steps, washout)
+        weights = ridge_weights(r_train, g_train, lambda_grid)
+        r_score, g_score = (r_test, g_test) if selection is None else (r_sel, g_sel)
         best_score = -1.0
-        best_lam = float(lambda_grid[0])
-        for lam in lambda_grid:
-            model = ridge_fit(r_train, g_train, lam, tau)
-            if selection is not None:
-                score = stm_capacity(model.predict(r_sel), g_sel)
-            else:
-                score = stm_capacity(model.predict(r_test), g_test)
+        best = 0
+        for i, w in enumerate(weights):
+            # One gemv per lambda: a stacked product need not round the same.
+            score = stm_capacity(r_score @ w, g_score)
             if score > best_score:
                 best_score = score
-                best_lam = float(lam)
+                best = i
         if selection is not None:
-            model = ridge_fit(r_train, g_train, best_lam, tau)
-            best_score = stm_capacity(model.predict(r_test), g_test)
+            best_score = stm_capacity(r_test @ weights[best], g_test)
         per_tau[tau] = best_score
-        lambdas[tau] = best_lam
+        lambdas[tau] = float(lambda_grid[best])
     return CapacityProfile(per_tau=per_tau, lambda_per_tau=lambdas, total=float(per_tau.sum()))
 
 

@@ -17,24 +17,35 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 HERMITICITY_RTOL = 1e-9
+IMAG_TOL = 1e-10
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return m.conj().T
+    """Conjugate transpose (of each matrix of a stack)."""
+    return m.conj().swapaxes(-1, -2)
 
 
 def hermitianize(m: np.ndarray) -> np.ndarray:
-    """Hermitian part (m + m†)/2."""
-    return 0.5 * (m + m.conj().T)
+    """Hermitian part (m + m†)/2 (of each matrix of a stack)."""
+    return 0.5 * (m + dagger(m))
 
 
 def hermiticity_error(m: np.ndarray) -> float:
-    """Max |m - m†| entry, relative to max |m| (0 for the zero matrix)."""
-    scale = np.abs(m).max()
-    if scale == 0.0:
-        return 0.0
-    return float(np.abs(m - m.conj().T).max() / scale)
+    """Max |m - m†| entry, relative to max |m| (0 for the zero matrix).
+
+    For a stack of matrices, the largest such residue over the stack.
+    """
+    scale = np.abs(m).max(axis=(-2, -1))
+    resid = np.abs(m - dagger(m)).max(axis=(-2, -1))
+    rel = np.divide(resid, scale, out=np.zeros_like(resid), where=scale != 0.0)
+    return float(rel.max())
+
+
+def check_hermitian(m: np.ndarray, rtol: float = HERMITICITY_RTOL) -> None:
+    """Reject anti-Hermitian residue beyond ``rtol`` (see ``hermiticity_error``)."""
+    err = hermiticity_error(m)
+    if err > rtol:
+        raise ValueError(f"matrix is not Hermitian: relative residue {err:.3e} > {rtol:.1e}")
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -121,15 +132,20 @@ def partial_trace(rho: np.ndarray, traced, n_qubits: int) -> np.ndarray:
 
 
 def partial_transpose(rho: np.ndarray, partition: QubitPartition) -> np.ndarray:
-    """Transpose the indices of subsystem A only; trace is unchanged."""
+    """Transpose the indices of subsystem A only; trace is unchanged.
+
+    Leading axes are a stack: each matrix of ``rho[..., :, :]`` is transposed.
+    """
     n = partition.n_qubits
-    if rho.shape != (2**n, 2**n):
+    if rho.shape[-2:] != (2**n, 2**n):
         raise ValueError(f"rho has shape {rho.shape}, expected {(2**n,)*2}")
+    lead = rho.shape[:-2]
     axes = list(range(2 * n))
     for q in partition.subsystem_a:
         axes[q], axes[q + n] = axes[q + n], axes[q]
-    t = rho.reshape([2] * (2 * n)).transpose(axes)
-    return np.ascontiguousarray(t.reshape(2**n, 2**n))
+    t = rho.reshape(lead + (2,) * (2 * n))
+    t = t.transpose(list(range(len(lead))) + [a + len(lead) for a in axes])
+    return np.ascontiguousarray(t.reshape(lead + (2**n, 2**n)))
 
 
 def permute_qubits(rho: np.ndarray, order) -> np.ndarray:
@@ -152,9 +168,7 @@ def hermitian_eigenvalues(m: np.ndarray, rtol: float = HERMITICITY_RTOL) -> np.n
     The input is symmetrized before solving; anti-Hermitian residue beyond
     ``rtol`` (relative to max |entry|) is rejected.
     """
-    err = hermiticity_error(m)
-    if err > rtol:
-        raise ValueError(f"matrix is not Hermitian: relative residue {err:.3e} > {rtol:.1e}")
+    check_hermitian(m, rtol)
     return np.linalg.eigvalsh(hermitianize(m))
 
 
@@ -163,7 +177,7 @@ def trace_norm(m: np.ndarray) -> float:
     return float(np.abs(hermitian_eigenvalues(m)).sum())
 
 
-def expectation(rho: np.ndarray, obs: np.ndarray, imag_tol: float = 1e-10) -> float:
+def expectation(rho: np.ndarray, obs: np.ndarray, imag_tol: float = IMAG_TOL) -> float:
     """Re Tr(rho @ obs) for a Hermitian observable.
 
     Raises if the imaginary residue of the trace exceeds ``imag_tol``.

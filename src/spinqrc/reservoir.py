@@ -25,11 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import SpinNetworkModel, build_lindblad_system, stable_step_count
-from .entanglement import PARTITION_LABELS, sample_all_partitions
+from .entanglement import PARTITION_LABELS, negativities
 from .linalg import (
+    IMAG_TOL,
     PAULI_Z,
     embed_single_qubit,
-    expectation,
     hermitianize,
     kron,
     n_qubits_of,
@@ -37,6 +37,9 @@ from .linalg import (
     permute_qubits,
 )
 from .signals import InputSequence, encode_input_state
+
+# <Z_i> observables of the four qubits, stacked for one einsum per run.
+Z_OPS = np.stack([embed_single_qubit(PAULI_Z, i, 4) for i in range(4)])
 
 
 @dataclass(frozen=True)
@@ -133,25 +136,32 @@ def inject(rho: np.ndarray, s1: float, s2: float,
     return permute_qubits(out, perm)
 
 
-def run_steps(model: SpinNetworkModel, seq1: InputSequence, seq2: InputSequence,
-              cfg: RunConfig, convention: str = "paper",
-              initial_state: np.ndarray | None = None):
-    """The run loop: yield ``(rho_k, (s1, s2), raw_next, rho_next)`` per step.
+def interval_map(model: SpinNetworkModel, cfg: RunConfig,
+                 convention: str = "paper") -> np.ndarray:
+    """The 256 x 256 propagator of one injection interval, vec(rho) -> vec(rho).
 
-    ``rho_k`` is the state at t_k, before the step's pair (s1, s2) enters;
-    ``raw_next`` is the state at t_{k+1} as the propagator returns it, and
-    ``rho_next`` its ``hermitianize``-d form, the next step's ``rho_k``.
-    Starts from the all-|0> state unless ``initial_state`` is given.
+    Built once per model: every run of a cell shares it.
     """
     if model.n_qubits != 4:
         raise ValueError("the run loop records 4-qubit observables; n_qubits must be 4")
+    sys = build_lindblad_system(model, convention)
+    n_sub = stable_step_count(sys, cfg.delta_t, cfg.dt)
+    return sys.interval_propagator(cfg.delta_t / n_sub, n_sub)
+
+
+def run_steps(propagator: np.ndarray, seq1: InputSequence, seq2: InputSequence,
+              cfg: RunConfig, initial_state: np.ndarray | None = None):
+    """The run loop: yield ``(rho_k, (s1, s2), raw_next, rho_next)`` per step.
+
+    ``propagator`` is the ``interval_map`` of the model. ``rho_k`` is the
+    state at t_k, before the step's pair (s1, s2) enters; ``raw_next`` is the
+    state at t_{k+1} as the propagator returns it, and ``rho_next`` its
+    ``hermitianize``-d form, the next step's ``rho_k``. Starts from the
+    all-|0> state unless ``initial_state`` is given.
+    """
     needed = cfg.sample_index(cfg.n_steps - 1) + 1
     if len(seq1) < needed or len(seq2) < needed:
         raise ValueError(f"need at least {needed} samples per input sequence")
-
-    sys = build_lindblad_system(model, convention)
-    n_sub = stable_step_count(sys, cfg.delta_t, cfg.dt)
-    propagator = sys.interval_propagator(cfg.delta_t / n_sub, n_sub)
 
     rho = all_zero_state(4) if initial_state is None else np.asarray(initial_state, dtype=complex)
     for k in range(cfg.n_steps):
@@ -163,29 +173,27 @@ def run_steps(model: SpinNetworkModel, seq1: InputSequence, seq2: InputSequence,
         rho = rho_next
 
 
-def run_reservoir(model: SpinNetworkModel, seq1: InputSequence, seq2: InputSequence,
-                  cfg: RunConfig, convention: str = "paper",
-                  initial_state: np.ndarray | None = None) -> TrajectoryRecord:
+def run_reservoir(propagator: np.ndarray, seq1: InputSequence, seq2: InputSequence,
+                  cfg: RunConfig, initial_state: np.ndarray | None = None) -> TrajectoryRecord:
     """Drive the reservoir with two input sequences and record observables.
 
     Records every ``run_steps`` state at its injection instant (the washout
-    discard makes the initial state immaterial). Deterministic for fixed
-    inputs.
+    discard makes the initial state immaterial), then computes the features
+    and negativities of all of them at once. Deterministic for fixed inputs.
     """
-    z_ops = [embed_single_qubit(PAULI_Z, i, 4) for i in range(4)]
-    k_steps = cfg.n_steps
-    features = np.empty((k_steps, 5))
-    ent = np.empty((k_steps, len(PARTITION_LABELS)))
-    injected = np.empty((k_steps, 2))
-
-    for k, (rho, pair, _, _) in enumerate(run_steps(model, seq1, seq2, cfg, convention,
-                                                 initial_state)):
-        for i in range(4):
-            features[k, i] = expectation(rho, z_ops[i])
-        features[k, 4] = 1.0
-        ent[k] = sample_all_partitions(rho)
+    states = np.empty((cfg.n_steps, 16, 16), dtype=complex)
+    injected = np.empty((cfg.n_steps, 2))
+    for k, (rho, pair, _, _) in enumerate(run_steps(propagator, seq1, seq2, cfg,
+                                                    initial_state)):
+        states[k] = rho
         injected[k] = pair
 
+    z = np.einsum("kij,nji->kn", states, Z_OPS)
+    residue = float(np.abs(z.imag).max())
+    if residue > IMAG_TOL:
+        raise ValueError(f"expectation has imaginary residue {residue:.3e}")
+    features = np.column_stack([z.real, np.ones(cfg.n_steps)])
+    ent = np.maximum(negativities(states), 0.0)
     return TrajectoryRecord(features=features, entanglement_samples=ent,
                             injected_values=injected, washout_steps=cfg.washout_steps)
 

@@ -153,6 +153,15 @@ def test_threads_is_a_sweep_option_only(tmp_path):
         assert exc.value.code == 2
 
 
+def test_sweep_threads_below_one_rejected(tmp_path, capsys):
+    for threads in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", TINY_CFG, "--out", str(tmp_path / "never"), "--threads", threads])
+        assert exc.value.code == 2
+        assert "at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "never").exists()
+
+
 def test_sweep_then_emit_reproduces_golden_files(tmp_path):
     out = tmp_path / "tiny"
     assert main(["sweep", TINY_CFG, "--out", str(out), "--threads", "2"]) == 0

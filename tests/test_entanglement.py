@@ -3,9 +3,10 @@ import pytest
 
 from spinqrc.entanglement import (
     PARTITION_LABELS,
+    NEGATIVITY_BLOCK,
     PARTITIONS,
     log_negativity,
-    sample_all_partitions,
+    negativities,
     seed_average,
     steady_state_average,
     summary_from_means,
@@ -51,13 +52,30 @@ class TestLogNegativity:
 
     def test_boundedness_on_random_states(self):
         rng = np.random.default_rng(2)
-        for _ in range(25):
-            rho = random_density_matrix(rng, 16)
-            vals = sample_all_partitions(rho)
+        states = np.stack([random_density_matrix(rng, 16) for _ in range(25)])
+        for vals in np.maximum(negativities(states), 0.0):
             assert vals.min() >= 0.0
             assert vals.max() <= 2.0
             # single-vs-rest cuts of 4 qubits are bounded by 1
             assert vals[:4].max() <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("k", [1, NEGATIVITY_BLOCK - 1, NEGATIVITY_BLOCK,
+                                   NEGATIVITY_BLOCK + 1, 300])
+    def test_stacked_negativities_equal_the_per_state_reference(self, k):
+        rng = np.random.default_rng(k)
+        states = np.stack([random_density_matrix(rng, 16) for _ in range(k)])
+        got = negativities(states)
+        want = [[log_negativity(rho, PARTITIONS[lbl], clamp=False) for lbl in PARTITION_LABELS]
+                for rho in states]
+        assert got.shape == (k, len(PARTITION_LABELS))
+        assert got.tolist() == want
+
+    def test_stacked_negativities_check_hermiticity(self):
+        rng = np.random.default_rng(7)
+        states = np.stack([random_density_matrix(rng, 16) for _ in range(NEGATIVITY_BLOCK + 3)])
+        states[-1, 0, 1] += 1e-3
+        with pytest.raises(ValueError, match="not Hermitian"):
+            negativities(states)
 
     def test_mixing_bell_with_identity_reduces_negativity(self):
         rho4 = 0.75 * BELL + 0.25 * np.eye(4) / 4

@@ -168,6 +168,106 @@ class TestSweep:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert [c["status"] for c in manifest["cells"]] == ["ok", "error"]
 
+    def test_dead_worker_fails_its_cells_not_the_sweep(self, tmp_path, monkeypatch):
+        # A worker that dies mid-cell breaks the pool; the sweep records
+        # every unfinished cell as an error and still writes its outputs.
+        import threading
+
+        import spinqrc.experiments as exp
+
+        original = exp.run_cell
+
+        def dying(cfg, js, f, seed_index):
+            if seed_index == 1:
+                os._exit(1)
+            return original(cfg, js, f, seed_index)
+
+        # Patched before the pool forks, so every worker inherits it.
+        monkeypatch.setattr(exp, "run_cell", dying)
+        cfg = tiny_config(js_values=(0.2,))
+        done = []
+        runner = threading.Thread(
+            target=lambda: done.append(run_sweep(cfg, threads=2, out_dir=tmp_path)), daemon=True)
+        runner.start()
+        runner.join(timeout=120)
+        assert done, "run_sweep did not return after a worker died"
+        died = done[0].rows[1]
+        assert died.status == "error" and died.error == "worker process died"
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["cells"][1]["error"] == "worker process died"
+        assert (tmp_path / "cells.jsonl").read_text().count("\n") == 2
+        assert (tmp_path / "sweep_results.csv").read_text().count("\n") == 3
+
+    def test_pool_has_at_most_one_worker_per_cell(self, monkeypatch):
+        import concurrent.futures
+        from concurrent.futures import Future
+
+        import spinqrc.experiments as exp
+
+        sizes = []
+
+        class Recording:
+            """Runs each cell in this process; records the pool size asked for."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        def stub(cfg, js, f, seed_index):
+            return exp.CellResult(js, f, seed_index, "error", None, None, 0.0, error="stub")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(exp, "run_cell", stub)
+        cfg = tiny_config()
+        for threads in (2, 4, 64):
+            sweep = run_sweep(cfg, threads=threads)
+            assert [r.error for r in sweep.rows] == ["stub"] * 4
+        assert sizes == [2, 4, 4]
+        with pytest.raises(ValueError, match="threads"):
+            run_sweep(cfg, threads=0)
+
+    def test_stage_timings_recorded(self, tmp_path):
+        cfg = tiny_config(js_values=(0.5,), n_coupling_seeds=1)
+        sweep = run_sweep(cfg, out_dir=tmp_path)
+        row = sweep.rows[0]
+        logged = [json.loads((tmp_path / "cells.jsonl").read_text()),
+                  json.loads((tmp_path / "manifest.json").read_text())["cells"][0]]
+        for cell in logged:
+            assert cell["stage_s"] == row.stage_s
+            assert cell["wall_time_s"] == row.wall_time_s
+        assert set(row.stage_s) == {"propagator", "reservoirs", "readout"}
+        assert all(v >= 0.0 for v in row.stage_s.values())
+        assert sum(row.stage_s.values()) <= row.wall_time_s
+        assert "stage" not in (tmp_path / "sweep_results.csv").read_text()
+
+    def test_cell_builds_one_lindblad_system(self, monkeypatch):
+        # Train and test (and holdout) runs share one interval map.
+        import spinqrc.reservoir
+
+        calls = []
+        original = spinqrc.reservoir.build_lindblad_system
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(spinqrc.reservoir, "build_lindblad_system", counted)
+        for selection in ("test", "holdout"):
+            calls.clear()
+            cfg = tiny_config(js_values=(0.3,), n_coupling_seeds=1, lambda_selection=selection)
+            assert run_cell(cfg, 0.3, 2.0, 0).status == "ok"
+            assert len(calls) == 1
+
     def test_manifest_contents(self, tmp_path):
         cfg = tiny_config(js_values=(0.5,), n_coupling_seeds=1)
         sweep = run_sweep(cfg, out_dir=tmp_path)

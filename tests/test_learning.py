@@ -10,6 +10,7 @@ from spinqrc.learning import (
     evaluate_capacity_profile,
     feature_window,
     ridge_fit,
+    ridge_weights,
     stm_capacity,
     write_capacity_csv,
     write_capacity_json,
@@ -105,6 +106,25 @@ class TestRidgeFit:
             model = ridge_fit(r, g, float(lam))
             errs.append(float(np.mean((model.predict(r) - g) ** 2)))
         assert all(a <= b + 1e-12 for a, b in zip(errs, errs[1:]))
+
+    def test_stacked_solve_equals_per_lambda_solves(self):
+        # One Gram per delay, all lambdas in one stacked solve: the weights
+        # are those of a solve of each system alone, bit for bit.
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            r = np.column_stack([rng.uniform(-1, 1, (300, 4)), np.ones(300)])
+            g = rng.uniform(0, 1, 300)
+            stacked = ridge_weights(r, g, DEFAULT_LAMBDA_GRID)
+            for lam, w in zip(DEFAULT_LAMBDA_GRID, stacked):
+                alone = np.linalg.solve(r.T @ r + lam * np.eye(5), r.T @ g)
+                assert w.tolist() == alone.tolist()
+                assert ridge_fit(r, g, lam).weights.tolist() == alone.tolist()
+
+    def test_singular_system_names_lambda(self):
+        with pytest.raises(np.linalg.LinAlgError, match="lambda=1e-300"):
+            ridge_fit(np.ones((9, 5)), np.ones(9), 1e-300)
+        with pytest.raises(ValueError, match="positive"):
+            ridge_weights(np.ones((9, 5)), np.ones(9), [1.0, -1.0])
 
     def test_too_few_rows_rejected(self):
         with pytest.raises(ValueError):
@@ -218,14 +238,15 @@ def test_weak_coupling_prediction_quality():
     # End-to-end check: at J_s = 0.1, f = 2 the test prediction at the best
     # delay overlays the target, i.e. C at the optimal tau exceeds 0.9.
     from spinqrc.dynamics import random_model
-    from spinqrc.reservoir import RunConfig, run_reservoir
+    from spinqrc.reservoir import RunConfig, interval_map, run_reservoir
     from spinqrc.signals import make_input_sequence
 
     cfg = RunConfig()
     model = random_model(0.1, seed=(2024, 0))
     seqs = [make_input_sequence(2.0, q, (2024, 0)) for q in range(4)]
-    train = run_reservoir(model, seqs[0], seqs[1], cfg)
-    test = run_reservoir(model, seqs[2], seqs[3], cfg)
+    propagator = interval_map(model, cfg)
+    train = run_reservoir(propagator, seqs[0], seqs[1], cfg)
+    test = run_reservoir(propagator, seqs[2], seqs[3], cfg)
     profile = evaluate_capacity_profile(train, test)
     assert profile.per_tau.max() > 0.9
     assert int(np.argmax(profile.per_tau)) >= 1

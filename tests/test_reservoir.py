@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spinqrc.dynamics import SpinNetworkModel, build_lindblad_system, random_model, stable_step_count
-from spinqrc.entanglement import log_negativity, sample_all_partitions
+from spinqrc.entanglement import PARTITION_LABELS, PARTITIONS, log_negativity
 from spinqrc.linalg import (
     PAULI_Z,
     QubitPartition,
@@ -16,6 +16,7 @@ from spinqrc.reservoir import (
     RunConfig,
     all_zero_state,
     inject,
+    interval_map,
     read_trajectory_csv,
     run_reservoir,
     run_steps,
@@ -105,7 +106,7 @@ class TestRunReservoir:
         model = SpinNetworkModel(coupling=np.zeros((4, 4)), gamma=0.0)
         cfg = short_cfg(n_steps=12)
         seq = constant_sequence(0.0)
-        rec = run_reservoir(model, seq, seq, cfg)
+        rec = run_reservoir(interval_map(model, cfg), seq, seq, cfg)
         assert np.allclose(rec.features[:, 0], 1.0, atol=1e-10)
         assert np.allclose(rec.features[:, 1], 1.0, atol=1e-10)
         assert np.allclose(rec.features[:, 4], 1.0)
@@ -115,7 +116,7 @@ class TestRunReservoir:
         cfg = short_cfg(n_steps=20)
         s1 = make_input_sequence(2.0, 0, 5)
         s2 = make_input_sequence(2.0, 1, 5)
-        rec = run_reservoir(model, s1, s2, cfg)
+        rec = run_reservoir(interval_map(model, cfg), s1, s2, cfg)
         assert rec.entanglement_samples.max() <= 1e-8
 
     def test_matches_hand_driven_composition(self):
@@ -127,7 +128,7 @@ class TestRunReservoir:
         cfg = short_cfg(n_steps=10)
         s1 = make_input_sequence(2.0, 0, 12)
         s2 = make_input_sequence(2.0, 1, 12)
-        rec = run_reservoir(model, s1, s2, cfg)
+        rec = run_reservoir(interval_map(model, cfg), s1, s2, cfg)
 
         sys = build_lindblad_system(model)
         n_sub = stable_step_count(sys, cfg.delta_t, cfg.dt)
@@ -136,8 +137,8 @@ class TestRunReservoir:
         for k in range(10):
             feats = [expectation(rho, z) for z in z_ops] + [1.0]
             assert np.allclose(rec.features[k], feats, atol=1e-10)
-            assert np.allclose(rec.entanglement_samples[k], sample_all_partitions(rho),
-                               atol=1e-10)
+            negs = [log_negativity(rho, PARTITIONS[lbl]) for lbl in PARTITION_LABELS]
+            assert np.allclose(rec.entanglement_samples[k], negs, atol=1e-10)
             idx = cfg.sample_index(k)
             assert np.allclose(rec.injected_values[k],
                                [s1.samples[idx], s2.samples[idx]], atol=0)
@@ -150,22 +151,48 @@ class TestRunReservoir:
         cfg = short_cfg(n_steps=6)
         s1 = make_input_sequence(2.0, 0, 12)
         s2 = make_input_sequence(2.0, 1, 12)
-        steps = list(run_steps(model, s1, s2, cfg))
+        steps = list(run_steps(interval_map(model, cfg), s1, s2, cfg))
         assert len(steps) == 6
         assert np.array_equal(steps[0][0], all_zero_state(4))
         for (_, _, raw, rho_next), (rho_k, _, _, _) in zip(steps, steps[1:]):
             assert np.array_equal(hermitianize(raw), rho_next)
             assert np.array_equal(rho_next, rho_k)
-        rec = run_reservoir(model, s1, s2, cfg)
+        rec = run_reservoir(interval_map(model, cfg), s1, s2, cfg)
         assert np.array_equal([pair for _, pair, _, _ in steps], rec.injected_values)
+
+    def test_observables_equal_the_per_state_references(self):
+        # The stacked einsum and negativities reproduce the per-state
+        # expectation and log_negativity of every run_steps state bit for bit.
+        model = random_model(2.5, seed=4)
+        cfg = short_cfg(n_steps=140)
+        s1 = make_input_sequence(2.0, 0, 21)
+        s2 = make_input_sequence(2.0, 1, 21)
+        propagator = interval_map(model, cfg)
+        rec = run_reservoir(propagator, s1, s2, cfg)
+        z_ops = [embed_single_qubit(PAULI_Z, i, 4) for i in range(4)]
+        for k, (rho, _, _, _) in enumerate(run_steps(propagator, s1, s2, cfg)):
+            assert rec.features[k].tolist() == [expectation(rho, z) for z in z_ops] + [1.0]
+            assert rec.entanglement_samples[k].tolist() == [
+                log_negativity(rho, PARTITIONS[lbl]) for lbl in PARTITION_LABELS]
+        assert rec.entanglement_samples.max() > 0.0
+
+    def test_interval_map_is_the_4_qubit_interval_propagator(self):
+        model = random_model(0.8, seed=3)
+        cfg = short_cfg()
+        sys = build_lindblad_system(model)
+        n_sub = stable_step_count(sys, cfg.delta_t, cfg.dt)
+        assert np.array_equal(interval_map(model, cfg),
+                              sys.interval_propagator(cfg.delta_t / n_sub, n_sub))
+        with pytest.raises(ValueError, match="n_qubits must be 4"):
+            interval_map(SpinNetworkModel(coupling=np.zeros((3, 3)), n_qubits=3), cfg)
 
     def test_determinism(self):
         model = random_model(1.0, seed=1)
         cfg = short_cfg(n_steps=8)
         s1 = make_input_sequence(2.0, 0, 9)
         s2 = make_input_sequence(2.0, 1, 9)
-        a = run_reservoir(model, s1, s2, cfg)
-        b = run_reservoir(model, s1, s2, cfg)
+        a = run_reservoir(interval_map(model, cfg), s1, s2, cfg)
+        b = run_reservoir(interval_map(model, cfg), s1, s2, cfg)
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.entanglement_samples, b.entanglement_samples)
 
@@ -176,8 +203,9 @@ class TestRunReservoir:
         cfg = RunConfig(t_final=80 * 7.5, delta_t=7.5, dt=0.025, washout_steps=50)
         s1 = make_input_sequence(2.0, 0, 4)
         s2 = make_input_sequence(2.0, 1, 4)
-        a = run_reservoir(model, s1, s2, cfg)
-        b = run_reservoir(model, s1, s2, cfg, initial_state=np.eye(16, dtype=complex) / 16)
+        propagator = interval_map(model, cfg)
+        a = run_reservoir(propagator, s1, s2, cfg)
+        b = run_reservoir(propagator, s1, s2, cfg, initial_state=np.eye(16, dtype=complex) / 16)
         diff = np.abs(a.features[cfg.washout_steps:] - b.features[cfg.washout_steps:]).max()
         assert diff < 1e-3
 
@@ -186,7 +214,7 @@ class TestRunReservoir:
         cfg = short_cfg(n_steps=15, washout=3)
         s1 = make_input_sequence(1.0, 0, 44)
         s2 = make_input_sequence(1.0, 1, 44)
-        rec = run_reservoir(model, s1, s2, cfg)
+        rec = run_reservoir(interval_map(model, cfg), s1, s2, cfg)
         assert rec.features.shape == (15, 5)
         assert rec.entanglement_samples.shape == (15, 7)
         assert rec.injected_values.shape == (15, 2)
@@ -199,7 +227,7 @@ class TestRunReservoir:
         cfg = RunConfig(t_final=2750.0)
         short = constant_sequence(0.5, n=100)
         with pytest.raises(ValueError, match="samples"):
-            run_reservoir(model, short, short, cfg)
+            run_reservoir(interval_map(model, cfg), short, short, cfg)
 
     def test_sample_consumption_rule(self):
         cfg = RunConfig()
@@ -229,7 +257,7 @@ def test_trajectory_csv_round_trip(tmp_path):
     cfg = short_cfg(n_steps=6)
     s1 = make_input_sequence(2.0, 0, 3)
     s2 = make_input_sequence(2.0, 1, 3)
-    rec = run_reservoir(model, s1, s2, cfg)
+    rec = run_reservoir(interval_map(model, cfg), s1, s2, cfg)
     path = tmp_path / "traj.csv"
     write_trajectory_csv(rec, path)
     back = read_trajectory_csv(path)
