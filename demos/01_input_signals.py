@@ -30,11 +30,11 @@ for f0 in (1.0, 2.0, 3.0):
 
 print("\n=== the nine sequences at f = 2 ===")
 family = make_sequence_family(2.0, SEED)
-for seq in family:
+for q, seq in enumerate(family):
     role = {0: "train s1", 1: "train s2", 2: "test s1", 3: "test s2",
-            4: "holdout s1", 5: "holdout s2"}.get(seq.sequence_id, "reserved")
+            4: "holdout s1", 5: "holdout s2"}.get(q, "reserved")
     s = seq.samples
-    print(f"  seq {seq.sequence_id} ({role:10s}): mean {s.mean():.3f}  std {s.std():.3f}  "
+    print(f"  seq {q} ({role:10s}): mean {s.mean():.3f}  std {s.std():.3f}  "
           f"range [{s.min():.0f}, {s.max():.0f}]")
 
 # Pairwise distinctness comes from independent phase draws per sequence id.
@@ -48,9 +48,9 @@ print(f"exported {path}")
 print("\n=== encoding scalar values as qubit states ===")
 print("s      <Z> = 1 - 2s   purity")
 for s in (0.0, 0.25, 0.5, 0.75, 1.0):
-    enc = encode_input_state(s)
-    z = expectation(enc.state, PAULI_Z)
-    purity = np.trace(enc.state @ enc.state).real
+    rho = encode_input_state(s)
+    z = expectation(rho, PAULI_Z)
+    purity = np.trace(rho @ rho).real
     print(f"{s:.2f}   {z:+.3f}          {purity:.6f}")
 
 print("\nAutocorrelation of the product s1*s2 at injection lags (spacing 2.75,")

@@ -26,8 +26,7 @@ SEEDS = 3
 
 def white_sequence(q, seed, n=1000):
     rng = np.random.default_rng((seed, q))
-    return InputSequence(samples=rng.uniform(0.0, 1.0, n), f0=0.0, sequence_id=q,
-                         rng_seed=(seed,), phases=np.zeros(20))
+    return InputSequence(samples=rng.uniform(0.0, 1.0, n), phases=np.zeros(20))
 
 
 def genuine_profile(js, gamma=0.01):

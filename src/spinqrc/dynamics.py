@@ -22,7 +22,7 @@ polynomial (one 4^n x 4^n matrix-vector product) and ``evolve`` composes steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,18 +66,12 @@ def sample_coupling_matrix(j_s: float, n_qubits: int, seed) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SpinNetworkModel:
-    """Static description of one reservoir instance.
-
-    ``coupling_scale`` and ``coupling_seed`` record how ``coupling`` was
-    generated; they do not enter the dynamics.
-    """
+    """Static description of one reservoir instance."""
 
     coupling: np.ndarray
     n_qubits: int = 4
     h_z: float = 1.5
     gamma: float = 0.01
-    coupling_scale: float = 0.0
-    coupling_seed: tuple = (0,)
 
     def __post_init__(self):
         j = np.asarray(self.coupling, dtype=float)
@@ -90,15 +84,13 @@ class SpinNetworkModel:
         if self.gamma < 0:
             raise ValueError("gamma must be nonnegative")
         object.__setattr__(self, "coupling", j)
-        object.__setattr__(self, "coupling_seed", as_key(self.coupling_seed))
 
 
 def random_model(j_s: float, seed, n_qubits: int = 4, h_z: float = 1.5,
                  gamma: float = 0.01) -> SpinNetworkModel:
     """Model with couplings freshly sampled from the seed's stream."""
     coupling = sample_coupling_matrix(j_s, n_qubits, seed)
-    return SpinNetworkModel(coupling=coupling, n_qubits=n_qubits, h_z=h_z,
-                            gamma=gamma, coupling_scale=j_s, coupling_seed=as_key(seed))
+    return SpinNetworkModel(coupling=coupling, n_qubits=n_qubits, h_z=h_z, gamma=gamma)
 
 
 def build_hamiltonian(model: SpinNetworkModel) -> np.ndarray:

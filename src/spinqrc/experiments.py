@@ -22,6 +22,7 @@ import json
 import math
 import os
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -35,6 +36,7 @@ from .entanglement import (
     seed_average,
     steady_state_average,
     summary_from_means,
+    summary_to_dict,
 )
 from .learning import (
     DEFAULT_LAMBDA_GRID,
@@ -117,40 +119,74 @@ class ExperimentConfig:
 
     def semantic_dict(self) -> dict:
         """Everything that affects numeric results (not output locations)."""
-        return {
-            "experiment_name": self.experiment_name,
-            "js_values": [float(v) for v in self.js_values],
-            "f_values": [float(v) for v in self.f_values],
-            "n_coupling_seeds": self.n_coupling_seeds,
-            "base_seed": self.base_seed,
-            "t_final": self.run.t_final,
-            "delta_t": self.run.delta_t,
-            "dt": self.run.dt,
-            "washout_steps": self.run.washout_steps,
-            "input_qubits": list(self.run.input_qubits),
-            "sample_spacing": self.run.sample_spacing,
-            "tau_max": self.tau_max,
-            "lambda_grid": [float(v) for v in self.lambda_grid],
-            "lambda_selection": self.lambda_selection,
-            "dissipator_convention": self.dissipator_convention,
-            "time_axis": self.time_axis,
-        }
+        return {fld.name: fld.to_json(getattr(self.run if fld.on_run else self, fld.name))
+                for fld in CONFIG_FIELDS if fld.semantic}
 
     def fingerprint(self) -> str:
         blob = json.dumps(self.semantic_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
 
 
-_CONFIG_KEYS = {
-    "experiment", "js_values", "f_values", "n_coupling_seeds", "base_seed",
-    "t_final", "delta_t", "dt", "washout_steps", "input_qubits",
-    "sample_spacing", "tau_max", "lambda_grid", "lambda_selection",
-    "dissipator_convention", "time_axis", "output_dir",
-}
+def _list_of(item, default=None):
+    """Parser of a comma-separated list; the word ``default`` gives ``default``."""
+
+    def parse(text: str):
+        if default is not None and text == "default":
+            return default
+        return tuple(item(tok.strip()) for tok in text.split(",") if tok.strip())
+
+    return parse
 
 
-def _parse_float_list(text: str):
-    return tuple(float(tok.strip()) for tok in text.split(",") if tok.strip())
+@dataclass(frozen=True)
+class ConfigField:
+    """One setting: config-file key, parser, and its form in ``semantic_dict``.
+
+    ``name`` is the attribute (on ``RunConfig`` when ``on_run``) and the
+    setting's key in ``semantic_dict`` and the manifest. A list value is a
+    tuple in the config and a list of ``item`` in JSON.
+    """
+
+    name: str
+    parse: Callable[[str], object]
+    item: type | None = None
+    on_run: bool = False
+    semantic: bool = True
+    key: str | None = None
+
+    def to_json(self, value):
+        return value if self.item is None else [self.item(v) for v in value]
+
+    def from_json(self, value):
+        return value if self.item is None else tuple(self.item(v) for v in value)
+
+
+CONFIG_FIELDS = (
+    ConfigField("experiment_name", str, key="experiment"),
+    ConfigField("js_values", _list_of(float, DEFAULT_JS_GRID), float),
+    ConfigField("f_values", _list_of(float), float),
+    ConfigField("n_coupling_seeds", int),
+    ConfigField("base_seed", int),
+    ConfigField("t_final", float, on_run=True),
+    ConfigField("delta_t", float, on_run=True),
+    ConfigField("dt", float, on_run=True),
+    ConfigField("washout_steps", int, on_run=True),
+    ConfigField("input_qubits", _list_of(int), int, on_run=True),
+    ConfigField("sample_spacing", float, on_run=True),
+    ConfigField("tau_max", int),
+    ConfigField("lambda_grid", _list_of(float, DEFAULT_LAMBDA_GRID), float),
+    ConfigField("lambda_selection", str),
+    ConfigField("dissipator_convention", str),
+    ConfigField("time_axis", str),
+    ConfigField("output_dir", str, semantic=False),
+)
+
+
+def _config_from(values: dict) -> ExperimentConfig:
+    """The config with the settings named in ``values``; the rest keep their defaults."""
+    on_run = {fld.name for fld in CONFIG_FIELDS if fld.on_run}
+    run = RunConfig(**{k: v for k, v in values.items() if k in on_run})
+    return ExperimentConfig(run=run, **{k: v for k, v in values.items() if k not in on_run})
 
 
 def parse_config_file(path) -> ExperimentConfig:
@@ -166,7 +202,8 @@ def parse_config_file(path) -> ExperimentConfig:
     except OSError as exc:
         raise ConfigError(str(exc), path=path) from exc
 
-    raw: dict[str, tuple[int, str]] = {}
+    by_key = {fld.key or fld.name: fld for fld in CONFIG_FIELDS}
+    values: dict = {}
     for lineno, line in enumerate(lines, start=1):
         text = line.strip()
         if not text or text.startswith("#"):
@@ -175,46 +212,18 @@ def parse_config_file(path) -> ExperimentConfig:
             raise ConfigError(f"expected 'key = value', got {text!r}", path, lineno)
         key, _, value = text.partition("=")
         key = key.strip()
-        value = value.strip()
-        if key not in _CONFIG_KEYS:
+        fld = by_key.get(key)
+        if fld is None:
             raise ConfigError(f"unknown key {key!r}", path, lineno)
-        if key in raw:
+        if fld.name in values:
             raise ConfigError(f"duplicate key {key!r}", path, lineno)
-        raw[key] = (lineno, value)
-
-    kwargs: dict = {}
-    run_kwargs: dict = {}
-
-    def take(key, parse, into, name=None):
-        if key in raw:
-            lineno, value = raw.pop(key)
-            try:
-                into[name or key] = parse(value)
-            except ValueError as exc:
-                raise ConfigError(f"bad value for {key!r}: {exc}", path, lineno) from exc
-
-    take("experiment", str, kwargs, "experiment_name")
-    take("js_values", lambda v: DEFAULT_JS_GRID if v == "default" else _parse_float_list(v), kwargs)
-    take("f_values", _parse_float_list, kwargs)
-    take("n_coupling_seeds", int, kwargs)
-    take("base_seed", int, kwargs)
-    take("tau_max", int, kwargs)
-    take("lambda_grid", lambda v: DEFAULT_LAMBDA_GRID if v == "default" else _parse_float_list(v),
-         kwargs)
-    take("lambda_selection", str, kwargs)
-    take("dissipator_convention", str, kwargs)
-    take("time_axis", str, kwargs)
-    take("output_dir", str, kwargs)
-    take("t_final", float, run_kwargs)
-    take("delta_t", float, run_kwargs)
-    take("dt", float, run_kwargs)
-    take("washout_steps", int, run_kwargs)
-    take("input_qubits", lambda v: tuple(int(t.strip()) for t in v.split(",")), run_kwargs)
-    take("sample_spacing", float, run_kwargs)
+        try:
+            values[fld.name] = fld.parse(value.strip())
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key!r}: {exc}", path, lineno) from exc
 
     try:
-        run_cfg = RunConfig(**run_kwargs)
-        return ExperimentConfig(run=run_cfg, **kwargs)
+        return _config_from(values)
     except ValueError as exc:
         raise ConfigError(str(exc), path=path) from exc
 
@@ -318,12 +327,14 @@ def run_sweep(cfg: ExperimentConfig, threads: int = 1, out_dir=None,
               progress=None) -> SweepResult:
     """Run every cell of the sweep; optionally write outputs incrementally.
 
-    With ``out_dir`` set, each finished cell is appended to ``cells.jsonl``
-    (completion order, crash resilience) and the sorted ``sweep_results.csv``
-    plus ``manifest.json`` are written at the end. Results are identical for
-    any thread count. ``threads`` > 1 runs the cells on a pool of at most
-    that many worker processes; if a worker dies, every cell it left
-    unfinished is recorded as an error and the sweep still completes.
+    With ``out_dir`` set, each finished cell's status and timing are appended
+    to ``cells.jsonl`` (completion order; no results, so a killed sweep is
+    run again), and the sorted ``sweep_results.csv`` plus ``manifest.json``
+    are written at the end. Results are identical for any thread count.
+    ``threads`` > 1 runs the cells on a pool of at most that many worker
+    processes. A dying worker breaks the pool; each cell it left unfinished
+    is rerun on a one-worker pool of its own, and only a cell whose own
+    worker dies is recorded as an error.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
@@ -353,17 +364,23 @@ def run_sweep(cfg: ExperimentConfig, threads: int = 1, out_dir=None,
         from concurrent.futures import ProcessPoolExecutor, as_completed
         from concurrent.futures.process import BrokenProcessPool
 
-        with ProcessPoolExecutor(max_workers=min(threads, len(cells))) as pool:
-            futures = {pool.submit(_cell_worker, (cfg, *cell)): cell for cell in cells}
-            for future in as_completed(futures):
-                js, f, j = cell = futures[future]
-                try:
-                    res = future.result()
-                except BrokenProcessPool:
-                    res = CellResult(js=float(js), f=float(f), seed_index=int(j),
-                                     status="error", capacity=None, entanglement=None,
-                                     wall_time_s=0.0, error="worker process died")
-                record(cell, res)
+        def on_pool(batch, workers):
+            """Record each cell of ``batch`` that the pool finishes."""
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                futures = {pool.submit(_cell_worker, (cfg, *cell)): cell for cell in batch}
+                for future in as_completed(futures):
+                    try:
+                        record(futures[future], future.result())
+                    except BrokenProcessPool:
+                        pass  # rerun below
+
+        on_pool(cells, min(threads, len(cells)))
+        for cell in [c for c in cells if c not in results]:
+            on_pool([cell], 1)
+            if cell not in results:
+                js, f, j = cell
+                record(cell, CellResult(float(js), float(f), int(j), "error", None, None, 0.0,
+                                        error="worker process died"))
 
     ordered = tuple(results[cell] for cell in cells)
     sweep = SweepResult(config=cfg, rows=ordered, fingerprint=cfg.fingerprint())
@@ -378,7 +395,8 @@ def _cell_log(r: CellResult) -> dict:
             "error": r.error, "wall_time_s": r.wall_time_s, "stage_s": r.stage_s}
 
 
-def _ratio_repr(value) -> str:
+def _repr_or_nan(value) -> str:
+    """A number as its repr; None (an undefined ratio) as nan."""
     return "nan" if value is None else repr(float(value))
 
 
@@ -394,22 +412,17 @@ def write_sweep_outputs(result: SweepResult, out_dir) -> None:
     manifest (config, fingerprint, code version, per-cell status, wall time
     and stage times)."""
     os.makedirs(out_dir, exist_ok=True)
-    tau_max = result.config.tau_max
     with open(os.path.join(out_dir, "sweep_results.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(sweep_csv_header(tau_max))
+        header = sweep_csv_header(result.config.tau_max)
+        writer.writerow(header)
         for row in result.rows:
             out = [repr(row.js), repr(row.f), row.seed_index, row.status]
             if row.status == "ok":
-                out.append(repr(row.capacity.total))
-                out += [repr(float(c)) for c in row.capacity.per_tau]
-                out += [repr(row.entanglement.means[lbl]) for lbl in PARTITION_LABELS]
-                out += [repr(row.entanglement.diff_single), repr(row.entanglement.diff_pair),
-                        _ratio_repr(row.entanglement.ratio_single),
-                        _ratio_repr(row.entanglement.ratio_pair)]
-            else:
-                out += ["nan"] * (1 + (tau_max + 1) + len(PARTITION_LABELS) + 4)
-            writer.writerow(out)
+                # The summary's fields, in its order: E1..E14, diffs, ratios.
+                out += [_repr_or_nan(v) for v in (row.capacity.total, *row.capacity.per_tau,
+                                                  *summary_to_dict(row.entanglement).values())]
+            writer.writerow(out + ["nan"] * (len(header) - len(out)))
 
     manifest = {
         "config": result.config.semantic_dict(),
@@ -427,20 +440,9 @@ def read_sweep_results(out_dir) -> SweepResult:
     """Rebuild a SweepResult from sweep_results.csv + manifest.json."""
     with open(os.path.join(out_dir, "manifest.json")) as fh:
         manifest = json.load(fh)
-    c = manifest["config"]
-    cfg = ExperimentConfig(
-        experiment_name=c["experiment_name"], js_values=tuple(c["js_values"]),
-        f_values=tuple(c["f_values"]), n_coupling_seeds=c["n_coupling_seeds"],
-        base_seed=c["base_seed"],
-        run=RunConfig(t_final=c["t_final"], delta_t=c["delta_t"], dt=c["dt"],
-                      washout_steps=c["washout_steps"],
-                      input_qubits=tuple(c["input_qubits"]),
-                      sample_spacing=c["sample_spacing"]),
-        tau_max=c["tau_max"], lambda_grid=tuple(c["lambda_grid"]),
-        lambda_selection=c["lambda_selection"],
-        dissipator_convention=c["dissipator_convention"], time_axis=c["time_axis"],
-        output_dir=manifest.get("output_dir", "results"),
-    )
+    values = {fld.name: fld.from_json(manifest["config"][fld.name])
+              for fld in CONFIG_FIELDS if fld.semantic}
+    cfg = _config_from({**values, "output_dir": manifest.get("output_dir", "results")})
     tau_max = cfg.tau_max
     rows = []
     with open(os.path.join(out_dir, "sweep_results.csv"), newline="") as fh:
@@ -453,12 +455,10 @@ def read_sweep_results(out_dir) -> SweepResult:
             if status != "ok":
                 rows.append(CellResult(js, f, seed, status, None, None, 0.0))
                 continue
-            total = float(rec[4])
-            per_tau = np.array([float(x) for x in rec[5:5 + tau_max + 1]])
-            off = 5 + tau_max + 1
-            means = {lbl: float(rec[off + i]) for i, lbl in enumerate(PARTITION_LABELS)}
-            profile = CapacityProfile(per_tau=per_tau,
-                                      lambda_per_tau=np.full(tau_max + 1, np.nan), total=total)
+            nums = [float(x) for x in rec[4:]]
+            profile = CapacityProfile(per_tau=np.array(nums[1:tau_max + 2]),
+                                      lambda_per_tau=np.full(tau_max + 1, np.nan), total=nums[0])
+            means = dict(zip(PARTITION_LABELS, nums[tau_max + 2:]))
             rows.append(CellResult(js, f, seed, "ok", profile, summary_from_means(means), 0.0))
     return SweepResult(config=cfg, rows=tuple(rows), fingerprint=manifest["fingerprint"])
 
@@ -473,17 +473,55 @@ def _mean_stderr(values) -> tuple[float, float]:
 
 def _group_ok(result: SweepResult):
     """ok rows grouped by (f, J_s), preserving config order of keys."""
-    grouped: dict[tuple[float, float], list[CellResult]] = {}
-    for f in result.config.f_values:
-        for js in result.config.js_values:
-            rows = [r for r in result.ok_rows() if r.f == f and r.js == js]
-            if rows:
-                grouped[(float(f), float(js))] = rows
-    return grouped
+    ok = result.ok_rows()
+    grouped = {(float(f), float(js)): [r for r in ok if r.f == f and r.js == js]
+               for f in result.config.f_values for js in result.config.js_values}
+    return {key: rows for key, rows in grouped.items() if rows}
 
 
-def _f_tag(f: float) -> str:
-    return f"{f:g}"
+# The per-J_s panels, one row per J_s and one file per f: (statistic,
+# suffix of the value headers, value names). A "seed" value is the mean over
+# coupling seeds of the per-cell value; an "aggregate" value is recomputed
+# from the seed-averaged partitions (``seed_average``), which sums in another
+# order, so the two stay apart. Each value has a ``<name>_stderr`` column, the
+# per-seed spread, nan when any seed's value is undefined.
+_JS_PANELS = {
+    "fig2a": ("seed", "_mean", ("capacity",)),
+    "fig2b": ("seed", "_mean", ("E1", "E2", "E3", "E4")),
+    "fig2c": ("seed", "_mean", ("E12", "E13", "E14")),
+    "fig2d": ("aggregate", "_mean", ("diff_single", "diff_pair")),
+    "fig2e": ("aggregate", "", ("ratio_single", "ratio_pair")),
+}
+
+
+def _js_row(js, cells, statistic, names) -> list[str]:
+    row = [repr(js)]
+    summaries = [summary_to_dict(c.entanglement) for c in cells]
+    for name in names:
+        per_seed = ([c.capacity.total for c in cells] if name == "capacity"
+                    else [s[name] for s in summaries])
+        if statistic == "aggregate":
+            value = summary_to_dict(seed_average(c.entanglement for c in cells))[name]
+        else:
+            value = _mean_stderr(per_seed)[0]
+        err = float("nan") if None in per_seed else _mean_stderr(per_seed)[1]
+        row += [_repr_or_nan(value), repr(err)]
+    return row
+
+
+def _write_delay_blocks(path, header, blocks) -> None:
+    """Capacity against delay: per (label, cells) block, a ``# label`` line,
+    then one row per tau of the seed mean and, if the header names it, its
+    stderr."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for label, cells in blocks:
+            fh.write(f"# {label}\n")
+            stacked = np.stack([c.capacity.per_tau for c in cells])
+            for tau in range(stacked.shape[1]):
+                mean, err = _mean_stderr(stacked[:, tau])
+                writer.writerow([tau, repr(mean), repr(err)][:len(header)])
 
 
 def emit_figure_data(result: SweepResult, figure: str, out_dir) -> list[str]:
@@ -500,117 +538,31 @@ def emit_figure_data(result: SweepResult, figure: str, out_dir) -> list[str]:
     grouped = _group_ok(result)
     if not grouped:
         raise ValueError("sweep contains no successful cells")
-    paths = []
-
-    def write_rows(name, header, rows):
-        path = os.path.join(out_dir, name)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-        paths.append(path)
-
     f_values = sorted({f for (f, _js) in grouped})
 
-    if figure == "fig2a":
-        for f in f_values:
-            rows = []
-            for (ff, js), cells in grouped.items():
-                if ff != f:
-                    continue
-                mean, err = _mean_stderr([c.capacity.total for c in cells])
-                rows.append((repr(js), repr(mean), repr(err)))
-            rows.sort(key=lambda r: float(r[0]))
-            write_rows(f"fig2a_f{_f_tag(f)}.csv",
-                       ["J_s", "capacity_mean", "capacity_stderr"], rows)
-
-    elif figure in ("fig2b", "fig2c"):
-        labels = ("E1", "E2", "E3", "E4") if figure == "fig2b" else ("E12", "E13", "E14")
-        for f in f_values:
-            rows = []
-            for (ff, js), cells in grouped.items():
-                if ff != f:
-                    continue
-                row = [repr(js)]
-                for lbl in labels:
-                    mean, err = _mean_stderr([c.entanglement.means[lbl] for c in cells])
-                    row += [repr(mean), repr(err)]
-                rows.append(tuple(row))
-            rows.sort(key=lambda r: float(r[0]))
-            header = ["J_s"]
-            for lbl in labels:
-                header += [f"{lbl}_mean", f"{lbl}_stderr"]
-            write_rows(f"{figure}_f{_f_tag(f)}.csv", header, rows)
-
-    elif figure == "fig2d":
-        for f in f_values:
-            rows = []
-            for (ff, js), cells in grouped.items():
-                if ff != f:
-                    continue
-                seed_means = seed_average(c.entanglement for c in cells)
-                _, err_s = _mean_stderr([c.entanglement.diff_single for c in cells])
-                _, err_p = _mean_stderr([c.entanglement.diff_pair for c in cells])
-                rows.append((repr(js), repr(seed_means.diff_single), repr(err_s),
-                             repr(seed_means.diff_pair), repr(err_p)))
-            rows.sort(key=lambda r: float(r[0]))
-            write_rows(f"fig2d_f{_f_tag(f)}.csv",
-                       ["J_s", "diff_single_mean", "diff_single_stderr",
-                        "diff_pair_mean", "diff_pair_stderr"], rows)
-
-    elif figure == "fig2e":
-        for f in f_values:
-            rows = []
-            for (ff, js), cells in grouped.items():
-                if ff != f:
-                    continue
-                seed_means = seed_average(c.entanglement for c in cells)
-                per_seed_rs = [c.entanglement.ratio_single for c in cells]
-                per_seed_rp = [c.entanglement.ratio_pair for c in cells]
-                err_rs = (_mean_stderr([v for v in per_seed_rs if v is not None])[1]
-                          if all(v is not None for v in per_seed_rs) else float("nan"))
-                err_rp = (_mean_stderr([v for v in per_seed_rp if v is not None])[1]
-                          if all(v is not None for v in per_seed_rp) else float("nan"))
-                rows.append((repr(js), _ratio_repr(seed_means.ratio_single), repr(err_rs),
-                             _ratio_repr(seed_means.ratio_pair), repr(err_rp)))
-            rows.sort(key=lambda r: float(r[0]))
-            write_rows(f"fig2e_f{_f_tag(f)}.csv",
-                       ["J_s", "ratio_single", "ratio_single_stderr",
-                        "ratio_pair", "ratio_pair_stderr"], rows)
-
-    elif figure == "fig3":
-        tau_max = result.config.tau_max
-        for f in f_values:
-            path = os.path.join(out_dir, f"fig3_f{_f_tag(f)}.csv")
-            with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["tau", "capacity_mean", "capacity_stderr"])
-                for js in sorted({js for (ff, js) in grouped if ff == f}):
-                    cells = grouped[(f, js)]
-                    fh.write(f"# J_s={js:g}\n")
-                    stacked = np.stack([c.capacity.per_tau for c in cells])
-                    for tau in range(tau_max + 1):
-                        mean, err = _mean_stderr(stacked[:, tau])
-                        writer.writerow([tau, repr(mean), repr(err)])
-            paths.append(path)
-
-    elif figure == "fig4":
+    if figure == "fig4":
         js_set = sorted({js for (_f, js) in grouped})
         if len(js_set) != 1:
             raise ValueError(f"fig4 expects a single J_s in the sweep, found {js_set}")
-        tau_max = result.config.tau_max
         path = os.path.join(out_dir, "fig4.csv")
+        _write_delay_blocks(path, ["tau", "capacity"],
+                            [(f"f={f:g}", grouped[(f, js_set[0])]) for f in f_values])
+        return [path]
+
+    paths = []
+    for f in f_values:
+        js_sorted = sorted(js for (ff, js) in grouped if ff == f)
+        path = os.path.join(out_dir, f"{figure}_f{f:g}.csv")
+        paths.append(path)
+        if figure == "fig3":
+            _write_delay_blocks(path, ["tau", "capacity_mean", "capacity_stderr"],
+                                [(f"J_s={js:g}", grouped[(f, js)]) for js in js_sorted])
+            continue
+        statistic, suffix, names = _JS_PANELS[figure]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["tau", "capacity"])
-            for f in f_values:
-                cells = grouped[(f, js_set[0])]
-                fh.write(f"# f={_f_tag(f)}\n")
-                stacked = np.stack([c.capacity.per_tau for c in cells])
-                for tau in range(tau_max + 1):
-                    writer.writerow([tau, repr(float(stacked[:, tau].mean()))])
-        paths.append(path)
-
+            writer.writerow(["J_s"] + [h for n in names for h in (n + suffix, f"{n}_stderr")])
+            writer.writerows(_js_row(js, grouped[(f, js)], statistic, names) for js in js_sorted)
     return paths
 
 

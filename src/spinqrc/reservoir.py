@@ -119,8 +119,8 @@ def inject(rho: np.ndarray, s1: float, s2: float,
         raise ValueError("input qubits must be distinct")
     if not (0 <= q1 < n and 0 <= q2 < n):
         raise ValueError(f"input qubits {(q1, q2)} out of range for n={n}")
-    state1 = encode_input_state(s1).state
-    state2 = encode_input_state(s2).state
+    state1 = encode_input_state(s1)
+    state2 = encode_input_state(s2)
     rest = [q for q in range(n) if q not in (q1, q2)]
     if rest:
         rho_rest = partial_trace(rho, traced={q1, q2}, n_qubits=n)

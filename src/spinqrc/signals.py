@@ -81,15 +81,10 @@ def normalize_minmax(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class InputSequence:
-    """Normalized scalar input series with its generation metadata."""
+    """Normalized scalar input series and the phases it was drawn with."""
 
     samples: np.ndarray
-    f0: float
-    sequence_id: int
-    rng_seed: tuple
     phases: np.ndarray
-    n_components: int = N_COMPONENTS
-    time_axis: str = "index"
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -99,14 +94,7 @@ def make_input_sequence(f0: float, seq_id: int, seed, n_samples: int = N_SAMPLES
                         time_axis: str = "index") -> InputSequence:
     """Generate and normalize one input sequence."""
     raw = generate_raw_sequence(f0, seq_id, seed, n_samples, time_axis)
-    return InputSequence(
-        samples=normalize_minmax(raw),
-        f0=float(f0),
-        sequence_id=int(seq_id),
-        rng_seed=as_key(seed),
-        phases=sequence_phases(seq_id, seed),
-        time_axis=time_axis,
-    )
+    return InputSequence(samples=normalize_minmax(raw), phases=sequence_phases(seq_id, seed))
 
 
 def make_sequence_family(f0: float, seed, n_samples: int = N_SAMPLES,
@@ -115,15 +103,7 @@ def make_sequence_family(f0: float, seed, n_samples: int = N_SAMPLES,
     return [make_input_sequence(f0, q, seed, n_samples, time_axis) for q in range(N_SEQUENCES)]
 
 
-@dataclass(frozen=True, eq=False)
-class EncodedInput:
-    """Scalar input value and its pure-state density matrix."""
-
-    value: float
-    state: np.ndarray
-
-
-def encode_input_state(s: float) -> EncodedInput:
+def encode_input_state(s: float) -> np.ndarray:
     """Pure state sqrt(1-s)|0> + sqrt(s)|1> as a 2x2 density matrix.
 
     The encoded state satisfies <Z> = 1 - 2s.
@@ -131,7 +111,7 @@ def encode_input_state(s: float) -> EncodedInput:
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"input value {s} outside [0, 1]")
     amp = np.array([np.sqrt(1.0 - s), np.sqrt(s)], dtype=complex)
-    return EncodedInput(value=float(s), state=np.outer(amp, amp.conj()))
+    return np.outer(amp, amp.conj())
 
 
 def write_sequence_csv(seq: InputSequence, path) -> None:

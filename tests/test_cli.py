@@ -170,6 +170,20 @@ def test_sweep_then_emit_reproduces_golden_files(tmp_path):
     assert_csv_close(out / "sweep_results.csv", os.path.join(GOLDEN_DIR, "sweep_results.csv"))
     assert_csv_close(out / "fig2a_f2.csv", os.path.join(GOLDEN_DIR, "fig2a_f2.csv"))
     assert_csv_close(out / "fig2d_f2.csv", os.path.join(GOLDEN_DIR, "fig2d_f2.csv"))
+    assert main(["emit", "--results", str(out), "--figure", "all"]) == 0
+    for name in ("fig2b_f2.csv", "fig2c_f2.csv", "fig2e_f2.csv", "fig3_f2.csv"):
+        assert_csv_close(out / name, os.path.join(GOLDEN_DIR, name))
+
+
+def test_single_js_sweep_then_emit_reproduces_golden_files(tmp_path):
+    # J_s = 0 at f = 1 and 2: the `# f=` blocks of fig4 and the undefined
+    # ratios (nan) of fig2e.
+    out = tmp_path / "fig4"
+    assert main(["sweep", os.path.join(DATA_DIR, "tiny_fig4.cfg"), "--out", str(out),
+                 "--threads", "2"]) == 0
+    assert main(["emit", "--results", str(out), "--figure", "all"]) == 0
+    for name in ("fig4.csv", "fig2e_f1.csv", "fig2e_f2.csv"):
+        assert_csv_close(out / name, os.path.join(GOLDEN_DIR, "tiny_fig4", name))
 
 
 def test_seed_override_changes_results(tmp_path):

@@ -48,6 +48,33 @@ output_dir = results/tiny
 """
 
 
+# Every key, with the list, explicit-grid and non-default forms.
+ALL_KEYS_CONFIG_TEXT = """\
+experiment = sweep_js
+js_values = 0.2, 0.7
+f_values = 1.5
+n_coupling_seeds = 1
+base_seed = 5
+t_final = 600
+delta_t = 7.5
+dt = 0.05
+washout_steps = 20
+input_qubits = 2, 0
+sample_spacing = 2.5
+tau_max = 8
+lambda_grid = 1e-6, 1e-3, 1
+lambda_selection = holdout
+dissipator_convention = sigma_minus
+time_axis = unit_interval
+output_dir = results/all_keys
+"""
+
+# A fingerprint names the results of a sweep: a change of either value means
+# old and new sweeps of the same file no longer match.
+TINY_SWEEP_FINGERPRINT = "108f217369d0a64ce36a9096da1628327bb529386007f1fc5f4e01c284a7459f"
+ALL_KEYS_FINGERPRINT = "3a5deb099283c93b0d67a1a08a8b70a0082b982370e4ffa9f106805185b1ab06"
+
+
 class TestConfigParsing:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "exp.cfg"
@@ -84,6 +111,17 @@ class TestConfigParsing:
             parse_config_file(path)
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("key, value", [("experiment", "sweep_js"),
+                                            ("output_dir", "elsewhere"),
+                                            ("t_final", "750")])
+    def test_duplicate_key_reports_line(self, tmp_path, key, value):
+        path = tmp_path / "exp.cfg"
+        path.write_text(TINY_CONFIG_TEXT + f"{key} = {value}\n")
+        with pytest.raises(ConfigError, match="duplicate key") as err:
+            parse_config_file(path)
+        assert err.value.line == TINY_CONFIG_TEXT.count("\n") + 1
+        assert repr(key) in str(err.value)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             parse_config_file(tmp_path / "absent.cfg")
@@ -104,6 +142,25 @@ class TestFingerprint:
             run=RunConfig(t_final=750.0, washout_steps=31)).fingerprint()
         assert base.fingerprint() != tiny_config(
             dissipator_convention="sigma_minus").fingerprint()
+
+    def test_tiny_sweep_fingerprint_pinned(self):
+        cfg = parse_config_file(os.path.join(os.path.dirname(__file__), "data", "tiny_sweep.cfg"))
+        assert cfg.fingerprint() == TINY_SWEEP_FINGERPRINT
+
+    def test_all_keys_config_pinned_and_round_trips(self, tmp_path):
+        path = tmp_path / "all_keys.cfg"
+        path.write_text(ALL_KEYS_CONFIG_TEXT)
+        cfg = parse_config_file(path)
+        assert cfg.run.input_qubits == (2, 0)
+        assert cfg.lambda_grid == (1e-6, 1e-3, 1.0)
+        assert cfg.output_dir == "results/all_keys"
+        assert cfg.fingerprint() == ALL_KEYS_FINGERPRINT
+        sweep = run_sweep(cfg, out_dir=tmp_path / "out")
+        assert [r.status for r in sweep.rows] == ["ok", "ok"]
+        back = read_sweep_results(tmp_path / "out")
+        assert back.config.semantic_dict() == cfg.semantic_dict()
+        assert back.config.fingerprint() == back.fingerprint == ALL_KEYS_FINGERPRINT
+        assert back.config.output_dir == cfg.output_dir
 
     def test_ignores_output_location(self):
         assert tiny_config().fingerprint() == tiny_config(output_dir="elsewhere").fingerprint()
@@ -170,7 +227,7 @@ class TestSweep:
 
     def test_dead_worker_fails_its_cells_not_the_sweep(self, tmp_path, monkeypatch):
         # A worker that dies mid-cell breaks the pool; the sweep records
-        # every unfinished cell as an error and still writes its outputs.
+        # its cell as an error and still writes its outputs.
         import threading
 
         import spinqrc.experiments as exp
@@ -197,6 +254,43 @@ class TestSweep:
         assert manifest["cells"][1]["error"] == "worker process died"
         assert (tmp_path / "cells.jsonl").read_text().count("\n") == 2
         assert (tmp_path / "sweep_results.csv").read_text().count("\n") == 3
+
+    def test_dead_worker_fails_only_its_own_cell(self, monkeypatch):
+        # Cell 2's worker dies and breaks the pool. Each cell the pool left
+        # unfinished is rerun on a pool of its own; only cell 2 is an error.
+        import threading
+        import time
+
+        import spinqrc.experiments as exp
+
+        parent = os.getpid()
+
+        def stub(cfg, js, f, seed_index):
+            if seed_index == 2 and os.getpid() != parent:
+                os._exit(1)
+            time.sleep(0.2)
+            return exp.CellResult(js, f, seed_index, "ok", None, None, 0.0,
+                                  error=f"stub {seed_index}")
+
+        # Patched before the pool forks, so every worker inherits it.
+        monkeypatch.setattr(exp, "run_cell", stub)
+        cfg = tiny_config(js_values=(0.2,), n_coupling_seeds=8)
+        done = []
+        runner = threading.Thread(
+            target=lambda: done.append(run_sweep(cfg, threads=2)), daemon=True)
+        runner.start()
+        runner.join(timeout=120)
+        assert done, "run_sweep did not return after a worker died"
+        rows = done[0].rows
+        assert [r.status for r in rows].count("error") == 1
+        assert rows[2].status == "error" and rows[2].error == "worker process died"
+
+        def key(r):
+            return (r.js, r.f, r.seed_index, r.status, r.error)
+
+        serial = run_sweep(cfg).rows
+        assert [key(r) for i, r in enumerate(rows) if i != 2] == [
+            key(r) for i, r in enumerate(serial) if i != 2]
 
     def test_pool_has_at_most_one_worker_per_cell(self, monkeypatch):
         import concurrent.futures

@@ -28,8 +28,7 @@ from oracles import random_density_matrix
 
 
 def constant_sequence(value, n=1000):
-    return InputSequence(samples=np.full(n, float(value)), f0=0.0, sequence_id=0,
-                         rng_seed=(0,), phases=np.zeros(20))
+    return InputSequence(samples=np.full(n, float(value)), phases=np.zeros(20))
 
 
 def short_cfg(n_steps=10, washout=0):
@@ -46,7 +45,7 @@ class TestInject:
         rho = random_density_matrix(rng, 16)
         out = inject(rho, 0.3, 0.8)
         marginal = partial_trace(out, traced={2, 3}, n_qubits=4)
-        expected = kron(encode_input_state(0.3).state, encode_input_state(0.8).state)
+        expected = kron(encode_input_state(0.3), encode_input_state(0.8))
         assert np.allclose(marginal, expected, atol=1e-12)
 
     def test_rest_marginal_preserved_exactly(self):
@@ -79,7 +78,7 @@ class TestInject:
         rho = random_density_matrix(rng, 16)
         out = inject(rho, 0.2, 0.9, input_qubits=(1, 3))
         marginal = partial_trace(out, traced={0, 2}, n_qubits=4)
-        expected = kron(encode_input_state(0.2).state, encode_input_state(0.9).state)
+        expected = kron(encode_input_state(0.2), encode_input_state(0.9))
         assert np.allclose(marginal, expected, atol=1e-12)
         rest_before = partial_trace(rho, traced={1, 3}, n_qubits=4)
         rest_after = partial_trace(out, traced={1, 3}, n_qubits=4)

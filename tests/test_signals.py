@@ -82,21 +82,21 @@ class TestNormalizeMinmax:
 
 class TestEncodeInputState:
     def test_endpoints(self):
-        assert np.allclose(encode_input_state(0.0).state, [[1, 0], [0, 0]])
-        assert np.allclose(encode_input_state(1.0).state, [[0, 0], [0, 1]])
+        assert np.allclose(encode_input_state(0.0), [[1, 0], [0, 0]])
+        assert np.allclose(encode_input_state(1.0), [[0, 0], [0, 1]])
 
     def test_balanced_superposition(self):
-        rho = encode_input_state(0.5).state
+        rho = encode_input_state(0.5)
         assert np.allclose(rho, 0.5 * np.ones((2, 2)))
         assert expectation(rho, PAULI_Z) == pytest.approx(0.0, abs=1e-14)
 
     def test_z_expectation_is_one_minus_two_s(self):
         for s in np.linspace(0.0, 1.0, 21):
-            enc = encode_input_state(float(s))
-            assert expectation(enc.state, PAULI_Z) == pytest.approx(1 - 2 * s, abs=1e-12)
+            rho = encode_input_state(float(s))
+            assert expectation(rho, PAULI_Z) == pytest.approx(1 - 2 * s, abs=1e-12)
             # purity and positivity
-            assert np.trace(enc.state @ enc.state).real == pytest.approx(1.0, abs=1e-12)
-            assert np.linalg.eigvalsh(enc.state)[0] >= -1e-14
+            assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.eigvalsh(rho)[0] >= -1e-14
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
