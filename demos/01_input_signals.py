@@ -30,15 +30,14 @@ for f0 in (1.0, 2.0, 3.0):
 
 print("\n=== the nine sequences at f = 2 ===")
 family = make_sequence_family(2.0, SEED)
-for q, seq in enumerate(family):
+for q, s in enumerate(family):
     role = {0: "train s1", 1: "train s2", 2: "test s1", 3: "test s2",
             4: "holdout s1", 5: "holdout s2"}.get(q, "reserved")
-    s = seq.samples
     print(f"  seq {q} ({role:10s}): mean {s.mean():.3f}  std {s.std():.3f}  "
           f"range [{s.min():.0f}, {s.max():.0f}]")
 
 # Pairwise distinctness comes from independent phase draws per sequence id.
-a, b = family[0].samples, family[1].samples
+a, b = family[:2]
 print(f"\nmax |seq0 - seq1| = {np.abs(a - b).max():.3f} (phases are independent)")
 
 path = os.path.join(OUT, "signal_f2_seq0.csv")
@@ -55,7 +54,7 @@ for s in (0.0, 0.25, 0.5, 0.75, 1.0):
 
 print("\nAutocorrelation of the product s1*s2 at injection lags (spacing 2.75,")
 print("injections every 7.5 time units, so lag L reads samples ~2.73 L apart):")
-prod = family[0].samples * family[1].samples
+prod = family[0] * family[1]
 idx = np.round(np.arange(360) * 7.5 / 2.75).astype(int)
 p = prod[idx] - prod[idx].mean()
 for lag in (1, 2, 4, 8, 12):

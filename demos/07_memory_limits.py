@@ -18,7 +18,6 @@ import numpy as np
 from spinqrc.dynamics import SpinNetworkModel, sample_coupling_matrix
 from spinqrc.learning import evaluate_capacity_profile
 from spinqrc.reservoir import RunConfig, interval_map, run_reservoir
-from spinqrc.signals import InputSequence
 
 cfg = RunConfig()
 SEEDS = 3
@@ -26,7 +25,7 @@ SEEDS = 3
 
 def white_sequence(q, seed, n=1000):
     rng = np.random.default_rng((seed, q))
-    return InputSequence(samples=rng.uniform(0.0, 1.0, n), phases=np.zeros(20))
+    return rng.uniform(0.0, 1.0, n)
 
 
 def genuine_profile(js, gamma=0.01):

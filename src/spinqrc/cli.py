@@ -54,6 +54,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _cmd_run(args) -> int:
     cfg = _load_config(args)
     js, f = cfg.js_values[0], cfg.f_values[0]
@@ -137,9 +144,8 @@ def _cmd_gen_signals(args) -> int:
     os.makedirs(out, exist_ok=True)
     for f in cfg.f_values:
         for q in range(N_SEQUENCES):
-            seq = make_input_sequence(f, q, (cfg.base_seed, 0), time_axis=cfg.time_axis)
             path = os.path.join(out, f"signal_f{f:g}_seq{q}.csv")
-            write_sequence_csv(seq, path)
+            write_sequence_csv(make_input_sequence(f, q, (cfg.base_seed, 0)), path)
             print(f"wrote {path}")
     return 0
 
@@ -153,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("config", help="path to a key = value config file")
-        p.add_argument("--seed", type=int, default=None, help="override base_seed")
+        p.add_argument("--seed", type=nonnegative_int, default=None, help="override base_seed")
         p.add_argument("--out", default=None, help="override output directory")
 
     p_run = sub.add_parser("run", help="run a single (J_s, f, seed) cell")
@@ -173,9 +179,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_emit.set_defaults(func=_cmd_emit)
 
     p_val = sub.add_parser("validate", help="run the physics invariant suite")
-    p_val.add_argument("--runs", type=int, default=25)
-    p_val.add_argument("--steps", type=int, default=50)
-    p_val.add_argument("--seed", type=int, default=None)
+    p_val.add_argument("--runs", type=positive_int, default=25)
+    p_val.add_argument("--steps", type=positive_int, default=50)
+    p_val.add_argument("--seed", type=nonnegative_int, default=None)
     p_val.set_defaults(func=_cmd_validate)
 
     p_gen = sub.add_parser("gen-signals", help="export the nine input sequences")

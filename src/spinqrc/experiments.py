@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .dynamics import random_model
+from .dynamics import DISSIPATOR_CONVENTIONS, random_model
 from .entanglement import (
     PARTITION_LABELS,
     EntanglementSummary,
@@ -48,7 +48,6 @@ from .reservoir import RunConfig, TrajectoryRecord, interval_map, run_reservoir,
 from .signals import (
     HOLDOUT_SEQUENCE_IDS,
     TEST_SEQUENCE_IDS,
-    TIME_AXES,
     TRAIN_SEQUENCE_IDS,
     make_input_sequence,
 )
@@ -89,7 +88,6 @@ class ExperimentConfig:
     lambda_grid: tuple = DEFAULT_LAMBDA_GRID
     lambda_selection: str = "test"
     dissipator_convention: str = "paper"
-    time_axis: str = "index"
     output_dir: str = "results"
 
     def __post_init__(self):
@@ -103,14 +101,16 @@ class ExperimentConfig:
             raise ValueError("f_values must be positive")
         if self.n_coupling_seeds < 1:
             raise ValueError("n_coupling_seeds must be at least 1")
+        if self.base_seed < 0:
+            raise ValueError("base_seed must be nonnegative")
         if self.tau_max < 0:
             raise ValueError("tau_max must be nonnegative")
+        if not self.lambda_grid or any(lam <= 0 for lam in self.lambda_grid):
+            raise ValueError("lambda_grid must be nonempty and positive")
         if self.lambda_selection not in ("test", "holdout"):
             raise ValueError(f"unknown lambda_selection {self.lambda_selection!r}")
-        if self.dissipator_convention not in ("paper", "sigma_minus"):
+        if self.dissipator_convention not in DISSIPATOR_CONVENTIONS:
             raise ValueError(f"unknown dissipator_convention {self.dissipator_convention!r}")
-        if self.time_axis not in TIME_AXES:
-            raise ValueError(f"time_axis must be one of {TIME_AXES}")
         # Train/test segments must stay non-degenerate at the largest delay.
         if self.run.n_steps < self.run.washout_steps + 2 * (self.tau_max + 10):
             raise ValueError(
@@ -119,8 +119,10 @@ class ExperimentConfig:
 
     def semantic_dict(self) -> dict:
         """Everything that affects numeric results (not output locations)."""
-        return {fld.name: fld.to_json(getattr(self.run if fld.on_run else self, fld.name))
-                for fld in CONFIG_FIELDS if fld.semantic}
+        # Two retired settings keep their one value, so fingerprints stay put.
+        return {"input_qubits": [0, 1], "time_axis": "index",
+                **{fld.name: fld.to_json(getattr(self.run if fld.on_run else self, fld.name))
+                   for fld in CONFIG_FIELDS if fld.semantic}}
 
     def fingerprint(self) -> str:
         blob = json.dumps(self.semantic_dict(), sort_keys=True).encode()
@@ -171,13 +173,11 @@ CONFIG_FIELDS = (
     ConfigField("delta_t", float, on_run=True),
     ConfigField("dt", float, on_run=True),
     ConfigField("washout_steps", int, on_run=True),
-    ConfigField("input_qubits", _list_of(int), int, on_run=True),
     ConfigField("sample_spacing", float, on_run=True),
     ConfigField("tau_max", int),
     ConfigField("lambda_grid", _list_of(float, DEFAULT_LAMBDA_GRID), float),
     ConfigField("lambda_selection", str),
     ConfigField("dissipator_convention", str),
-    ConfigField("time_axis", str),
     ConfigField("output_dir", str, semantic=False),
 )
 
@@ -275,7 +275,7 @@ def run_cell(cfg: ExperimentConfig, js: float, f: float, seed_index: int) -> Cel
     try:
         model = random_model(js, seed=(cfg.base_seed, seed_index))
         seqs = {
-            q: make_input_sequence(f, q, (cfg.base_seed, seed_index), time_axis=cfg.time_axis)
+            q: make_input_sequence(f, q, (cfg.base_seed, seed_index))
             for q in TRAIN_SEQUENCE_IDS + TEST_SEQUENCE_IDS + (
                 HOLDOUT_SEQUENCE_IDS if cfg.lambda_selection == "holdout" else ())
         }

@@ -24,18 +24,6 @@ DEFAULT_LAMBDA_GRID = tuple(np.geomspace(1e-10, 1e2, 21))
 VARIANCE_FLOOR = 1e-14
 
 
-@dataclass(frozen=True, eq=False)
-class ReadoutModel:
-    """Trained linear readout for one (tau, lambda) cell."""
-
-    weights: np.ndarray
-    lam: float
-    tau: int
-
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        return features @ self.weights
-
-
 def bilinear_target(s1, s2, tau: int, n_steps: int, washout: int) -> np.ndarray:
     """Delayed product targets for feature rows k = washout+tau .. n_steps-1.
 
@@ -88,12 +76,6 @@ def ridge_weights(features: np.ndarray, targets: np.ndarray, lams) -> np.ndarray
         raise np.linalg.LinAlgError(
             f"non-finite ridge solution at lambda={lams[~finite][0]:g}")
     return weights
-
-
-def ridge_fit(features: np.ndarray, targets: np.ndarray, lam: float, tau: int = 0) -> ReadoutModel:
-    """Solve the regularized normal equations (R'R + lam I) w = R'g exactly."""
-    return ReadoutModel(weights=ridge_weights(features, targets, [lam])[0],
-                        lam=float(lam), tau=int(tau))
 
 
 def stm_capacity(predicted, target) -> float:

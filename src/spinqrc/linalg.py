@@ -70,17 +70,6 @@ def embed_single_qubit(op: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
     )
 
 
-def n_qubits_of(m: np.ndarray) -> int:
-    """Number of qubits of a square 2**n dimensional matrix."""
-    d = m.shape[0]
-    if m.ndim != 2 or m.shape[1] != d:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    n = d.bit_length() - 1
-    if 2**n != d:
-        raise ValueError(f"dimension {d} is not a power of two")
-    return n
-
-
 @dataclass(frozen=True)
 class QubitPartition:
     """Bipartition of an n-qubit register into subsystem A and the rest.
@@ -146,20 +135,6 @@ def partial_transpose(rho: np.ndarray, partition: QubitPartition) -> np.ndarray:
     t = rho.reshape(lead + (2,) * (2 * n))
     t = t.transpose(list(range(len(lead))) + [a + len(lead) for a in axes])
     return np.ascontiguousarray(t.reshape(lead + (2**n, 2**n)))
-
-
-def permute_qubits(rho: np.ndarray, order) -> np.ndarray:
-    """Rearrange tensor factors so the qubit at old position order[j] lands at j.
-
-    ``permute_qubits(kron(a, b), [1, 0])`` equals ``kron(b, a)``.
-    """
-    order = [int(q) for q in order]
-    n = n_qubits_of(rho)
-    if sorted(order) != list(range(n)):
-        raise ValueError(f"order {order} is not a permutation of 0..{n - 1}")
-    axes = order + [q + n for q in order]
-    t = rho.reshape([2] * (2 * n)).transpose(axes)
-    return np.ascontiguousarray(t.reshape(2**n, 2**n))
 
 
 def hermitian_eigenvalues(m: np.ndarray, rtol: float = HERMITICITY_RTOL) -> np.ndarray:

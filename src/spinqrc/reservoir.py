@@ -3,7 +3,7 @@
 Each cycle begins at an injection instant t_k = k * delta_t. The four <Z_i>
 readouts (plus a constant bias feature) and the seven logarithmic
 negativities are recorded first, from the state produced by the previous
-interval's evolution; then the two input qubits are reset to fresh pure
+interval's evolution; then the input qubits 0 and 1 are reset to fresh pure
 states encoding the step's input values (the remaining qubits keep their
 joint reduced state exactly) and the full density matrix evolves for
 delta_t. Row k therefore reflects inputs up to step k-1, and the value pair
@@ -26,17 +26,8 @@ import numpy as np
 
 from .dynamics import SpinNetworkModel, build_lindblad_system, stable_step_count
 from .entanglement import PARTITION_LABELS, negativities
-from .linalg import (
-    IMAG_TOL,
-    PAULI_Z,
-    embed_single_qubit,
-    hermitianize,
-    kron,
-    n_qubits_of,
-    partial_trace,
-    permute_qubits,
-)
-from .signals import InputSequence, encode_input_state
+from .linalg import IMAG_TOL, PAULI_Z, embed_single_qubit, hermitianize, kron, partial_trace
+from .signals import encode_input_state
 
 # <Z_i> observables of the four qubits, stacked for one einsum per run.
 Z_OPS = np.stack([embed_single_qubit(PAULI_Z, i, 4) for i in range(4)])
@@ -50,7 +41,6 @@ class RunConfig:
     delta_t: float = 7.5
     dt: float = 0.025
     washout_steps: int = 50
-    input_qubits: tuple[int, int] = (0, 1)
     sample_spacing: float = 2.75
 
     def __post_init__(self):
@@ -60,9 +50,6 @@ class RunConfig:
             raise ValueError("sample_spacing must be positive")
         if self.washout_steps < 0:
             raise ValueError("washout_steps must be nonnegative")
-        q1, q2 = self.input_qubits
-        if q1 == q2:
-            raise ValueError("input qubits must be distinct")
         if self.n_steps <= self.washout_steps:
             raise ValueError("run too short: no post-washout steps")
 
@@ -105,35 +92,15 @@ def all_zero_state(n_qubits: int) -> np.ndarray:
     return rho
 
 
-def inject(rho: np.ndarray, s1: float, s2: float,
-           input_qubits: tuple[int, int] = (0, 1)) -> np.ndarray:
-    """Replace the input qubits with fresh encoded pure states.
+def inject(rho: np.ndarray, s1: float, s2: float) -> np.ndarray:
+    """Reset input qubits 0 and 1 of a 4-qubit state to the encoded s1, s2.
 
-    The joint reduced state of the non-input qubits is preserved exactly;
-    the result is unit trace, Hermitian and positive semidefinite whenever
-    the input state is.
+    The joint reduced state of qubits 2 and 3 is preserved exactly; the
+    result is unit trace, Hermitian and positive semidefinite whenever the
+    input state is.
     """
-    n = n_qubits_of(rho)
-    q1, q2 = int(input_qubits[0]), int(input_qubits[1])
-    if q1 == q2:
-        raise ValueError("input qubits must be distinct")
-    if not (0 <= q1 < n and 0 <= q2 < n):
-        raise ValueError(f"input qubits {(q1, q2)} out of range for n={n}")
-    state1 = encode_input_state(s1)
-    state2 = encode_input_state(s2)
-    rest = [q for q in range(n) if q not in (q1, q2)]
-    if rest:
-        rho_rest = partial_trace(rho, traced={q1, q2}, n_qubits=n)
-        out = kron(kron(state1, state2), rho_rest)
-    else:
-        out = kron(state1, state2)
-    order = [q1, q2] + rest
-    if order == list(range(n)):
-        return out
-    # The kron above placed qubits in (q1, q2, rest) order; put the factor
-    # holding label j back at position j.
-    perm = [order.index(j) for j in range(n)]
-    return permute_qubits(out, perm)
+    rho_rest = partial_trace(rho, traced={0, 1}, n_qubits=4)
+    return kron(kron(encode_input_state(s1), encode_input_state(s2)), rho_rest)
 
 
 def interval_map(model: SpinNetworkModel, cfg: RunConfig,
@@ -149,13 +116,14 @@ def interval_map(model: SpinNetworkModel, cfg: RunConfig,
     return sys.interval_propagator(cfg.delta_t / n_sub, n_sub)
 
 
-def run_steps(propagator: np.ndarray, seq1: InputSequence, seq2: InputSequence,
-              cfg: RunConfig, initial_state: np.ndarray | None = None):
+def run_steps(propagator: np.ndarray, seq1: np.ndarray, seq2: np.ndarray, cfg: RunConfig,
+              initial_state: np.ndarray | None = None):
     """The run loop: yield ``(rho_k, (s1, s2), raw_next, rho_next)`` per step.
 
-    ``propagator`` is the ``interval_map`` of the model. ``rho_k`` is the
-    state at t_k, before the step's pair (s1, s2) enters; ``raw_next`` is the
-    state at t_{k+1} as the propagator returns it, and ``rho_next`` its
+    ``propagator`` is the ``interval_map`` of the model; ``seq1`` and ``seq2``
+    are the 1-D sample arrays of the two inputs. ``rho_k`` is the state at
+    t_k, before the step's pair (s1, s2) enters; ``raw_next`` is the state at
+    t_{k+1} as the propagator returns it, and ``rho_next`` its
     ``hermitianize``-d form, the next step's ``rho_k``. Starts from the
     all-|0> state unless ``initial_state`` is given.
     """
@@ -166,15 +134,15 @@ def run_steps(propagator: np.ndarray, seq1: InputSequence, seq2: InputSequence,
     rho = all_zero_state(4) if initial_state is None else np.asarray(initial_state, dtype=complex)
     for k in range(cfg.n_steps):
         idx = cfg.sample_index(k)
-        pair = (float(seq1.samples[idx]), float(seq2.samples[idx]))
-        raw = (propagator @ inject(rho, *pair, cfg.input_qubits).reshape(-1)).reshape(16, 16)
+        pair = (float(seq1[idx]), float(seq2[idx]))
+        raw = (propagator @ inject(rho, *pair).reshape(-1)).reshape(16, 16)
         rho_next = hermitianize(raw)
         yield rho, pair, raw, rho_next
         rho = rho_next
 
 
-def run_reservoir(propagator: np.ndarray, seq1: InputSequence, seq2: InputSequence,
-                  cfg: RunConfig, initial_state: np.ndarray | None = None) -> TrajectoryRecord:
+def run_reservoir(propagator: np.ndarray, seq1: np.ndarray, seq2: np.ndarray, cfg: RunConfig,
+                  initial_state: np.ndarray | None = None) -> TrajectoryRecord:
     """Drive the reservoir with two input sequences and record observables.
 
     Records every ``run_steps`` state at its injection instant (the washout
@@ -213,18 +181,3 @@ def write_trajectory_csv(record: TrajectoryRecord, path) -> None:
             row += [repr(float(v)) for v in record.entanglement_samples[k]]
             writer.writerow(row)
 
-
-def read_trajectory_csv(path, washout_steps: int = 0) -> TrajectoryRecord:
-    """Inverse of ``write_trajectory_csv`` (bias column reconstructed)."""
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != TRAJECTORY_COLUMNS:
-            raise ValueError(f"unexpected header {header!r} in {path}")
-        for row in reader:
-            rows.append([float(x) for x in row[1:]])
-    data = np.array(rows)
-    features = np.column_stack([data[:, 2:6], np.ones(len(rows))])
-    return TrajectoryRecord(features=features, entanglement_samples=data[:, 6:],
-                            injected_values=data[:, :2], washout_steps=washout_steps)

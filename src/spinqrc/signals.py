@@ -5,20 +5,18 @@ over [f0/5000, f0/50] and independent uniform phases, min-max normalized to
 [0, 1]. Nine sequences (ids 0..8) are generated per (f0, seed): ids 0 and 1
 drive the training run, 2 and 3 the test run, 4..8 are reserved.
 
-By default the time variable is the integer sample index k = 0..N-1, so the
-component periods span 50/f0 .. 5000/f0 samples and the signal varies slowly
-but nontrivially between samples. ``time_axis="unit_interval"`` instead
-samples t on [0, 1], which makes the signal nearly constant for small f0.
-How a reservoir run walks through the samples is the run loop's concern:
-see ``reservoir.RunConfig.sample_spacing``, which lays the 1000 samples out
-uniformly over the evolution window (2.75 time units apart by default, so
-one full-length run consumes nearly the whole sequence).
+The time variable is the integer sample index k = 0..N-1, so the component
+periods span 50/f0 .. 5000/f0 samples and the signal varies slowly but
+nontrivially between samples. A sequence is the 1-D array of its normalized
+samples. How a reservoir run walks through the samples is the run loop's
+concern: see ``reservoir.RunConfig.sample_spacing``, which lays the 1000
+samples out uniformly over the evolution window (2.75 time units apart by
+default, so one full-length run consumes nearly the whole sequence).
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,8 +29,6 @@ TRAIN_SEQUENCE_IDS = (0, 1)
 TEST_SEQUENCE_IDS = (2, 3)
 HOLDOUT_SEQUENCE_IDS = (4, 5)
 N_SEQUENCES = 9
-
-TIME_AXES = ("index", "unit_interval")
 
 
 def component_frequencies(f0: float, n_components: int = N_COMPONENTS) -> np.ndarray:
@@ -54,17 +50,11 @@ def sequence_phases(seq_id: int, seed) -> np.ndarray:
     return rng.uniform(0.0, 1.0, size=N_COMPONENTS)
 
 
-def generate_raw_sequence(f0: float, seq_id: int, seed, n_samples: int = N_SAMPLES,
-                          time_axis: str = "index") -> np.ndarray:
-    """Un-normalized sum of sinusoids sampled at n_samples points."""
-    if time_axis not in TIME_AXES:
-        raise ValueError(f"time_axis must be one of {TIME_AXES}")
+def generate_raw_sequence(f0: float, seq_id: int, seed, n_samples: int = N_SAMPLES) -> np.ndarray:
+    """Un-normalized sum of sinusoids at the sample indices 0..n_samples-1."""
     freqs = component_frequencies(f0)
     phases = sequence_phases(seq_id, seed)
-    if time_axis == "index":
-        t = np.arange(n_samples, dtype=float)
-    else:
-        t = np.linspace(0.0, 1.0, n_samples)
+    t = np.arange(n_samples, dtype=float)
     # x(t) = sum_k sin(2 pi f_k t + 2 pi phi_k)
     arg = 2.0 * np.pi * (np.outer(t, freqs) + phases[np.newaxis, :])
     return np.sin(arg).sum(axis=1)
@@ -79,28 +69,14 @@ def normalize_minmax(x: np.ndarray) -> np.ndarray:
     return (x - lo) / (hi - lo)
 
 
-@dataclass(frozen=True, eq=False)
-class InputSequence:
-    """Normalized scalar input series and the phases it was drawn with."""
-
-    samples: np.ndarray
-    phases: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.samples)
+def make_input_sequence(f0: float, seq_id: int, seed, n_samples: int = N_SAMPLES) -> np.ndarray:
+    """One input sequence: its normalized samples on [0, 1]."""
+    return normalize_minmax(generate_raw_sequence(f0, seq_id, seed, n_samples))
 
 
-def make_input_sequence(f0: float, seq_id: int, seed, n_samples: int = N_SAMPLES,
-                        time_axis: str = "index") -> InputSequence:
-    """Generate and normalize one input sequence."""
-    raw = generate_raw_sequence(f0, seq_id, seed, n_samples, time_axis)
-    return InputSequence(samples=normalize_minmax(raw), phases=sequence_phases(seq_id, seed))
-
-
-def make_sequence_family(f0: float, seed, n_samples: int = N_SAMPLES,
-                         time_axis: str = "index") -> list[InputSequence]:
+def make_sequence_family(f0: float, seed, n_samples: int = N_SAMPLES) -> list[np.ndarray]:
     """All nine sequences for one (f0, seed)."""
-    return [make_input_sequence(f0, q, seed, n_samples, time_axis) for q in range(N_SEQUENCES)]
+    return [make_input_sequence(f0, q, seed, n_samples) for q in range(N_SEQUENCES)]
 
 
 def encode_input_state(s: float) -> np.ndarray:
@@ -114,23 +90,10 @@ def encode_input_state(s: float) -> np.ndarray:
     return np.outer(amp, amp.conj())
 
 
-def write_sequence_csv(seq: InputSequence, path) -> None:
+def write_sequence_csv(samples: np.ndarray, path) -> None:
     """Export as two columns: index, value."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "value"])
-        for k, v in enumerate(seq.samples):
+        for k, v in enumerate(samples):
             writer.writerow([k, repr(float(v))])
-
-
-def read_sequence_csv(path) -> np.ndarray:
-    """Read back a sequence exported by ``write_sequence_csv``."""
-    values = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:2] != ["index", "value"]:
-            raise ValueError(f"unexpected header {header!r} in {path}")
-        for row in reader:
-            values.append(float(row[1]))
-    return np.array(values)

@@ -29,7 +29,7 @@ from spinqrc.experiments import (
     run_sweep,
     seed_averaged_metric,
 )
-from spinqrc.learning import evaluate_capacity_profile, ridge_fit
+from spinqrc.learning import evaluate_capacity_profile, ridge_weights
 from spinqrc.linalg import kron_all, partial_trace
 from spinqrc.reservoir import RunConfig
 from spinqrc.signals import TEST_SEQUENCE_IDS, TRAIN_SEQUENCE_IDS, make_input_sequence
@@ -94,7 +94,7 @@ def null_control(sweep):
     null, reproduced = {}, True
     for row in sweep.ok_rows():
         key = (cfg.base_seed, row.seed_index)
-        null_seqs = [make_input_sequence(row.f, q, key + (NULL_TAG,)).samples[steps] for q in ids]
+        null_seqs = [make_input_sequence(row.f, q, key + (NULL_TAG,))[steps] for q in ids]
         cell = run_cell(cfg, row.js, row.f, row.seed_index)
         reproduced &= bool(np.array_equal(cell.capacity.per_tau, row.capacity.per_tau))
         profile = evaluate_capacity_profile(
@@ -363,7 +363,7 @@ def test_ac7_numerical_oracles():
         r = rng.standard_normal((50, 5))
         g = rng.standard_normal(50)
         lam = float(rng.uniform(1e-8, 10.0))
-        got = ridge_fit(r, g, lam).weights
+        got = ridge_weights(r, g, [lam])[0]
         want = gaussian_solve(r.T @ r + lam * np.eye(5), r.T @ g)
         ridge_ok &= bool(np.abs(got - want).max() <= 1e-10)
 

@@ -28,6 +28,20 @@ def read_csv_numeric(path):
     return header, rows
 
 
+def read_trajectory(path, washout_steps=0):
+    """The record an exported trajectory CSV holds (bias column rebuilt)."""
+    from spinqrc.entanglement import PARTITION_LABELS
+    from spinqrc.reservoir import TrajectoryRecord
+
+    header = ["k", "s1", "s2", "Z1", "Z2", "Z3", "Z4", *PARTITION_LABELS]
+    with open(path) as fh:
+        assert fh.readline().rstrip("\n").split(",") == header
+    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    return TrajectoryRecord(features=np.column_stack([data[:, 3:7], np.ones(len(data))]),
+                            entanglement_samples=data[:, 7:], injected_values=data[:, 1:3],
+                            washout_steps=washout_steps)
+
+
 def assert_csv_close(got_path, want_path, atol=1e-12):
     got_header, got_rows = read_csv_numeric(got_path)
     want_header, want_rows = read_csv_numeric(want_path)
@@ -61,6 +75,12 @@ def test_invalid_config_exits_two(tmp_path, capsys):
     assert main(["sweep", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "not_a_key" in err and ":2:" in err
+    # Bad values are config errors before any cell runs.
+    for line in ("lambda_grid = -1, 1", "lambda_grid =", "base_seed = -1"):
+        bad.write_text(f"experiment = sweep_js\njs_values = 0.1\n{line}\n")
+        assert main(["sweep", str(bad), "--out", str(tmp_path / "never")]) == 2
+        assert line.split(" =")[0] in capsys.readouterr().err
+    assert not (tmp_path / "never").exists()
 
 
 SINGLE_CFG = ("experiment = single_run\njs_values = 0.3\nf_values = 2\n"
@@ -102,27 +122,27 @@ def test_single_run_outputs(tmp_path, capsys):
     import json
 
     from spinqrc.learning import evaluate_capacity_profile
-    from spinqrc.reservoir import read_trajectory_csv
 
-    train = read_trajectory_csv(out / "trajectory_train.csv", washout_steps=30)
-    test = read_trajectory_csv(out / "trajectory_test.csv", washout_steps=30)
+    train, test = (read_trajectory(out / f"trajectory_{run}.csv", washout_steps=30)
+                   for run in ("train", "test"))
     recomputed = evaluate_capacity_profile(train, test, tau_max=10)
     reported = json.loads((out / "capacity.json").read_text())
     assert np.allclose(recomputed.per_tau, reported["per_tau"], atol=1e-12)
 
 
 def test_gen_signals_exports_the_run_cells_inputs(tmp_path):
-    from spinqrc.reservoir import RunConfig, read_trajectory_csv
-    from spinqrc.signals import read_sequence_csv
+    from spinqrc.reservoir import RunConfig
 
     cfg = tmp_path / "single.cfg"
     cfg.write_text(SINGLE_CFG)
     assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == 0
     assert main(["gen-signals", str(cfg), "--out", str(tmp_path / "sig")]) == 0
-    train = read_trajectory_csv(tmp_path / "run" / "trajectory_train.csv")
+    train = read_trajectory(tmp_path / "run" / "trajectory_train.csv")
     steps = [RunConfig(t_final=750).sample_index(k) for k in range(train.n_steps)]
     for q in (0, 1):
-        seq = read_sequence_csv(tmp_path / "sig" / f"signal_f2_seq{q}.csv")
+        path = tmp_path / "sig" / f"signal_f2_seq{q}.csv"
+        assert path.read_text().splitlines()[0] == "index,value"
+        seq = np.loadtxt(path, delimiter=",", skiprows=1)[:, 1]
         assert np.array_equal(seq[steps], train.injected_values[:, q])
 
 
@@ -159,6 +179,21 @@ def test_sweep_threads_below_one_rejected(tmp_path, capsys):
             main(["sweep", TINY_CFG, "--out", str(tmp_path / "never"), "--threads", threads])
         assert exc.value.code == 2
         assert "at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "never").exists()
+
+
+@pytest.mark.parametrize("argv", [["validate", "--runs", "0"], ["validate", "--runs", "-3"],
+                                  ["validate", "--steps", "0"], ["validate", "--seed", "-1"],
+                                  ["run", TINY_CFG, "--seed", "-2"],
+                                  ["sweep", TINY_CFG, "--seed", "-2"],
+                                  ["gen-signals", TINY_CFG, "--seed", "-1"]],
+                         ids=["runs=0", "runs=-3", "steps=0", "validate-seed=-1", "run-seed=-2",
+                              "sweep-seed=-2", "gen-signals-seed=-1"])
+def test_vacuous_counts_and_negative_seeds_rejected(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ([] if argv[0] == "validate" else ["--out", str(tmp_path / "never")]))
+    assert exc.value.code == 2
+    assert "at least" in capsys.readouterr().err
     assert not (tmp_path / "never").exists()
 
 

@@ -59,20 +59,18 @@ t_final = 600
 delta_t = 7.5
 dt = 0.05
 washout_steps = 20
-input_qubits = 2, 0
 sample_spacing = 2.5
 tau_max = 8
 lambda_grid = 1e-6, 1e-3, 1
 lambda_selection = holdout
 dissipator_convention = sigma_minus
-time_axis = unit_interval
 output_dir = results/all_keys
 """
 
 # A fingerprint names the results of a sweep: a change of either value means
 # old and new sweeps of the same file no longer match.
 TINY_SWEEP_FINGERPRINT = "108f217369d0a64ce36a9096da1628327bb529386007f1fc5f4e01c284a7459f"
-ALL_KEYS_FINGERPRINT = "3a5deb099283c93b0d67a1a08a8b70a0082b982370e4ffa9f106805185b1ab06"
+ALL_KEYS_FINGERPRINT = "dc34b4e1ae86ae943b6128a478896b39c87f76403387b5735e3cb9b0a644d652"
 
 
 class TestConfigParsing:
@@ -97,12 +95,15 @@ class TestConfigParsing:
         assert len(cfg.lambda_grid) == 21
 
     def test_unknown_key_reports_line(self, tmp_path):
+        # The retired settings input_qubits and time_axis are unknown keys too.
         path = tmp_path / "exp.cfg"
-        path.write_text("experiment = sweep_js\nbogus_key = 3\n")
-        with pytest.raises(ConfigError) as err:
-            parse_config_file(path)
-        assert err.value.line == 2
-        assert "bogus_key" in str(err.value)
+        for line in ("bogus_key = 3", "input_qubits = 0, 5", "input_qubits = 0, 1, 2",
+                     "time_axis = index"):
+            path.write_text(f"experiment = sweep_js\n{line}\n")
+            with pytest.raises(ConfigError, match="unknown key") as err:
+                parse_config_file(path)
+            assert err.value.line == 2
+            assert line.split(" = ")[0] in str(err.value)
 
     def test_bad_value_reports_line(self, tmp_path):
         path = tmp_path / "exp.cfg"
@@ -151,7 +152,7 @@ class TestFingerprint:
         path = tmp_path / "all_keys.cfg"
         path.write_text(ALL_KEYS_CONFIG_TEXT)
         cfg = parse_config_file(path)
-        assert cfg.run.input_qubits == (2, 0)
+        assert cfg.run.sample_spacing == 2.5
         assert cfg.lambda_grid == (1e-6, 1e-3, 1.0)
         assert cfg.output_dir == "results/all_keys"
         assert cfg.fingerprint() == ALL_KEYS_FINGERPRINT

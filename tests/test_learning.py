@@ -9,7 +9,6 @@ from spinqrc.learning import (
     bilinear_target,
     evaluate_capacity_profile,
     feature_window,
-    ridge_fit,
     ridge_weights,
     stm_capacity,
     write_capacity_csv,
@@ -65,14 +64,14 @@ class TestRidgeFit:
         rng = np.random.default_rng(2)
         r = rng.standard_normal((60, 5))
         w_true = np.array([1.5, -2.0, 0.3, 0.0, 4.0])
-        model = ridge_fit(r, r @ w_true, lam=1e-12)
-        assert np.allclose(model.weights, w_true, atol=1e-6)
+        w = ridge_weights(r, r @ w_true, [1e-12])[0]
+        assert np.allclose(w, w_true, atol=1e-6)
 
     def test_weights_shrink_monotonically_in_lambda(self):
         rng = np.random.default_rng(3)
         r = rng.standard_normal((50, 5))
         g = rng.standard_normal(50)
-        norms = [np.linalg.norm(ridge_fit(r, g, lam).weights)
+        norms = [np.linalg.norm(ridge_weights(r, g, [lam])[0])
                  for lam in (1e-6, 1e-2, 1.0, 1e2, 1e6)]
         assert all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
         assert norms[-1] < 1e-3
@@ -83,19 +82,19 @@ class TestRidgeFit:
             r = rng.standard_normal((50, 5))
             g = rng.standard_normal(50)
             lam = float(rng.uniform(1e-8, 10.0))
-            model = ridge_fit(r, g, lam)
+            w = ridge_weights(r, g, [lam])[0]
             oracle = gaussian_solve(r.T @ r + lam * np.eye(5), r.T @ g)
-            assert np.allclose(model.weights, oracle, atol=1e-10)
+            assert np.allclose(w, oracle, atol=1e-10)
 
     def test_normal_equations_residual(self):
         rng = np.random.default_rng(5)
         r = rng.standard_normal((80, 5))
         g = rng.standard_normal(80)
         lam = 1e-3
-        model = ridge_fit(r, g, lam)
+        w = ridge_weights(r, g, [lam])[0]
         gram = r.T @ r + lam * np.eye(5)
         rhs = r.T @ g
-        assert np.linalg.norm(gram @ model.weights - rhs) <= 1e-9 * np.linalg.norm(rhs)
+        assert np.linalg.norm(gram @ w - rhs) <= 1e-9 * np.linalg.norm(rhs)
 
     def test_training_error_nondecreasing_in_lambda(self):
         rng = np.random.default_rng(6)
@@ -103,8 +102,8 @@ class TestRidgeFit:
         g = rng.standard_normal(60)
         errs = []
         for lam in np.geomspace(1e-8, 1e4, 13):
-            model = ridge_fit(r, g, float(lam))
-            errs.append(float(np.mean((model.predict(r) - g) ** 2)))
+            w = ridge_weights(r, g, [lam])[0]
+            errs.append(float(np.mean((r @ w - g) ** 2)))
         assert all(a <= b + 1e-12 for a, b in zip(errs, errs[1:]))
 
     def test_stacked_solve_equals_per_lambda_solves(self):
@@ -118,21 +117,21 @@ class TestRidgeFit:
             for lam, w in zip(DEFAULT_LAMBDA_GRID, stacked):
                 alone = np.linalg.solve(r.T @ r + lam * np.eye(5), r.T @ g)
                 assert w.tolist() == alone.tolist()
-                assert ridge_fit(r, g, lam).weights.tolist() == alone.tolist()
+                assert ridge_weights(r, g, [lam])[0].tolist() == alone.tolist()
 
     def test_singular_system_names_lambda(self):
         with pytest.raises(np.linalg.LinAlgError, match="lambda=1e-300"):
-            ridge_fit(np.ones((9, 5)), np.ones(9), 1e-300)
+            ridge_weights(np.ones((9, 5)), np.ones(9), [1e-300])
         with pytest.raises(ValueError, match="positive"):
             ridge_weights(np.ones((9, 5)), np.ones(9), [1.0, -1.0])
 
     def test_too_few_rows_rejected(self):
         with pytest.raises(ValueError):
-            ridge_fit(np.ones((3, 5)), np.ones(3), 0.1)
+            ridge_weights(np.ones((3, 5)), np.ones(3), [0.1])
 
     def test_nonpositive_lambda_rejected(self):
         with pytest.raises(ValueError):
-            ridge_fit(np.ones((9, 5)), np.ones(9), 0.0)
+            ridge_weights(np.ones((9, 5)), np.ones(9), [0.0])
 
 
 class TestStmCapacity:

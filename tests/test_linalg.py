@@ -10,10 +10,8 @@ from spinqrc.linalg import (
     hermitian_eigenvalues,
     hermitianize,
     kron,
-    kron_all,
     partial_trace,
     partial_transpose,
-    permute_qubits,
     trace_norm,
 )
 
@@ -130,20 +128,6 @@ class TestPartialTranspose:
             QubitPartition(frozenset({0, 1, 2, 3}), 4)
         with pytest.raises(ValueError):
             QubitPartition(frozenset({4}), 4)
-
-
-class TestPermuteQubits:
-    def test_swap_two_factors(self):
-        rng = np.random.default_rng(15)
-        a = random_density_matrix(rng, 2)
-        b = random_density_matrix(rng, 2)
-        assert np.allclose(permute_qubits(kron(a, b), [1, 0]), kron(b, a), atol=1e-14)
-
-    def test_three_factor_rotation(self):
-        rng = np.random.default_rng(16)
-        a, b, c = (random_density_matrix(rng, 2) for _ in range(3))
-        got = permute_qubits(kron_all([a, b, c]), [2, 0, 1])
-        assert np.allclose(got, kron_all([c, a, b]), atol=1e-14)
 
 
 class TestHermitianEigenvalues:

@@ -17,18 +17,17 @@ from spinqrc.reservoir import (
     all_zero_state,
     inject,
     interval_map,
-    read_trajectory_csv,
     run_reservoir,
     run_steps,
     write_trajectory_csv,
 )
-from spinqrc.signals import InputSequence, encode_input_state, make_input_sequence
+from spinqrc.signals import encode_input_state, make_input_sequence
 
 from oracles import random_density_matrix
 
 
 def constant_sequence(value, n=1000):
-    return InputSequence(samples=np.full(n, float(value)), phases=np.zeros(20))
+    return np.full(n, float(value))
 
 
 def short_cfg(n_steps=10, washout=0):
@@ -73,17 +72,6 @@ class TestInject:
             assert expectation(out, z0) == pytest.approx(1 - 2 * s1, abs=1e-12)
             assert expectation(out, z1) == pytest.approx(1 - 2 * s2, abs=1e-12)
 
-    def test_nondefault_input_qubits(self):
-        rng = np.random.default_rng(5)
-        rho = random_density_matrix(rng, 16)
-        out = inject(rho, 0.2, 0.9, input_qubits=(1, 3))
-        marginal = partial_trace(out, traced={0, 2}, n_qubits=4)
-        expected = kron(encode_input_state(0.2), encode_input_state(0.9))
-        assert np.allclose(marginal, expected, atol=1e-12)
-        rest_before = partial_trace(rho, traced={1, 3}, n_qubits=4)
-        rest_after = partial_trace(out, traced={1, 3}, n_qubits=4)
-        assert np.allclose(rest_before, rest_after, atol=1e-13)
-
     def test_state_stays_physical(self):
         rng = np.random.default_rng(6)
         rho = random_density_matrix(rng, 16)
@@ -91,13 +79,6 @@ class TestInject:
         assert abs(np.trace(out).real - 1.0) <= 1e-12
         assert np.abs(out - out.conj().T).max() <= 1e-13
         assert np.linalg.eigvalsh(out)[0] >= -1e-12
-
-    def test_invalid_qubits_rejected(self):
-        rho = all_zero_state(4)
-        with pytest.raises(ValueError):
-            inject(rho, 0.1, 0.2, input_qubits=(1, 1))
-        with pytest.raises(ValueError):
-            inject(rho, 0.1, 0.2, input_qubits=(0, 7))
 
 
 class TestRunReservoir:
@@ -140,8 +121,8 @@ class TestRunReservoir:
             assert np.allclose(rec.entanglement_samples[k], negs, atol=1e-10)
             idx = cfg.sample_index(k)
             assert np.allclose(rec.injected_values[k],
-                               [s1.samples[idx], s2.samples[idx]], atol=0)
-            rho = inject(rho, float(s1.samples[idx]), float(s2.samples[idx]))
+                               [s1[idx], s2[idx]], atol=0)
+            rho = inject(rho, float(s1[idx]), float(s2[idx]))
             rho = evolve(rho, sys, cfg.delta_t, cfg.delta_t / n_sub)
 
     def test_run_steps_hands_each_state_on(self):
@@ -242,10 +223,6 @@ class TestRunConfig:
     def test_default_step_count(self):
         assert RunConfig().n_steps == 366
 
-    def test_rejects_equal_input_qubits(self):
-        with pytest.raises(ValueError):
-            RunConfig(input_qubits=(2, 2))
-
     def test_rejects_washout_longer_than_run(self):
         with pytest.raises(ValueError):
             RunConfig(t_final=75.0, washout_steps=50)
@@ -259,7 +236,10 @@ def test_trajectory_csv_round_trip(tmp_path):
     rec = run_reservoir(interval_map(model, cfg), s1, s2, cfg)
     path = tmp_path / "traj.csv"
     write_trajectory_csv(rec, path)
-    back = read_trajectory_csv(path)
-    assert np.array_equal(back.features, rec.features)
-    assert np.array_equal(back.entanglement_samples, rec.entanglement_samples)
-    assert np.array_equal(back.injected_values, rec.injected_values)
+    header = ["k", "s1", "s2", "Z1", "Z2", "Z3", "Z4", *PARTITION_LABELS]
+    assert path.read_text().splitlines()[0].split(",") == header
+    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert np.array_equal(data[:, 0], np.arange(rec.n_steps))
+    assert np.array_equal(data[:, 1:3], rec.injected_values)
+    assert np.array_equal(data[:, 3:7], rec.features[:, :4])
+    assert np.array_equal(data[:, 7:], rec.entanglement_samples)
