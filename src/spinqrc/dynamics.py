@@ -14,9 +14,9 @@ and evolved with the Lindblad master equation
     drho/dt = -i[H, rho] + sum_i (L_i rho L_i† - 1/2 {L_i†L_i, rho}).
 
 Integration is fixed-step classical RK4. Because the generator is linear and
-time independent, the RK4 update is exactly the degree-4 Taylor polynomial of
-the Liouvillian applied to vec(rho); ``rk4_step`` applies that cached
-polynomial (one 4^n x 4^n matrix-vector product) and ``evolve`` composes steps.
+time independent, one RK4 step is exactly the degree-4 Taylor polynomial of
+the Liouvillian acting on vec(rho); ``LindbladSystem.interval_propagator``
+builds that 4^n x 4^n polynomial and composes n steps of it into one matrix.
 """
 
 from __future__ import annotations
@@ -146,8 +146,7 @@ def _liouvillian(hamiltonian: np.ndarray, jump_ops) -> np.ndarray:
 class LindbladSystem:
     """Hamiltonian, jump operators and precomputed generator data.
 
-    Immutable after construction (the step-propagator cache only memoizes
-    pure functions of the stored generator) and safe to share across threads.
+    Immutable after construction and safe to share across threads.
     """
 
     def __init__(self, hamiltonian: np.ndarray, jump_ops):
@@ -156,30 +155,26 @@ class LindbladSystem:
         self.hamiltonian = hermitianize(np.asarray(hamiltonian, dtype=complex))
         self.jump_ops = [np.asarray(l, dtype=complex) for l in jump_ops]
         self.dim = self.hamiltonian.shape[0]
-        # Hot-loop precomputation: L†L products and the full generator matrix.
+        # Precomputed once: L†L products and the full generator matrix.
         self.ldl_products = [l.conj().T @ l for l in self.jump_ops]
         self.liouvillian = _liouvillian(self.hamiltonian, self.jump_ops)
         eigs = np.linalg.eigvalsh(self.hamiltonian)
         self.spectral_spread = float(eigs[-1] - eigs[0])
-        self._step_props: dict[float, np.ndarray] = {}
-
-    def step_propagator(self, dt: float) -> np.ndarray:
-        """RK4 one-step map I + dt M + ... + dt^4/24 M^4 on vec(rho)."""
-        p = self._step_props.get(dt)
-        if p is None:
-            m = self.liouvillian
-            d2 = m.shape[0]
-            p = np.eye(d2, dtype=complex)
-            term = np.eye(d2, dtype=complex)
-            for order in range(1, 5):
-                term = (dt / order) * (term @ m)
-                p = p + term
-            self._step_props[dt] = p
-        return p
 
     def interval_propagator(self, dt: float, n_steps: int) -> np.ndarray:
-        """n_steps-fold composition of the RK4 one-step map."""
-        return np.linalg.matrix_power(self.step_propagator(dt), n_steps)
+        """RK4 map of n_steps steps of length dt on vec(rho).
+
+        One step is I + dt M + ... + dt^4/24 M^4 for the Liouvillian M.
+        """
+        m = self.liouvillian
+        d2 = m.shape[0]
+        step = np.eye(d2, dtype=complex)
+        term = np.eye(d2, dtype=complex)
+        for order in range(1, 5):
+            term = (dt / order) * (term @ m)
+            step = step + term
+        del term  # one 4^n x 4^n matrix fewer alive during the squarings
+        return np.linalg.matrix_power(step, n_steps)
 
 
 def build_lindblad_system(model: SpinNetworkModel, convention: str = "paper") -> LindbladSystem:
@@ -193,36 +188,6 @@ def lindblad_rhs(rho: np.ndarray, sys: LindbladSystem) -> np.ndarray:
     if rho.shape != (d, d):
         raise ValueError(f"rho has shape {rho.shape}, expected {(d, d)}")
     return (sys.liouvillian @ rho.reshape(-1)).reshape(d, d)
-
-
-def rk4_step(rho: np.ndarray, sys: LindbladSystem, dt: float) -> np.ndarray:
-    """One classical RK4 update of duration dt; output is re-symmetrized."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    p = sys.step_propagator(dt)
-    out = (p @ rho.reshape(-1)).reshape(sys.dim, sys.dim)
-    return hermitianize(out)
-
-
-def evolve(rho: np.ndarray, sys: LindbladSystem, duration: float, dt: float) -> np.ndarray:
-    """Repeated rk4_step over the duration, plus a final partial step if the
-    duration is not an integer multiple of dt."""
-    if duration < 0:
-        raise ValueError("duration must be nonnegative")
-    if duration == 0:
-        return rho
-    ratio = duration / dt
-    n = int(round(ratio))
-    if abs(ratio - n) <= 1e-9 * max(1.0, ratio):
-        remainder = 0.0
-    else:
-        n = int(math.floor(ratio))
-        remainder = duration - n * dt
-    for _ in range(n):
-        rho = rk4_step(rho, sys, dt)
-    if remainder > 0.0:
-        rho = rk4_step(rho, sys, remainder)
-    return rho
 
 
 def stable_step_count(sys: LindbladSystem, duration: float, dt_request: float) -> int:

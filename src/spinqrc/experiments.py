@@ -21,6 +21,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
@@ -44,6 +45,7 @@ from .learning import (
     CapacityProfile,
     evaluate_capacity_profile,
 )
+from .linalg import check_density_matrix, hermitianize
 from .reservoir import RunConfig, TrajectoryRecord, interval_map, run_reservoir, run_steps
 from .signals import (
     HOLDOUT_SEQUENCE_IDS,
@@ -96,7 +98,7 @@ class ExperimentConfig:
         if not self.js_values:
             raise ValueError("js_values must be nonempty")
         if any(js < 0 for js in self.js_values):
-            raise ValueError("all J_s values must be nonnegative")
+            raise ValueError("js_values must be nonnegative")
         if not self.f_values or any(f <= 0 for f in self.f_values):
             raise ValueError("f_values must be positive")
         if self.n_coupling_seeds < 1:
@@ -114,7 +116,7 @@ class ExperimentConfig:
         # Train/test segments must stay non-degenerate at the largest delay.
         if self.run.n_steps < self.run.washout_steps + 2 * (self.tau_max + 10):
             raise ValueError(
-                f"run too short: K={self.run.n_steps} < washout + 2*(tau_max+10) "
+                f"run too short: K={self.run.n_steps} < washout_steps + 2*(tau_max+10) "
                 f"= {self.run.washout_steps + 2 * (self.tau_max + 10)}")
 
     def semantic_dict(self) -> dict:
@@ -194,7 +196,8 @@ def parse_config_file(path) -> ExperimentConfig:
 
     Blank lines and lines starting with ``#`` are ignored. List values are
     comma separated; ``js_values = default`` selects the 20-point grid and
-    ``lambda_grid = default`` the 21-point grid.
+    ``lambda_grid = default`` the 21-point grid. A value check that names
+    exactly one key reports that key's line.
     """
     try:
         with open(path) as fh:
@@ -204,6 +207,7 @@ def parse_config_file(path) -> ExperimentConfig:
 
     by_key = {fld.key or fld.name: fld for fld in CONFIG_FIELDS}
     values: dict = {}
+    key_lines: dict = {}
     for lineno, line in enumerate(lines, start=1):
         text = line.strip()
         if not text or text.startswith("#"):
@@ -221,11 +225,14 @@ def parse_config_file(path) -> ExperimentConfig:
             values[fld.name] = fld.parse(value.strip())
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {exc}", path, lineno) from exc
+        key_lines[key] = lineno
 
     try:
         return _config_from(values)
     except ValueError as exc:
-        raise ConfigError(str(exc), path=path) from exc
+        named = [key for key in by_key if re.search(rf"\b{key}\b", str(exc))]
+        line = key_lines.get(named[0]) if len(named) == 1 else None
+        raise ConfigError(str(exc), path, line) from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -580,43 +587,34 @@ def run_invariant_suite(n_runs: int = 100, n_injections: int = 50, base_seed: in
 
     Run i draws J_s uniformly from [0, 10) (J_s = 0 on every 10th run, so
     the uncoupled-network entanglement check is exercised) and drives the
-    ``run_steps`` loop at f = 2; every post-evolve state is checked, its
-    negativities once per run.
+    ``run_steps`` loop at f = 2. Each run's post-evolve states, as the
+    propagator returns them, go through ``check_density_matrix`` as one
+    stack, and the negativities of their Hermitian parts (the states the run
+    hands on) are taken once.
     Returns worst-case diagnostics across all runs and steps; callers assert
     the tolerances.
     """
-    report = {
-        "n_runs": n_runs,
-        "max_trace_error": 0.0,
-        "max_hermiticity_error": 0.0,
-        "min_eigenvalue": 0.0,
-        "min_raw_negativity": 0.0,
-        "max_negativity": 0.0,
-        "max_zero_coupling_negativity": 0.0,
-    }
     run_cfg = RunConfig(t_final=n_injections * 7.5, delta_t=7.5, dt=0.025, washout_steps=0)
+    runs = []
     for i in range(n_runs):
         rng = stream(0x56, base_seed, i)
         js = 0.0 if i % 10 == 0 else float(rng.uniform(0.0, 10.0))
         model = random_model(js, seed=(base_seed, i))
         seqs = [make_input_sequence(2.0, q, (base_seed, i)) for q in TRAIN_SEQUENCE_IDS]
-        states = []
-        for _, _, raw, rho in run_steps(interval_map(model, run_cfg), *seqs, run_cfg):
-            report["max_hermiticity_error"] = max(
-                report["max_hermiticity_error"], float(np.abs(raw - raw.conj().T).max()))
-            report["max_trace_error"] = max(
-                report["max_trace_error"],
-                abs(float(np.trace(rho).real) - 1.0) + abs(float(np.trace(rho).imag)))
-            report["min_eigenvalue"] = min(
-                report["min_eigenvalue"], float(np.linalg.eigvalsh(rho)[0]))
-            states.append(rho)
-        raw_negs = negativities(np.stack(states))
-        report["min_raw_negativity"] = min(report["min_raw_negativity"], float(raw_negs.min()))
-        report["max_negativity"] = max(report["max_negativity"], float(raw_negs.max()))
-        if js == 0.0:
-            report["max_zero_coupling_negativity"] = max(
-                report["max_zero_coupling_negativity"], float(raw_negs.max()))
-    return report
+        steps = run_steps(interval_map(model, run_cfg), *seqs, run_cfg)
+        raw = np.stack([r for _, _, r, _ in steps])
+        negs = negativities(hermitianize(raw))
+        runs.append({**check_density_matrix(raw), "js": js,
+                     "min_neg": float(negs.min()), "max_neg": float(negs.max())})
+    return {
+        "n_runs": n_runs,
+        "max_trace_error": max(r["trace_error"] for r in runs),
+        "max_hermiticity_error": max(r["hermiticity_error"] for r in runs),
+        "min_eigenvalue": min(r["min_eigenvalue"] for r in runs),
+        "min_raw_negativity": min(r["min_neg"] for r in runs),
+        "max_negativity": max(r["max_neg"] for r in runs),
+        "max_zero_coupling_negativity": max(r["max_neg"] for r in runs if r["js"] == 0.0),
+    }
 
 
 def invariant_suite_ok(report: dict) -> bool:

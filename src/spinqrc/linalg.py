@@ -41,11 +41,12 @@ def hermiticity_error(m: np.ndarray) -> float:
     return float(rel.max())
 
 
-def check_hermitian(m: np.ndarray, rtol: float = HERMITICITY_RTOL) -> None:
-    """Reject anti-Hermitian residue beyond ``rtol`` (see ``hermiticity_error``)."""
+def check_hermitian(m: np.ndarray) -> None:
+    """Reject a ``hermiticity_error`` beyond ``HERMITICITY_RTOL``."""
     err = hermiticity_error(m)
-    if err > rtol:
-        raise ValueError(f"matrix is not Hermitian: relative residue {err:.3e} > {rtol:.1e}")
+    if err > HERMITICITY_RTOL:
+        raise ValueError(
+            f"matrix is not Hermitian: relative residue {err:.3e} > {HERMITICITY_RTOL:.1e}")
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -137,13 +138,13 @@ def partial_transpose(rho: np.ndarray, partition: QubitPartition) -> np.ndarray:
     return np.ascontiguousarray(t.reshape(lead + (2**n, 2**n)))
 
 
-def hermitian_eigenvalues(m: np.ndarray, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
+def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, ascending.
 
     The input is symmetrized before solving; anti-Hermitian residue beyond
-    ``rtol`` (relative to max |entry|) is rejected.
+    ``HERMITICITY_RTOL`` (relative to max |entry|) is rejected.
     """
-    check_hermitian(m, rtol)
+    check_hermitian(m)
     return np.linalg.eigvalsh(hermitianize(m))
 
 
@@ -152,26 +153,28 @@ def trace_norm(m: np.ndarray) -> float:
     return float(np.abs(hermitian_eigenvalues(m)).sum())
 
 
-def expectation(rho: np.ndarray, obs: np.ndarray, imag_tol: float = IMAG_TOL) -> float:
+def expectation(rho: np.ndarray, obs: np.ndarray) -> float:
     """Re Tr(rho @ obs) for a Hermitian observable.
 
-    Raises if the imaginary residue of the trace exceeds ``imag_tol``.
+    Raises if the imaginary residue of the trace exceeds ``IMAG_TOL``.
     """
     if rho.shape != obs.shape:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {obs.shape}")
     val = complex(np.einsum("ij,ji->", rho, obs))
-    if abs(val.imag) > imag_tol:
+    if abs(val.imag) > IMAG_TOL:
         raise ValueError(f"expectation has imaginary residue {val.imag:.3e}")
     return val.real
 
 
 def check_density_matrix(rho: np.ndarray) -> dict:
-    """Diagnostics for a would-be density matrix.
+    """Diagnostics for a would-be density matrix, or the worst over a stack.
 
-    Returns trace error, Hermiticity residue and minimum eigenvalue; callers
-    decide the tolerances.
+    Returns trace error |Re Tr - 1| + |Im Tr|, Hermiticity residue (see
+    ``hermiticity_error``) and the smallest eigenvalue of the Hermitian part;
+    callers decide the tolerances.
     """
-    herm = hermiticity_error(rho)
-    tr_err = abs(float(np.trace(rho).real) - 1.0) + abs(float(np.trace(rho).imag))
-    min_eig = float(np.linalg.eigvalsh(hermitianize(rho))[0])
-    return {"trace_error": tr_err, "hermiticity_error": herm, "min_eigenvalue": min_eig}
+    tr = np.trace(rho, axis1=-2, axis2=-1)
+    tr_err = float((np.abs(tr.real - 1.0) + np.abs(tr.imag)).max())
+    min_eig = float(np.linalg.eigvalsh(hermitianize(rho)).min())
+    return {"trace_error": tr_err, "hermiticity_error": hermiticity_error(rho),
+            "min_eigenvalue": min_eig}

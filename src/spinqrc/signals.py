@@ -31,11 +31,11 @@ HOLDOUT_SEQUENCE_IDS = (4, 5)
 N_SEQUENCES = 9
 
 
-def component_frequencies(f0: float, n_components: int = N_COMPONENTS) -> np.ndarray:
-    """Linearly spaced component frequencies, inclusive of both endpoints."""
+def component_frequencies(f0: float) -> np.ndarray:
+    """N_COMPONENTS linearly spaced frequencies, both endpoints included."""
     if f0 <= 0:
         raise ValueError("f0 must be positive")
-    return np.linspace(f0 / 5000.0, f0 / 50.0, n_components)
+    return np.linspace(f0 / 5000.0, f0 / 50.0, N_COMPONENTS)
 
 
 def sequence_phases(seq_id: int, seed) -> np.ndarray:

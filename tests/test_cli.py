@@ -75,11 +75,14 @@ def test_invalid_config_exits_two(tmp_path, capsys):
     assert main(["sweep", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "not_a_key" in err and ":2:" in err
-    # Bad values are config errors before any cell runs.
-    for line in ("lambda_grid = -1, 1", "lambda_grid =", "base_seed = -1"):
-        bad.write_text(f"experiment = sweep_js\njs_values = 0.1\n{line}\n")
+    # Bad values are config errors before any cell runs, reported at the
+    # line of the one key their check names.
+    for line in ("lambda_grid = -1, 1", "lambda_grid =", "base_seed = -1", "js_values = 1, -1",
+                 "washout_steps = -5"):
+        bad.write_text(f"experiment = sweep_js\nf_values = 2\n{line}\n")
         assert main(["sweep", str(bad), "--out", str(tmp_path / "never")]) == 2
-        assert line.split(" =")[0] in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert line.split(" =")[0] in err and "bad.cfg:3:" in err
     assert not (tmp_path / "never").exists()
 
 

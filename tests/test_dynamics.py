@@ -9,10 +9,8 @@ from spinqrc.dynamics import (
     build_hamiltonian,
     build_jump_operators,
     build_lindblad_system,
-    evolve,
     lindblad_rhs,
     random_model,
-    rk4_step,
     sample_coupling_matrix,
     single_qubit_jump,
     stable_step_count,
@@ -22,6 +20,7 @@ from spinqrc.linalg import (
     PAULI_X,
     PAULI_Z,
     embed_single_qubit,
+    hermitianize,
     kron_all,
 )
 
@@ -154,82 +153,71 @@ def plus_state():
     return 0.5 * np.array([[1, 1], [1, 1]], dtype=complex)
 
 
+def propagate(rho, sys, dt, n_steps):
+    """rho after n_steps RK4 steps of length dt, as one interval propagator."""
+    d = sys.dim
+    return (sys.interval_propagator(dt, n_steps) @ rho.reshape(-1)).reshape(d, d)
+
+
 class TestRk4Step:
+    """The RK4 step map that ``interval_propagator`` composes."""
+
     def test_zero_generator_is_identity(self):
         sys = LindbladSystem(np.zeros((2, 2), dtype=complex), [])
-        rho = plus_state()
-        assert np.array_equal(rk4_step(rho, sys, 0.025), rho)
+        assert np.array_equal(sys.interval_propagator(0.025, 7), np.eye(4))
 
     def test_matches_textbook_four_stage_update(self):
         rng = np.random.default_rng(3)
         for seed in range(5):
             sys = build_lindblad_system(random_model(4.0, seed=seed))
             rho = random_density_matrix(rng, 16)
-            assert np.allclose(rk4_step(rho, sys, 0.025),
+            assert np.allclose(hermitianize(propagate(rho, sys, 0.025, 1)),
                                rk4_reference_step(rho, sys, 0.025), atol=1e-13)
 
     def test_unitary_precession_returns_after_one_period(self):
         sys = build_lindblad_system(zero_coupling_model(n_qubits=1, gamma=0.0))
         period = 2 * math.pi / H_Z
-        rho = evolve(plus_state(), sys, period, dt=0.01)
+        n = math.ceil(period / 0.01)
+        rho = propagate(plus_state(), sys, period / n, n)
         assert np.abs(rho - plus_state()).max() <= 1e-8
 
     def test_trace_drift_per_step(self):
         sys = build_lindblad_system(random_model(5.0, seed=9))
         rho = random_density_matrix(np.random.default_rng(4), 16)
-        out = rk4_step(rho, sys, 0.025)
+        out = propagate(rho, sys, 0.025, 1)
         assert abs(np.trace(out).real - np.trace(rho).real) <= 1e-12
 
     def test_fourth_order_convergence(self):
         # Error vs the analytic solution drops ~16x when dt halves.
         sys = build_lindblad_system(zero_coupling_model(n_qubits=1, gamma=0.0))
-        t = 1.0
 
-        def end_error(dt):
-            rho = evolve(plus_state(), sys, t, dt)
-            angle = H_Z * t
-            expected = 0.5 * np.array([[1.0, np.exp(-1j * angle)],
-                                       [np.exp(1j * angle), 1.0]])
+        def end_error(n_steps):
+            rho = propagate(plus_state(), sys, 1.0 / n_steps, n_steps)
+            expected = 0.5 * np.array([[1.0, np.exp(-1j * H_Z)],
+                                       [np.exp(1j * H_Z), 1.0]])
             return np.abs(rho - expected).max()
 
-        ratio = end_error(0.02) / end_error(0.01)
+        ratio = end_error(50) / end_error(100)
         assert 8.0 <= ratio <= 32.0
 
 
 class TestEvolve:
-    def test_zero_duration(self):
-        sys = build_lindblad_system(zero_coupling_model())
-        rho = random_density_matrix(np.random.default_rng(5), 16)
-        assert evolve(rho, sys, 0.0, 0.025) is rho
-
-    def test_composition_equals_two_manual_steps_exactly(self):
-        sys = build_lindblad_system(random_model(1.0, seed=3))
-        rho = random_density_matrix(np.random.default_rng(6), 16)
-        manual = rk4_step(rk4_step(rho, sys, 0.025), sys, 0.025)
-        assert np.array_equal(evolve(rho, sys, 0.05, 0.025), manual)
-
-    def test_partial_final_step(self):
-        # duration/dt = 37.2, so evolve must append one 0.005-length step.
-        sys = build_lindblad_system(zero_coupling_model(n_qubits=1, gamma=0.0))
-        direct = evolve(plus_state(), sys, 0.93, 0.025)
-        split = evolve(evolve(plus_state(), sys, 0.925, 0.025), sys, 0.005, 0.005)
-        assert np.array_equal(direct, split)
+    """Long evolutions as one interval propagator."""
 
     def test_dissipative_self_convergence(self):
         # The (Z + iY)/2 jump operator has no textbook closed form; compare
         # against a 10x finer integration of the same problem.
-        model = zero_coupling_model(n_qubits=1, gamma=0.01)
         model = SpinNetworkModel(coupling=np.zeros((1, 1)), n_qubits=1, h_z=0.0, gamma=0.01)
         sys = build_lindblad_system(model)
         rho0 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
-        coarse = evolve(rho0, sys, 50.0, 0.025)
-        fine = evolve(rho0, sys, 50.0, 0.0025)
+        coarse = propagate(rho0, sys, 0.025, 2000)
+        fine = propagate(rho0, sys, 0.0025, 20000)
         assert np.abs(coarse - fine).max() <= 1e-8
 
     def test_trace_and_hermiticity_over_long_run(self):
         sys = build_lindblad_system(random_model(5.0, seed=17))
         rho = random_density_matrix(np.random.default_rng(7), 16)
-        rho = evolve(rho, sys, 75.0, 0.025)
+        rho = propagate(rho, sys, 0.025, 3000)
         assert abs(np.trace(rho).real - 1.0) <= 1e-9
         assert np.abs(rho - rho.conj().T).max() <= 1e-9
         assert np.linalg.eigvalsh(rho)[0] >= -1e-7
@@ -253,7 +241,7 @@ class TestStableStepCount:
         n = stable_step_count(sys, 7.5, 0.025)
         rho = random_density_matrix(np.random.default_rng(8), 16)
         for _ in range(20):
-            rho = evolve(rho, sys, 7.5, 7.5 / n)
+            rho = hermitianize(propagate(rho, sys, 7.5 / n, n))
         assert abs(np.trace(rho).real - 1.0) <= 1e-9
         assert np.linalg.eigvalsh(rho)[0] >= -1e-7
 
@@ -267,7 +255,7 @@ class TestDecoupledNetwork:
         from oracles import random_pure_product_state
 
         rho = random_pure_product_state(rng, 4)
-        rho = evolve(rho, sys, 30.0, 0.025)
+        rho = propagate(rho, sys, 0.025, 1200)
         from spinqrc.linalg import expectation
 
         z0 = embed_single_qubit(PAULI_Z, 0, 4)

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from spinqrc.dynamics import random_model
 from spinqrc.experiments import (
     DEFAULT_JS_GRID,
     ConfigError,
@@ -19,7 +20,8 @@ from spinqrc.experiments import (
     sweep_cells,
 )
 from spinqrc.learning import evaluate_capacity_profile
-from spinqrc.reservoir import RunConfig
+from spinqrc.reservoir import RunConfig, interval_map, run_steps
+from spinqrc.signals import TRAIN_SEQUENCE_IDS, make_input_sequence
 
 TINY_RUN = RunConfig(t_final=750.0, washout_steps=30)
 
@@ -132,6 +134,15 @@ class TestConfigParsing:
         path.write_text("js_values = -1\n")
         with pytest.raises(ConfigError, match="nonnegative"):
             parse_config_file(path)
+
+    def test_value_check_naming_several_keys_reports_no_line(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        for text in ("tau_max = 10\nt_final = -750\n", "t_final = 750\nwashout_steps = 90\n"):
+            path.write_text(text)
+            with pytest.raises(ConfigError) as err:
+                parse_config_file(path)
+            assert err.value.line is None
+            assert str(err.value).startswith(f"{path}: ")
 
 
 class TestFingerprint:
@@ -498,3 +509,14 @@ def test_invariant_suite_small():
     assert report["max_trace_error"] <= 1e-9
     assert report["min_eigenvalue"] >= -1e-7
 
+
+def test_invariant_suite_reports_the_true_minimum_eigenvalue():
+    # One run: J_s = 0 (every 10th run is uncoupled) under the key (3, 0).
+    report = run_invariant_suite(n_runs=1, n_injections=20, base_seed=3)
+    cfg = RunConfig(t_final=20 * 7.5, washout_steps=0)
+    seqs = [make_input_sequence(2.0, q, (3, 0)) for q in TRAIN_SEQUENCE_IDS]
+    states = [rho for _, _, _, rho in
+              run_steps(interval_map(random_model(0.0, seed=(3, 0)), cfg), *seqs, cfg)]
+    smallest = min(np.linalg.eigvalsh(rho)[0] for rho in states)
+    assert smallest > 0.0
+    assert report["min_eigenvalue"] == pytest.approx(smallest, rel=1e-9)

@@ -205,3 +205,16 @@ def test_check_density_matrix_reports_clean_state():
     assert diag["trace_error"] <= 1e-12
     assert diag["hermiticity_error"] <= 1e-12
     assert diag["min_eigenvalue"] >= -1e-12
+
+
+def test_check_density_matrix_of_a_stack_reports_the_worst_state():
+    rng = np.random.default_rng(22)
+    states = [random_density_matrix(rng, 4) for _ in range(3)]
+    bad = np.diag([0.7, 0.4, -0.05, 0.0]).astype(complex)   # trace 1.05, eigenvalue -0.05
+    bad[0, 1] = 0.01                                        # residue 0.01 / max entry 0.7
+    diags = [check_density_matrix(m) for m in states + [bad]]
+    worst = check_density_matrix(np.stack(states + [bad]))
+    assert worst["trace_error"] == max(d["trace_error"] for d in diags) == pytest.approx(0.05)
+    assert worst["hermiticity_error"] == pytest.approx(0.01 / 0.7)
+    assert worst["min_eigenvalue"] == min(d["min_eigenvalue"] for d in diags)
+    assert worst["min_eigenvalue"] < -0.04

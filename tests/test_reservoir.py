@@ -23,7 +23,7 @@ from spinqrc.reservoir import (
 )
 from spinqrc.signals import encode_input_state, make_input_sequence
 
-from oracles import random_density_matrix
+from oracles import random_density_matrix, rk4_reference_step
 
 
 def constant_sequence(value, n=1000):
@@ -101,9 +101,8 @@ class TestRunReservoir:
 
     def test_matches_hand_driven_composition(self):
         # Compositional oracle: the run loop equals an explicit
-        # measure / inject / evolve sequence built from the public pieces.
-        from spinqrc.dynamics import evolve
-
+        # measure / inject / evolve sequence built from the public pieces,
+        # each interval evolved by textbook four-stage RK4 steps.
         model = random_model(0.8, seed=3)
         cfg = short_cfg(n_steps=10)
         s1 = make_input_sequence(2.0, 0, 12)
@@ -123,7 +122,8 @@ class TestRunReservoir:
             assert np.allclose(rec.injected_values[k],
                                [s1[idx], s2[idx]], atol=0)
             rho = inject(rho, float(s1[idx]), float(s2[idx]))
-            rho = evolve(rho, sys, cfg.delta_t, cfg.delta_t / n_sub)
+            for _ in range(n_sub):
+                rho = rk4_reference_step(rho, sys, cfg.delta_t / n_sub)
 
     def test_run_steps_hands_each_state_on(self):
         # Step k yields hermitianize(raw_next), and that is step k+1's state.
