@@ -61,17 +61,19 @@ def negativities(states: np.ndarray) -> np.ndarray:
 
     Returns K x 7 in PARTITION_LABELS order, equal bit for bit to
     ``log_negativity(states[k], PARTITIONS[lbl], clamp=False)``. The
-    Hermiticity check of ``trace_norm`` runs once per block on the states
-    themselves: a partial transpose permutes the entries of rho - rho†, so the
-    relative residue is the same number.
+    Hermiticity check and the symmetrisation of ``trace_norm`` run once per
+    block on the states themselves: a partial transpose permutes the entries
+    of rho - rho†, so the relative residue is the same number, and
+    PT(hermitianize(rho)) equals hermitianize(PT(rho)) entry for entry.
     """
     states = np.asarray(states)
     out = np.empty((len(states), len(PARTITION_LABELS)))
     for start in range(0, len(states), NEGATIVITY_BLOCK):
         block = states[start:start + NEGATIVITY_BLOCK]
         check_hermitian(block)
+        block = hermitianize(block)
         for j, lbl in enumerate(PARTITION_LABELS):
-            eigs = np.linalg.eigvalsh(hermitianize(partial_transpose(block, PARTITIONS[lbl])))
+            eigs = np.linalg.eigvalsh(partial_transpose(block, PARTITIONS[lbl]))
             out[start:start + len(block), j] = np.log2(np.abs(eigs).sum(axis=-1))
     return out
 

@@ -601,8 +601,7 @@ def run_invariant_suite(n_runs: int = 100, n_injections: int = 50, base_seed: in
         js = 0.0 if i % 10 == 0 else float(rng.uniform(0.0, 10.0))
         model = random_model(js, seed=(base_seed, i))
         seqs = [make_input_sequence(2.0, q, (base_seed, i)) for q in TRAIN_SEQUENCE_IDS]
-        steps = run_steps(interval_map(model, run_cfg), *seqs, run_cfg)
-        raw = np.stack([r for _, _, r, _ in steps])
+        _, _, raw = run_steps(interval_map(model, run_cfg), *seqs, run_cfg, keep_raw=True)
         negs = negativities(hermitianize(raw))
         runs.append({**check_density_matrix(raw), "js": js,
                      "min_neg": float(negs.min()), "max_neg": float(negs.max())})

@@ -78,20 +78,26 @@ def ridge_weights(features: np.ndarray, targets: np.ndarray, lams) -> np.ndarray
     return weights
 
 
-def stm_capacity(predicted, target) -> float:
-    """Squared Pearson correlation, defined as 0 for (near-)constant inputs."""
+def stm_capacity(predicted, target):
+    """Squared Pearson correlation, defined as 0 for (near-)constant inputs.
+
+    ``predicted`` is one vector, which gives a float, or a stack of them (one
+    per row), which gives one capacity per row, each equal bit for bit to
+    scoring that row alone; the target is centred once for the whole stack.
+    """
     y = np.asarray(predicted, dtype=float)
     g = np.asarray(target, dtype=float)
-    if y.shape != g.shape or y.ndim != 1:
+    if g.ndim != 1 or y.ndim not in (1, 2) or y.shape[-1] != g.shape[0]:
         raise ValueError("predicted and target must be equal-length vectors")
-    if len(y) < 2:
+    if len(g) < 2:
         raise ValueError("need at least two samples")
-    var_y = float(np.var(y))
-    var_g = float(np.var(g))
-    if var_y < VARIANCE_FLOOR or var_g < VARIANCE_FLOOR:
-        return 0.0
-    cov = float(np.mean((y - y.mean()) * (g - g.mean())))
-    return min(cov * cov / (var_y * var_g), 1.0)
+    var_y = np.var(y, axis=-1)
+    var_g = np.var(g)
+    cov = np.mean((y - y.mean(axis=-1, keepdims=True)) * (g - g.mean()), axis=-1)
+    scored = (var_y >= VARIANCE_FLOOR) & (var_g >= VARIANCE_FLOOR)
+    ratio = np.divide(cov * cov, var_y * var_g, out=np.zeros_like(var_y), where=scored)
+    capacity = np.minimum(ratio, 1.0)
+    return float(capacity) if y.ndim == 1 else capacity
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,14 +147,10 @@ def evaluate_capacity_profile(train: TrajectoryRecord, test: TrajectoryRecord,
                                     selection.injected_values[:, 1], tau, k_steps, washout)
         weights = ridge_weights(r_train, g_train, lambda_grid)
         r_score, g_score = (r_test, g_test) if selection is None else (r_sel, g_sel)
-        best_score = -1.0
-        best = 0
-        for i, w in enumerate(weights):
-            # One gemv per lambda: a stacked product need not round the same.
-            score = stm_capacity(r_score @ w, g_score)
-            if score > best_score:
-                best_score = score
-                best = i
+        # One gemv per lambda: a stacked product need not round the same.
+        scores = stm_capacity(np.stack([r_score @ w for w in weights]), g_score)
+        best = int(np.argmax(scores))
+        best_score = float(scores[best])
         if selection is not None:
             best_score = stm_capacity(r_test @ weights[best], g_test)
         per_tau[tau] = best_score

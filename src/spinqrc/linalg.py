@@ -42,9 +42,10 @@ def hermiticity_error(m: np.ndarray) -> float:
 
 
 def check_hermitian(m: np.ndarray) -> None:
-    """Reject a ``hermiticity_error`` beyond ``HERMITICITY_RTOL``."""
+    """Reject a ``hermiticity_error`` beyond ``HERMITICITY_RTOL``, or a
+    non-finite one (a matrix with a NaN or infinite entry)."""
     err = hermiticity_error(m)
-    if err > HERMITICITY_RTOL:
+    if not err <= HERMITICITY_RTOL:
         raise ValueError(
             f"matrix is not Hermitian: relative residue {err:.3e} > {HERMITICITY_RTOL:.1e}")
 
@@ -156,12 +157,13 @@ def trace_norm(m: np.ndarray) -> float:
 def expectation(rho: np.ndarray, obs: np.ndarray) -> float:
     """Re Tr(rho @ obs) for a Hermitian observable.
 
-    Raises if the imaginary residue of the trace exceeds ``IMAG_TOL``.
+    Raises if the imaginary residue of the trace exceeds ``IMAG_TOL`` or is
+    not finite.
     """
     if rho.shape != obs.shape:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {obs.shape}")
     val = complex(np.einsum("ij,ji->", rho, obs))
-    if abs(val.imag) > IMAG_TOL:
+    if not abs(val.imag) <= IMAG_TOL:
         raise ValueError(f"expectation has imaginary residue {val.imag:.3e}")
     return val.real
 

@@ -117,28 +117,61 @@ def interval_map(model: SpinNetworkModel, cfg: RunConfig,
 
 
 def run_steps(propagator: np.ndarray, seq1: np.ndarray, seq2: np.ndarray, cfg: RunConfig,
-              initial_state: np.ndarray | None = None):
-    """The run loop: yield ``(rho_k, (s1, s2), raw_next, rho_next)`` per step.
+              initial_state: np.ndarray | None = None, keep_raw: bool = False):
+    """The run loop: return ``(states, injected, raw)`` as arrays over the K steps.
 
     ``propagator`` is the ``interval_map`` of the model; ``seq1`` and ``seq2``
-    are the 1-D sample arrays of the two inputs. ``rho_k`` is the state at
-    t_k, before the step's pair (s1, s2) enters; ``raw_next`` is the state at
-    t_{k+1} as the propagator returns it, and ``rho_next`` its
-    ``hermitianize``-d form, the next step's ``rho_k``. Starts from the
-    all-|0> state unless ``initial_state`` is given.
+    are the 1-D sample arrays of the two inputs. ``states[k]`` is the state at
+    t_k, before the pair ``injected[k]`` enters. With ``keep_raw``,
+    ``raw[k]`` is the state at t_{k+1} as the propagator returns it, and
+    ``states[k + 1]`` its ``hermitianize``-d form; otherwise ``raw`` is None.
+    Starts from the all-|0> state unless ``initial_state`` is given.
+
+    Each step is ``propagator @ inject(rho, s1, s2)`` followed by
+    ``hermitianize``, with the same floating-point operations in the same
+    order: the sigma(s1) x sigma(s2) blocks of all steps are built up front
+    with the products ``encode_input_state`` and ``kron`` perform, and each
+    step takes the block sums of ``partial_trace`` (over qubit 1, then
+    qubit 0) and the broadcast product of ``kron``.
     """
-    needed = cfg.sample_index(cfg.n_steps - 1) + 1
+    k_steps = cfg.n_steps
+    needed = cfg.sample_index(k_steps - 1) + 1
     if len(seq1) < needed or len(seq2) < needed:
         raise ValueError(f"need at least {needed} samples per input sequence")
+    idx = [cfg.sample_index(k) for k in range(k_steps)]
+    injected = np.column_stack([np.asarray(seq1, dtype=float)[idx],
+                                np.asarray(seq2, dtype=float)[idx]])
+    in_range = (0.0 <= injected) & (injected <= 1.0)
+    if not in_range.all():
+        raise ValueError(f"input value {injected[~in_range][0]} outside [0, 1]")
 
-    rho = all_zero_state(4) if initial_state is None else np.asarray(initial_state, dtype=complex)
-    for k in range(cfg.n_steps):
-        idx = cfg.sample_index(k)
-        pair = (float(seq1[idx]), float(seq2[idx]))
-        raw = (propagator @ inject(rho, *pair).reshape(-1)).reshape(16, 16)
-        rho_next = hermitianize(raw)
-        yield rho, pair, raw, rho_next
-        rho = rho_next
+    # amp[k, i] = [sqrt(1 - s), sqrt(s)] of input i; sig[k, i] is its outer product.
+    amp = np.stack([np.sqrt(1.0 - injected), np.sqrt(injected)], axis=-1).astype(complex)
+    sig = amp[..., :, None] * amp.conj()[..., None, :]
+    pairs = (sig[:, 0, :, None, :, None] * sig[:, 1, None, :, None, :]).reshape(k_steps, 4, 4)
+
+    states = np.empty((k_steps, 16, 16), dtype=complex)
+    if initial_state is None:
+        states[0] = all_zero_state(4)
+    elif np.shape(initial_state) == (16, 16):
+        states[0] = initial_state
+    else:
+        raise ValueError(f"initial state has shape {np.shape(initial_state)}, expected (16, 16)")
+    raw = np.empty_like(states) if keep_raw else None
+    # diag[k, :, :, i] is the 4 x 4 block of states[k] where qubits 0 and 1
+    # are in basis state i on both sides.
+    diag = states.reshape(k_steps, 4, 4, 4, 4).diagonal(axis1=1, axis2=3)
+    even, odd = diag[..., 0::2], diag[..., 1::2]
+    for k in range(k_steps):
+        halves = even[k] + odd[k]
+        rho_rest = halves[..., 0] + halves[..., 1]
+        x = pairs[k][:, None, :, None] * rho_rest[None, :, None, :]
+        rho_next = (propagator @ x.reshape(-1)).reshape(16, 16)
+        if keep_raw:
+            raw[k] = rho_next
+        if k + 1 < k_steps:
+            states[k + 1] = hermitianize(rho_next)
+    return states, injected, raw
 
 
 def run_reservoir(propagator: np.ndarray, seq1: np.ndarray, seq2: np.ndarray, cfg: RunConfig,
@@ -149,16 +182,10 @@ def run_reservoir(propagator: np.ndarray, seq1: np.ndarray, seq2: np.ndarray, cf
     discard makes the initial state immaterial), then computes the features
     and negativities of all of them at once. Deterministic for fixed inputs.
     """
-    states = np.empty((cfg.n_steps, 16, 16), dtype=complex)
-    injected = np.empty((cfg.n_steps, 2))
-    for k, (rho, pair, _, _) in enumerate(run_steps(propagator, seq1, seq2, cfg,
-                                                    initial_state)):
-        states[k] = rho
-        injected[k] = pair
-
+    states, injected, _ = run_steps(propagator, seq1, seq2, cfg, initial_state)
     z = np.einsum("kij,nji->kn", states, Z_OPS)
     residue = float(np.abs(z.imag).max())
-    if residue > IMAG_TOL:
+    if not residue <= IMAG_TOL:
         raise ValueError(f"expectation has imaginary residue {residue:.3e}")
     features = np.column_stack([z.real, np.ones(cfg.n_steps)])
     ent = np.maximum(negativities(states), 0.0)

@@ -76,6 +76,9 @@ class TestLogNegativity:
         states[-1, 0, 1] += 1e-3
         with pytest.raises(ValueError, match="not Hermitian"):
             negativities(states)
+        states[-1] = np.nan
+        with pytest.raises(ValueError, match="not Hermitian"):
+            negativities(states)
 
     def test_mixing_bell_with_identity_reduces_negativity(self):
         rho4 = 0.75 * BELL + 0.25 * np.eye(4) / 4

@@ -20,6 +20,7 @@ from spinqrc.experiments import (
     sweep_cells,
 )
 from spinqrc.learning import evaluate_capacity_profile
+from spinqrc.linalg import hermitianize
 from spinqrc.reservoir import RunConfig, interval_map, run_steps
 from spinqrc.signals import TRAIN_SEQUENCE_IDS, make_input_sequence
 
@@ -515,8 +516,8 @@ def test_invariant_suite_reports_the_true_minimum_eigenvalue():
     report = run_invariant_suite(n_runs=1, n_injections=20, base_seed=3)
     cfg = RunConfig(t_final=20 * 7.5, washout_steps=0)
     seqs = [make_input_sequence(2.0, q, (3, 0)) for q in TRAIN_SEQUENCE_IDS]
-    states = [rho for _, _, _, rho in
-              run_steps(interval_map(random_model(0.0, seed=(3, 0)), cfg), *seqs, cfg)]
-    smallest = min(np.linalg.eigvalsh(rho)[0] for rho in states)
+    _, _, raw = run_steps(interval_map(random_model(0.0, seed=(3, 0)), cfg), *seqs, cfg,
+                          keep_raw=True)
+    smallest = min(np.linalg.eigvalsh(hermitianize(rho))[0] for rho in raw)
     assert smallest > 0.0
     assert report["min_eigenvalue"] == pytest.approx(smallest, rel=1e-9)

@@ -158,6 +158,25 @@ class TestStmCapacity:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             stm_capacity(np.ones(5), np.ones(6))
+        with pytest.raises(ValueError):
+            stm_capacity(np.ones((3, 5)), np.ones(6))
+        with pytest.raises(ValueError):
+            stm_capacity(np.ones(5), np.ones((1, 5)))
+
+    def test_stacked_rows_equal_the_vector_call(self):
+        # Row i of a stacked call equals scoring row i alone, bit for bit,
+        # constant rows (score 0, no division by zero) included.
+        rng = np.random.default_rng(16)
+        for n in (2, 7, 300):
+            g = rng.uniform(0, 1, n)
+            y = 0.4 * g + rng.standard_normal((21, n)) * np.geomspace(1e-6, 10.0, 21)[:, None]
+            y[3] = 2.0
+            y[8] = -0.25
+            stacked = stm_capacity(y, g)
+            assert stacked.shape == (21,)
+            assert stacked.tolist() == [stm_capacity(row, g) for row in y]
+            assert stacked[3] == stacked[8] == 0.0
+            assert stm_capacity(y, np.full(n, 0.3)).tolist() == [0.0] * 21
 
     def test_bounded_by_one(self):
         rng = np.random.default_rng(10)
@@ -223,6 +242,38 @@ class TestEvaluateCapacityProfile:
         a = evaluate_capacity_profile(train, test, tau_max=4, lambda_grid=grid)
         b = evaluate_capacity_profile(train_s, test_s, tau_max=4, lambda_grid=grid_scaled)
         assert np.allclose(a.per_tau, b.per_tau, atol=1e-8)
+
+    @pytest.mark.parametrize("holdout", [False, True])
+    def test_equals_a_per_lambda_loop(self, holdout):
+        # Reference: one ridge solve per delay, then each lambda's prediction
+        # scored alone; the first best lambda wins.
+        rng = np.random.default_rng(17)
+        records = []
+        for shift in range(3):
+            s1 = rng.uniform(0, 1, 90)
+            s2 = rng.uniform(0, 1, 90)
+            feats = np.column_stack([np.roll(s1 * s2, 1) + 0.3 * rng.standard_normal(90),
+                                     rng.uniform(0, 1, (90, 3)), np.ones(90)])
+            records.append(make_record(feats, s1, s2, washout=6))
+        train, test, sel = records
+        profile = evaluate_capacity_profile(train, test, tau_max=4,
+                                            selection=sel if holdout else None)
+        for tau in range(5):
+            targets = [bilinear_target(r.injected_values[:, 0], r.injected_values[:, 1],
+                                       tau, 90, 6) for r in records]
+            windows = [feature_window(r.features, tau, 6) for r in records]
+            weights = ridge_weights(windows[0], targets[0], DEFAULT_LAMBDA_GRID)
+            score_on = 2 if holdout else 1
+            best_score, best = -1.0, 0
+            for i, w in enumerate(weights):
+                score = stm_capacity(windows[score_on] @ w, targets[score_on])
+                if score > best_score:
+                    best_score, best = score, i
+            if holdout:
+                best_score = stm_capacity(windows[1] @ weights[best], targets[1])
+            assert profile.per_tau[tau] == best_score
+            assert profile.lambda_per_tau[tau] == DEFAULT_LAMBDA_GRID[best]
+        assert profile.total == float(profile.per_tau.sum())
 
     def test_mismatched_records_rejected(self):
         rng = np.random.default_rng(15)

@@ -6,6 +6,7 @@ from spinqrc.linalg import (
     PAULI_Z,
     QubitPartition,
     check_density_matrix,
+    check_hermitian,
     expectation,
     hermitian_eigenvalues,
     hermitianize,
@@ -157,6 +158,16 @@ class TestHermitianEigenvalues:
         with pytest.raises(ValueError):
             hermitian_eigenvalues(m)
 
+    def test_rejects_non_finite(self):
+        # A NaN entry makes the residue NaN, which must fail the check
+        # instead of reaching LAPACK.
+        m = np.eye(4, dtype=complex)
+        m[1, 2] = np.nan
+        with pytest.raises(ValueError, match="not Hermitian"):
+            check_hermitian(m)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            hermitian_eigenvalues(m)
+
     def test_eigenvalue_product_matches_determinant(self):
         rng = np.random.default_rng(19)
         for _ in range(20):
@@ -197,6 +208,11 @@ class TestExpectation:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             expectation(np.eye(2, dtype=complex), np.eye(4, dtype=complex))
+
+    def test_non_finite_state_rejected(self):
+        rho = np.full((2, 2), np.nan, dtype=complex)
+        with pytest.raises(ValueError, match="imaginary residue nan"):
+            expectation(rho, PAULI_Z)
 
 
 def test_check_density_matrix_reports_clean_state():

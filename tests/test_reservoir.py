@@ -126,19 +126,44 @@ class TestRunReservoir:
                 rho = rk4_reference_step(rho, sys, cfg.delta_t / n_sub)
 
     def test_run_steps_hands_each_state_on(self):
-        # Step k yields hermitianize(raw_next), and that is step k+1's state.
+        # states[k + 1] is hermitianize(raw[k]); without keep_raw the states
+        # are the same and raw is None.
         model = random_model(0.8, seed=3)
         cfg = short_cfg(n_steps=6)
         s1 = make_input_sequence(2.0, 0, 12)
         s2 = make_input_sequence(2.0, 1, 12)
-        steps = list(run_steps(interval_map(model, cfg), s1, s2, cfg))
-        assert len(steps) == 6
-        assert np.array_equal(steps[0][0], all_zero_state(4))
-        for (_, _, raw, rho_next), (rho_k, _, _, _) in zip(steps, steps[1:]):
-            assert np.array_equal(hermitianize(raw), rho_next)
-            assert np.array_equal(rho_next, rho_k)
-        rec = run_reservoir(interval_map(model, cfg), s1, s2, cfg)
-        assert np.array_equal([pair for _, pair, _, _ in steps], rec.injected_values)
+        propagator = interval_map(model, cfg)
+        states, injected, raw = run_steps(propagator, s1, s2, cfg, keep_raw=True)
+        assert states.shape == raw.shape == (6, 16, 16)
+        assert np.array_equal(states[0], all_zero_state(4))
+        assert np.array_equal(hermitianize(raw[:-1]), states[1:])
+        plain_states, plain_injected, plain_raw = run_steps(propagator, s1, s2, cfg)
+        assert plain_raw is None
+        assert np.array_equal(plain_states, states)
+        assert np.array_equal(plain_injected, injected)
+        rec = run_reservoir(propagator, s1, s2, cfg)
+        assert np.array_equal(injected, rec.injected_values)
+
+    @pytest.mark.parametrize("js, mixed_start", [(0.0, False), (0.005, False), (0.325, False),
+                                                 (75.0, False), (0.325, True)])
+    def test_run_steps_equals_the_inject_loop_bit_for_bit(self, js, mixed_start):
+        # Over a full-length run, every state and raw state equals the
+        # per-step reference hermitianize(P @ inject(rho, s1, s2)) exactly.
+        cfg = RunConfig()
+        propagator = interval_map(random_model(js, seed=(1, 3)), cfg)
+        s1 = make_input_sequence(2.0, 0, (1, 3))
+        s2 = make_input_sequence(2.0, 1, (1, 3))
+        rho = np.eye(16, dtype=complex) / 16 if mixed_start else all_zero_state(4)
+        states, injected, raw = run_steps(propagator, s1, s2, cfg, initial_state=rho,
+                                          keep_raw=True)
+        assert states.shape == (366, 16, 16)
+        for k in range(cfg.n_steps):
+            assert np.array_equal(states[k], rho)
+            idx = cfg.sample_index(k)
+            assert injected[k].tolist() == [s1[idx], s2[idx]]
+            raw_k = (propagator @ inject(rho, s1[idx], s2[idx]).reshape(-1)).reshape(16, 16)
+            assert np.array_equal(raw[k], raw_k)
+            rho = hermitianize(raw_k)
 
     def test_observables_equal_the_per_state_references(self):
         # The stacked einsum and negativities reproduce the per-state
@@ -150,7 +175,8 @@ class TestRunReservoir:
         propagator = interval_map(model, cfg)
         rec = run_reservoir(propagator, s1, s2, cfg)
         z_ops = [embed_single_qubit(PAULI_Z, i, 4) for i in range(4)]
-        for k, (rho, _, _, _) in enumerate(run_steps(propagator, s1, s2, cfg)):
+        states, _, _ = run_steps(propagator, s1, s2, cfg)
+        for k, rho in enumerate(states):
             assert rec.features[k].tolist() == [expectation(rho, z) for z in z_ops] + [1.0]
             assert rec.entanglement_samples[k].tolist() == [
                 log_negativity(rho, PARTITIONS[lbl]) for lbl in PARTITION_LABELS]
@@ -208,6 +234,27 @@ class TestRunReservoir:
         short = constant_sequence(0.5, n=100)
         with pytest.raises(ValueError, match="samples"):
             run_reservoir(interval_map(model, cfg), short, short, cfg)
+
+    @pytest.mark.parametrize("bad", [np.nan, -0.01, 1.01])
+    def test_input_outside_unit_interval_rejected(self, bad):
+        model = random_model(1.0, seed=0)
+        cfg = short_cfg(n_steps=6)
+        s1 = constant_sequence(0.5)
+        s2 = constant_sequence(0.5)
+        s2[cfg.sample_index(4)] = bad
+        with pytest.raises(ValueError, match=r"input value .* outside \[0, 1\]"):
+            run_steps(interval_map(model, cfg), s1, s2, cfg)
+
+    def test_bad_initial_state_rejected(self):
+        model = random_model(1.0, seed=0)
+        cfg = short_cfg(n_steps=6)
+        seq = constant_sequence(0.5)
+        propagator = interval_map(model, cfg)
+        with pytest.raises(ValueError, match="initial state has shape"):
+            run_steps(propagator, seq, seq, cfg, initial_state=np.eye(4) / 4)
+        # A non-finite state fails the imaginary-residue check, not later in LAPACK.
+        with pytest.raises(ValueError, match="imaginary residue nan"):
+            run_reservoir(propagator, seq, seq, cfg, initial_state=np.full((16, 16), np.nan))
 
     def test_sample_consumption_rule(self):
         cfg = RunConfig()
