@@ -30,8 +30,7 @@ for k in list(range(3)) + list(range(60, 66)):
           + "  ".join(f"{v:+.3f}" for v in record.features[k, :4])
           + f"  {record.entanglement_samples[k, 4]:.4f}  {record.entanglement_samples[k, 5]:.4f}")
 
-w = cfg.washout_steps
-ent_means = record.entanglement_samples[w:].mean(axis=0)
+ent_means = record.steady_entanglement.mean(axis=0)
 print("\npost-washout entanglement means (E1 E2 E3 E4 E12 E13 E14):")
 print("  " + "  ".join(f"{v:.4f}" for v in ent_means))
 print("note: the input qubits (E1, E2) and cross pairs (E13, E14) dominate;")

@@ -23,8 +23,7 @@ def summary(js):
         s1 = make_input_sequence(2.0, 0, (2024, seed))
         s2 = make_input_sequence(2.0, 1, (2024, seed))
         rec = run_reservoir(propagator, s1, s2, cfg)
-        per_seed.append(steady_state_average(
-            rec.entanglement_samples[cfg.washout_steps:], washout=0))
+        per_seed.append(steady_state_average(rec.steady_entanglement, washout=0))
     return seed_average(per_seed)
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -34,6 +35,7 @@ from .linalg import (
     embed_single_qubit,
     hermitianize,
     hermiticity_error,
+    kron,
     kron_all,
 )
 from .streams import COUPLING_DOMAIN, as_key, stream
@@ -93,21 +95,33 @@ def random_model(j_s: float, seed, n_qubits: int = 4, h_z: float = 1.5,
     return SpinNetworkModel(coupling=coupling, n_qubits=n_qubits, h_z=h_z, gamma=gamma)
 
 
+@cache
+def _pauli_strings(n: int) -> tuple[tuple, tuple]:
+    """The Z_i strings and the ((i, j), X_i X_j) pairs, i < j in row-major
+    order, of an n-qubit register, read-only.
+
+    Built once per register size; every Hamiltonian of that size reuses them.
+    """
+    z = tuple(embed_single_qubit(PAULI_Z, i, n) for i in range(n))
+    xx = tuple(((i, j), kron_all(PAULI_X if q in (i, j) else PAULI_I for q in range(n)))
+               for i in range(n) for j in range(i + 1, n))
+    for op in (*z, *(term for _, term in xx)):
+        op.flags.writeable = False
+    return z, xx
+
+
 def build_hamiltonian(model: SpinNetworkModel) -> np.ndarray:
     """Transverse-field Ising Hamiltonian: local Z fields plus pairwise XX."""
     n = model.n_qubits
+    z, xx = _pauli_strings(n)
     h = np.zeros((2**n, 2**n), dtype=complex)
-    for i in range(n):
-        h += (model.h_z / 2.0) * embed_single_qubit(PAULI_Z, i, n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            jij = model.coupling[i, j]
-            if jij == 0.0:
-                continue
-            term = kron_all(
-                PAULI_X if q in (i, j) else PAULI_I for q in range(n)
-            )
-            h += (jij / 2.0) * term
+    for z_i in z:
+        h += (model.h_z / 2.0) * z_i
+    for (i, j), term in xx:
+        jij = model.coupling[i, j]
+        if jij == 0.0:
+            continue
+        h += (jij / 2.0) * term
     return h
 
 
@@ -132,14 +146,14 @@ def _liouvillian(hamiltonian: np.ndarray, jump_ops) -> np.ndarray:
     """Matrix of the Lindblad generator acting on row-major vec(rho)."""
     d = hamiltonian.shape[0]
     eye = np.eye(d)
-    m = -1j * (np.kron(hamiltonian, eye) - np.kron(eye, hamiltonian.T))
+    m = -1j * (kron(hamiltonian, eye) - kron(eye, hamiltonian.T))
     if jump_ops:
         acc = np.zeros((d, d), dtype=complex)
         for l in jump_ops:
-            m += np.kron(l, l.conj())
+            m += kron(l, l.conj())
             acc += l.conj().T @ l
         half = 0.5 * acc
-        m -= np.kron(half, eye) + np.kron(eye, half.T)
+        m -= kron(half, eye) + kron(eye, half.T)
     return m
 
 
@@ -164,13 +178,14 @@ class LindbladSystem:
     def interval_propagator(self, dt: float, n_steps: int) -> np.ndarray:
         """RK4 map of n_steps steps of length dt on vec(rho).
 
-        One step is I + dt M + ... + dt^4/24 M^4 for the Liouvillian M.
+        One step is I + dt M + ... + dt^4/24 M^4 for the Liouvillian M: the
+        first term is dt M, each later one (dt / order) times the previous
+        one times M.
         """
         m = self.liouvillian
-        d2 = m.shape[0]
-        step = np.eye(d2, dtype=complex)
-        term = np.eye(d2, dtype=complex)
-        for order in range(1, 5):
+        term = dt * m
+        step = np.eye(m.shape[0], dtype=complex) + term
+        for order in range(2, 5):
             term = (dt / order) * (term @ m)
             step = step + term
         del term  # one 4^n x 4^n matrix fewer alive during the squarings

@@ -242,8 +242,9 @@ class CellResult:
     ``train`` and ``test`` are the records the capacity was scored on; a
     sweep drops them and keeps only the summaries. ``stage_s`` holds the
     seconds an ok cell spent in each stage: ``propagator`` (the interval
-    map), ``reservoirs`` (every run of the cell) and ``readout`` (capacity
-    and entanglement summary); it is empty for a failed cell.
+    map), ``reservoirs`` (every run of the cell), ``negativities`` (the
+    post-washout entanglement of the train and test runs) and ``readout``
+    (capacity and entanglement summary); it is empty for a failed cell.
     """
 
     js: float
@@ -274,9 +275,10 @@ class SweepResult:
 def run_cell(cfg: ExperimentConfig, js: float, f: float, seed_index: int) -> CellResult:
     """Run the train and test reservoirs for one cell and evaluate them.
 
-    Every run of the cell shares one interval map. The result carries both
-    records, so a caller can export or rescore them without running the
-    reservoirs again.
+    Every run of the cell shares one interval map. The summary reads the
+    negativities of the post-washout steps of the train and test runs only,
+    so no other state's are computed. The result carries both records, so a
+    caller can export or rescore them without running the reservoirs again.
     """
     start = time.perf_counter()
     try:
@@ -297,17 +299,16 @@ def run_cell(cfg: ExperimentConfig, js: float, f: float, seed_index: int) -> Cel
         if cfg.lambda_selection == "holdout":
             selection = run_reservoir(propagator, seqs[HOLDOUT_SEQUENCE_IDS[0]],
                                       seqs[HOLDOUT_SEQUENCE_IDS[1]], cfg.run)
+        t_negs = time.perf_counter()
+        # Entanglement statistics use the post-washout samples of both runs.
+        samples = np.vstack([train.steady_entanglement, test.steady_entanglement])
         t_readout = time.perf_counter()
         profile = evaluate_capacity_profile(train, test, cfg.tau_max, cfg.lambda_grid,
                                             selection=selection)
-        # Entanglement statistics use the post-washout samples of both runs.
-        washout = cfg.run.washout_steps
-        samples = np.vstack([train.entanglement_samples[washout:],
-                             test.entanglement_samples[washout:]])
         summary = steady_state_average(samples, washout=0)
         end = time.perf_counter()
-        stage_s = {"propagator": t_runs - t_build, "reservoirs": t_readout - t_runs,
-                   "readout": end - t_readout}
+        stage_s = {"propagator": t_runs - t_build, "reservoirs": t_negs - t_runs,
+                   "negativities": t_readout - t_negs, "readout": end - t_readout}
         return CellResult(js=float(js), f=float(f), seed_index=int(seed_index), status="ok",
                           capacity=profile, entanglement=summary, wall_time_s=end - start,
                           train=train, test=test, stage_s=stage_s)

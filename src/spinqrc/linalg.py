@@ -33,11 +33,14 @@ def hermitianize(m: np.ndarray) -> np.ndarray:
 def hermiticity_error(m: np.ndarray) -> float:
     """Max |m - m†| entry, relative to max |m| (0 for the zero matrix).
 
-    For a stack of matrices, the largest such residue over the stack.
+    For a stack of matrices, the largest such residue over the stack. NaN
+    when an entry is NaN or infinite (inf - inf and inf / inf are NaN, and
+    the NaN is the answer, not a warning).
     """
-    scale = np.abs(m).max(axis=(-2, -1))
-    resid = np.abs(m - dagger(m)).max(axis=(-2, -1))
-    rel = np.divide(resid, scale, out=np.zeros_like(resid), where=scale != 0.0)
+    with np.errstate(invalid="ignore"):
+        scale = np.abs(m).max(axis=(-2, -1))
+        resid = np.abs(m - dagger(m)).max(axis=(-2, -1))
+        rel = np.divide(resid, scale, out=np.zeros_like(resid), where=scale != 0.0)
     return float(rel.max())
 
 
@@ -51,15 +54,21 @@ def check_hermitian(m: np.ndarray) -> None:
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; dimensions multiply."""
-    return np.kron(a, b)
+    """Kronecker product of two matrices; dimensions multiply.
+
+    The broadcast product ``np.kron`` performs, entry for entry, without its
+    per-call shape handling.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    out = a[:, None, :, None] * b[None, :, None, :]
+    return out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
 def kron_all(factors) -> np.ndarray:
     """Left-to-right Kronecker product of a sequence of matrices."""
     out = np.array([[1.0 + 0.0j]])
     for f in factors:
-        out = np.kron(out, f)
+        out = kron(out, f)
     return out
 
 

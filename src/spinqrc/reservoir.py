@@ -1,14 +1,15 @@
 """The reservoir run loop: measure, inject two inputs, evolve one interval.
 
-Each cycle begins at an injection instant t_k = k * delta_t. The four <Z_i>
-readouts (plus a constant bias feature) and the seven logarithmic
-negativities are recorded first, from the state produced by the previous
-interval's evolution; then the input qubits 0 and 1 are reset to fresh pure
-states encoding the step's input values (the remaining qubits keep their
-joint reduced state exactly) and the full density matrix evolves for
-delta_t. Row k therefore reflects inputs up to step k-1, and the value pair
-stored in ``injected_values[k]`` is the one entering the reservoir at the
-very instant row k is measured; recalling it is the zero-delay task.
+Each cycle begins at an injection instant t_k = k * delta_t. The state
+produced by the previous interval's evolution is recorded first, with its
+four <Z_i> readouts (plus a constant bias feature; its seven logarithmic
+negativities are computed from it when first read); then the input qubits
+0 and 1 are reset to fresh pure states encoding the step's input values
+(the remaining qubits keep their joint reduced state exactly) and the full
+density matrix evolves for delta_t. Row k therefore reflects inputs up to
+step k-1, and the value pair stored in ``injected_values[k]`` is the one
+entering the reservoir at the very instant row k is measured; recalling it
+is the zero-delay task.
 
 Input sequences are sampled on their own uniform time grid
 (``sample_spacing`` time units apart, default 2.75 so that 1000 samples
@@ -21,6 +22,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -69,19 +71,37 @@ class TrajectoryRecord:
 
     features: K x 5 matrix [<Z1>, <Z2>, <Z3>, <Z4>, 1], sampled at the
     injection instants (before the step's values enter).
-    entanglement_samples: K x 7 matrix in PARTITION_LABELS order, same
-    instants as the features.
+    states: K x 16 x 16 density matrices at the same instants, or None for a
+    record that holds no states (its entanglement cannot be read).
     injected_values: K x 2 matrix of the (s1, s2) pairs injected at each step.
+
+    The negativities are computed from ``states`` on first read and cached:
+    ``steady_entanglement`` for the steps from ``washout_steps`` on, and
+    ``entanglement_samples`` for all K steps, which adds only the washout
+    head, so every state's negativities are computed at most once.
     """
 
     features: np.ndarray
-    entanglement_samples: np.ndarray
+    states: np.ndarray | None
     injected_values: np.ndarray
     washout_steps: int
 
     @property
     def n_steps(self) -> int:
         return self.features.shape[0]
+
+    @cached_property
+    def steady_entanglement(self) -> np.ndarray:
+        """(K - washout_steps) x 7 clamped negativities of the post-washout
+        states, in PARTITION_LABELS order."""
+        return np.maximum(negativities(self.states[self.washout_steps:]), 0.0)
+
+    @cached_property
+    def entanglement_samples(self) -> np.ndarray:
+        """K x 7 clamped negativities of every state, in PARTITION_LABELS
+        order, at the same instants as the features."""
+        head = np.maximum(negativities(self.states[:self.washout_steps]), 0.0)
+        return np.vstack([head, self.steady_entanglement])
 
 
 def all_zero_state(n_qubits: int) -> np.ndarray:
@@ -179,8 +199,9 @@ def run_reservoir(propagator: np.ndarray, seq1: np.ndarray, seq2: np.ndarray, cf
     """Drive the reservoir with two input sequences and record observables.
 
     Records every ``run_steps`` state at its injection instant (the washout
-    discard makes the initial state immaterial), then computes the features
-    and negativities of all of them at once. Deterministic for fixed inputs.
+    discard makes the initial state immaterial) and computes the features of
+    all of them at once; the record computes negativities only when they are
+    read. Deterministic for fixed inputs.
     """
     states, injected, _ = run_steps(propagator, seq1, seq2, cfg, initial_state)
     z = np.einsum("kij,nji->kn", states, Z_OPS)
@@ -188,8 +209,7 @@ def run_reservoir(propagator: np.ndarray, seq1: np.ndarray, seq2: np.ndarray, cf
     if not residue <= IMAG_TOL:
         raise ValueError(f"expectation has imaginary residue {residue:.3e}")
     features = np.column_stack([z.real, np.ones(cfg.n_steps)])
-    ent = np.maximum(negativities(states), 0.0)
-    return TrajectoryRecord(features=features, entanglement_samples=ent,
+    return TrajectoryRecord(features=features, states=states,
                             injected_values=injected, washout_steps=cfg.washout_steps)
 
 

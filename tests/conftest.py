@@ -1,0 +1,17 @@
+import pytest
+
+
+@pytest.fixture
+def negativity_calls(monkeypatch):
+    """The size of every state stack a record passes to ``negativities``."""
+    import spinqrc.reservoir
+
+    calls = []
+    original = spinqrc.reservoir.negativities
+
+    def counting(states):
+        calls.append(len(states))
+        return original(states)
+
+    monkeypatch.setattr(spinqrc.reservoir, "negativities", counting)
+    return calls

@@ -29,7 +29,9 @@ def read_csv_numeric(path):
 
 
 def read_trajectory(path, washout_steps=0):
-    """The record an exported trajectory CSV holds (bias column rebuilt)."""
+    """The record an exported trajectory CSV holds (bias column rebuilt), for
+    rescoring: the CSV has no states, so the record's entanglement is not
+    readable."""
     from spinqrc.entanglement import PARTITION_LABELS
     from spinqrc.reservoir import TrajectoryRecord
 
@@ -38,7 +40,7 @@ def read_trajectory(path, washout_steps=0):
         assert fh.readline().rstrip("\n").split(",") == header
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     return TrajectoryRecord(features=np.column_stack([data[:, 3:7], np.ones(len(data))]),
-                            entanglement_samples=data[:, 7:], injected_values=data[:, 1:3],
+                            states=None, injected_values=data[:, 1:3],
                             washout_steps=washout_steps)
 
 
@@ -165,6 +167,17 @@ def test_run_runs_each_reservoir_once(tmp_path, monkeypatch):
     cfg.write_text(SINGLE_CFG)
     assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == 0
     assert len(calls) == 2
+
+
+def test_run_computes_each_negativity_once(tmp_path, negativity_calls):
+    # The cell's summary eigensolves the post-washout states of both runs
+    # and the trajectory export adds the washout heads: 2 K states in all.
+    from spinqrc.experiments import parse_config_file
+
+    cfg = tmp_path / "single.cfg"
+    cfg.write_text(SINGLE_CFG)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    assert sum(negativity_calls) == 2 * parse_config_file(cfg).run.n_steps
 
 
 def test_threads_is_a_sweep_option_only(tmp_path):

@@ -82,6 +82,7 @@ class TestBuildHamiltonian:
         assert np.allclose(np.sort(np.linalg.eigvalsh(h)), [-1, -1, 1, 1], atol=1e-12)
 
     def test_matches_term_embedding_oracle(self):
+        # The same terms summed in the same order: equal entry for entry.
         model = random_model(3.0, seed=21)
         h = build_hamiltonian(model)
         oracle = np.zeros((16, 16), dtype=complex)
@@ -91,7 +92,8 @@ class TestBuildHamiltonian:
             for j in range(i + 1, 4):
                 term = kron_all(PAULI_X if q in (i, j) else PAULI_I for q in range(4))
                 oracle += (model.coupling[i, j] / 2) * term
-        assert np.allclose(h, oracle, atol=1e-13)
+        assert np.array_equal(h, oracle)
+        assert np.array_equal(build_hamiltonian(model), h)
 
 
 class TestJumpOperators:
@@ -173,6 +175,21 @@ class TestRk4Step:
             rho = random_density_matrix(rng, 16)
             assert np.allclose(hermitianize(propagate(rho, sys, 0.025, 1)),
                                rk4_reference_step(rho, sys, 0.025), atol=1e-13)
+
+    @pytest.mark.parametrize("js", [0.0, 0.005, 0.325, 6.0, 75.0])
+    def test_equals_the_identity_started_taylor_sum(self, js):
+        # Reference: the Taylor terms built from the identity, term = I, then
+        # term = (dt / order) (term @ M) for orders 1..4.
+        sys = build_lindblad_system(random_model(js, seed=(1, 0)))
+        m = sys.liouvillian
+        step = np.eye(len(m), dtype=complex)
+        term = np.eye(len(m), dtype=complex)
+        for order in range(1, 5):
+            term = (0.025 / order) * (term @ m)
+            step = step + term
+        for n_steps in (1, 300):
+            assert np.array_equal(sys.interval_propagator(0.025, n_steps),
+                                  np.linalg.matrix_power(step, n_steps))
 
     def test_unitary_precession_returns_after_one_period(self):
         sys = build_lindblad_system(zero_coupling_model(n_qubits=1, gamma=0.0))

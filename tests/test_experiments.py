@@ -352,7 +352,7 @@ class TestSweep:
         for cell in logged:
             assert cell["stage_s"] == row.stage_s
             assert cell["wall_time_s"] == row.wall_time_s
-        assert set(row.stage_s) == {"propagator", "reservoirs", "readout"}
+        assert set(row.stage_s) == {"propagator", "reservoirs", "negativities", "readout"}
         assert all(v >= 0.0 for v in row.stage_s.values())
         assert sum(row.stage_s.values()) <= row.wall_time_s
         assert "stage" not in (tmp_path / "sweep_results.csv").read_text()
@@ -374,6 +374,15 @@ class TestSweep:
             cfg = tiny_config(js_values=(0.3,), n_coupling_seeds=1, lambda_selection=selection)
             assert run_cell(cfg, 0.3, 2.0, 0).status == "ok"
             assert len(calls) == 1
+
+    def test_cell_computes_only_the_negativities_it_reads(self, negativity_calls):
+        # The summary reads the post-washout states of the train and test
+        # runs; the washout states and the holdout run are never eigensolved.
+        for selection in ("test", "holdout"):
+            negativity_calls.clear()
+            cfg = tiny_config(js_values=(0.3,), n_coupling_seeds=1, lambda_selection=selection)
+            assert run_sweep(cfg).rows[0].status == "ok"
+            assert sum(negativity_calls) == 2 * (cfg.run.n_steps - cfg.run.washout_steps)
 
     def test_manifest_contents(self, tmp_path):
         cfg = tiny_config(js_values=(0.5,), n_coupling_seeds=1)

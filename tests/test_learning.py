@@ -20,9 +20,7 @@ from oracles import gaussian_solve
 
 
 def make_record(features, s1, s2, washout=0):
-    k = len(features)
-    return TrajectoryRecord(features=np.asarray(features, dtype=float),
-                            entanglement_samples=np.zeros((k, 7)),
+    return TrajectoryRecord(features=np.asarray(features, dtype=float), states=None,
                             injected_values=np.column_stack([s1, s2]),
                             washout_steps=washout)
 

@@ -47,6 +47,17 @@ class TestKron:
             a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             assert np.allclose(kron(a, b), kron_oracle(a, b), atol=1e-14)
+            assert np.array_equal(kron(a, b), np.kron(a, b))
+
+    def test_equals_numpy_kron_for_mixed_shapes_and_dtypes(self):
+        # The Liouvillian's products: complex with a real identity, either side.
+        rng = np.random.default_rng(9)
+        a = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+        for b in (np.eye(4), rng.standard_normal((2, 5)), a.T):
+            for x, y in ((a, b), (b, a)):
+                got = kron(x, y)
+                assert got.dtype == np.kron(x, y).dtype
+                assert got.tobytes() == np.kron(x, y).tobytes()
 
     def test_associativity(self):
         rng = np.random.default_rng(8)
@@ -159,14 +170,16 @@ class TestHermitianEigenvalues:
             hermitian_eigenvalues(m)
 
     def test_rejects_non_finite(self):
-        # A NaN entry makes the residue NaN, which must fail the check
-        # instead of reaching LAPACK.
-        m = np.eye(4, dtype=complex)
-        m[1, 2] = np.nan
-        with pytest.raises(ValueError, match="not Hermitian"):
-            check_hermitian(m)
-        with pytest.raises(ValueError, match="not Hermitian"):
-            hermitian_eigenvalues(m)
+        # A NaN or infinite entry makes the residue NaN, which must fail the
+        # check (not warn under the suite's RuntimeWarning filter) instead of
+        # reaching LAPACK.
+        for i, j, value in [(1, 2, np.nan), (1, 2, np.inf), (0, 0, np.inf)]:
+            m = np.eye(4, dtype=complex)
+            m[i, j] = value
+            with pytest.raises(ValueError, match="not Hermitian"):
+                check_hermitian(m)
+            with pytest.raises(ValueError, match="not Hermitian"):
+                hermitian_eigenvalues(m)
 
     def test_eigenvalue_product_matches_determinant(self):
         rng = np.random.default_rng(19)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spinqrc.dynamics import SpinNetworkModel, build_lindblad_system, random_model, stable_step_count
-from spinqrc.entanglement import PARTITION_LABELS, PARTITIONS, log_negativity
+from spinqrc.entanglement import PARTITION_LABELS, PARTITIONS, log_negativity, negativities
 from spinqrc.linalg import (
     PAULI_Z,
     QubitPartition,
@@ -181,6 +181,27 @@ class TestRunReservoir:
             assert rec.entanglement_samples[k].tolist() == [
                 log_negativity(rho, PARTITIONS[lbl]) for lbl in PARTITION_LABELS]
         assert rec.entanglement_samples.max() > 0.0
+
+    @pytest.mark.parametrize("washout", [0, 50, 139])
+    def test_negativities_are_computed_once_on_first_read(self, washout, negativity_calls):
+        # The record keeps its states; steady_entanglement eigensolves the
+        # post-washout ones and entanglement_samples adds only the washout
+        # head, with the numbers of one negativities call over every state.
+        model = random_model(2.5, seed=4)
+        cfg = short_cfg(n_steps=140, washout=washout)
+        s1 = make_input_sequence(2.0, 0, 21)
+        s2 = make_input_sequence(2.0, 1, 21)
+        rec = run_reservoir(interval_map(model, cfg), s1, s2, cfg)
+        assert negativity_calls == []
+        assert rec.states.shape == (140, 16, 16)
+        steady = rec.steady_entanglement
+        assert negativity_calls == [140 - washout]
+        samples = rec.entanglement_samples
+        assert rec.steady_entanglement is steady and rec.entanglement_samples is samples
+        assert sum(negativity_calls) == 140
+        want = np.maximum(negativities(rec.states), 0.0)
+        assert samples.tobytes() == want.tobytes()
+        assert steady.tobytes() == want[washout:].tobytes()
 
     def test_interval_map_is_the_4_qubit_interval_propagator(self):
         model = random_model(0.8, seed=3)
