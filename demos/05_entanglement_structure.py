@@ -23,7 +23,7 @@ def summary(js):
         s1 = make_input_sequence(2.0, 0, (2024, seed))
         s2 = make_input_sequence(2.0, 1, (2024, seed))
         rec = run_reservoir(propagator, s1, s2, cfg)
-        per_seed.append(steady_state_average(rec.steady_entanglement, washout=0))
+        per_seed.append(steady_state_average(rec.steady_entanglement))
     return seed_average(per_seed)
 
 
@@ -32,8 +32,8 @@ print("J_s      " + "  ".join(f"{l:>6s}" for l in PARTITION_LABELS)
       + "   diff_single  diff_pair")
 for js in (0.05, 0.3, 1.0, 6.0, 75.0):
     s = summary(js)
-    print(f"{js:7.2f}  " + "  ".join(f"{s.means[l]:6.4f}" for l in PARTITION_LABELS)
-          + f"   {s.diff_single:+.4f}      {s.diff_pair:+.4f}")
+    print(f"{js:7.2f}  " + "  ".join(f"{s[l]:6.4f}" for l in PARTITION_LABELS)
+          + f"   {s['diff_single']:+.4f}      {s['diff_pair']:+.4f}")
 
 print("""
 Reading the columns:
@@ -46,6 +46,6 @@ Reading the columns:
     uniformly before collapsing in the fast-scrambling regime.""")
 
 s = summary(0.3)
-if s.ratio_single is not None and s.ratio_pair is not None:
-    print(f"balance ratios at J_s = 0.3: (E1+E2)/(E3+E4) = {s.ratio_single:.2f}, "
-          f"(E13+E14)/(2E12) = {s.ratio_pair:.2f}")
+if s["ratio_single"] is not None and s["ratio_pair"] is not None:
+    print(f"balance ratios at J_s = 0.3: (E1+E2)/(E3+E4) = {s['ratio_single']:.2f}, "
+          f"(E13+E14)/(2E12) = {s['ratio_pair']:.2f}")

@@ -42,7 +42,7 @@ result = run_sweep(cfg, threads=2, out_dir=OUT,
 caps = seed_averaged_metric(result, 2.0, lambda c: c.capacity.total)
 ents = seed_averaged_metric(
     result, 2.0,
-    lambda c: sum(c.entanglement.means[l] for l in ("E1", "E2", "E3", "E4")) / 4)
+    lambda c: sum(c.entanglement[l] for l in ("E1", "E2", "E3", "E4")) / 4)
 
 print("\nJ_s        total capacity   mean single-vs-rest entanglement")
 for js in sorted(caps):

@@ -11,7 +11,6 @@ gives the same numbers bit for bit from stacked eigensolves.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,6 +33,9 @@ PARTITIONS = {
     "E13": QubitPartition(frozenset({0, 2}), 4),
     "E14": QubitPartition(frozenset({0, 3}), 4),
 }
+
+# Keys of a cell's entanglement summary (``summarize``), in output order.
+SUMMARY_FIELDS = PARTITION_LABELS + ("diff_single", "diff_pair", "ratio_single", "ratio_pair")
 
 RATIO_DENOMINATOR_FLOOR = 1e-9
 
@@ -78,77 +80,49 @@ def negativities(states: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class EntanglementSummary:
+def summarize(means) -> dict:
     """Time-averaged negativities plus the input-locality aggregates.
 
-    ``ratio_single`` and ``ratio_pair`` are None (undefined) when their
-    denominator does not exceed RATIO_DENOMINATOR_FLOOR.
+    ``means`` maps each partition label to its averaged value. The result is
+    keyed by SUMMARY_FIELDS, in that order; ``ratio_single`` and
+    ``ratio_pair`` are None (undefined) when their denominator does not
+    exceed RATIO_DENOMINATOR_FLOOR.
     """
-
-    means: dict
-    diff_single: float
-    diff_pair: float
-    ratio_single: float | None
-    ratio_pair: float | None
-
-    def as_vector(self) -> np.ndarray:
-        return np.array([self.means[lbl] for lbl in PARTITION_LABELS])
-
-
-def _aggregates(means: dict) -> tuple[float, float, float | None, float | None]:
-    single_in = means["E1"] + means["E2"]
-    single_out = means["E3"] + means["E4"]
-    pair_cross = means["E13"] + means["E14"]
-    pair_in = 2.0 * means["E12"]
-    diff_single = single_in - single_out
-    diff_pair = pair_cross - pair_in
-    ratio_single = single_in / single_out if single_out > RATIO_DENOMINATOR_FLOOR else None
-    ratio_pair = pair_cross / pair_in if pair_in > RATIO_DENOMINATOR_FLOOR else None
-    return diff_single, diff_pair, ratio_single, ratio_pair
+    out = {lbl: float(means[lbl]) for lbl in PARTITION_LABELS}
+    single_in = out["E1"] + out["E2"]
+    single_out = out["E3"] + out["E4"]
+    pair_cross = out["E13"] + out["E14"]
+    pair_in = 2.0 * out["E12"]
+    out["diff_single"] = single_in - single_out
+    out["diff_pair"] = pair_cross - pair_in
+    out["ratio_single"] = single_in / single_out if single_out > RATIO_DENOMINATOR_FLOOR else None
+    out["ratio_pair"] = pair_cross / pair_in if pair_in > RATIO_DENOMINATOR_FLOOR else None
+    return out
 
 
-def summary_from_means(means: dict) -> EntanglementSummary:
-    """Build a summary from already-averaged per-partition values."""
-    means = {lbl: float(means[lbl]) for lbl in PARTITION_LABELS}
-    diff_single, diff_pair, ratio_single, ratio_pair = _aggregates(means)
-    return EntanglementSummary(means, diff_single, diff_pair, ratio_single, ratio_pair)
-
-
-def steady_state_average(samples: np.ndarray, washout: int) -> EntanglementSummary:
-    """Mean of each partition column over steps >= washout."""
+def steady_state_average(samples: np.ndarray) -> dict:
+    """Summary of the mean of each partition column of a K x 7 sample block."""
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[1] != len(PARTITION_LABELS):
         raise ValueError(f"samples must be K x {len(PARTITION_LABELS)}, got {samples.shape}")
-    if washout < 0 or washout >= samples.shape[0]:
-        raise ValueError(f"empty averaging window: washout {washout} of {samples.shape[0]} steps")
-    col_means = samples[washout:].mean(axis=0)
-    return summary_from_means(dict(zip(PARTITION_LABELS, col_means)))
+    if samples.shape[0] == 0:
+        raise ValueError("empty averaging window")
+    return summarize(dict(zip(PARTITION_LABELS, samples.mean(axis=0))))
 
 
-def seed_average(summaries) -> EntanglementSummary:
+def seed_average(summaries) -> dict:
     """Elementwise mean over coupling seeds; aggregates recomputed from the
     seed-averaged per-partition values."""
     summaries = list(summaries)
     if not summaries:
         raise ValueError("need at least one summary")
-    stacked = np.stack([s.as_vector() for s in summaries])
-    return summary_from_means(dict(zip(PARTITION_LABELS, stacked.mean(axis=0))))
+    stacked = np.array([[s[lbl] for lbl in PARTITION_LABELS] for s in summaries])
+    return summarize(dict(zip(PARTITION_LABELS, stacked.mean(axis=0))))
 
 
-def summary_to_dict(summary: EntanglementSummary) -> dict:
-    """JSON-ready representation (undefined ratios serialize as null)."""
-    out = {lbl: summary.means[lbl] for lbl in PARTITION_LABELS}
-    out["diff_single"] = summary.diff_single
-    out["diff_pair"] = summary.diff_pair
-    out["ratio_single"] = summary.ratio_single
-    out["ratio_pair"] = summary.ratio_pair
-    return out
-
-
-def write_summary_json(summary: EntanglementSummary, path, key: dict | None = None) -> None:
-    payload = dict(key or {})
-    payload.update(summary_to_dict(summary))
+def write_summary_json(summary: dict, path, key: dict | None = None) -> None:
+    """The ``key`` entries and the summary as one JSON object (undefined ratios as null)."""
+    payload = {**(key or {}), **summary}
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

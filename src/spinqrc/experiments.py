@@ -32,12 +32,11 @@ from . import __version__
 from .dynamics import DISSIPATOR_CONVENTIONS, random_model
 from .entanglement import (
     PARTITION_LABELS,
-    EntanglementSummary,
+    SUMMARY_FIELDS,
     negativities,
     seed_average,
     steady_state_average,
-    summary_from_means,
-    summary_to_dict,
+    summarize,
 )
 from .learning import (
     DEFAULT_LAMBDA_GRID,
@@ -95,6 +94,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment_name not in EXPERIMENT_NAMES:
             raise ValueError(f"unknown experiment {self.experiment_name!r}")
+        for name in ("js_values", "f_values", "lambda_grid"):
+            values = getattr(self, name)
+            if not all(math.isfinite(v) for v in values):
+                raise ValueError(f"{name} must be finite, got {values}")
+            # A repeated J_s or f would run its cells twice and average them as seeds.
+            if name != "lambda_grid" and len(set(values)) != len(values):
+                raise ValueError(f"{name} must not repeat a value, got {values}")
         if not self.js_values:
             raise ValueError("js_values must be nonempty")
         if any(js < 0 for js in self.js_values):
@@ -252,7 +258,7 @@ class CellResult:
     seed_index: int
     status: str
     capacity: CapacityProfile | None
-    entanglement: EntanglementSummary | None
+    entanglement: dict | None
     wall_time_s: float
     error: str = ""
     train: TrajectoryRecord | None = None
@@ -305,7 +311,7 @@ def run_cell(cfg: ExperimentConfig, js: float, f: float, seed_index: int) -> Cel
         t_readout = time.perf_counter()
         profile = evaluate_capacity_profile(train, test, cfg.tau_max, cfg.lambda_grid,
                                             selection=selection)
-        summary = steady_state_average(samples, washout=0)
+        summary = steady_state_average(samples)
         end = time.perf_counter()
         stage_s = {"propagator": t_runs - t_build, "reservoirs": t_negs - t_runs,
                    "negativities": t_readout - t_negs, "readout": end - t_readout}
@@ -411,8 +417,7 @@ def _repr_or_nan(value) -> str:
 def sweep_csv_header(tau_max: int) -> list[str]:
     return (["J_s", "f", "seed", "status", "total_capacity"]
             + [f"cap_tau_{t}" for t in range(tau_max + 1)]
-            + list(PARTITION_LABELS)
-            + ["diff_single", "diff_pair", "ratio_single", "ratio_pair"])
+            + list(SUMMARY_FIELDS))
 
 
 def write_sweep_outputs(result: SweepResult, out_dir) -> None:
@@ -427,9 +432,8 @@ def write_sweep_outputs(result: SweepResult, out_dir) -> None:
         for row in result.rows:
             out = [repr(row.js), repr(row.f), row.seed_index, row.status]
             if row.status == "ok":
-                # The summary's fields, in its order: E1..E14, diffs, ratios.
-                out += [_repr_or_nan(v) for v in (row.capacity.total, *row.capacity.per_tau,
-                                                  *summary_to_dict(row.entanglement).values())]
+                out += [_repr_or_nan(v) for v in (row.capacity.total, *row.capacity.per_tau)]
+                out += [_repr_or_nan(row.entanglement[name]) for name in SUMMARY_FIELDS]
             writer.writerow(out + ["nan"] * (len(header) - len(out)))
 
     manifest = {
@@ -467,7 +471,7 @@ def read_sweep_results(out_dir) -> SweepResult:
             profile = CapacityProfile(per_tau=np.array(nums[1:tau_max + 2]),
                                       lambda_per_tau=np.full(tau_max + 1, np.nan), total=nums[0])
             means = dict(zip(PARTITION_LABELS, nums[tau_max + 2:]))
-            rows.append(CellResult(js, f, seed, "ok", profile, summary_from_means(means), 0.0))
+            rows.append(CellResult(js, f, seed, "ok", profile, summarize(means), 0.0))
     return SweepResult(config=cfg, rows=tuple(rows), fingerprint=manifest["fingerprint"])
 
 
@@ -504,12 +508,11 @@ _JS_PANELS = {
 
 def _js_row(js, cells, statistic, names) -> list[str]:
     row = [repr(js)]
-    summaries = [summary_to_dict(c.entanglement) for c in cells]
     for name in names:
         per_seed = ([c.capacity.total for c in cells] if name == "capacity"
-                    else [s[name] for s in summaries])
+                    else [c.entanglement[name] for c in cells])
         if statistic == "aggregate":
-            value = summary_to_dict(seed_average(c.entanglement for c in cells))[name]
+            value = seed_average(c.entanglement for c in cells)[name]
         else:
             value = _mean_stderr(per_seed)[0]
         err = float("nan") if None in per_seed else _mean_stderr(per_seed)[1]

@@ -108,10 +108,6 @@ class CapacityProfile:
     lambda_per_tau: np.ndarray
     total: float
 
-    @property
-    def tau_max(self) -> int:
-        return len(self.per_tau) - 1
-
 
 def evaluate_capacity_profile(train: TrajectoryRecord, test: TrajectoryRecord,
                               tau_max: int = TAU_MAX_DEFAULT,
@@ -119,16 +115,16 @@ def evaluate_capacity_profile(train: TrajectoryRecord, test: TrajectoryRecord,
                               selection: TrajectoryRecord | None = None) -> CapacityProfile:
     """Fit per-tau readouts on the train run and score them on the test run.
 
-    For each tau the regularization strength is chosen to maximize test
-    capacity, the default protocol. Passing ``selection`` switches to
-    the clean variant: lambda is chosen on that held-out run instead and the
-    test run is scored once with the winner.
+    For each tau the regularization strength is the one that maximizes
+    capacity on the ``selection`` run, and the test run is scored once with
+    it. ``selection`` defaults to the test run itself, the default protocol;
+    a held-out run gives the clean variant.
     """
-    if train.n_steps != test.n_steps or train.washout_steps != test.washout_steps:
-        raise ValueError("train and test records must share K and washout conventions")
-    if selection is not None and (selection.n_steps != train.n_steps
-                                  or selection.washout_steps != train.washout_steps):
-        raise ValueError("selection record must share K and washout conventions")
+    if selection is None:
+        selection = test
+    for other in (test, selection):
+        if other.n_steps != train.n_steps or other.washout_steps != train.washout_steps:
+            raise ValueError("train, test and selection records must share K and washout")
 
     washout = train.washout_steps
     k_steps = train.n_steps
@@ -141,19 +137,13 @@ def evaluate_capacity_profile(train: TrajectoryRecord, test: TrajectoryRecord,
         r_test = feature_window(test.features, tau, washout)
         g_test = bilinear_target(test.injected_values[:, 0], test.injected_values[:, 1],
                                  tau, k_steps, washout)
-        if selection is not None:
-            r_sel = feature_window(selection.features, tau, washout)
-            g_sel = bilinear_target(selection.injected_values[:, 0],
-                                    selection.injected_values[:, 1], tau, k_steps, washout)
+        r_sel = feature_window(selection.features, tau, washout)
+        g_sel = bilinear_target(selection.injected_values[:, 0],
+                                selection.injected_values[:, 1], tau, k_steps, washout)
         weights = ridge_weights(r_train, g_train, lambda_grid)
-        r_score, g_score = (r_test, g_test) if selection is None else (r_sel, g_sel)
         # One gemv per lambda: a stacked product need not round the same.
-        scores = stm_capacity(np.stack([r_score @ w for w in weights]), g_score)
-        best = int(np.argmax(scores))
-        best_score = float(scores[best])
-        if selection is not None:
-            best_score = stm_capacity(r_test @ weights[best], g_test)
-        per_tau[tau] = best_score
+        best = int(np.argmax(stm_capacity(np.stack([r_sel @ w for w in weights]), g_sel)))
+        per_tau[tau] = stm_capacity(r_test @ weights[best], g_test)
         lambdas[tau] = float(lambda_grid[best])
     return CapacityProfile(per_tau=per_tau, lambda_per_tau=lambdas, total=float(per_tau.sum()))
 
@@ -167,16 +157,12 @@ def write_capacity_csv(profile: CapacityProfile, path) -> None:
             writer.writerow([tau, repr(float(c)), repr(float(lam))])
 
 
-def capacity_to_dict(profile: CapacityProfile) -> dict:
-    return {
+def write_capacity_json(profile: CapacityProfile, path, fingerprint: str | None = None) -> None:
+    payload = {
         "per_tau": [float(c) for c in profile.per_tau],
         "lambda_per_tau": [float(l) for l in profile.lambda_per_tau],
         "total": profile.total,
     }
-
-
-def write_capacity_json(profile: CapacityProfile, path, fingerprint: str | None = None) -> None:
-    payload = capacity_to_dict(profile)
     if fingerprint is not None:
         payload["config_fingerprint"] = fingerprint
     with open(path, "w") as fh:

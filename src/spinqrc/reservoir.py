@@ -46,6 +46,10 @@ class RunConfig:
     sample_spacing: float = 2.75
 
     def __post_init__(self):
+        for name in ("t_final", "delta_t", "dt", "sample_spacing"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.t_final <= 0 or self.delta_t <= 0 or self.dt <= 0:
             raise ValueError("t_final, delta_t and dt must be positive")
         if self.sample_spacing <= 0:

@@ -214,7 +214,7 @@ def test_ac2_entanglement_peak_lags_capacity_peak(grid_sweep):
     caps = seed_averaged_metric(grid_sweep, 2.0, lambda c: c.capacity.total)
     mean_single = seed_averaged_metric(
         grid_sweep, 2.0,
-        lambda c: sum(c.entanglement.means[l] for l in ("E1", "E2", "E3", "E4")) / 4)
+        lambda c: sum(c.entanglement[l] for l in ("E1", "E2", "E3", "E4")) / 4)
     js = np.array(sorted(caps))
     cap_peak_js = float(js[np.argmax([caps[v] for v in js])])
     ent_peak_js = float(js[np.argmax([mean_single[v] for v in js])])
@@ -231,13 +231,13 @@ def test_ac3_input_pair_entanglement_dominance(grid_sweep):
     js = np.array(sorted(caps))
     cap_peak_js = float(js[np.argmax([caps[v] for v in js])])
     single_in = seed_averaged_metric(
-        grid_sweep, 2.0, lambda c: c.entanglement.means["E1"] + c.entanglement.means["E2"])
+        grid_sweep, 2.0, lambda c: c.entanglement["E1"] + c.entanglement["E2"])
     single_out = seed_averaged_metric(
-        grid_sweep, 2.0, lambda c: c.entanglement.means["E3"] + c.entanglement.means["E4"])
+        grid_sweep, 2.0, lambda c: c.entanglement["E3"] + c.entanglement["E4"])
     diff_pair = seed_averaged_metric(
         grid_sweep, 2.0,
-        lambda c: (c.entanglement.means["E13"] + c.entanglement.means["E14"]
-                   - 2 * c.entanglement.means["E12"]))
+        lambda c: (c.entanglement["E13"] + c.entanglement["E14"]
+                   - 2 * c.entanglement["E12"]))
     diff_peak_js = float(js[np.argmax([diff_pair[v] for v in js])])
     dominance = single_in[cap_peak_js] > single_out[cap_peak_js]
     positive = diff_pair[cap_peak_js] > 0

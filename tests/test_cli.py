@@ -88,6 +88,23 @@ def test_invalid_config_exits_two(tmp_path, capsys):
     assert not (tmp_path / "never").exists()
 
 
+@pytest.mark.parametrize("line", ["js_values = nan", "js_values = inf", "f_values = nan",
+                                  "lambda_grid = 1e-3, nan", "sample_spacing = nan",
+                                  "dt = nan", "delta_t = nan", "t_final = inf",
+                                  "js_values = 0.3, 0.3", "f_values = 2, 1, 2"])
+def test_non_finite_or_repeated_value_exits_two(tmp_path, capsys, line):
+    # A NaN passes every sign check: it failed every cell (exit 1), and an
+    # infinite t_final overflowed the step count. A repeated J_s or f ran its
+    # cells twice, and emit averaged the copies as if they were seeds.
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(f"experiment = sweep_js\nn_coupling_seeds = 1\n{line}\n")
+    assert main(["sweep", str(bad), "--out", str(tmp_path / "never")]) == 2
+    err = capsys.readouterr().err
+    assert "must be finite" in err or "must not repeat" in err
+    assert line.split(" =")[0] in err and "bad.cfg:3:" in err
+    assert not (tmp_path / "never").exists()
+
+
 SINGLE_CFG = ("experiment = single_run\njs_values = 0.3\nf_values = 2\n"
               "n_coupling_seeds = 1\nbase_seed = 42\nt_final = 750\n"
               "washout_steps = 30\ntau_max = 10\n")

@@ -5,12 +5,12 @@ from spinqrc.entanglement import (
     PARTITION_LABELS,
     NEGATIVITY_BLOCK,
     PARTITIONS,
+    SUMMARY_FIELDS,
     log_negativity,
     negativities,
     seed_average,
     steady_state_average,
-    summary_from_means,
-    summary_to_dict,
+    summarize,
     write_summary_json,
 )
 from spinqrc.linalg import kron, kron_all
@@ -90,74 +90,75 @@ class TestLogNegativity:
 class TestSteadyStateAverage:
     def test_constant_samples(self):
         samples = np.tile(np.arange(1.0, 8.0), (30, 1))
-        summary = steady_state_average(samples, washout=10)
-        assert summary.means == dict(zip(PARTITION_LABELS, np.arange(1.0, 8.0)))
+        summary = steady_state_average(samples[10:])
+        assert {lbl: summary[lbl] for lbl in PARTITION_LABELS} == dict(
+            zip(PARTITION_LABELS, np.arange(1.0, 8.0)))
 
     def test_linear_ramp_average_is_window_midpoint(self):
         k = 101
         ramp = np.linspace(0.0, 1.0, k)
         samples = np.tile(ramp[:, None], (1, 7))
         washout = 20
-        summary = steady_state_average(samples, washout)
+        summary = steady_state_average(samples[washout:])
         expected = 0.5 * (ramp[washout] + ramp[-1])
         for label in PARTITION_LABELS:
-            assert summary.means[label] == pytest.approx(expected, abs=1e-12)
+            assert summary[label] == pytest.approx(expected, abs=1e-12)
 
     def test_zero_samples_flag_ratios_undefined(self):
         samples = np.zeros((40, 7))
-        summary = steady_state_average(samples, washout=5)
-        assert summary.diff_single == 0.0
-        assert summary.diff_pair == 0.0
-        assert summary.ratio_single is None
-        assert summary.ratio_pair is None
+        summary = steady_state_average(samples[5:])
+        assert summary["diff_single"] == 0.0
+        assert summary["diff_pair"] == 0.0
+        assert summary["ratio_single"] is None
+        assert summary["ratio_pair"] is None
 
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError):
-            steady_state_average(np.zeros((10, 7)), washout=10)
+            steady_state_average(np.zeros((10, 7))[10:])
 
     def test_aggregate_definitions(self):
         means = {"E1": 0.4, "E2": 0.6, "E3": 0.1, "E4": 0.2,
                  "E12": 0.05, "E13": 0.5, "E14": 0.3}
-        s = summary_from_means(means)
-        assert s.diff_single == pytest.approx(0.7)
-        assert s.diff_pair == pytest.approx(0.7)
-        assert s.ratio_single == pytest.approx(1.0 / 0.3)
-        assert s.ratio_pair == pytest.approx(0.8 / 0.1)
+        s = summarize(means)
+        assert tuple(s) == SUMMARY_FIELDS
+        assert s["diff_single"] == pytest.approx(0.7)
+        assert s["diff_pair"] == pytest.approx(0.7)
+        assert s["ratio_single"] == pytest.approx(1.0 / 0.3)
+        assert s["ratio_pair"] == pytest.approx(0.8 / 0.1)
 
 
 class TestSeedAverage:
     def test_single_summary_is_identity(self):
-        s = summary_from_means(dict(zip(PARTITION_LABELS, np.linspace(0.1, 0.7, 7))))
+        s = summarize(dict(zip(PARTITION_LABELS, np.linspace(0.1, 0.7, 7))))
         avg = seed_average([s])
-        assert avg.means == s.means
+        assert avg == s
 
     def test_mean_symmetry(self):
         c = 0.35
         v = np.linspace(0.05, 0.65, 7)
-        a = summary_from_means(dict(zip(PARTITION_LABELS, v)))
-        b = summary_from_means(dict(zip(PARTITION_LABELS, -v + 2 * c)))
+        a = summarize(dict(zip(PARTITION_LABELS, v)))
+        b = summarize(dict(zip(PARTITION_LABELS, -v + 2 * c)))
         avg = seed_average([a, b])
         for label in PARTITION_LABELS:
-            assert avg.means[label] == pytest.approx(c, abs=1e-12)
+            assert avg[label] == pytest.approx(c, abs=1e-12)
 
     def test_matches_streaming_mean_oracle(self):
         rng = np.random.default_rng(3)
-        summaries = [summary_from_means(dict(zip(PARTITION_LABELS, rng.uniform(0, 1, 7))))
+        summaries = [summarize(dict(zip(PARTITION_LABELS, rng.uniform(0, 1, 7))))
                      for _ in range(10)]
         avg = seed_average(summaries)
         acc = np.zeros(7)
         for i, s in enumerate(summaries, start=1):
-            acc += (s.as_vector() - acc) / i
-        assert np.allclose(avg.as_vector(), acc, atol=1e-12)
+            acc += (np.array([s[lbl] for lbl in PARTITION_LABELS]) - acc) / i
+        assert np.allclose([avg[lbl] for lbl in PARTITION_LABELS], acc, atol=1e-12)
 
     def test_aggregates_recomputed_from_seed_means(self):
         rng = np.random.default_rng(4)
-        summaries = [summary_from_means(dict(zip(PARTITION_LABELS, rng.uniform(0.1, 1, 7))))
+        summaries = [summarize(dict(zip(PARTITION_LABELS, rng.uniform(0.1, 1, 7))))
                      for _ in range(5)]
-        avg = seed_average(summaries)
-        m = avg.means
-        assert avg.diff_single == pytest.approx((m["E1"] + m["E2"]) - (m["E3"] + m["E4"]))
-        assert avg.ratio_pair == pytest.approx((m["E13"] + m["E14"]) / (2 * m["E12"]))
+        m = seed_average(summaries)
+        assert m["diff_single"] == pytest.approx((m["E1"] + m["E2"]) - (m["E3"] + m["E4"]))
+        assert m["ratio_pair"] == pytest.approx((m["E13"] + m["E14"]) / (2 * m["E12"]))
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
@@ -167,12 +168,12 @@ class TestSeedAverage:
 def test_summary_json_round_trip(tmp_path):
     import json
 
-    s = summary_from_means(dict(zip(PARTITION_LABELS, np.linspace(0.0, 0.6, 7))))
+    s = summarize(dict(zip(PARTITION_LABELS, np.linspace(0.0, 0.6, 7))))
     path = tmp_path / "summary.json"
     write_summary_json(s, path, key={"J_s": 0.5, "seed": 3})
     payload = json.loads(path.read_text())
     assert payload["J_s"] == 0.5
     assert payload["E1"] == 0.0
-    assert payload["ratio_single"] == s.ratio_single
-    assert set(PARTITION_LABELS) <= set(payload)
-    assert summary_to_dict(s)["diff_pair"] == s.diff_pair
+    assert payload["ratio_single"] == s["ratio_single"]
+    assert set(SUMMARY_FIELDS) <= set(payload)
+    assert payload["diff_pair"] == s["diff_pair"]

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from spinqrc.dynamics import random_model
+from spinqrc.entanglement import SUMMARY_FIELDS
 from spinqrc.experiments import (
     DEFAULT_JS_GRID,
     ConfigError,
@@ -189,6 +191,21 @@ class TestFingerprint:
             tiny_config(tau_max=24, run=RunConfig(t_final=750.0, washout_steps=50))
 
 
+@pytest.fixture
+def seed_one_fails(monkeypatch):
+    """Every cell of coupling seed 1 fails before its model is built."""
+    import spinqrc.experiments as exp
+
+    original = exp.random_model
+
+    def exploding(js, seed, **kw):
+        if seed[-1] == 1:
+            raise RuntimeError("synthetic cell failure")
+        return original(js, seed, **kw)
+
+    monkeypatch.setattr(exp, "random_model", exploding)
+
+
 class TestSweep:
     def test_degenerate_sweep_reproduces_single_cell(self):
         cfg = tiny_config(js_values=(0.3,), n_coupling_seeds=1)
@@ -198,7 +215,7 @@ class TestSweep:
         row = sweep.rows[0]
         assert row.status == single.status == "ok"
         assert np.array_equal(row.capacity.per_tau, single.capacity.per_tau)
-        assert row.entanglement.means == single.entanglement.means
+        assert row.entanglement == single.entanglement
         # A cell returns the records it scored; a sweep does not keep them.
         assert row.train is None and row.test is None
         rescored = evaluate_capacity_profile(single.train, single.test, cfg.tau_max,
@@ -219,17 +236,7 @@ class TestSweep:
         assert texts["a"] == texts["b"]
         assert texts["a"] == texts["c"]
 
-    def test_failed_cells_are_isolated(self, tmp_path, monkeypatch):
-        import spinqrc.experiments as exp
-
-        original = exp.random_model
-
-        def exploding(js, seed, **kw):
-            if seed[-1] == 1:
-                raise RuntimeError("synthetic cell failure")
-            return original(js, seed, **kw)
-
-        monkeypatch.setattr(exp, "random_model", exploding)
+    def test_failed_cells_are_isolated(self, tmp_path, seed_one_fails):
         cfg = tiny_config(js_values=(0.2,))
         sweep = run_sweep(cfg, out_dir=tmp_path)
         statuses = [r.status for r in sweep.rows]
@@ -237,6 +244,26 @@ class TestSweep:
         assert "synthetic cell failure" in sweep.rows[1].error
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert [c["status"] for c in manifest["cells"]] == ["ok", "error"]
+
+    def test_failed_cell_round_trips_through_files(self, tmp_path, seed_one_fails):
+        from spinqrc.cli import main
+
+        # At J_s = 0 no pair ever interacts, so that cell's ratios are undefined.
+        sweep = run_sweep(tiny_config(js_values=(0.0, 0.3)), out_dir=tmp_path)
+        assert [r.status for r in sweep.rows] == ["ok", "error", "ok", "error"]
+        assert sweep.rows[0].entanglement["ratio_single"] is None
+        with open(tmp_path / "sweep_results.csv", newline="") as fh:
+            header = next(csv.reader(fh))
+        assert tuple(header[-len(SUMMARY_FIELDS):]) == SUMMARY_FIELDS
+        back = read_sweep_results(tmp_path)
+        assert [r.status for r in back.rows] == ["ok", "error", "ok", "error"]
+        for a, b in zip(back.rows, sweep.rows):
+            assert a.entanglement == b.entanglement
+        assert main(["emit", "--results", str(tmp_path), "--figure", "all"]) == 0
+        with open(tmp_path / "fig2e_f2.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [r[0] for r in rows[1:]] == ["0.0", "0.3"]
+        assert rows[1][1] == "nan" and rows[2][1] != "nan"
 
     def test_dead_worker_fails_its_cells_not_the_sweep(self, tmp_path, monkeypatch):
         # A worker that dies mid-cell breaks the pool; the sweep records
@@ -402,7 +429,7 @@ class TestSweep:
         for a, b in zip(back.rows, sweep.rows):
             assert a.status == b.status
             assert np.allclose(a.capacity.per_tau, b.capacity.per_tau, atol=0)
-            assert a.entanglement.means == b.entanglement.means
+            assert a.entanglement == b.entanglement
 
     def test_holdout_lambda_selection_mode(self):
         # The clean protocol selects lambda on the held-out sequences 4,5 and
