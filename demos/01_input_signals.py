@@ -9,13 +9,9 @@ import os
 
 import numpy as np
 
+from spinqrc.experiments import write_csv
 from spinqrc.linalg import PAULI_Z, expectation
-from spinqrc.signals import (
-    component_frequencies,
-    encode_input_state,
-    make_sequence_family,
-    write_sequence_csv,
-)
+from spinqrc.signals import component_frequencies, encode_input_state, make_sequence_family
 
 OUT = os.path.join(os.path.dirname(__file__), "output")
 os.makedirs(OUT, exist_ok=True)
@@ -41,7 +37,7 @@ a, b = family[:2]
 print(f"\nmax |seq0 - seq1| = {np.abs(a - b).max():.3f} (phases are independent)")
 
 path = os.path.join(OUT, "signal_f2_seq0.csv")
-write_sequence_csv(family[0], path)
+write_csv(path, ["index", "value"], ([k, repr(float(v))] for k, v in enumerate(family[0])))
 print(f"exported {path}")
 
 print("\n=== encoding scalar values as qubit states ===")

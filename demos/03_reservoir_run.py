@@ -10,7 +10,8 @@ import os
 import numpy as np
 
 from spinqrc.dynamics import random_model
-from spinqrc.reservoir import RunConfig, interval_map, run_reservoir, write_trajectory_csv
+from spinqrc.experiments import write_trajectory_csv
+from spinqrc.reservoir import RunConfig, interval_map, run_reservoir
 from spinqrc.signals import make_input_sequence
 
 OUT = os.path.join(os.path.dirname(__file__), "output")

@@ -9,7 +9,7 @@ Subpackage map:
 * ``reservoir``     the inject/evolve/measure run loop
 * ``learning``      ridge readout and short-term-memory capacity
 * ``entanglement``  logarithmic negativity over the seven bipartitions
-* ``experiments``   sweeps, reproducibility metadata, figure data files
+* ``experiments``   sweeps, reproducibility metadata, every file written
 * ``cli``           command-line entry point
 """
 

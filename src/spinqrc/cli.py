@@ -20,7 +20,6 @@ import sys
 from dataclasses import replace
 
 from . import __version__
-from .entanglement import write_summary_json
 from .experiments import (
     FIGURE_NAMES,
     ConfigError,
@@ -32,10 +31,10 @@ from .experiments import (
     run_cell,
     run_invariant_suite,
     run_sweep,
+    write_csv,
+    write_run_outputs,
 )
-from .learning import write_capacity_csv, write_capacity_json
-from .reservoir import write_trajectory_csv
-from .signals import N_SEQUENCES, make_input_sequence, write_sequence_csv
+from .signals import N_SEQUENCES, make_input_sequence
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -70,17 +69,9 @@ def _cmd_run(args) -> int:
     if result.status != "ok":
         print(f"run failed: {result.error}", file=sys.stderr)
         return 1
-    out = cfg.output_dir
-    os.makedirs(out, exist_ok=True)
-    write_trajectory_csv(result.train, os.path.join(out, "trajectory_train.csv"))
-    write_trajectory_csv(result.test, os.path.join(out, "trajectory_test.csv"))
-    write_capacity_csv(result.capacity, os.path.join(out, "capacity.csv"))
-    write_capacity_json(result.capacity, os.path.join(out, "capacity.json"),
-                        fingerprint=cfg.fingerprint())
-    write_summary_json(result.entanglement, os.path.join(out, "entanglement.json"),
-                       key={"J_s": js, "f": f, "seed": 0})
+    write_run_outputs(cfg, result, cfg.output_dir)
     print(f"total capacity: {result.capacity.total:.4f}")
-    print(f"outputs written to {out}")
+    print(f"outputs written to {cfg.output_dir}")
     return 0
 
 
@@ -110,17 +101,22 @@ def _cmd_sweep(args) -> int:
 def _cmd_emit(args) -> int:
     result = read_sweep_results(args.results)
     out = args.out or args.results
-    if args.figure == "all":
-        # Emit every panel the sweep's axes can support; report the rest.
-        for figure in FIGURE_NAMES:
-            try:
-                for path in emit_figure_data(result, figure, out):
-                    print(f"wrote {path}")
-            except ValueError as exc:
-                print(f"skipping {figure}: {exc}")
-        return 0
-    for path in emit_figure_data(result, args.figure, out):
-        print(f"wrote {path}")
+    written = 0
+    for figure in FIGURE_NAMES if args.figure == "all" else (args.figure,):
+        try:
+            paths = emit_figure_data(result, figure, out)
+        except ValueError as exc:
+            if args.figure != "all":
+                raise
+            # Emit every panel the sweep's axes can support; report the rest.
+            print(f"skipping {figure}: {exc}")
+            continue
+        for path in paths:
+            print(f"wrote {path}")
+        written += len(paths)
+    if not written:
+        print(f"no figure data written from {args.results}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -145,7 +141,9 @@ def _cmd_gen_signals(args) -> int:
     for f in cfg.f_values:
         for q in range(N_SEQUENCES):
             path = os.path.join(out, f"signal_f{f:g}_seq{q}.csv")
-            write_sequence_csv(make_input_sequence(f, q, (cfg.base_seed, 0)), path)
+            samples = make_input_sequence(f, q, (cfg.base_seed, 0))
+            write_csv(path, ["index", "value"],
+                      ([k, repr(float(v))] for k, v in enumerate(samples)))
             print(f"wrote {path}")
     return 0
 

@@ -88,11 +88,10 @@ class SpinNetworkModel:
         object.__setattr__(self, "coupling", j)
 
 
-def random_model(j_s: float, seed, n_qubits: int = 4, h_z: float = 1.5,
-                 gamma: float = 0.01) -> SpinNetworkModel:
-    """Model with couplings freshly sampled from the seed's stream."""
-    coupling = sample_coupling_matrix(j_s, n_qubits, seed)
-    return SpinNetworkModel(coupling=coupling, n_qubits=n_qubits, h_z=h_z, gamma=gamma)
+def random_model(j_s: float, seed) -> SpinNetworkModel:
+    """4-qubit model with the default fields and damping, its couplings
+    freshly sampled from the seed's stream."""
+    return SpinNetworkModel(coupling=sample_coupling_matrix(j_s, 4, seed))
 
 
 @cache

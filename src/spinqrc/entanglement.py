@@ -10,8 +10,6 @@ gives the same numbers bit for bit from stacked eigensolves.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from .linalg import (
@@ -118,11 +116,3 @@ def seed_average(summaries) -> dict:
         raise ValueError("need at least one summary")
     stacked = np.array([[s[lbl] for lbl in PARTITION_LABELS] for s in summaries])
     return summarize(dict(zip(PARTITION_LABELS, stacked.mean(axis=0))))
-
-
-def write_summary_json(summary: dict, path, key: dict | None = None) -> None:
-    """The ``key`` entries and the summary as one JSON object (undefined ratios as null)."""
-    payload = {**(key or {}), **summary}
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")

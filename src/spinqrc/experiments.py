@@ -1,5 +1,8 @@
 """Sweep orchestration, reproducibility metadata, and file output.
 
+Every file the package writes goes through this module: ``write_csv`` and
+``write_json`` fix the two formats, and the physics modules do no I/O.
+
 A sweep runs one cell per (J_s, f, coupling-seed) triple: sample a coupling
 matrix, drive a training and a test reservoir with independent input
 sequences, evaluate the capacity profile, and time-average the entanglement
@@ -403,6 +406,55 @@ def run_sweep(cfg: ExperimentConfig, threads: int = 1, out_dir=None,
     return sweep
 
 
+def write_csv(path, header, rows) -> None:
+    """A header row, then ``rows``. Callers format floats themselves, as
+    ``repr(float(v))``, so a numpy scalar never reaches the file as its str."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path, payload) -> None:
+    """``payload`` with indent 2, sorted keys and a final newline (None as null)."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+TRAJECTORY_COLUMNS = ["k", "s1", "s2", "Z1", "Z2", "Z3", "Z4"] + list(PARTITION_LABELS)
+
+
+def write_trajectory_csv(record: TrajectoryRecord, path) -> None:
+    """One row per injection step: k, s1, s2, Z1..Z4, E1..E14."""
+    write_csv(path, TRAJECTORY_COLUMNS, (
+        [k] + [repr(float(v)) for v in (*record.injected_values[k], *record.features[k, :4],
+                                        *record.entanglement_samples[k])]
+        for k in range(record.n_steps)))
+
+
+def write_run_outputs(cfg: ExperimentConfig, result: CellResult, out_dir) -> None:
+    """The files of one ok cell: both trajectories, the capacity profile as
+    CSV and as JSON (with the config fingerprint), and the entanglement
+    summary keyed by the cell's J_s, f and seed."""
+    os.makedirs(out_dir, exist_ok=True)
+    write_trajectory_csv(result.train, os.path.join(out_dir, "trajectory_train.csv"))
+    write_trajectory_csv(result.test, os.path.join(out_dir, "trajectory_test.csv"))
+    profile = result.capacity
+    write_csv(os.path.join(out_dir, "capacity.csv"), ["tau", "capacity", "lambda_chosen"],
+              ([tau, repr(float(c)), repr(float(lam))]
+               for tau, (c, lam) in enumerate(zip(profile.per_tau, profile.lambda_per_tau))))
+    write_json(os.path.join(out_dir, "capacity.json"), {
+        "per_tau": [float(c) for c in profile.per_tau],
+        "lambda_per_tau": [float(lam) for lam in profile.lambda_per_tau],
+        "total": profile.total,
+        "config_fingerprint": cfg.fingerprint(),
+    })
+    write_json(os.path.join(out_dir, "entanglement.json"),
+               {"J_s": result.js, "f": result.f, "seed": result.seed_index,
+                **result.entanglement})
+
+
 def _cell_log(r: CellResult) -> dict:
     """A cell's status and timing, as cells.jsonl and the manifest list it."""
     return {"J_s": r.js, "f": r.f, "seed": r.seed_index, "status": r.status,
@@ -425,53 +477,53 @@ def write_sweep_outputs(result: SweepResult, out_dir) -> None:
     manifest (config, fingerprint, code version, per-cell status, wall time
     and stage times)."""
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "sweep_results.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = sweep_csv_header(result.config.tau_max)
-        writer.writerow(header)
-        for row in result.rows:
-            out = [repr(row.js), repr(row.f), row.seed_index, row.status]
-            if row.status == "ok":
-                out += [_repr_or_nan(v) for v in (row.capacity.total, *row.capacity.per_tau)]
-                out += [_repr_or_nan(row.entanglement[name]) for name in SUMMARY_FIELDS]
-            writer.writerow(out + ["nan"] * (len(header) - len(out)))
-
-    manifest = {
+    header = sweep_csv_header(result.config.tau_max)
+    rows = []
+    for row in result.rows:
+        out = [repr(row.js), repr(row.f), row.seed_index, row.status]
+        if row.status == "ok":
+            out += [_repr_or_nan(v) for v in (row.capacity.total, *row.capacity.per_tau)]
+            out += [_repr_or_nan(row.entanglement[name]) for name in SUMMARY_FIELDS]
+        rows.append(out + ["nan"] * (len(header) - len(out)))
+    write_csv(os.path.join(out_dir, "sweep_results.csv"), header, rows)
+    write_json(os.path.join(out_dir, "manifest.json"), {
         "config": result.config.semantic_dict(),
         "output_dir": result.config.output_dir,
         "fingerprint": result.fingerprint,
         "code_version": __version__,
         "cells": [_cell_log(r) for r in result.rows],
-    }
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def read_sweep_results(out_dir) -> SweepResult:
-    """Rebuild a SweepResult from sweep_results.csv + manifest.json."""
+    """Rebuild a SweepResult from sweep_results.csv + manifest.json; each
+    row's error and timings come from its cell's entry in the manifest."""
     with open(os.path.join(out_dir, "manifest.json")) as fh:
         manifest = json.load(fh)
     values = {fld.name: fld.from_json(manifest["config"][fld.name])
               for fld in CONFIG_FIELDS if fld.semantic}
     cfg = _config_from({**values, "output_dir": manifest.get("output_dir", "results")})
     tau_max = cfg.tau_max
-    rows = []
     with open(os.path.join(out_dir, "sweep_results.csv"), newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header != sweep_csv_header(tau_max):
+        if next(reader) != sweep_csv_header(tau_max):
             raise ValueError(f"unexpected sweep_results.csv header in {out_dir}")
-        for rec in reader:
-            js, f, seed, status = float(rec[0]), float(rec[1]), int(rec[2]), rec[3]
-            if status != "ok":
-                rows.append(CellResult(js, f, seed, status, None, None, 0.0))
-                continue
+        records = list(reader)
+    rows = []
+    for number, (rec, log) in enumerate(zip(records, manifest["cells"], strict=True), start=1):
+        js, f, seed, status = float(rec[0]), float(rec[1]), int(rec[2]), rec[3]
+        if (log["J_s"], log["f"], log["seed"]) != (js, f, seed):
+            raise ValueError(f"{out_dir}: sweep_results.csv row {number} is (J_s, f, seed) = "
+                             f"{(js, f, seed)}, its manifest entry "
+                             f"{(log['J_s'], log['f'], log['seed'])}")
+        profile = summary = None
+        if status == "ok":
             nums = [float(x) for x in rec[4:]]
             profile = CapacityProfile(per_tau=np.array(nums[1:tau_max + 2]),
                                       lambda_per_tau=np.full(tau_max + 1, np.nan), total=nums[0])
-            means = dict(zip(PARTITION_LABELS, nums[tau_max + 2:]))
-            rows.append(CellResult(js, f, seed, "ok", profile, summarize(means), 0.0))
+            summary = summarize(dict(zip(PARTITION_LABELS, nums[tau_max + 2:])))
+        rows.append(CellResult(js, f, seed, status, profile, summary, log["wall_time_s"],
+                               error=log["error"], stage_s=log["stage_s"]))
     return SweepResult(config=cfg, rows=tuple(rows), fingerprint=manifest["fingerprint"])
 
 
@@ -570,10 +622,8 @@ def emit_figure_data(result: SweepResult, figure: str, out_dir) -> list[str]:
                                 [(f"J_s={js:g}", grouped[(f, js)]) for js in js_sorted])
             continue
         statistic, suffix, names = _JS_PANELS[figure]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["J_s"] + [h for n in names for h in (n + suffix, f"{n}_stderr")])
-            writer.writerows(_js_row(js, grouped[(f, js)], statistic, names) for js in js_sorted)
+        write_csv(path, ["J_s"] + [h for n in names for h in (n + suffix, f"{n}_stderr")],
+                  (_js_row(js, grouped[(f, js)], statistic, names) for js in js_sorted))
     return paths
 
 

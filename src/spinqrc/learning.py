@@ -9,8 +9,6 @@ total capacity sums the per-delay values up to tau_max.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,25 +144,3 @@ def evaluate_capacity_profile(train: TrajectoryRecord, test: TrajectoryRecord,
         per_tau[tau] = stm_capacity(r_test @ weights[best], g_test)
         lambdas[tau] = float(lambda_grid[best])
     return CapacityProfile(per_tau=per_tau, lambda_per_tau=lambdas, total=float(per_tau.sum()))
-
-
-def write_capacity_csv(profile: CapacityProfile, path) -> None:
-    """Columns: tau, capacity, lambda_chosen."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tau", "capacity", "lambda_chosen"])
-        for tau, (c, lam) in enumerate(zip(profile.per_tau, profile.lambda_per_tau)):
-            writer.writerow([tau, repr(float(c)), repr(float(lam))])
-
-
-def write_capacity_json(profile: CapacityProfile, path, fingerprint: str | None = None) -> None:
-    payload = {
-        "per_tau": [float(c) for c in profile.per_tau],
-        "lambda_per_tau": [float(l) for l in profile.lambda_per_tau],
-        "total": profile.total,
-    }
-    if fingerprint is not None:
-        payload["config_fingerprint"] = fingerprint
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")

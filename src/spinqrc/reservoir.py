@@ -19,7 +19,6 @@ simulation time k * delta_t.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .dynamics import SpinNetworkModel, build_lindblad_system, stable_step_count
-from .entanglement import PARTITION_LABELS, negativities
+from .entanglement import negativities
 from .linalg import IMAG_TOL, PAULI_Z, embed_single_qubit, hermitianize, kron, partial_trace
 from .signals import encode_input_state
 
@@ -215,20 +214,3 @@ def run_reservoir(propagator: np.ndarray, seq1: np.ndarray, seq2: np.ndarray, cf
     features = np.column_stack([z.real, np.ones(cfg.n_steps)])
     return TrajectoryRecord(features=features, states=states,
                             injected_values=injected, washout_steps=cfg.washout_steps)
-
-
-TRAJECTORY_COLUMNS = ["k", "s1", "s2", "Z1", "Z2", "Z3", "Z4"] + list(PARTITION_LABELS)
-
-
-def write_trajectory_csv(record: TrajectoryRecord, path) -> None:
-    """One row per injection step: k, s1, s2, Z1..Z4, E1..E14."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRAJECTORY_COLUMNS)
-        for k in range(record.n_steps):
-            row = [k]
-            row += [repr(float(v)) for v in record.injected_values[k]]
-            row += [repr(float(v)) for v in record.features[k, :4]]
-            row += [repr(float(v)) for v in record.entanglement_samples[k]]
-            writer.writerow(row)
-

@@ -16,8 +16,6 @@ default, so one full-length run consumes nearly the whole sequence).
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
 from .streams import SIGNAL_DOMAIN, as_key, stream
@@ -69,14 +67,14 @@ def normalize_minmax(x: np.ndarray) -> np.ndarray:
     return (x - lo) / (hi - lo)
 
 
-def make_input_sequence(f0: float, seq_id: int, seed, n_samples: int = N_SAMPLES) -> np.ndarray:
-    """One input sequence: its normalized samples on [0, 1]."""
-    return normalize_minmax(generate_raw_sequence(f0, seq_id, seed, n_samples))
+def make_input_sequence(f0: float, seq_id: int, seed) -> np.ndarray:
+    """One input sequence: its N_SAMPLES normalized samples on [0, 1]."""
+    return normalize_minmax(generate_raw_sequence(f0, seq_id, seed))
 
 
-def make_sequence_family(f0: float, seed, n_samples: int = N_SAMPLES) -> list[np.ndarray]:
+def make_sequence_family(f0: float, seed) -> list[np.ndarray]:
     """All nine sequences for one (f0, seed)."""
-    return [make_input_sequence(f0, q, seed, n_samples) for q in range(N_SEQUENCES)]
+    return [make_input_sequence(f0, q, seed) for q in range(N_SEQUENCES)]
 
 
 def encode_input_state(s: float) -> np.ndarray:
@@ -88,12 +86,3 @@ def encode_input_state(s: float) -> np.ndarray:
         raise ValueError(f"input value {s} outside [0, 1]")
     amp = np.array([np.sqrt(1.0 - s), np.sqrt(s)], dtype=complex)
     return np.outer(amp, amp.conj())
-
-
-def write_sequence_csv(samples: np.ndarray, path) -> None:
-    """Export as two columns: index, value."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "value"])
-        for k, v in enumerate(samples):
-            writer.writerow([k, repr(float(v))])

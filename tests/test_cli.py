@@ -127,6 +127,21 @@ def test_gen_signals_writes_nine_sequences_per_frequency(tmp_path):
     assert values.min() == 0.0 and values.max() == 1.0
 
 
+def test_gen_signals_csv_round_trip(tmp_path):
+    from spinqrc.signals import N_SEQUENCES, make_input_sequence
+
+    cfg = tmp_path / "single.cfg"
+    cfg.write_text(SINGLE_CFG)
+    assert main(["gen-signals", str(cfg), "--out", str(tmp_path / "sig")]) == 0
+    for q in range(N_SEQUENCES):
+        path = tmp_path / "sig" / f"signal_f2_seq{q}.csv"
+        assert path.read_text().splitlines()[0] == "index,value"
+        data = np.loadtxt(path, delimiter=",", skiprows=1)
+        seq = make_input_sequence(2.0, q, (42, 0))
+        assert np.array_equal(data[:, 0], np.arange(len(seq)))
+        assert np.array_equal(data[:, 1], seq)
+
+
 def test_single_run_outputs(tmp_path, capsys):
     cfg = tmp_path / "single.cfg"
     cfg.write_text(SINGLE_CFG)
@@ -267,3 +282,19 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "spinqrc" in capsys.readouterr().out
+
+
+def test_emit_without_any_figure_exits_one(tmp_path, monkeypatch, capsys):
+    import spinqrc.experiments
+
+    def failing(js, seed):
+        raise RuntimeError("synthetic cell failure")
+
+    monkeypatch.setattr(spinqrc.experiments, "random_model", failing)
+    out = tmp_path / "failed"
+    assert main(["sweep", TINY_CFG, "--out", str(out)]) == 1
+    capsys.readouterr()
+    for figure in ("all", "fig2a"):
+        assert main(["emit", "--results", str(out), "--figure", figure]) == 1
+        assert capsys.readouterr().err
+    assert not [name for name in os.listdir(out) if name.startswith("fig")]

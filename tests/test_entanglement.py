@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -11,9 +13,11 @@ from spinqrc.entanglement import (
     seed_average,
     steady_state_average,
     summarize,
-    write_summary_json,
 )
+from spinqrc.experiments import CellResult, ExperimentConfig, write_run_outputs
+from spinqrc.learning import CapacityProfile
 from spinqrc.linalg import kron, kron_all
+from spinqrc.reservoir import TrajectoryRecord, all_zero_state
 
 from oracles import random_density_matrix, random_pure_product_state
 
@@ -166,13 +170,17 @@ class TestSeedAverage:
 
 
 def test_summary_json_round_trip(tmp_path):
-    import json
-
     s = summarize(dict(zip(PARTITION_LABELS, np.linspace(0.0, 0.6, 7))))
-    path = tmp_path / "summary.json"
-    write_summary_json(s, path, key={"J_s": 0.5, "seed": 3})
-    payload = json.loads(path.read_text())
+    record = TrajectoryRecord(features=np.zeros((2, 5)),
+                              states=np.stack([all_zero_state(4)] * 2),
+                              injected_values=np.zeros((2, 2)), washout_steps=0)
+    profile = CapacityProfile(per_tau=np.zeros(1), lambda_per_tau=np.ones(1), total=0.0)
+    cell = CellResult(js=0.5, f=2.0, seed_index=3, status="ok", capacity=profile,
+                      entanglement=s, wall_time_s=0.0, train=record, test=record)
+    write_run_outputs(ExperimentConfig(output_dir="unused"), cell, tmp_path)
+    payload = json.loads((tmp_path / "entanglement.json").read_text())
     assert payload["J_s"] == 0.5
+    assert payload["seed"] == 3
     assert payload["E1"] == 0.0
     assert payload["ratio_single"] == s["ratio_single"]
     assert set(SUMMARY_FIELDS) <= set(payload)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from spinqrc.dynamics import random_model
-from spinqrc.entanglement import SUMMARY_FIELDS
+from spinqrc.entanglement import PARTITION_LABELS, SUMMARY_FIELDS
 from spinqrc.experiments import (
     DEFAULT_JS_GRID,
     ConfigError,
@@ -20,10 +20,12 @@ from spinqrc.experiments import (
     run_sweep,
     seed_averaged_metric,
     sweep_cells,
+    write_run_outputs,
+    write_trajectory_csv,
 )
 from spinqrc.learning import evaluate_capacity_profile
 from spinqrc.linalg import hermitianize
-from spinqrc.reservoir import RunConfig, interval_map, run_steps
+from spinqrc.reservoir import RunConfig, interval_map, run_reservoir, run_steps
 from spinqrc.signals import TRAIN_SEQUENCE_IDS, make_input_sequence
 
 TINY_RUN = RunConfig(t_final=750.0, washout_steps=30)
@@ -198,10 +200,10 @@ def seed_one_fails(monkeypatch):
 
     original = exp.random_model
 
-    def exploding(js, seed, **kw):
+    def exploding(js, seed):
         if seed[-1] == 1:
             raise RuntimeError("synthetic cell failure")
-        return original(js, seed, **kw)
+        return original(js, seed)
 
     monkeypatch.setattr(exp, "random_model", exploding)
 
@@ -257,8 +259,10 @@ class TestSweep:
         assert tuple(header[-len(SUMMARY_FIELDS):]) == SUMMARY_FIELDS
         back = read_sweep_results(tmp_path)
         assert [r.status for r in back.rows] == ["ok", "error", "ok", "error"]
+        assert back.rows[1].error == "RuntimeError: synthetic cell failure"
         for a, b in zip(back.rows, sweep.rows):
             assert a.entanglement == b.entanglement
+            assert (a.error, a.wall_time_s, a.stage_s) == (b.error, b.wall_time_s, b.stage_s)
         assert main(["emit", "--results", str(tmp_path), "--figure", "all"]) == 0
         with open(tmp_path / "fig2e_f2.csv", newline="") as fh:
             rows = list(csv.reader(fh))
@@ -431,6 +435,15 @@ class TestSweep:
             assert np.allclose(a.capacity.per_tau, b.capacity.per_tau, atol=0)
             assert a.entanglement == b.entanglement
 
+    def test_manifest_entry_must_match_its_row(self, tmp_path):
+        run_sweep(tiny_config(js_values=(0.5,)), out_dir=tmp_path)
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["cells"].reverse()
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="row 1 is"):
+            read_sweep_results(tmp_path)
+
     def test_holdout_lambda_selection_mode(self):
         # The clean protocol selects lambda on the held-out sequences 4,5 and
         # scores the test run once with the winner.
@@ -466,6 +479,54 @@ class TestSweep:
         caps = seed_averaged_metric(sweep, 2.0, lambda c: c.capacity.total)
         assert caps[0.325] > caps[0.005]
         assert caps[0.325] > caps[6.0]
+
+
+def test_trajectory_csv_round_trip(tmp_path):
+    cfg = RunConfig(t_final=6 * 7.5, washout_steps=0)
+    s1 = make_input_sequence(2.0, 0, 3)
+    s2 = make_input_sequence(2.0, 1, 3)
+    rec = run_reservoir(interval_map(random_model(0.5, seed=9), cfg), s1, s2, cfg)
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(rec, path)
+    header = ["k", "s1", "s2", "Z1", "Z2", "Z3", "Z4", *PARTITION_LABELS]
+    assert path.read_text().splitlines()[0].split(",") == header
+    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert np.array_equal(data[:, 0], np.arange(rec.n_steps))
+    assert np.array_equal(data[:, 1:3], rec.injected_values)
+    assert np.array_equal(data[:, 3:7], rec.features[:, :4])
+    assert np.array_equal(data[:, 7:], rec.entanglement_samples)
+
+
+def test_write_run_outputs(tmp_path):
+    # At J_s = 0 no pair ever interacts, so both ratios are undefined.
+    cfg = tiny_config(js_values=(0.0,), n_coupling_seeds=1)
+    result = run_cell(cfg, 0.0, 2.0, 0)
+    assert result.entanglement["ratio_single"] is None
+    out = tmp_path / "run"
+    write_run_outputs(cfg, result, out)
+    assert sorted(os.listdir(out)) == ["capacity.csv", "capacity.json", "entanglement.json",
+                                       "trajectory_test.csv", "trajectory_train.csv"]
+    profile = result.capacity
+    with open(out / "capacity.csv", newline="") as fh:
+        assert list(csv.reader(fh)) == [["tau", "capacity", "lambda_chosen"]] + [
+            [str(tau), repr(float(c)), repr(float(lam))]
+            for tau, (c, lam) in enumerate(zip(profile.per_tau, profile.lambda_per_tau))]
+    capacity = json.loads((out / "capacity.json").read_text())
+    assert capacity == {"per_tau": list(profile.per_tau),
+                        "lambda_per_tau": list(profile.lambda_per_tau),
+                        "total": profile.total, "config_fingerprint": cfg.fingerprint()}
+    text = (out / "entanglement.json").read_text()
+    summary = json.loads(text)
+    assert list(summary) == sorted(["J_s", "f", "seed", *SUMMARY_FIELDS])
+    assert summary == {"J_s": 0.0, "f": 2.0, "seed": 0, **result.entanglement}
+    assert '"ratio_single": null' in text
+    # write_json: indent 2, sorted keys, one final newline.
+    assert text == json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    for run in ("train", "test"):
+        with open(out / f"trajectory_{run}.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["k", "s1", "s2", "Z1", "Z2", "Z3", "Z4", *PARTITION_LABELS]
+        assert len(rows) == 1 + cfg.run.n_steps
 
 
 @pytest.fixture(scope="module")

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from spinqrc.experiments import CellResult, ExperimentConfig, write_run_outputs
 from spinqrc.learning import (
     DEFAULT_LAMBDA_GRID,
     CapacityProfile,
@@ -11,10 +12,8 @@ from spinqrc.learning import (
     feature_window,
     ridge_weights,
     stm_capacity,
-    write_capacity_csv,
-    write_capacity_json,
 )
-from spinqrc.reservoir import TrajectoryRecord
+from spinqrc.reservoir import TrajectoryRecord, all_zero_state
 
 from oracles import gaussian_solve
 
@@ -304,14 +303,17 @@ def test_capacity_serialization(tmp_path):
     profile = CapacityProfile(per_tau=np.array([0.9, 0.5, 0.1]),
                               lambda_per_tau=np.array([1e-3, 1e-2, 1e-1]),
                               total=1.5)
-    csv_path = tmp_path / "capacity.csv"
-    json_path = tmp_path / "capacity.json"
-    write_capacity_csv(profile, csv_path)
-    write_capacity_json(profile, json_path, fingerprint="abc123")
-    lines = csv_path.read_text().strip().splitlines()
+    record = TrajectoryRecord(features=np.zeros((2, 5)),
+                              states=np.stack([all_zero_state(4)] * 2),
+                              injected_values=np.zeros((2, 2)), washout_steps=0)
+    cfg = ExperimentConfig(output_dir="unused")
+    cell = CellResult(js=0.5, f=2.0, seed_index=3, status="ok", capacity=profile,
+                      entanglement={}, wall_time_s=0.0, train=record, test=record)
+    write_run_outputs(cfg, cell, tmp_path)
+    lines = (tmp_path / "capacity.csv").read_text().strip().splitlines()
     assert lines[0] == "tau,capacity,lambda_chosen"
     assert len(lines) == 4
-    payload = json.loads(json_path.read_text())
+    payload = json.loads((tmp_path / "capacity.json").read_text())
     assert payload["total"] == 1.5
-    assert payload["config_fingerprint"] == "abc123"
+    assert payload["config_fingerprint"] == cfg.fingerprint()
     assert payload["per_tau"] == [0.9, 0.5, 0.1]

@@ -19,7 +19,6 @@ from spinqrc.reservoir import (
     interval_map,
     run_reservoir,
     run_steps,
-    write_trajectory_csv,
 )
 from spinqrc.signals import encode_input_state, make_input_sequence
 
@@ -294,20 +293,3 @@ class TestRunConfig:
     def test_rejects_washout_longer_than_run(self):
         with pytest.raises(ValueError):
             RunConfig(t_final=75.0, washout_steps=50)
-
-
-def test_trajectory_csv_round_trip(tmp_path):
-    model = random_model(0.5, seed=9)
-    cfg = short_cfg(n_steps=6)
-    s1 = make_input_sequence(2.0, 0, 3)
-    s2 = make_input_sequence(2.0, 1, 3)
-    rec = run_reservoir(interval_map(model, cfg), s1, s2, cfg)
-    path = tmp_path / "traj.csv"
-    write_trajectory_csv(rec, path)
-    header = ["k", "s1", "s2", "Z1", "Z2", "Z3", "Z4", *PARTITION_LABELS]
-    assert path.read_text().splitlines()[0].split(",") == header
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert np.array_equal(data[:, 0], np.arange(rec.n_steps))
-    assert np.array_equal(data[:, 1:3], rec.injected_values)
-    assert np.array_equal(data[:, 3:7], rec.features[:, :4])
-    assert np.array_equal(data[:, 7:], rec.entanglement_samples)

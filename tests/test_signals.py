@@ -15,7 +15,6 @@ from spinqrc.signals import (
     make_sequence_family,
     normalize_minmax,
     sequence_phases,
-    write_sequence_csv,
 )
 
 
@@ -129,12 +128,3 @@ class TestSequenceFamily:
         assert np.allclose(a, rebuilt_sequence(1.0, 2, 7), atol=1e-12)
         assert np.allclose(b, rebuilt_sequence(3.0, 2, 7), atol=1e-12)
         assert not np.array_equal(a, b)
-
-    def test_csv_round_trip(self, tmp_path):
-        seq = make_input_sequence(2.0, 1, 5)
-        path = tmp_path / "seq.csv"
-        write_sequence_csv(seq, path)
-        assert path.read_text().splitlines()[0] == "index,value"
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert np.array_equal(data[:, 0], np.arange(len(seq)))
-        assert np.array_equal(data[:, 1], seq)
