@@ -9,7 +9,10 @@ Run:  python demos/02_open_system_dynamics.py
 import numpy as np
 
 from spinqrc.dynamics import (
-    build_lindblad_system,
+    build_hamiltonian,
+    build_jump_operators,
+    interval_propagator,
+    liouvillian,
     random_model,
     single_qubit_jump,
     stable_step_count,
@@ -22,17 +25,18 @@ model = random_model(0.5, seed=(2024, 0))
 print("coupling matrix J_ij:")
 print(np.round(model.coupling, 4))
 
-sys = build_lindblad_system(model)
-eigs = np.linalg.eigvalsh(sys.hamiltonian)
+h = build_hamiltonian(model)
+jump_ops = build_jump_operators(model)
+eigs = np.linalg.eigvalsh(h)
 print(f"\nHamiltonian spectrum: [{eigs[0]:.4f} .. {eigs[-1]:.4f}], "
-      f"spread {sys.spectral_spread:.4f}")
+      f"spread {eigs[-1] - eigs[0]:.4f}")
 
 print("\nsingle-qubit jump operator sqrt(gamma) * (Z + iY)/2 at gamma = 0.01:")
 print(single_qubit_jump(model.gamma))
 
 print("\n=== integration invariants over t = 0 .. 300 ===")
 # One 256 x 256 propagator: 3000 RK4 steps of dt = 0.025, i.e. 75 time units.
-p75 = sys.interval_propagator(0.025, 3000)
+p75 = interval_propagator(liouvillian(h, jump_ops), 0.025, 3000)
 states = [all_zero_state(4)]
 for _ in range(4):
     states.append((p75 @ states[-1].reshape(-1)).reshape(16, 16))
@@ -50,9 +54,10 @@ print("\n=== substep refinement at strong coupling ===")
 print("J_s      spectral spread   substeps per delta_t = 7.5 (dt = 0.025)")
 for js in (0.5, 6.0, 30.0, 75.0):
     strong = random_model(js, seed=(2024, 0))
-    s = build_lindblad_system(strong)
-    n = stable_step_count(s, 7.5, 0.025)
-    print(f"{js:6.1f}   {s.spectral_spread:10.2f}       {n}")
+    h_js = build_hamiltonian(strong)
+    eigs = np.linalg.eigvalsh(h_js)
+    n = stable_step_count(h_js, build_jump_operators(strong), 7.5, 0.025)
+    print(f"{js:6.1f}   {eigs[-1] - eigs[0]:10.2f}       {n}")
 print("\nThe default 300 substeps hold until the Hamiltonian's eigenvalue")
 print("spread would push RK4 past its imaginary-axis stability limit; the")
 print("strongest couplings then take proportionally finer fixed steps.")

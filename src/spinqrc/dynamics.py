@@ -15,8 +15,11 @@ and evolved with the Lindblad master equation
 
 Integration is fixed-step classical RK4. Because the generator is linear and
 time independent, one RK4 step is exactly the degree-4 Taylor polynomial of
-the Liouvillian acting on vec(rho); ``LindbladSystem.interval_propagator``
-builds that 4^n x 4^n polynomial and composes n steps of it into one matrix.
+the Liouvillian acting on vec(rho). Each stage is a function of plain
+arrays: ``build_hamiltonian`` and ``build_jump_operators`` give the
+operators, ``liouvillian`` their 4^n x 4^n generator, ``stable_step_count``
+the number of substeps, and ``interval_propagator`` builds the step
+polynomial and composes n steps of it into one matrix.
 """
 
 from __future__ import annotations
@@ -33,8 +36,6 @@ from .linalg import (
     PAULI_Y,
     PAULI_Z,
     embed_single_qubit,
-    hermitianize,
-    hermiticity_error,
     kron,
     kron_all,
 )
@@ -141,7 +142,7 @@ def build_jump_operators(model: SpinNetworkModel, convention: str = "paper") -> 
     return [embed_single_qubit(block, i, model.n_qubits) for i in range(model.n_qubits)]
 
 
-def _liouvillian(hamiltonian: np.ndarray, jump_ops) -> np.ndarray:
+def liouvillian(hamiltonian: np.ndarray, jump_ops) -> np.ndarray:
     """Matrix of the Lindblad generator acting on row-major vec(rho)."""
     d = hamiltonian.shape[0]
     eye = np.eye(d)
@@ -156,55 +157,8 @@ def _liouvillian(hamiltonian: np.ndarray, jump_ops) -> np.ndarray:
     return m
 
 
-class LindbladSystem:
-    """Hamiltonian, jump operators and precomputed generator data.
-
-    Immutable after construction and safe to share across threads.
-    """
-
-    def __init__(self, hamiltonian: np.ndarray, jump_ops):
-        if hermiticity_error(hamiltonian) > 1e-9:
-            raise ValueError("hamiltonian must be Hermitian")
-        self.hamiltonian = hermitianize(np.asarray(hamiltonian, dtype=complex))
-        self.jump_ops = [np.asarray(l, dtype=complex) for l in jump_ops]
-        self.dim = self.hamiltonian.shape[0]
-        # Precomputed once: L†L products and the full generator matrix.
-        self.ldl_products = [l.conj().T @ l for l in self.jump_ops]
-        self.liouvillian = _liouvillian(self.hamiltonian, self.jump_ops)
-        eigs = np.linalg.eigvalsh(self.hamiltonian)
-        self.spectral_spread = float(eigs[-1] - eigs[0])
-
-    def interval_propagator(self, dt: float, n_steps: int) -> np.ndarray:
-        """RK4 map of n_steps steps of length dt on vec(rho).
-
-        One step is I + dt M + ... + dt^4/24 M^4 for the Liouvillian M: the
-        first term is dt M, each later one (dt / order) times the previous
-        one times M.
-        """
-        m = self.liouvillian
-        term = dt * m
-        step = np.eye(m.shape[0], dtype=complex) + term
-        for order in range(2, 5):
-            term = (dt / order) * (term @ m)
-            step = step + term
-        del term  # one 4^n x 4^n matrix fewer alive during the squarings
-        return np.linalg.matrix_power(step, n_steps)
-
-
-def build_lindblad_system(model: SpinNetworkModel, convention: str = "paper") -> LindbladSystem:
-    """Assemble the full open system for one model instance."""
-    return LindbladSystem(build_hamiltonian(model), build_jump_operators(model, convention))
-
-
-def lindblad_rhs(rho: np.ndarray, sys: LindbladSystem) -> np.ndarray:
-    """Lindblad right-hand side -i[H,rho] + dissipators; traceless, Hermitian."""
-    d = sys.dim
-    if rho.shape != (d, d):
-        raise ValueError(f"rho has shape {rho.shape}, expected {(d, d)}")
-    return (sys.liouvillian @ rho.reshape(-1)).reshape(d, d)
-
-
-def stable_step_count(sys: LindbladSystem, duration: float, dt_request: float) -> int:
+def stable_step_count(hamiltonian: np.ndarray, jump_ops, duration: float,
+                      dt_request: float) -> int:
     """Number of equal RK4 substeps covering ``duration``.
 
     Honors the requested dt, then adds substeps whenever the generator's
@@ -214,7 +168,24 @@ def stable_step_count(sys: LindbladSystem, duration: float, dt_request: float) -
     contribute at most a few gamma on top.
     """
     n_requested = max(1, int(math.ceil(duration / dt_request - 1e-9)))
-    dissipator_pad = 3.0 * sum(float(np.trace(p).real) for p in sys.ldl_products)
-    reach = sys.spectral_spread + dissipator_pad
+    dissipator_pad = 3.0 * sum(float(np.trace(l.conj().T @ l).real) for l in jump_ops)
+    eigs = np.linalg.eigvalsh(hamiltonian)
+    reach = float(eigs[-1] - eigs[0]) + dissipator_pad
     n_stable = int(math.ceil(duration * reach / RK4_STABILITY_MARGIN))
     return max(n_requested, n_stable, 1)
+
+
+def interval_propagator(generator: np.ndarray, dt: float, n_steps: int) -> np.ndarray:
+    """RK4 map of n_steps steps of length dt on vec(rho) under ``generator``.
+
+    One step is I + dt M + ... + dt^4/24 M^4 for the Liouvillian M: the
+    first term is dt M, each later one (dt / order) times the previous one
+    times M.
+    """
+    term = dt * generator
+    step = np.eye(generator.shape[0], dtype=complex) + term
+    for order in range(2, 5):
+        term = (dt / order) * (term @ generator)
+        step = step + term
+    del term  # one 4^n x 4^n matrix fewer alive during the squarings
+    return np.linalg.matrix_power(step, n_steps)

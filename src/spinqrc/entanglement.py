@@ -12,24 +12,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import (
-    QubitPartition,
-    check_hermitian,
-    hermitianize,
-    partial_transpose,
-    trace_norm,
-)
+from .linalg import check_hermitian, hermitianize, partial_transpose, trace_norm
 
 PARTITION_LABELS = ("E1", "E2", "E3", "E4", "E12", "E13", "E14")
 
+# The qubit indices each partition's partial transpose acts on.
 PARTITIONS = {
-    "E1": QubitPartition(frozenset({0}), 4),
-    "E2": QubitPartition(frozenset({1}), 4),
-    "E3": QubitPartition(frozenset({2}), 4),
-    "E4": QubitPartition(frozenset({3}), 4),
-    "E12": QubitPartition(frozenset({0, 1}), 4),
-    "E13": QubitPartition(frozenset({0, 2}), 4),
-    "E14": QubitPartition(frozenset({0, 3}), 4),
+    "E1": (0,),
+    "E2": (1,),
+    "E3": (2,),
+    "E4": (3,),
+    "E12": (0, 1),
+    "E13": (0, 2),
+    "E14": (0, 3),
 }
 
 # Keys of a cell's entanglement summary (``summarize``), in output order.
@@ -44,13 +39,14 @@ RATIO_DENOMINATOR_FLOOR = 1e-9
 NEGATIVITY_BLOCK = 128
 
 
-def log_negativity(rho: np.ndarray, partition: QubitPartition, clamp: bool = True) -> float:
-    """log2 ||rho^{T_A}||_1, clamped at zero unless ``clamp`` is False.
+def log_negativity(rho: np.ndarray, qubits, clamp: bool = True) -> float:
+    """log2 ||rho^{T_A}||_1 for A the given ``qubits``, clamped at zero unless
+    ``clamp`` is False.
 
     The raw (unclamped) value can dip a few ulp below zero for separable
     states; diagnostics that need it pass ``clamp=False``.
     """
-    value = float(np.log2(trace_norm(partial_transpose(rho, partition))))
+    value = float(np.log2(trace_norm(partial_transpose(rho, qubits))))
     if clamp:
         return max(value, 0.0)
     return value

@@ -580,7 +580,7 @@ def _write_delay_blocks(path, header, blocks) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         for label, cells in blocks:
-            fh.write(f"# {label}\n")
+            fh.write(f"# {label}{writer.dialect.lineterminator}")
             stacked = np.stack([c.capacity.per_tau for c in cells])
             for tau in range(stacked.shape[1]):
                 mean, err = _mean_stderr(stacked[:, tau])

@@ -7,8 +7,6 @@ an n-qubit operator has shape (2**n, 2**n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 PAULI_I = np.eye(2, dtype=complex)
@@ -81,32 +79,6 @@ def embed_single_qubit(op: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
-class QubitPartition:
-    """Bipartition of an n-qubit register into subsystem A and the rest.
-
-    ``subsystem_a`` must be a nonempty proper subset of {0..n_qubits-1}.
-    """
-
-    subsystem_a: frozenset[int]
-    n_qubits: int
-
-    def __post_init__(self):
-        a = frozenset(int(q) for q in self.subsystem_a)
-        object.__setattr__(self, "subsystem_a", a)
-        if not a:
-            raise ValueError("subsystem A must be nonempty")
-        if any(q < 0 or q >= self.n_qubits for q in a):
-            raise ValueError(f"qubit indices {sorted(a)} out of range for n={self.n_qubits}")
-        if len(a) == self.n_qubits:
-            raise ValueError("subsystem A must be a proper subset")
-
-    @property
-    def complement(self) -> "QubitPartition":
-        rest = frozenset(range(self.n_qubits)) - self.subsystem_a
-        return QubitPartition(rest, self.n_qubits)
-
-
 def partial_trace(rho: np.ndarray, traced, n_qubits: int) -> np.ndarray:
     """Trace out the given qubits, keeping the rest in ascending-index order.
 
@@ -131,17 +103,26 @@ def partial_trace(rho: np.ndarray, traced, n_qubits: int) -> np.ndarray:
     return np.ascontiguousarray(t.reshape(d, d))
 
 
-def partial_transpose(rho: np.ndarray, partition: QubitPartition) -> np.ndarray:
-    """Transpose the indices of subsystem A only; trace is unchanged.
+def partial_transpose(rho: np.ndarray, qubits) -> np.ndarray:
+    """Transpose the indices of the given qubits only; trace is unchanged.
 
-    Leading axes are a stack: each matrix of ``rho[..., :, :]`` is transposed.
+    The register size n is read from the 2**n x 2**n matrix; ``qubits`` must
+    be a nonempty proper subset of {0..n-1}. Leading axes are a stack: each
+    matrix of ``rho[..., :, :]`` is transposed.
     """
-    n = partition.n_qubits
+    n = rho.shape[-1].bit_length() - 1
     if rho.shape[-2:] != (2**n, 2**n):
-        raise ValueError(f"rho has shape {rho.shape}, expected {(2**n,)*2}")
+        raise ValueError(f"rho has shape {rho.shape}, expected 2**n x 2**n")
+    qubits = {int(q) for q in qubits}
+    if not qubits:
+        raise ValueError("the transposed qubits must be nonempty")
+    if any(q < 0 or q >= n for q in qubits):
+        raise ValueError(f"qubit indices {sorted(qubits)} out of range for n={n}")
+    if len(qubits) == n:
+        raise ValueError("the transposed qubits must be a proper subset")
     lead = rho.shape[:-2]
     axes = list(range(2 * n))
-    for q in partition.subsystem_a:
+    for q in qubits:
         axes[q], axes[q + n] = axes[q + n], axes[q]
     t = rho.reshape(lead + (2,) * (2 * n))
     t = t.transpose(list(range(len(lead))) + [a + len(lead) for a in axes])

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from spinqrc.dynamics import LindbladSystem, lindblad_rhs
+from spinqrc.dynamics import RK4_STABILITY_MARGIN, build_hamiltonian, build_jump_operators
 from spinqrc.linalg import hermitianize
 
 
@@ -99,13 +99,63 @@ def gaussian_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def rk4_reference_step(rho: np.ndarray, sys: LindbladSystem, dt: float) -> np.ndarray:
+def lindblad_rhs(rho: np.ndarray, hamiltonian: np.ndarray, jump_ops) -> np.ndarray:
+    """Textbook right-hand side -i[H, rho] + sum_L (L rho L† - 1/2 {L†L, rho})."""
+    out = -1j * (hamiltonian @ rho - rho @ hamiltonian)
+    for l in jump_ops:
+        ldl = l.conj().T @ l
+        out = out + l @ rho @ l.conj().T - 0.5 * (ldl @ rho + rho @ ldl)
+    return out
+
+
+def rk4_reference_step(rho: np.ndarray, hamiltonian: np.ndarray, jump_ops,
+                       dt: float) -> np.ndarray:
     """Textbook four-stage RK4 update built from lindblad_rhs calls."""
-    k1 = lindblad_rhs(rho, sys)
-    k2 = lindblad_rhs(rho + 0.5 * dt * k1, sys)
-    k3 = lindblad_rhs(rho + 0.5 * dt * k2, sys)
-    k4 = lindblad_rhs(rho + dt * k3, sys)
+    k1 = lindblad_rhs(rho, hamiltonian, jump_ops)
+    k2 = lindblad_rhs(rho + 0.5 * dt * k1, hamiltonian, jump_ops)
+    k3 = lindblad_rhs(rho + 0.5 * dt * k2, hamiltonian, jump_ops)
+    k4 = lindblad_rhs(rho + dt * k3, hamiltonian, jump_ops)
     return hermitianize(rho + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
+
+
+def kron_generator(hamiltonian: np.ndarray, jump_ops) -> np.ndarray:
+    """The Lindblad generator on row-major vec(rho), as eight ``np.kron``
+    terms for four jump operators: the two commutator terms, one L x L* term
+    per jump operator, and the two anticommutator terms of their summed L†L."""
+    d = hamiltonian.shape[0]
+    eye = np.eye(d)
+    m = -1j * (np.kron(hamiltonian, eye) - np.kron(eye, hamiltonian.T))
+    acc = np.zeros((d, d), dtype=complex)
+    for l in jump_ops:
+        m += np.kron(l, l.conj())
+        acc += l.conj().T @ l
+    half = 0.5 * acc
+    m -= np.kron(half, eye) + np.kron(eye, half.T)
+    return m
+
+
+def reference_interval_map(model, duration: float, dt_request: float,
+                           convention: str = "paper") -> np.ndarray:
+    """The RK4 propagator over ``duration``, assembled step by step the long
+    way: the Hermitian part of the Hamiltonian, substeps from its eigenvalue
+    spread plus 3 sum Tr(L†L), the step polynomial as Taylor terms started
+    from the identity, and ``np.linalg.matrix_power`` of that step."""
+    h = hermitianize(build_hamiltonian(model))
+    jump_ops = build_jump_operators(model, convention)
+    eigs = np.linalg.eigvalsh(h)
+    pad = 3.0 * sum(float(np.trace(l.conj().T @ l).real) for l in jump_ops)
+    n_requested = max(1, int(math.ceil(duration / dt_request - 1e-9)))
+    n_stable = int(math.ceil(duration * (float(eigs[-1] - eigs[0]) + pad)
+                             / RK4_STABILITY_MARGIN))
+    n_sub = max(n_requested, n_stable, 1)
+    dt = duration / n_sub
+    m = kron_generator(h, jump_ops)
+    step = np.eye(len(m), dtype=complex)
+    term = np.eye(len(m), dtype=complex)
+    for order in range(1, 5):
+        term = (dt / order) * (term @ m)
+        step = step + term
+    return np.linalg.matrix_power(step, n_sub)
 
 
 def random_density_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:

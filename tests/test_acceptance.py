@@ -18,7 +18,13 @@ import math
 import numpy as np
 import pytest
 
-from spinqrc.dynamics import SpinNetworkModel, build_lindblad_system
+from spinqrc.dynamics import (
+    SpinNetworkModel,
+    build_hamiltonian,
+    build_jump_operators,
+    interval_propagator,
+    liouvillian,
+)
 from spinqrc.entanglement import PARTITIONS, log_negativity
 from spinqrc.experiments import (
     DEFAULT_JS_GRID,
@@ -346,13 +352,13 @@ def test_ac7_numerical_oracles():
     # RK4 order-4 convergence of the interval propagator every run uses, on
     # the single-qubit unitary problem over one precession period.
     model = SpinNetworkModel(coupling=np.zeros((1, 1)), n_qubits=1, h_z=1.5, gamma=0.0)
-    sys = build_lindblad_system(model)
+    generator = liouvillian(build_hamiltonian(model), build_jump_operators(model))
     plus = 0.5 * np.ones((2, 2), dtype=complex)
     t_end = 2 * math.pi / 1.5
 
     def end_error(dt):
         n_steps = math.ceil(t_end / dt)
-        got = sys.interval_propagator(t_end / n_steps, n_steps) @ plus.reshape(-1)
+        got = interval_propagator(generator, t_end / n_steps, n_steps) @ plus.reshape(-1)
         return float(np.abs(got.reshape(2, 2) - plus).max())
 
     ratio = end_error(0.05) / end_error(0.025)

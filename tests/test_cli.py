@@ -1,5 +1,7 @@
 import csv
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -267,6 +269,34 @@ def test_single_js_sweep_then_emit_reproduces_golden_files(tmp_path):
     assert main(["emit", "--results", str(out), "--figure", "all"]) == 0
     for name in ("fig4.csv", "fig2e_f1.csv", "fig2e_f2.csv"):
         assert_csv_close(out / name, os.path.join(GOLDEN_DIR, "tiny_fig4", name))
+
+
+@pytest.mark.parametrize("cfg_name", ["tiny_sweep.cfg", "tiny_fig4.cfg"])
+def test_emitted_files_use_one_line_terminator(tmp_path, cfg_name):
+    # Every row, the `# label` lines of fig3 and fig4 included, ends in CRLF.
+    out = tmp_path / "out"
+    assert main(["sweep", os.path.join(DATA_DIR, cfg_name), "--out", str(out)]) == 0
+    assert main(["emit", "--results", str(out), "--figure", "all"]) == 0
+    names = sorted(name for name in os.listdir(out) if name.startswith("fig"))
+    assert "fig3_f2.csv" in names
+    for name in names:
+        data = (out / name).read_bytes()
+        assert data.count(b"\n") == data.count(b"\r") == data.count(b"\r\n") > 1, name
+
+
+def test_sweep_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # One BLAS thread (a pinned pool worker) writes the same sweep_results.csv
+    # as the default thread count.
+    import spinqrc
+
+    assert main(["sweep", TINY_CFG, "--out", str(tmp_path / "default")]) == 0
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spinqrc.__file__)))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-m", "spinqrc", "sweep", TINY_CFG,
+                    "--out", str(tmp_path / "one")], env=env, check=True, capture_output=True)
+    assert ((tmp_path / "one" / "sweep_results.csv").read_bytes()
+            == (tmp_path / "default" / "sweep_results.csv").read_bytes())
 
 
 def test_seed_override_changes_results(tmp_path):

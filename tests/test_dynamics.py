@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from spinqrc.dynamics import (
-    LindbladSystem,
+    DISSIPATOR_CONVENTIONS,
     SpinNetworkModel,
     build_hamiltonian,
     build_jump_operators,
-    build_lindblad_system,
-    lindblad_rhs,
+    interval_propagator,
+    liouvillian,
     random_model,
     sample_coupling_matrix,
     single_qubit_jump,
@@ -24,7 +24,13 @@ from spinqrc.linalg import (
     kron_all,
 )
 
-from oracles import random_density_matrix, rk4_reference_step
+from oracles import (
+    kron_generator,
+    lindblad_rhs,
+    random_density_matrix,
+    reference_interval_map,
+    rk4_reference_step,
+)
 
 H_Z = 1.5
 
@@ -32,6 +38,22 @@ H_Z = 1.5
 def zero_coupling_model(n_qubits=4, h_z=H_Z, gamma=0.01):
     return SpinNetworkModel(coupling=np.zeros((n_qubits, n_qubits)), n_qubits=n_qubits,
                             h_z=h_z, gamma=gamma)
+
+
+def operators(model, convention="paper"):
+    """The Hamiltonian and jump operators of ``model``."""
+    return build_hamiltonian(model), build_jump_operators(model, convention)
+
+
+def generator(model):
+    """The Liouvillian of ``model``."""
+    return liouvillian(*operators(model))
+
+
+def apply(m, rho):
+    """The generator or propagator ``m`` acting on the matrix ``rho``."""
+    d = rho.shape[0]
+    return (m @ rho.reshape(-1)).reshape(d, d)
 
 
 class TestSampleCouplingMatrix:
@@ -123,93 +145,92 @@ class TestJumpOperators:
 
 
 class TestLindbladRhs:
+    """The right-hand side as the Liouvillian acting on vec(rho)."""
+
     def test_zero_generator(self):
-        sys = LindbladSystem(np.zeros((4, 4), dtype=complex), [])
+        m = liouvillian(np.zeros((4, 4), dtype=complex), [])
         rho = random_density_matrix(np.random.default_rng(1), 4)
-        assert np.abs(lindblad_rhs(rho, sys)).max() == 0.0
+        assert np.abs(apply(m, rho)).max() == 0.0
 
     def test_traceless_and_hermitian_for_random_systems(self):
         rng = np.random.default_rng(2)
         for seed in range(10):
-            sys = build_lindblad_system(random_model(2.0, seed=seed))
-            rho = random_density_matrix(rng, 16)
-            out = lindblad_rhs(rho, sys)
+            out = apply(generator(random_model(2.0, seed=seed)), random_density_matrix(rng, 16))
             assert abs(np.trace(out)) <= 1e-12
             assert np.abs(out - out.conj().T).max() <= 1e-12
 
+    def test_matches_the_commutator_form(self):
+        rng = np.random.default_rng(5)
+        for convention in DISSIPATOR_CONVENTIONS:
+            for seed in range(5):
+                h, jump_ops = operators(random_model(3.0, seed=seed), convention)
+                rho = random_density_matrix(rng, 16)
+                assert np.allclose(apply(liouvillian(h, jump_ops), rho),
+                                   lindblad_rhs(rho, h, jump_ops), rtol=0, atol=1e-14)
+
     def test_closed_form_single_qubit_coherence(self):
-        model = zero_coupling_model(n_qubits=1, gamma=0.0)
-        sys = build_lindblad_system(model)
         rho = np.array([[0.5, 0.2 + 0.1j], [0.2 - 0.1j, 0.5]])
-        out = lindblad_rhs(rho, sys)
+        out = apply(generator(zero_coupling_model(n_qubits=1, gamma=0.0)), rho)
         # d rho01 / dt = -i h_z rho01 under H = (h_z/2) Z
         assert out[0, 1] == pytest.approx(-1j * H_Z * rho[0, 1], abs=1e-14)
-
-    def test_dimension_mismatch(self):
-        sys = build_lindblad_system(zero_coupling_model())
-        with pytest.raises(ValueError):
-            lindblad_rhs(np.eye(4, dtype=complex) / 4, sys)
 
 
 def plus_state():
     return 0.5 * np.array([[1, 1], [1, 1]], dtype=complex)
 
 
-def propagate(rho, sys, dt, n_steps):
+def propagate(rho, model, dt, n_steps):
     """rho after n_steps RK4 steps of length dt, as one interval propagator."""
-    d = sys.dim
-    return (sys.interval_propagator(dt, n_steps) @ rho.reshape(-1)).reshape(d, d)
+    return apply(interval_propagator(generator(model), dt, n_steps), rho)
 
 
 class TestRk4Step:
     """The RK4 step map that ``interval_propagator`` composes."""
 
     def test_zero_generator_is_identity(self):
-        sys = LindbladSystem(np.zeros((2, 2), dtype=complex), [])
-        assert np.array_equal(sys.interval_propagator(0.025, 7), np.eye(4))
+        m = liouvillian(np.zeros((2, 2), dtype=complex), [])
+        assert np.array_equal(interval_propagator(m, 0.025, 7), np.eye(4))
 
     def test_matches_textbook_four_stage_update(self):
         rng = np.random.default_rng(3)
         for seed in range(5):
-            sys = build_lindblad_system(random_model(4.0, seed=seed))
+            model = random_model(4.0, seed=seed)
             rho = random_density_matrix(rng, 16)
-            assert np.allclose(hermitianize(propagate(rho, sys, 0.025, 1)),
-                               rk4_reference_step(rho, sys, 0.025), atol=1e-13)
+            assert np.allclose(hermitianize(propagate(rho, model, 0.025, 1)),
+                               rk4_reference_step(rho, *operators(model), 0.025), atol=1e-13)
 
     @pytest.mark.parametrize("js", [0.0, 0.005, 0.325, 6.0, 75.0])
     def test_equals_the_identity_started_taylor_sum(self, js):
         # Reference: the Taylor terms built from the identity, term = I, then
         # term = (dt / order) (term @ M) for orders 1..4.
-        sys = build_lindblad_system(random_model(js, seed=(1, 0)))
-        m = sys.liouvillian
+        m = generator(random_model(js, seed=(1, 0)))
         step = np.eye(len(m), dtype=complex)
         term = np.eye(len(m), dtype=complex)
         for order in range(1, 5):
             term = (0.025 / order) * (term @ m)
             step = step + term
         for n_steps in (1, 300):
-            assert np.array_equal(sys.interval_propagator(0.025, n_steps),
+            assert np.array_equal(interval_propagator(m, 0.025, n_steps),
                                   np.linalg.matrix_power(step, n_steps))
 
     def test_unitary_precession_returns_after_one_period(self):
-        sys = build_lindblad_system(zero_coupling_model(n_qubits=1, gamma=0.0))
+        model = zero_coupling_model(n_qubits=1, gamma=0.0)
         period = 2 * math.pi / H_Z
         n = math.ceil(period / 0.01)
-        rho = propagate(plus_state(), sys, period / n, n)
+        rho = propagate(plus_state(), model, period / n, n)
         assert np.abs(rho - plus_state()).max() <= 1e-8
 
     def test_trace_drift_per_step(self):
-        sys = build_lindblad_system(random_model(5.0, seed=9))
         rho = random_density_matrix(np.random.default_rng(4), 16)
-        out = propagate(rho, sys, 0.025, 1)
+        out = propagate(rho, random_model(5.0, seed=9), 0.025, 1)
         assert abs(np.trace(out).real - np.trace(rho).real) <= 1e-12
 
     def test_fourth_order_convergence(self):
         # Error vs the analytic solution drops ~16x when dt halves.
-        sys = build_lindblad_system(zero_coupling_model(n_qubits=1, gamma=0.0))
+        model = zero_coupling_model(n_qubits=1, gamma=0.0)
 
         def end_error(n_steps):
-            rho = propagate(plus_state(), sys, 1.0 / n_steps, n_steps)
+            rho = propagate(plus_state(), model, 1.0 / n_steps, n_steps)
             expected = 0.5 * np.array([[1.0, np.exp(-1j * H_Z)],
                                        [np.exp(1j * H_Z), 1.0]])
             return np.abs(rho - expected).max()
@@ -225,16 +246,14 @@ class TestEvolve:
         # The (Z + iY)/2 jump operator has no textbook closed form; compare
         # against a 10x finer integration of the same problem.
         model = SpinNetworkModel(coupling=np.zeros((1, 1)), n_qubits=1, h_z=0.0, gamma=0.01)
-        sys = build_lindblad_system(model)
         rho0 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
-        coarse = propagate(rho0, sys, 0.025, 2000)
-        fine = propagate(rho0, sys, 0.0025, 20000)
+        coarse = propagate(rho0, model, 0.025, 2000)
+        fine = propagate(rho0, model, 0.0025, 20000)
         assert np.abs(coarse - fine).max() <= 1e-8
 
     def test_trace_and_hermiticity_over_long_run(self):
-        sys = build_lindblad_system(random_model(5.0, seed=17))
         rho = random_density_matrix(np.random.default_rng(7), 16)
-        rho = propagate(rho, sys, 0.025, 3000)
+        rho = propagate(rho, random_model(5.0, seed=17), 0.025, 3000)
         assert abs(np.trace(rho).real - 1.0) <= 1e-9
         assert np.abs(rho - rho.conj().T).max() <= 1e-9
         assert np.linalg.eigvalsh(rho)[0] >= -1e-7
@@ -242,37 +261,57 @@ class TestEvolve:
 
 class TestStableStepCount:
     def test_default_grid_unchanged_at_moderate_coupling(self):
-        sys = build_lindblad_system(random_model(6.0, seed=0))
-        assert stable_step_count(sys, 7.5, 0.025) == 300
+        assert stable_step_count(*operators(random_model(6.0, seed=0)), 7.5, 0.025) == 300
 
     def test_strong_coupling_gets_refined(self):
-        sys = build_lindblad_system(random_model(75.0, seed=0))
-        n = stable_step_count(sys, 7.5, 0.025)
+        h, jump_ops = operators(random_model(75.0, seed=0))
+        n = stable_step_count(h, jump_ops, 7.5, 0.025)
         assert n > 300
         # Refined step keeps |lambda| * dt inside the stability margin.
-        assert sys.spectral_spread * (7.5 / n) <= 0.9 + 1e-9
+        eigs = np.linalg.eigvalsh(h)
+        assert (eigs[-1] - eigs[0]) * (7.5 / n) <= 0.9 + 1e-9
 
     def test_strong_coupling_long_run_stays_physical(self):
         model = random_model(75.0, seed=4)
-        sys = build_lindblad_system(model)
-        n = stable_step_count(sys, 7.5, 0.025)
+        n = stable_step_count(*operators(model), 7.5, 0.025)
+        propagator = interval_propagator(generator(model), 7.5 / n, n)
         rho = random_density_matrix(np.random.default_rng(8), 16)
         for _ in range(20):
-            rho = hermitianize(propagate(rho, sys, 7.5 / n, n))
+            rho = hermitianize(apply(propagator, rho))
         assert abs(np.trace(rho).real - 1.0) <= 1e-9
         assert np.linalg.eigvalsh(rho)[0] >= -1e-7
+
+
+class TestReferenceConstruction:
+    """The generator and interval propagator equal, byte for byte, the
+    eight-``np.kron`` generator and the step-by-step reference assembly."""
+
+    @pytest.mark.parametrize("convention", DISSIPATOR_CONVENTIONS)
+    @pytest.mark.parametrize("js", [0.0, 0.005, 0.325, 6.0, 75.0])
+    def test_generator_equals_the_kron_terms(self, js, convention):
+        h, jump_ops = operators(random_model(js, seed=(1, 0)), convention)
+        assert np.array_equal(hermitianize(h), h)
+        assert np.array_equal(liouvillian(h, jump_ops), kron_generator(h, jump_ops))
+
+    @pytest.mark.parametrize("convention", DISSIPATOR_CONVENTIONS)
+    @pytest.mark.parametrize("js", [0.0, 0.005, 0.325, 6.0, 75.0])
+    def test_propagator_bytes_equal_the_reference(self, js, convention):
+        model = random_model(js, seed=(1, 0))
+        h, jump_ops = operators(model, convention)
+        n = stable_step_count(h, jump_ops, 7.5, 0.025)
+        got = interval_propagator(liouvillian(h, jump_ops), 7.5 / n, n)
+        assert got.tobytes() == reference_interval_map(model, 7.5, 0.025, convention).tobytes()
 
 
 class TestDecoupledNetwork:
     def test_zero_coupling_expectations_factorize(self):
         # With J_s = 0 every multi-qubit expectation factorizes.
         model = zero_coupling_model()
-        sys = build_lindblad_system(model)
         rng = np.random.default_rng(9)
         from oracles import random_pure_product_state
 
         rho = random_pure_product_state(rng, 4)
-        rho = propagate(rho, sys, 0.025, 1200)
+        rho = propagate(rho, model, 0.025, 1200)
         from spinqrc.linalg import expectation
 
         z0 = embed_single_qubit(PAULI_Z, 0, 4)

@@ -45,13 +45,19 @@ class TestLogNegativity:
         # The pair cut {0,1} | {2,3} crosses no entanglement.
         assert log_negativity(rho, PARTITIONS["E12"]) <= 1e-10
 
+    def test_partitions_name_the_transposed_qubits(self):
+        # E13 is the pair {1, 3} in 1-based naming: indices 0 and 2.
+        assert list(PARTITIONS) == list(PARTITION_LABELS)
+        assert PARTITIONS["E13"] == (0, 2)
+        assert PARTITIONS["E4"] == (3,)
+
     def test_complement_symmetry(self):
         rng = np.random.default_rng(1)
         for _ in range(25):
             rho = random_density_matrix(rng, 16)
             part = PARTITIONS["E13"]
             a = log_negativity(rho, part, clamp=False)
-            b = log_negativity(rho, part.complement, clamp=False)
+            b = log_negativity(rho, tuple(q for q in range(4) if q not in part), clamp=False)
             assert a == pytest.approx(b, abs=1e-10)
 
     def test_boundedness_on_random_states(self):

@@ -388,18 +388,18 @@ class TestSweep:
         assert sum(row.stage_s.values()) <= row.wall_time_s
         assert "stage" not in (tmp_path / "sweep_results.csv").read_text()
 
-    def test_cell_builds_one_lindblad_system(self, monkeypatch):
+    def test_cell_builds_one_propagator(self, monkeypatch):
         # Train and test (and holdout) runs share one interval map.
         import spinqrc.reservoir
 
         calls = []
-        original = spinqrc.reservoir.build_lindblad_system
+        original = spinqrc.reservoir.interval_propagator
 
         def counted(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(spinqrc.reservoir, "build_lindblad_system", counted)
+        monkeypatch.setattr(spinqrc.reservoir, "interval_propagator", counted)
         for selection in ("test", "holdout"):
             calls.clear()
             cfg = tiny_config(js_values=(0.3,), n_coupling_seeds=1, lambda_selection=selection)

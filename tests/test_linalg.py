@@ -4,7 +4,6 @@ import pytest
 from spinqrc.linalg import (
     PAULI_I,
     PAULI_Z,
-    QubitPartition,
     check_density_matrix,
     check_hermitian,
     expectation,
@@ -111,17 +110,17 @@ class TestPartialTranspose:
         rng = np.random.default_rng(12)
         rho = random_pure_product_state(rng, 3)
         for a in ({0}, {1}, {0, 2}):
-            pt = partial_transpose(rho, QubitPartition(frozenset(a), 3))
+            pt = partial_transpose(rho, a)
             assert abs(trace_norm(pt) - 1.0) <= 1e-10
 
     def test_involution(self):
         rng = np.random.default_rng(13)
         rho = random_density_matrix(rng, 16)
-        part = QubitPartition(frozenset({1, 3}), 4)
+        part = (1, 3)
         assert np.array_equal(partial_transpose(partial_transpose(rho, part), part), rho)
 
     def test_bell_state_spectrum(self):
-        pt = partial_transpose(BELL, QubitPartition(frozenset({0}), 2))
+        pt = partial_transpose(BELL, (0,))
         eigs = hermitian_eigenvalues(pt)
         assert np.allclose(eigs, [-0.5, 0.5, 0.5, 0.5], atol=1e-12)
 
@@ -129,17 +128,20 @@ class TestPartialTranspose:
         rng = np.random.default_rng(14)
         for _ in range(20):
             rho = random_density_matrix(rng, 16)
-            pt = partial_transpose(rho, QubitPartition(frozenset({0, 3}), 4))
+            pt = partial_transpose(rho, (0, 3))
             assert abs(np.trace(pt) - np.trace(rho)) <= 1e-14
             assert np.abs(pt - pt.conj().T).max() <= 1e-14
 
     def test_invalid_partition(self):
+        rho = np.eye(16, dtype=complex) / 16
         with pytest.raises(ValueError):
-            QubitPartition(frozenset(), 4)
+            partial_transpose(rho, ())
         with pytest.raises(ValueError):
-            QubitPartition(frozenset({0, 1, 2, 3}), 4)
+            partial_transpose(rho, (0, 1, 2, 3))
         with pytest.raises(ValueError):
-            QubitPartition(frozenset({4}), 4)
+            partial_transpose(rho, (4,))
+        with pytest.raises(ValueError):
+            partial_transpose(rho[:, :12], (0,))
 
 
 class TestHermitianEigenvalues:
@@ -201,7 +203,7 @@ class TestTraceNorm:
             assert trace_norm(rho) == pytest.approx(1.0, abs=1e-12)
 
     def test_bell_partial_transpose(self):
-        pt = partial_transpose(BELL, QubitPartition(frozenset({0}), 2))
+        pt = partial_transpose(BELL, (0,))
         assert trace_norm(pt) == pytest.approx(2.0, abs=1e-12)
 
 

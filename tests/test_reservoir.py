@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
 
-from spinqrc.dynamics import SpinNetworkModel, build_lindblad_system, random_model, stable_step_count
+from spinqrc.dynamics import (
+    SpinNetworkModel,
+    build_hamiltonian,
+    build_jump_operators,
+    interval_propagator,
+    liouvillian,
+    random_model,
+    stable_step_count,
+)
 from spinqrc.entanglement import PARTITION_LABELS, PARTITIONS, log_negativity, negativities
 from spinqrc.linalg import (
     PAULI_Z,
-    QubitPartition,
     embed_single_qubit,
     expectation,
     hermitianize,
@@ -58,7 +65,7 @@ class TestInject:
         rho = random_density_matrix(rng, 16)
         out = inject(rho, 0.25, 0.75)
         pair = partial_trace(out, traced={2, 3}, n_qubits=4)
-        e = log_negativity(pair, QubitPartition(frozenset({0}), 2), clamp=False)
+        e = log_negativity(pair, (0,), clamp=False)
         assert abs(e) <= 1e-10
 
     def test_z_readout_after_injection(self):
@@ -108,8 +115,8 @@ class TestRunReservoir:
         s2 = make_input_sequence(2.0, 1, 12)
         rec = run_reservoir(interval_map(model, cfg), s1, s2, cfg)
 
-        sys = build_lindblad_system(model)
-        n_sub = stable_step_count(sys, cfg.delta_t, cfg.dt)
+        h, jump_ops = build_hamiltonian(model), build_jump_operators(model)
+        n_sub = stable_step_count(h, jump_ops, cfg.delta_t, cfg.dt)
         z_ops = [embed_single_qubit(PAULI_Z, i, 4) for i in range(4)]
         rho = all_zero_state(4)
         for k in range(10):
@@ -122,7 +129,7 @@ class TestRunReservoir:
                                [s1[idx], s2[idx]], atol=0)
             rho = inject(rho, float(s1[idx]), float(s2[idx]))
             for _ in range(n_sub):
-                rho = rk4_reference_step(rho, sys, cfg.delta_t / n_sub)
+                rho = rk4_reference_step(rho, h, jump_ops, cfg.delta_t / n_sub)
 
     def test_run_steps_hands_each_state_on(self):
         # states[k + 1] is hermitianize(raw[k]); without keep_raw the states
@@ -164,8 +171,22 @@ class TestRunReservoir:
             assert np.array_equal(raw[k], raw_k)
             rho = hermitianize(raw_k)
 
+    @pytest.mark.parametrize("js", [0.0, 0.005, 0.325, 6.0, 75.0])
+    def test_diagonal_features_equal_the_z_einsum(self, js):
+        # Over a full-length run, the <Z_i> read off the state diagonals
+        # equal the real part of the stacked Tr(rho Z_i) einsum byte for
+        # byte, and that trace has no imaginary part.
+        cfg = RunConfig()
+        s1 = make_input_sequence(2.0, 0, (1, 3))
+        s2 = make_input_sequence(2.0, 1, (1, 3))
+        rec = run_reservoir(interval_map(random_model(js, seed=(1, 3)), cfg), s1, s2, cfg)
+        z_ops = np.stack([embed_single_qubit(PAULI_Z, i, 4) for i in range(4)])
+        z = np.einsum("kij,nji->kn", rec.states, z_ops)
+        assert rec.features[:, :4].tobytes() == np.ascontiguousarray(z.real).tobytes()
+        assert not z.imag.any()
+
     def test_observables_equal_the_per_state_references(self):
-        # The stacked einsum and negativities reproduce the per-state
+        # The diagonal features and stacked negativities reproduce the per-state
         # expectation and log_negativity of every run_steps state bit for bit.
         model = random_model(2.5, seed=4)
         cfg = short_cfg(n_steps=140)
@@ -205,10 +226,11 @@ class TestRunReservoir:
     def test_interval_map_is_the_4_qubit_interval_propagator(self):
         model = random_model(0.8, seed=3)
         cfg = short_cfg()
-        sys = build_lindblad_system(model)
-        n_sub = stable_step_count(sys, cfg.delta_t, cfg.dt)
+        h, jump_ops = build_hamiltonian(model), build_jump_operators(model)
+        n_sub = stable_step_count(h, jump_ops, cfg.delta_t, cfg.dt)
         assert np.array_equal(interval_map(model, cfg),
-                              sys.interval_propagator(cfg.delta_t / n_sub, n_sub))
+                              interval_propagator(liouvillian(h, jump_ops),
+                                                  cfg.delta_t / n_sub, n_sub))
         with pytest.raises(ValueError, match="n_qubits must be 4"):
             interval_map(SpinNetworkModel(coupling=np.zeros((3, 3)), n_qubits=3), cfg)
 
@@ -272,9 +294,20 @@ class TestRunReservoir:
         propagator = interval_map(model, cfg)
         with pytest.raises(ValueError, match="initial state has shape"):
             run_steps(propagator, seq, seq, cfg, initial_state=np.eye(4) / 4)
-        # A non-finite state fails the imaginary-residue check, not later in LAPACK.
-        with pytest.raises(ValueError, match="imaginary residue nan"):
+        # A non-finite state fails the Hermiticity check, not later in LAPACK.
+        with pytest.raises(ValueError, match="not Hermitian"):
             run_reservoir(propagator, seq, seq, cfg, initial_state=np.full((16, 16), np.nan))
+
+    def test_non_hermitian_initial_state_rejected(self):
+        # A real diagonal gives real <Z_i>, so only the entry check catches
+        # an off-diagonal entry without its conjugate partner.
+        cfg = short_cfg(n_steps=6)
+        seq = constant_sequence(0.5)
+        rho = all_zero_state(4)
+        rho[0, 5] = 0.1
+        with pytest.raises(ValueError, match="not Hermitian"):
+            run_steps(interval_map(random_model(1.0, seed=0), cfg), seq, seq, cfg,
+                      initial_state=rho)
 
     def test_sample_consumption_rule(self):
         cfg = RunConfig()
