@@ -2,8 +2,9 @@
 
 Subcommands:
 
-* ``run CONFIG``         one (J_s, f, seed) cell; writes trajectories,
-                         capacity profile and entanglement summary
+* ``run CONFIG``         the one (J_s, f) cell of a config at coupling-seed
+                         index 0; writes trajectories, capacity profile and
+                         entanglement summary
 * ``sweep CONFIG``       the full (J_s, f, seed) grid with incremental output
 * ``emit --results DIR`` plot-ready per-figure CSVs from a finished sweep
 * ``validate``           randomized physics-invariant suite
@@ -15,6 +16,7 @@ Exit codes: 0 success, 1 runtime failure, 2 invalid configuration or usage.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from dataclasses import replace
@@ -62,6 +64,9 @@ def nonnegative_int(text: str) -> int:
 
 def _cmd_run(args) -> int:
     cfg = _load_config(args)
+    for key, values in (("js_values", cfg.js_values), ("f_values", cfg.f_values)):
+        if len(values) != 1:
+            raise ConfigError(f"run takes one value of {key}, got {values}", args.config)
     js, f = cfg.js_values[0], cfg.f_values[0]
     print(f"running single cell: J_s={js:g} f={f:g} seed=0 "
           f"(fingerprint {cfg.fingerprint()[:12]})")
@@ -78,15 +83,17 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
     n_cells = len(cfg.js_values) * len(cfg.f_values) * cfg.n_coupling_seeds
+    # Flushed, so that a reader of piped stdout sees the sweep advance.
     print(f"sweep {cfg.experiment_name}: {n_cells} cells, {args.threads} worker(s), "
-          f"fingerprint {cfg.fingerprint()[:12]}")
+          f"fingerprint {cfg.fingerprint()[:12]}", flush=True)
 
     done = [0]
 
     def progress(res):
         done[0] += 1
         tag = "ok" if res.status == "ok" else f"ERROR ({res.error})"
-        print(f"  [{done[0]}/{n_cells}] J_s={res.js:g} f={res.f:g} seed={res.seed_index}: {tag}")
+        print(f"  [{done[0]}/{n_cells}] J_s={res.js:g} f={res.f:g} seed={res.seed_index}: {tag}",
+              flush=True)
 
     result = run_sweep(cfg, threads=args.threads, out_dir=cfg.output_dir, progress=progress)
     failed = [r for r in result.rows if r.status != "ok"]
@@ -190,16 +197,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit code.
+
+    On every way out, usage errors and ``--version`` included, the heap is
+    frozen: the objects numpy and the package leave alive move to the
+    permanent generation, which the collections at interpreter shutdown skip.
+    Freezing on return, not at start-up, leaves the command's own collections
+    and its peak memory as they were.
+    """
     try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # noqa: BLE001 - CLI boundary
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        args = build_parser().parse_args(argv)
+        try:
+            return args.func(args)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
+        except Exception as exc:  # noqa: BLE001 - CLI boundary
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 1
+    finally:
+        gc.freeze()
 
 
 if __name__ == "__main__":

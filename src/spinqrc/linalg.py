@@ -148,7 +148,8 @@ def expectation(rho: np.ndarray, obs: np.ndarray) -> float:
     """Re Tr(rho @ obs) for a Hermitian observable.
 
     Raises if the imaginary residue of the trace exceeds ``IMAG_TOL`` or is
-    not finite.
+    not finite. The run loop reads its <Z_i> off the state diagonals; this
+    per-state trace is the reference the feature tests compare them against.
     """
     if rho.shape != obs.shape:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {obs.shape}")

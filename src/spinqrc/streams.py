@@ -6,6 +6,7 @@ across platforms and independent draws never share a stream:
 
 * input-signal phases:   (SIGNAL_DOMAIN, seed, sequence_index)
 * coupling matrices:     (COUPLING_DOMAIN, *coupling_seed)
+* invariant-suite J_s:   (VALIDATE_DOMAIN, base_seed, run_index)
 
 where ``coupling_seed`` is the experiment's (base_seed, seed_index) pair.
 
@@ -20,6 +21,7 @@ import numpy as np
 
 SIGNAL_DOMAIN = 0x5347    # "SG"
 COUPLING_DOMAIN = 0x4A53  # "JS"
+VALIDATE_DOMAIN = 0x56    # "V"
 
 
 def stream(*key: int) -> np.random.Generator:

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 
@@ -15,3 +17,11 @@ def negativity_calls(monkeypatch):
 
     monkeypatch.setattr(spinqrc.reservoir, "negativities", counting)
     return calls
+
+
+@pytest.fixture(autouse=True)
+def unfreeze_heap():
+    """``cli.main`` freezes the heap on return; hand what it froze back to the
+    collector, so that no test's garbage outlives it in this process."""
+    yield
+    gc.unfreeze()

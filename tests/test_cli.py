@@ -1,4 +1,6 @@
 import csv
+import gc
+import json
 import os
 import subprocess
 import sys
@@ -158,8 +160,6 @@ def test_single_run_outputs(tmp_path, capsys):
 
     # The exported trajectories and the reported capacity must describe the
     # same runs: recompute the profile from the CSVs and compare.
-    import json
-
     from spinqrc.learning import evaluate_capacity_profile
 
     train, test = (read_trajectory(out / f"trajectory_{run}.csv", washout_steps=30)
@@ -167,6 +167,44 @@ def test_single_run_outputs(tmp_path, capsys):
     recomputed = evaluate_capacity_profile(train, test, tau_max=10)
     reported = json.loads((out / "capacity.json").read_text())
     assert np.allclose(recomputed.per_tau, reported["per_tau"], atol=1e-12)
+
+    # Every value of a trajectory is written as the repr of its float.
+    for run in ("train", "test"):
+        with open(out / f"trajectory_{run}.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [row[0] for row in rows] == [str(k) for k in range(len(rows))]
+        assert all(field == repr(float(field)) for row in rows for field in row[1:])
+
+
+def test_single_run_reproduces_golden_files(tmp_path):
+    cfg = tmp_path / "single.cfg"
+    cfg.write_text(SINGLE_CFG)
+    out = tmp_path / "run_out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    golden = os.path.join(GOLDEN_DIR, "single_run")
+    for name in ("trajectory_train.csv", "trajectory_test.csv", "capacity.csv"):
+        assert_csv_close(out / name, os.path.join(golden, name))
+    for name in ("capacity.json", "entanglement.json"):
+        got = json.loads((out / name).read_text())
+        with open(os.path.join(golden, name)) as fh:
+            want = json.load(fh)
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            assert got[key] == (value if isinstance(value, str)
+                                else pytest.approx(value, abs=1e-12, rel=1e-10)), key
+
+
+@pytest.mark.parametrize("one, several", [("js_values = 0.3", "js_values = 0.1, 1.0"),
+                                          ("f_values = 2", "f_values = 1, 2")],
+                         ids=["two-js", "two-f"])
+def test_run_with_several_js_or_f_exits_two(tmp_path, capsys, one, several):
+    # run used the first J_s and f of a config and silently dropped the rest.
+    cfg = tmp_path / "several.cfg"
+    cfg.write_text(SINGLE_CFG.replace(one, several))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "never")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and several.split(" =")[0] in err
+    assert not (tmp_path / "never").exists()
 
 
 def test_gen_signals_exports_the_run_cells_inputs(tmp_path):
@@ -299,6 +337,57 @@ def test_sweep_bytes_do_not_depend_on_blas_threads(tmp_path):
             == (tmp_path / "default" / "sweep_results.csv").read_bytes())
 
 
+# Runs the command line with each sweep cell held until a file named by the
+# first argument and the cell's number exists.
+GATED_CELLS = """
+import os, sys, time
+import spinqrc.experiments as experiments
+
+run_cell, started = experiments.run_cell, []
+
+def gated(*args):
+    go = sys.argv[1] + str(len(started))
+    started.append(go)
+    deadline = time.monotonic() + 20
+    while not os.path.exists(go) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return run_cell(*args)
+
+experiments.run_cell = gated
+from spinqrc.cli import main
+raise SystemExit(main(sys.argv[2:]))
+"""
+
+
+def test_sweep_flushes_each_line_to_a_pipe(tmp_path):
+    # Piped stdout is block-buffered: every line of a sweep arrived at exit.
+    # Each cell waits until the line before it has been read, so the header
+    # and each progress line must come while the sweep still runs.
+    import spinqrc
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spinqrc.__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out, go = tmp_path / "out", str(tmp_path / "go")
+    proc = subprocess.Popen([sys.executable, "-c", GATED_CELLS, go, "sweep", TINY_CFG,
+                             "--out", str(out)],
+                            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env, text=True)
+    try:
+        lines = [proc.stdout.readline()]
+        for n in range(4):
+            jsonl = out / "cells.jsonl"
+            assert (len(jsonl.read_text().splitlines()) if jsonl.exists() else 0) == n, lines
+            open(go + str(n), "w").close()
+            lines.append(proc.stdout.readline())
+        assert proc.wait(timeout=60) == 0
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+    assert lines[0].startswith("sweep sweep_js: 4 cells")
+    assert [line.split("]")[0] for line in lines[1:]] == [f"  [{n}/4" for n in range(1, 5)]
+
+
 def test_seed_override_changes_results(tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
@@ -328,3 +417,19 @@ def test_emit_without_any_figure_exits_one(tmp_path, monkeypatch, capsys):
         assert main(["emit", "--results", str(out), "--figure", figure]) == 1
         assert capsys.readouterr().err
     assert not [name for name in os.listdir(out) if name.startswith("fig")]
+
+
+@pytest.mark.parametrize("argv, code", [(["validate", "--runs", "1", "--steps", "15"], 0),
+                                        (["run", "/nonexistent/path.cfg"], 2),
+                                        (["--version"], SystemExit),
+                                        (["validate", "--runs", "0"], SystemExit)],
+                         ids=["ok", "config-error", "version", "usage-error"])
+def test_main_freezes_the_heap_on_every_way_out(capsys, argv, code):
+    # Frozen objects are skipped by the collections at interpreter shutdown.
+    gc.unfreeze()
+    if code is SystemExit:
+        with pytest.raises(SystemExit):
+            main(argv)
+    else:
+        assert main(argv) == code
+    assert gc.isenabled() and gc.get_freeze_count() > 0
