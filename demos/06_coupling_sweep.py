@@ -34,14 +34,14 @@ print(f"sweep fingerprint: {cfg.fingerprint()[:16]}")
 print(f"running {len(cfg.js_values)} x {cfg.n_coupling_seeds} cells ...")
 
 done = []
-result = run_sweep(cfg, threads=2, out_dir=OUT,
-                   progress=lambda r: done.append(r) or print(
-                       f"  cell J_s={r.js:g} seed={r.seed_index}: {r.status} "
-                       f"({r.wall_time_s:.2f} s)"))
+rows = run_sweep(cfg, threads=2, out_dir=OUT,
+                 progress=lambda r: done.append(r) or print(
+                     f"  cell J_s={r.js:g} seed={r.seed_index}: {r.status} "
+                     f"({r.wall_time_s:.2f} s)"))
 
-caps = seed_averaged_metric(result, 2.0, lambda c: c.capacity.total)
+caps = seed_averaged_metric(rows, 2.0, lambda c: c.capacity.total)
 ents = seed_averaged_metric(
-    result, 2.0,
+    rows, 2.0,
     lambda c: sum(c.entanglement[l] for l in ("E1", "E2", "E3", "E4")) / 4)
 
 print("\nJ_s        total capacity   mean single-vs-rest entanglement")
@@ -54,6 +54,6 @@ print("\ncapacity peaks at weak coupling; entanglement peaks roughly a decade")
 print("later, so the best-performing reservoirs are only moderately entangled.")
 
 for figure in ("fig2a", "fig2b", "fig2c", "fig2d", "fig2e", "fig3"):
-    for path in emit_figure_data(result, figure, OUT):
+    for path in emit_figure_data(rows, figure, OUT):
         print(f"wrote {path}")
 print(f"\nsweep outputs (manifest, cells.jsonl, sweep_results.csv) in {OUT}")

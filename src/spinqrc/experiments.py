@@ -170,9 +170,6 @@ class ConfigField:
     def to_json(self, value):
         return value if self.item is None else [self.item(v) for v in value]
 
-    def from_json(self, value):
-        return value if self.item is None else tuple(self.item(v) for v in value)
-
 
 CONFIG_FIELDS = (
     ConfigField("experiment_name", str, key="experiment"),
@@ -191,13 +188,6 @@ CONFIG_FIELDS = (
     ConfigField("dissipator_convention", str),
     ConfigField("output_dir", str, semantic=False),
 )
-
-
-def _config_from(values: dict) -> ExperimentConfig:
-    """The config with the settings named in ``values``; the rest keep their defaults."""
-    on_run = {fld.name for fld in CONFIG_FIELDS if fld.on_run}
-    run = RunConfig(**{k: v for k, v in values.items() if k in on_run})
-    return ExperimentConfig(run=run, **{k: v for k, v in values.items() if k not in on_run})
 
 
 def parse_config_file(path) -> ExperimentConfig:
@@ -236,8 +226,10 @@ def parse_config_file(path) -> ExperimentConfig:
             raise ConfigError(f"bad value for {key!r}: {exc}", path, lineno) from exc
         key_lines[key] = lineno
 
+    on_run = {fld.name for fld in CONFIG_FIELDS if fld.on_run}
     try:
-        return _config_from(values)
+        run = RunConfig(**{k: v for k, v in values.items() if k in on_run})
+        return ExperimentConfig(run=run, **{k: v for k, v in values.items() if k not in on_run})
     except ValueError as exc:
         named = [key for key in by_key if re.search(rf"\b{key}\b", str(exc))]
         line = key_lines.get(named[0]) if len(named) == 1 else None
@@ -267,18 +259,6 @@ class CellResult:
     train: TrajectoryRecord | None = None
     test: TrajectoryRecord | None = None
     stage_s: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True, eq=False)
-class SweepResult:
-    """All cell results in config order, plus provenance."""
-
-    config: ExperimentConfig
-    rows: tuple
-    fingerprint: str
-
-    def ok_rows(self):
-        return [r for r in self.rows if r.status == "ok"]
 
 
 def run_cell(cfg: ExperimentConfig, js: float, f: float, seed_index: int) -> CellResult:
@@ -341,8 +321,9 @@ def sweep_cells(cfg: ExperimentConfig):
 
 
 def run_sweep(cfg: ExperimentConfig, threads: int = 1, out_dir=None,
-              progress=None) -> SweepResult:
-    """Run every cell of the sweep; optionally write outputs incrementally.
+              progress=None) -> tuple[CellResult, ...]:
+    """Run every cell of the sweep and return the results in config order;
+    optionally write outputs incrementally.
 
     With ``out_dir`` set, each finished cell's status and timing are appended
     to ``cells.jsonl`` (completion order; no results, so a killed sweep is
@@ -399,11 +380,10 @@ def run_sweep(cfg: ExperimentConfig, threads: int = 1, out_dir=None,
                 record(cell, CellResult(float(js), float(f), int(j), "error", None, None, 0.0,
                                         error="worker process died"))
 
-    ordered = tuple(results[cell] for cell in cells)
-    sweep = SweepResult(config=cfg, rows=ordered, fingerprint=cfg.fingerprint())
+    rows = tuple(results[cell] for cell in cells)
     if out_dir is not None:
-        write_sweep_outputs(sweep, out_dir)
-    return sweep
+        write_sweep_outputs(cfg, rows, out_dir)
+    return rows
 
 
 def write_csv(path, header, rows) -> None:
@@ -475,45 +455,48 @@ def sweep_csv_header(tau_max: int) -> list[str]:
             + list(SUMMARY_FIELDS))
 
 
-def write_sweep_outputs(result: SweepResult, out_dir) -> None:
+def write_sweep_outputs(cfg: ExperimentConfig, rows, out_dir) -> None:
     """Write sweep_results.csv (no wall times, byte-reproducible) and the
     manifest (config, fingerprint, code version, per-cell status, wall time
-    and stage times)."""
+    and stage times) for the cell results ``rows`` of ``cfg``."""
     os.makedirs(out_dir, exist_ok=True)
-    header = sweep_csv_header(result.config.tau_max)
-    rows = []
-    for row in result.rows:
+    header = sweep_csv_header(cfg.tau_max)
+    table = []
+    for row in rows:
         out = [repr(row.js), repr(row.f), row.seed_index, row.status]
         if row.status == "ok":
             out += [_repr_or_nan(v) for v in (row.capacity.total, *row.capacity.per_tau)]
             out += [_repr_or_nan(row.entanglement[name]) for name in SUMMARY_FIELDS]
-        rows.append(out + ["nan"] * (len(header) - len(out)))
-    write_csv(os.path.join(out_dir, "sweep_results.csv"), header, rows)
+        table.append(out + ["nan"] * (len(header) - len(out)))
+    write_csv(os.path.join(out_dir, "sweep_results.csv"), header, table)
     write_json(os.path.join(out_dir, "manifest.json"), {
-        "config": result.config.semantic_dict(),
-        "output_dir": result.config.output_dir,
-        "fingerprint": result.fingerprint,
+        "config": cfg.semantic_dict(),
+        "output_dir": cfg.output_dir,
+        "fingerprint": cfg.fingerprint(),
         "code_version": __version__,
-        "cells": [_cell_log(r) for r in result.rows],
+        "cells": [_cell_log(r) for r in rows],
     })
 
 
-def read_sweep_results(out_dir) -> SweepResult:
-    """Rebuild a SweepResult from sweep_results.csv + manifest.json; each
-    row's error and timings come from its cell's entry in the manifest."""
+def read_sweep_results(out_dir) -> tuple[CellResult, ...]:
+    """The cell results of a finished sweep, in config order, from
+    sweep_results.csv and manifest.json. Each row's error and timings come
+    from its cell's entry in the manifest; ``lambda_per_tau``, which the CSV
+    does not hold, is NaN."""
     with open(os.path.join(out_dir, "manifest.json")) as fh:
         manifest = json.load(fh)
-    values = {fld.name: fld.from_json(manifest["config"][fld.name])
-              for fld in CONFIG_FIELDS if fld.semantic}
-    cfg = _config_from({**values, "output_dir": manifest.get("output_dir", "results")})
-    tau_max = cfg.tau_max
+    tau_max = manifest["config"]["tau_max"]
     with open(os.path.join(out_dir, "sweep_results.csv"), newline="") as fh:
         reader = csv.reader(fh)
         if next(reader) != sweep_csv_header(tau_max):
             raise ValueError(f"unexpected sweep_results.csv header in {out_dir}")
         records = list(reader)
+    cells = manifest["cells"]
+    if len(records) != len(cells):
+        raise ValueError(f"{out_dir}: sweep_results.csv has {len(records)} rows, "
+                         f"manifest.json lists {len(cells)} cells")
     rows = []
-    for number, (rec, log) in enumerate(zip(records, manifest["cells"], strict=True), start=1):
+    for number, (rec, log) in enumerate(zip(records, cells), start=1):
         js, f, seed, status = float(rec[0]), float(rec[1]), int(rec[2]), rec[3]
         if (log["J_s"], log["f"], log["seed"]) != (js, f, seed):
             raise ValueError(f"{out_dir}: sweep_results.csv row {number} is (J_s, f, seed) = "
@@ -527,7 +510,7 @@ def read_sweep_results(out_dir) -> SweepResult:
             summary = summarize(dict(zip(PARTITION_LABELS, nums[tau_max + 2:])))
         rows.append(CellResult(js, f, seed, status, profile, summary, log["wall_time_s"],
                                error=log["error"], stage_s=log["stage_s"]))
-    return SweepResult(config=cfg, rows=tuple(rows), fingerprint=manifest["fingerprint"])
+    return tuple(rows)
 
 
 def _mean_stderr(values) -> tuple[float, float]:
@@ -538,12 +521,13 @@ def _mean_stderr(values) -> tuple[float, float]:
     return mean, float(arr.std(ddof=1) / math.sqrt(len(arr)))
 
 
-def _group_ok(result: SweepResult):
-    """ok rows grouped by (f, J_s), preserving config order of keys."""
-    ok = result.ok_rows()
-    grouped = {(float(f), float(js)): [r for r in ok if r.f == f and r.js == js]
-               for f in result.config.f_values for js in result.config.js_values}
-    return {key: rows for key, rows in grouped.items() if rows}
+def _group_ok(rows):
+    """The ok rows grouped by (f, J_s), keys and rows in row order."""
+    grouped = {}
+    for r in rows:
+        if r.status == "ok":
+            grouped.setdefault((r.f, r.js), []).append(r)
+    return grouped
 
 
 # The per-J_s panels, one row per J_s and one file per f: (statistic,
@@ -575,23 +559,21 @@ def _js_row(js, cells, statistic, names) -> list[str]:
     return row
 
 
-def _write_delay_blocks(path, header, blocks) -> None:
-    """Capacity against delay: per (label, cells) block, a ``# label`` line,
-    then one row per tau of the seed mean and, if the header names it, its
-    stderr."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for label, cells in blocks:
-            fh.write(f"# {label}{writer.dialect.lineterminator}")
-            stacked = np.stack([c.capacity.per_tau for c in cells])
-            for tau in range(stacked.shape[1]):
-                mean, err = _mean_stderr(stacked[:, tau])
-                writer.writerow([tau, repr(mean), repr(err)][:len(header)])
+def _delay_rows(blocks, stderr: bool):
+    """Capacity against delay: per (label, cells) block, a one-field
+    ``# label`` row, then one row per tau of the seed mean and, with
+    ``stderr``, its standard error."""
+    for label, cells in blocks:
+        yield [f"# {label}"]
+        stacked = np.stack([c.capacity.per_tau for c in cells])
+        for tau in range(stacked.shape[1]):
+            mean, err = _mean_stderr(stacked[:, tau])
+            yield [tau, repr(mean), repr(err)] if stderr else [tau, repr(mean)]
 
 
-def emit_figure_data(result: SweepResult, figure: str, out_dir) -> list[str]:
-    """Write plot-ready CSVs for one figure panel; returns the paths written.
+def emit_figure_data(rows, figure: str, out_dir) -> list[str]:
+    """Write plot-ready CSVs for one figure panel from the cell results
+    ``rows`` of a sweep; returns the paths written.
 
     Seed-averaged values come with their standard error across coupling
     seeds. Aggregate differences and ratios are computed from the
@@ -601,7 +583,7 @@ def emit_figure_data(result: SweepResult, figure: str, out_dir) -> list[str]:
     if figure not in FIGURE_NAMES:
         raise ValueError(f"unknown figure {figure!r}; expected one of {FIGURE_NAMES}")
     os.makedirs(out_dir, exist_ok=True)
-    grouped = _group_ok(result)
+    grouped = _group_ok(rows)
     if not grouped:
         raise ValueError("sweep contains no successful cells")
     f_values = sorted({f for (f, _js) in grouped})
@@ -611,8 +593,9 @@ def emit_figure_data(result: SweepResult, figure: str, out_dir) -> list[str]:
         if len(js_set) != 1:
             raise ValueError(f"fig4 expects a single J_s in the sweep, found {js_set}")
         path = os.path.join(out_dir, "fig4.csv")
-        _write_delay_blocks(path, ["tau", "capacity"],
-                            [(f"f={f:g}", grouped[(f, js_set[0])]) for f in f_values])
+        write_csv(path, ["tau", "capacity"],
+                  _delay_rows([(f"f={f:g}", grouped[(f, js_set[0])]) for f in f_values],
+                             stderr=False))
         return [path]
 
     paths = []
@@ -621,8 +604,9 @@ def emit_figure_data(result: SweepResult, figure: str, out_dir) -> list[str]:
         path = os.path.join(out_dir, f"{figure}_f{f:g}.csv")
         paths.append(path)
         if figure == "fig3":
-            _write_delay_blocks(path, ["tau", "capacity_mean", "capacity_stderr"],
-                                [(f"J_s={js:g}", grouped[(f, js)]) for js in js_sorted])
+            write_csv(path, ["tau", "capacity_mean", "capacity_stderr"],
+                      _delay_rows([(f"J_s={js:g}", grouped[(f, js)]) for js in js_sorted],
+                                 stderr=True))
             continue
         statistic, suffix, names = _JS_PANELS[figure]
         write_csv(path, ["J_s"] + [h for n in names for h in (n + suffix, f"{n}_stderr")],
@@ -630,10 +614,11 @@ def emit_figure_data(result: SweepResult, figure: str, out_dir) -> list[str]:
     return paths
 
 
-def seed_averaged_metric(result: SweepResult, f: float, metric) -> dict[float, float]:
-    """Seed-averaged value of ``metric(cell)`` per J_s at one input frequency."""
+def seed_averaged_metric(rows, f: float, metric) -> dict[float, float]:
+    """Seed-averaged value of ``metric(cell)`` per J_s at one input frequency,
+    over the cell results ``rows`` of a sweep."""
     out = {}
-    for (ff, js), cells in _group_ok(result).items():
+    for (ff, js), cells in _group_ok(rows).items():
         if ff == f:
             out[js] = float(np.mean([metric(c) for c in cells]))
     return out

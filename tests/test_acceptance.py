@@ -60,32 +60,36 @@ def report(name: str, ok: bool, detail: str) -> None:
     print(f"{name} {'PASS' if ok else 'FAIL'}: {detail}")
 
 
+GRID_CFG = ExperimentConfig(experiment_name="sweep_js", js_values=DEFAULT_JS_GRID,
+                            f_values=(2.0,), n_coupling_seeds=N_SEEDS,
+                            base_seed=BASE_SEED, output_dir="unused")
+TAIL_CFG = ExperimentConfig(experiment_name="memory_tail",
+                            js_values=(0.005, 0.325, 6.0, 75.0),
+                            f_values=(2.0,), n_coupling_seeds=N_SEEDS,
+                            base_seed=BASE_SEED, output_dir="unused")
+DIP_CFG = ExperimentConfig(experiment_name="delay_dip", js_values=(1.5,),
+                           f_values=(1.0, 2.0, 3.0), n_coupling_seeds=N_SEEDS,
+                           base_seed=BASE_SEED, output_dir="unused")
+
+
 @pytest.fixture(scope="module")
 def grid_sweep():
-    cfg = ExperimentConfig(experiment_name="sweep_js", js_values=DEFAULT_JS_GRID,
-                           f_values=(2.0,), n_coupling_seeds=N_SEEDS,
-                           base_seed=BASE_SEED, output_dir="unused")
-    return run_sweep(cfg, threads=THREADS)
+    return run_sweep(GRID_CFG, threads=THREADS)
 
 
 @pytest.fixture(scope="module")
 def tail_sweep():
-    cfg = ExperimentConfig(experiment_name="memory_tail", js_values=(0.005, 0.325, 6.0, 75.0),
-                           f_values=(2.0,), n_coupling_seeds=N_SEEDS,
-                           base_seed=BASE_SEED, output_dir="unused")
-    return run_sweep(cfg, threads=THREADS)
+    return run_sweep(TAIL_CFG, threads=THREADS)
 
 
 @pytest.fixture(scope="module")
 def dip_sweep():
-    cfg = ExperimentConfig(experiment_name="delay_dip", js_values=(1.5,),
-                           f_values=(1.0, 2.0, 3.0), n_coupling_seeds=N_SEEDS,
-                           base_seed=BASE_SEED, output_dir="unused")
-    return run_sweep(cfg, threads=THREADS)
+    return run_sweep(DIP_CFG, threads=THREADS)
 
 
-def null_control(sweep):
-    """Null capacity profiles of a sweep's cells, per (J_s, f) in seed order.
+def null_control(cfg, sweep):
+    """Null capacity profiles of the cells ``sweep`` of ``cfg``, per (J_s, f)
+    in seed order.
 
     Each cell runs again through ``run_cell``, which returns its train and
     test records. The null scores those same features, with the same
@@ -94,11 +98,10 @@ def null_control(sweep):
     sampled at the run's injection steps, that never drove the reservoir.
     Also returns whether every rerun cell's real profile equals the sweep's.
     """
-    cfg = sweep.config
     ids = TRAIN_SEQUENCE_IDS + TEST_SEQUENCE_IDS
     steps = [cfg.run.sample_index(k) for k in range(cfg.run.n_steps)]
     null, reproduced = {}, True
-    for row in sweep.ok_rows():
+    for row in (r for r in sweep if r.status == "ok"):
         key = (cfg.base_seed, row.seed_index)
         null_seqs = [make_input_sequence(row.f, q, key + (NULL_TAG,))[steps] for q in ids]
         cell = run_cell(cfg, row.js, row.f, row.seed_index)
@@ -113,17 +116,17 @@ def null_control(sweep):
 
 @pytest.fixture(scope="module")
 def tail_null(tail_sweep):
-    return null_control(tail_sweep)
+    return null_control(TAIL_CFG, tail_sweep)
 
 
 @pytest.fixture(scope="module")
 def dip_null(dip_sweep):
-    return null_control(dip_sweep)
+    return null_control(DIP_CFG, dip_sweep)
 
 
 def seed_rows(sweep, js, f=2.0):
     """The (J_s, f) cells of a sweep, one per coupling seed in seed order."""
-    rows = [r for r in sweep.ok_rows() if r.js == js and r.f == f]
+    rows = [r for r in sweep if r.status == "ok" and r.js == js and r.f == f]
     assert len(rows) == N_SEEDS
     return rows
 
@@ -191,7 +194,7 @@ def test_ac1_capacity_peak_location(grid_sweep):
     drop, drop_se = paired_drop(peak_totals, low_totals)
     low_ok = end_drop_ok(peak_totals, low_totals)
     # The readout's regularisation at the decoupled end, beside the peak's.
-    floor = min(grid_sweep.config.lambda_grid)
+    floor = min(GRID_CFG.lambda_grid)
     low_lams = np.array([r.capacity.lambda_per_tau for r in low_rows])
     peak_lam = np.median([r.capacity.lambda_per_tau for r in peak_rows])
     ok = (0.1 <= peak_js <= 1.0) and low_ok and (high_ratio < 0.6)

@@ -9,6 +9,7 @@ from spinqrc.dynamics import random_model
 from spinqrc.entanglement import PARTITION_LABELS, SUMMARY_FIELDS
 from spinqrc.experiments import (
     DEFAULT_JS_GRID,
+    FIGURE_NAMES,
     ConfigError,
     ExperimentConfig,
     emit_figure_data,
@@ -172,12 +173,12 @@ class TestFingerprint:
         assert cfg.lambda_grid == (1e-6, 1e-3, 1.0)
         assert cfg.output_dir == "results/all_keys"
         assert cfg.fingerprint() == ALL_KEYS_FINGERPRINT
-        sweep = run_sweep(cfg, out_dir=tmp_path / "out")
-        assert [r.status for r in sweep.rows] == ["ok", "ok"]
-        back = read_sweep_results(tmp_path / "out")
-        assert back.config.semantic_dict() == cfg.semantic_dict()
-        assert back.config.fingerprint() == back.fingerprint == ALL_KEYS_FINGERPRINT
-        assert back.config.output_dir == cfg.output_dir
+        rows = run_sweep(cfg, out_dir=tmp_path / "out")
+        assert [r.status for r in rows] == ["ok", "ok"]
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["config"] == cfg.semantic_dict()
+        assert manifest["fingerprint"] == ALL_KEYS_FINGERPRINT
+        assert manifest["output_dir"] == cfg.output_dir
 
     def test_ignores_output_location(self):
         assert tiny_config().fingerprint() == tiny_config(output_dir="elsewhere").fingerprint()
@@ -211,10 +212,8 @@ def seed_one_fails(monkeypatch):
 class TestSweep:
     def test_degenerate_sweep_reproduces_single_cell(self):
         cfg = tiny_config(js_values=(0.3,), n_coupling_seeds=1)
-        sweep = run_sweep(cfg)
-        assert len(sweep.rows) == 1
+        (row,) = run_sweep(cfg)
         single = run_cell(cfg, 0.3, 2.0, 0)
-        row = sweep.rows[0]
         assert row.status == single.status == "ok"
         assert np.array_equal(row.capacity.per_tau, single.capacity.per_tau)
         assert row.entanglement == single.entanglement
@@ -240,10 +239,10 @@ class TestSweep:
 
     def test_failed_cells_are_isolated(self, tmp_path, seed_one_fails):
         cfg = tiny_config(js_values=(0.2,))
-        sweep = run_sweep(cfg, out_dir=tmp_path)
-        statuses = [r.status for r in sweep.rows]
+        rows = run_sweep(cfg, out_dir=tmp_path)
+        statuses = [r.status for r in rows]
         assert statuses == ["ok", "error"]
-        assert "synthetic cell failure" in sweep.rows[1].error
+        assert "synthetic cell failure" in rows[1].error
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert [c["status"] for c in manifest["cells"]] == ["ok", "error"]
 
@@ -251,16 +250,16 @@ class TestSweep:
         from spinqrc.cli import main
 
         # At J_s = 0 no pair ever interacts, so that cell's ratios are undefined.
-        sweep = run_sweep(tiny_config(js_values=(0.0, 0.3)), out_dir=tmp_path)
-        assert [r.status for r in sweep.rows] == ["ok", "error", "ok", "error"]
-        assert sweep.rows[0].entanglement["ratio_single"] is None
+        rows = run_sweep(tiny_config(js_values=(0.0, 0.3)), out_dir=tmp_path)
+        assert [r.status for r in rows] == ["ok", "error", "ok", "error"]
+        assert rows[0].entanglement["ratio_single"] is None
         with open(tmp_path / "sweep_results.csv", newline="") as fh:
             header = next(csv.reader(fh))
         assert tuple(header[-len(SUMMARY_FIELDS):]) == SUMMARY_FIELDS
         back = read_sweep_results(tmp_path)
-        assert [r.status for r in back.rows] == ["ok", "error", "ok", "error"]
-        assert back.rows[1].error == "RuntimeError: synthetic cell failure"
-        for a, b in zip(back.rows, sweep.rows):
+        assert [r.status for r in back] == ["ok", "error", "ok", "error"]
+        assert back[1].error == "RuntimeError: synthetic cell failure"
+        for a, b in zip(back, rows):
             assert a.entanglement == b.entanglement
             assert (a.error, a.wall_time_s, a.stage_s) == (b.error, b.wall_time_s, b.stage_s)
         assert main(["emit", "--results", str(tmp_path), "--figure", "all"]) == 0
@@ -292,7 +291,7 @@ class TestSweep:
         runner.start()
         runner.join(timeout=120)
         assert done, "run_sweep did not return after a worker died"
-        died = done[0].rows[1]
+        died = done[0][1]
         assert died.status == "error" and died.error == "worker process died"
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["cells"][1]["error"] == "worker process died"
@@ -325,14 +324,14 @@ class TestSweep:
         runner.start()
         runner.join(timeout=120)
         assert done, "run_sweep did not return after a worker died"
-        rows = done[0].rows
+        rows = done[0]
         assert [r.status for r in rows].count("error") == 1
         assert rows[2].status == "error" and rows[2].error == "worker process died"
 
         def key(r):
             return (r.js, r.f, r.seed_index, r.status, r.error)
 
-        serial = run_sweep(cfg).rows
+        serial = run_sweep(cfg)
         assert [key(r) for i, r in enumerate(rows) if i != 2] == [
             key(r) for i, r in enumerate(serial) if i != 2]
 
@@ -368,16 +367,15 @@ class TestSweep:
         monkeypatch.setattr(exp, "run_cell", stub)
         cfg = tiny_config()
         for threads in (2, 4, 64):
-            sweep = run_sweep(cfg, threads=threads)
-            assert [r.error for r in sweep.rows] == ["stub"] * 4
+            rows = run_sweep(cfg, threads=threads)
+            assert [r.error for r in rows] == ["stub"] * 4
         assert sizes == [2, 4, 4]
         with pytest.raises(ValueError, match="threads"):
             run_sweep(cfg, threads=0)
 
     def test_stage_timings_recorded(self, tmp_path):
         cfg = tiny_config(js_values=(0.5,), n_coupling_seeds=1)
-        sweep = run_sweep(cfg, out_dir=tmp_path)
-        row = sweep.rows[0]
+        (row,) = run_sweep(cfg, out_dir=tmp_path)
         logged = [json.loads((tmp_path / "cells.jsonl").read_text()),
                   json.loads((tmp_path / "manifest.json").read_text())["cells"][0]]
         for cell in logged:
@@ -412,25 +410,28 @@ class TestSweep:
         for selection in ("test", "holdout"):
             negativity_calls.clear()
             cfg = tiny_config(js_values=(0.3,), n_coupling_seeds=1, lambda_selection=selection)
-            assert run_sweep(cfg).rows[0].status == "ok"
+            assert run_sweep(cfg)[0].status == "ok"
             assert sum(negativity_calls) == 2 * (cfg.run.n_steps - cfg.run.washout_steps)
 
     def test_manifest_contents(self, tmp_path):
         cfg = tiny_config(js_values=(0.5,), n_coupling_seeds=1)
-        sweep = run_sweep(cfg, out_dir=tmp_path)
+        run_sweep(cfg, out_dir=tmp_path)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["fingerprint"] == sweep.fingerprint == cfg.fingerprint()
+        assert manifest["fingerprint"] == cfg.fingerprint()
         assert manifest["code_version"]
         assert manifest["config"]["base_seed"] == 777
         assert (tmp_path / "cells.jsonl").read_text().count("\n") == 1
 
     def test_round_trip_through_files(self, tmp_path):
         cfg = tiny_config()
-        sweep = run_sweep(cfg, out_dir=tmp_path)
+        rows = run_sweep(cfg, out_dir=tmp_path)
         back = read_sweep_results(tmp_path)
-        assert back.fingerprint == sweep.fingerprint
-        assert back.config.semantic_dict() == cfg.semantic_dict()
-        for a, b in zip(back.rows, sweep.rows):
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["config"] == cfg.semantic_dict()
+        assert manifest["fingerprint"] == TINY_SWEEP_FINGERPRINT
+        assert manifest["output_dir"] == cfg.output_dir
+        assert len(back) == len(rows)
+        for a, b in zip(back, rows):
             assert a.status == b.status
             assert np.allclose(a.capacity.per_tau, b.capacity.per_tau, atol=0)
             assert a.entanglement == b.entanglement
@@ -442,6 +443,35 @@ class TestSweep:
         manifest["cells"].reverse()
         path.write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="row 1 is"):
+            read_sweep_results(tmp_path)
+
+    @pytest.mark.parametrize("cut, counts", [
+        ("manifest.json", "2 rows, manifest.json lists 1"),
+        ("sweep_results.csv", "1 rows, manifest.json lists 2"),
+    ], ids=["manifest.json", "sweep_results.csv"])
+    def test_row_count_mismatch_names_both_files(self, tmp_path, capsys, cut, counts):
+        from spinqrc.cli import main
+
+        run_sweep(tiny_config(js_values=(0.5,)), out_dir=tmp_path)
+        if cut == "manifest.json":
+            manifest = json.loads((tmp_path / cut).read_text())
+            del manifest["cells"][-1]
+            (tmp_path / cut).write_text(json.dumps(manifest))
+        else:
+            lines = (tmp_path / cut).read_bytes().splitlines(keepends=True)
+            (tmp_path / cut).write_bytes(b"".join(lines[:-1]))
+        with pytest.raises(ValueError, match=f"sweep_results.csv has {counts} cells"):
+            read_sweep_results(tmp_path)
+        assert main(["emit", "--results", str(tmp_path)]) == 1
+        assert f"sweep_results.csv has {counts} cells" in capsys.readouterr().err
+
+    def test_header_must_match_the_manifest_tau_max(self, tmp_path):
+        run_sweep(tiny_config(js_values=(0.5,)), out_dir=tmp_path)
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["config"]["tau_max"] = 9
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="unexpected sweep_results.csv header"):
             read_sweep_results(tmp_path)
 
     def test_holdout_lambda_selection_mode(self):
@@ -475,8 +505,8 @@ class TestSweep:
                                n_coupling_seeds=3, base_seed=2024,
                                run=RunConfig(t_final=1500.0), tau_max=24,
                                output_dir="unused")
-        sweep = run_sweep(cfg, threads=2)
-        caps = seed_averaged_metric(sweep, 2.0, lambda c: c.capacity.total)
+        rows = run_sweep(cfg, threads=2)
+        caps = seed_averaged_metric(rows, 2.0, lambda c: c.capacity.total)
         assert caps[0.325] > caps[0.005]
         assert caps[0.325] > caps[6.0]
 
@@ -583,8 +613,8 @@ class TestEmitFigureData:
 
     def test_fig4_single_js_blocks(self, tmp_path):
         cfg = tiny_config(js_values=(1.5,), f_values=(1.0, 2.0))
-        sweep = run_sweep(cfg, threads=2)
-        (p,) = emit_figure_data(sweep, "fig4", tmp_path)
+        rows = run_sweep(cfg, threads=2)
+        (p,) = emit_figure_data(rows, "fig4", tmp_path)
         lines = open(p).read().strip().splitlines()
         assert lines[0] == "tau,capacity"
         assert "# f=1" in lines and "# f=2" in lines
@@ -599,6 +629,29 @@ class TestEmitFigureData:
     def test_unknown_figure_rejected(self, sweep, tmp_path):
         with pytest.raises(ValueError, match="unknown figure"):
             emit_figure_data(sweep, "fig9", tmp_path)
+
+    @pytest.mark.parametrize("cfg_name", ["tiny_sweep.cfg", "tiny_fig4.cfg"])
+    def test_read_back_sweep_emits_the_same_bytes(self, tmp_path, cfg_name):
+        # A sweep read back from its files is the sweep run in memory, for
+        # every figure: lambda_per_tau, the one field the files drop, is
+        # read by none.
+        cfg = parse_config_file(os.path.join(os.path.dirname(__file__), "data", cfg_name))
+        forms = {"memory": run_sweep(cfg, out_dir=tmp_path / "sweep")}
+        forms["files"] = read_sweep_results(tmp_path / "sweep")
+        skipped = {name: [] for name in forms}
+        for name, rows in forms.items():
+            for figure in FIGURE_NAMES:
+                try:
+                    emit_figure_data(rows, figure, tmp_path / name)
+                except ValueError as exc:
+                    skipped[name].append(str(exc))
+        assert skipped["memory"] == skipped["files"]
+        emitted = sorted(os.listdir(tmp_path / "memory"))
+        assert emitted == sorted(os.listdir(tmp_path / "files"))
+        assert "fig3_f2.csv" in emitted
+        for name in emitted:
+            assert ((tmp_path / "memory" / name).read_bytes()
+                    == (tmp_path / "files" / name).read_bytes()), name
 
 
 def test_invariant_suite_small():
