@@ -10,8 +10,7 @@ import os
 import numpy as np
 
 from spinqrc.experiments import write_csv
-from spinqrc.linalg import PAULI_Z, expectation
-from spinqrc.signals import component_frequencies, encode_input_state, make_sequence_family
+from spinqrc.signals import N_SEQUENCES, component_frequencies, make_input_sequence
 
 OUT = os.path.join(os.path.dirname(__file__), "output")
 os.makedirs(OUT, exist_ok=True)
@@ -25,7 +24,7 @@ for f0 in (1.0, 2.0, 3.0):
           f"cycles per sample (periods {1 / freqs[-1]:.0f} .. {1 / freqs[0]:.0f} samples)")
 
 print("\n=== the nine sequences at f = 2 ===")
-family = make_sequence_family(2.0, SEED)
+family = [make_input_sequence(2.0, q, SEED) for q in range(N_SEQUENCES)]
 for q, s in enumerate(family):
     role = {0: "train s1", 1: "train s2", 2: "test s1", 3: "test s2",
             4: "holdout s1", 5: "holdout s2"}.get(q, "reserved")
@@ -40,12 +39,15 @@ path = os.path.join(OUT, "signal_f2_seq0.csv")
 write_csv(path, ["index", "value"], ([k, repr(float(v))] for k, v in enumerate(family[0])))
 print(f"exported {path}")
 
+# The run loop resets an input qubit to sqrt(1-s)|0> + sqrt(s)|1> and reads
+# <Z> off the state's diagonal.
 print("\n=== encoding scalar values as qubit states ===")
 print("s      <Z> = 1 - 2s   purity")
 for s in (0.0, 0.25, 0.5, 0.75, 1.0):
-    rho = encode_input_state(s)
-    z = expectation(rho, PAULI_Z)
-    purity = np.trace(rho @ rho).real
+    amp = np.array([np.sqrt(1.0 - s), np.sqrt(s)])
+    rho = np.outer(amp, amp)
+    z = rho.diagonal() @ [1.0, -1.0]
+    purity = np.trace(rho @ rho)
     print(f"{s:.2f}   {z:+.3f}          {purity:.6f}")
 
 print("\nAutocorrelation of the product s1*s2 at injection lags (spacing 2.75,")

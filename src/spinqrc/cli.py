@@ -27,6 +27,7 @@ from .experiments import (
     ConfigError,
     ExperimentConfig,
     emit_figure_data,
+    invariant_run_config,
     invariant_suite_ok,
     parse_config_file,
     read_sweep_results,
@@ -36,7 +37,7 @@ from .experiments import (
     write_csv,
     write_run_outputs,
 )
-from .signals import N_SEQUENCES, make_input_sequence
+from .signals import N_SAMPLES, N_SEQUENCES, make_input_sequence
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -128,6 +129,11 @@ def _cmd_emit(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    needed = invariant_run_config(args.steps).samples_needed
+    if needed > N_SAMPLES:
+        print(f"usage error: --steps {args.steps} reads {needed} samples per input sequence, "
+              f"more than the {N_SAMPLES} it holds", file=sys.stderr)
+        return 2
     print(f"invariant suite: {args.runs} randomized runs x {args.steps} injections")
     report = run_invariant_suite(n_runs=args.runs, n_injections=args.steps,
                                  base_seed=args.seed if args.seed is not None else 7)

@@ -69,17 +69,16 @@ def sample_coupling_matrix(j_s: float, n_qubits: int, seed) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SpinNetworkModel:
-    """Static description of one reservoir instance."""
+    """Static description of one reservoir instance (n qubits for an n x n ``coupling``)."""
 
     coupling: np.ndarray
-    n_qubits: int = 4
     h_z: float = 1.5
     gamma: float = 0.01
 
     def __post_init__(self):
         j = np.asarray(self.coupling, dtype=float)
-        if j.shape != (self.n_qubits, self.n_qubits):
-            raise ValueError(f"coupling has shape {j.shape}, expected {(self.n_qubits,)*2}")
+        if j.ndim != 2 or j.shape[0] != j.shape[1]:
+            raise ValueError(f"coupling has shape {j.shape}, expected a square matrix")
         if not np.allclose(j, j.T, atol=1e-12):
             raise ValueError("coupling matrix must be symmetric")
         if np.abs(np.diag(j)).max(initial=0.0) > 0:
@@ -112,7 +111,7 @@ def _pauli_strings(n: int) -> tuple[tuple, tuple]:
 
 def build_hamiltonian(model: SpinNetworkModel) -> np.ndarray:
     """Transverse-field Ising Hamiltonian: local Z fields plus pairwise XX."""
-    n = model.n_qubits
+    n = len(model.coupling)
     z, xx = _pauli_strings(n)
     h = np.zeros((2**n, 2**n), dtype=complex)
     for z_i in z:
@@ -139,7 +138,8 @@ def single_qubit_jump(gamma: float, convention: str = "paper") -> np.ndarray:
 def build_jump_operators(model: SpinNetworkModel, convention: str = "paper") -> list[np.ndarray]:
     """One local jump operator per qubit, embedded in the full register."""
     block = single_qubit_jump(model.gamma, convention)
-    return [embed_single_qubit(block, i, model.n_qubits) for i in range(model.n_qubits)]
+    n = len(model.coupling)
+    return [embed_single_qubit(block, i, n) for i in range(n)]
 
 
 def liouvillian(hamiltonian: np.ndarray, jump_ops) -> np.ndarray:

@@ -3,16 +3,15 @@
 Partition labels follow the 1-based qubit naming used for reporting (E1 is
 qubit 1 against the rest; E13 is the pair {1,3} against {2,4}); internally
 qubit i maps to index i-1. Negativity is log2 of the trace norm of the
-partial transpose, computed from the full 4-qubit state: per state by
-``log_negativity``, the reference, and per run by ``negativities``, which
-gives the same numbers bit for bit from stacked eigensolves.
+partial transpose, computed from the full 4-qubit states of a run by
+``negativities`` in stacked eigensolves.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import check_hermitian, hermitianize, partial_transpose, trace_norm
+from .linalg import check_hermitian, hermitianize, partial_transpose
 
 PARTITION_LABELS = ("E1", "E2", "E3", "E4", "E12", "E13", "E14")
 
@@ -39,28 +38,15 @@ RATIO_DENOMINATOR_FLOOR = 1e-9
 NEGATIVITY_BLOCK = 128
 
 
-def log_negativity(rho: np.ndarray, qubits, clamp: bool = True) -> float:
-    """log2 ||rho^{T_A}||_1 for A the given ``qubits``, clamped at zero unless
-    ``clamp`` is False.
-
-    The raw (unclamped) value can dip a few ulp below zero for separable
-    states; diagnostics that need it pass ``clamp=False``.
-    """
-    value = float(np.log2(trace_norm(partial_transpose(rho, qubits))))
-    if clamp:
-        return max(value, 0.0)
-    return value
-
-
 def negativities(states: np.ndarray) -> np.ndarray:
     """Raw (unclamped) log negativities of a (K, 16, 16) stack of states.
 
-    Returns K x 7 in PARTITION_LABELS order, equal bit for bit to
-    ``log_negativity(states[k], PARTITIONS[lbl], clamp=False)``. The
-    Hermiticity check and the symmetrisation of ``trace_norm`` run once per
-    block on the states themselves: a partial transpose permutes the entries
-    of rho - rho†, so the relative residue is the same number, and
-    PT(hermitianize(rho)) equals hermitianize(PT(rho)) entry for entry.
+    Returns K x 7 in PARTITION_LABELS order, equal bit for bit to the
+    per-state reference in ``tests/oracles.py``. ``check_hermitian`` and the
+    symmetrisation run once per block on the states themselves: a partial
+    transpose permutes the entries of rho - rho†, so the relative residue is
+    the same number, and PT(hermitianize(rho)) equals hermitianize(PT(rho))
+    entry for entry.
     """
     states = np.asarray(states)
     out = np.empty((len(states), len(PARTITION_LABELS)))

@@ -51,6 +51,7 @@ from .linalg import check_density_matrix, hermitianize
 from .reservoir import RunConfig, TrajectoryRecord, interval_map, run_reservoir, run_steps
 from .signals import (
     HOLDOUT_SEQUENCE_IDS,
+    N_SAMPLES,
     TEST_SEQUENCE_IDS,
     TRAIN_SEQUENCE_IDS,
     make_input_sequence,
@@ -127,6 +128,10 @@ class ExperimentConfig:
             raise ValueError(
                 f"run too short: K={self.run.n_steps} < washout_steps + 2*(tau_max+10) "
                 f"= {self.run.washout_steps + 2 * (self.tau_max + 10)}")
+        if self.run.samples_needed > N_SAMPLES:
+            raise ValueError(
+                f"run too long: K={self.run.n_steps} steps read {self.run.samples_needed} "
+                f"samples per input sequence, more than the {N_SAMPLES} it holds")
 
     def semantic_dict(self) -> dict:
         """Everything that affects numeric results (not output locations)."""
@@ -486,9 +491,11 @@ def read_sweep_results(out_dir) -> tuple[CellResult, ...]:
     with open(os.path.join(out_dir, "manifest.json")) as fh:
         manifest = json.load(fh)
     tau_max = manifest["config"]["tau_max"]
-    with open(os.path.join(out_dir, "sweep_results.csv"), newline="") as fh:
+    csv_path = os.path.join(out_dir, "sweep_results.csv")
+    header = sweep_csv_header(tau_max)
+    with open(csv_path, newline="") as fh:
         reader = csv.reader(fh)
-        if next(reader) != sweep_csv_header(tau_max):
+        if next(reader) != header:
             raise ValueError(f"unexpected sweep_results.csv header in {out_dir}")
         records = list(reader)
     cells = manifest["cells"]
@@ -497,6 +504,9 @@ def read_sweep_results(out_dir) -> tuple[CellResult, ...]:
                          f"manifest.json lists {len(cells)} cells")
     rows = []
     for number, (rec, log) in enumerate(zip(records, cells), start=1):
+        if len(rec) != len(header):
+            raise ValueError(f"{csv_path}: row {number} has {len(rec)} fields, "
+                             f"the header {len(header)}")
         js, f, seed, status = float(rec[0]), float(rec[1]), int(rec[2]), rec[3]
         if (log["J_s"], log["f"], log["seed"]) != (js, f, seed):
             raise ValueError(f"{out_dir}: sweep_results.csv row {number} is (J_s, f, seed) = "
@@ -624,6 +634,12 @@ def seed_averaged_metric(rows, f: float, metric) -> dict[float, float]:
     return out
 
 
+def invariant_run_config(n_injections: int) -> RunConfig:
+    """The timing of each invariant-suite run: ``n_injections`` injections
+    of the default interval, no washout."""
+    return RunConfig(t_final=n_injections * 7.5, delta_t=7.5, dt=0.025, washout_steps=0)
+
+
 def run_invariant_suite(n_runs: int = 100, n_injections: int = 50, base_seed: int = 7) -> dict:
     """Randomized short runs checking the physics invariants.
 
@@ -636,7 +652,7 @@ def run_invariant_suite(n_runs: int = 100, n_injections: int = 50, base_seed: in
     Returns worst-case diagnostics across all runs and steps; callers assert
     the tolerances.
     """
-    run_cfg = RunConfig(t_final=n_injections * 7.5, delta_t=7.5, dt=0.025, washout_steps=0)
+    run_cfg = invariant_run_config(n_injections)
     runs = []
     for i in range(n_runs):
         rng = stream(VALIDATE_DOMAIN, base_seed, i)

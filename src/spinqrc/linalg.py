@@ -15,7 +15,6 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 HERMITICITY_RTOL = 1e-9
-IMAG_TOL = 1e-10
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -79,30 +78,6 @@ def embed_single_qubit(op: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
     )
 
 
-def partial_trace(rho: np.ndarray, traced, n_qubits: int) -> np.ndarray:
-    """Trace out the given qubits, keeping the rest in ascending-index order.
-
-    The input must be 2**n x 2**n; ``traced`` must be a proper subset of
-    {0..n-1}. The trace of the result equals the trace of the input.
-    """
-    traced = sorted(set(int(q) for q in traced))
-    if rho.shape != (2**n_qubits, 2**n_qubits):
-        raise ValueError(f"rho has shape {rho.shape}, expected {(2**n_qubits,)*2}")
-    if any(q < 0 or q >= n_qubits for q in traced):
-        raise ValueError(f"traced qubits {traced} out of range for n={n_qubits}")
-    if len(traced) >= n_qubits:
-        raise ValueError("cannot trace out every qubit")
-
-    t = rho.reshape([2] * (2 * n_qubits))
-    # Trace highest indices first so remaining axis numbers stay valid.
-    n_left = n_qubits
-    for q in reversed(traced):
-        t = np.trace(t, axis1=q, axis2=q + n_left)
-        n_left -= 1
-    d = 2**n_left
-    return np.ascontiguousarray(t.reshape(d, d))
-
-
 def partial_transpose(rho: np.ndarray, qubits) -> np.ndarray:
     """Transpose the indices of the given qubits only; trace is unchanged.
 
@@ -127,36 +102,6 @@ def partial_transpose(rho: np.ndarray, qubits) -> np.ndarray:
     t = rho.reshape(lead + (2,) * (2 * n))
     t = t.transpose(list(range(len(lead))) + [a + len(lead) for a in axes])
     return np.ascontiguousarray(t.reshape(lead + (2**n, 2**n)))
-
-
-def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a Hermitian matrix, ascending.
-
-    The input is symmetrized before solving; anti-Hermitian residue beyond
-    ``HERMITICITY_RTOL`` (relative to max |entry|) is rejected.
-    """
-    check_hermitian(m)
-    return np.linalg.eigvalsh(hermitianize(m))
-
-
-def trace_norm(m: np.ndarray) -> float:
-    """Trace norm of a Hermitian matrix: sum of |eigenvalues|."""
-    return float(np.abs(hermitian_eigenvalues(m)).sum())
-
-
-def expectation(rho: np.ndarray, obs: np.ndarray) -> float:
-    """Re Tr(rho @ obs) for a Hermitian observable.
-
-    Raises if the imaginary residue of the trace exceeds ``IMAG_TOL`` or is
-    not finite. The run loop reads its <Z_i> off the state diagonals; this
-    per-state trace is the reference the feature tests compare them against.
-    """
-    if rho.shape != obs.shape:
-        raise ValueError(f"dimension mismatch: {rho.shape} vs {obs.shape}")
-    val = complex(np.einsum("ij,ji->", rho, obs))
-    if not abs(val.imag) <= IMAG_TOL:
-        raise ValueError(f"expectation has imaginary residue {val.imag:.3e}")
-    return val.real
 
 
 def check_density_matrix(rho: np.ndarray) -> dict:

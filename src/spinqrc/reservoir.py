@@ -34,8 +34,7 @@ from .dynamics import (
     stable_step_count,
 )
 from .entanglement import negativities
-from .linalg import check_hermitian, hermitianize, kron, partial_trace
-from .signals import encode_input_state
+from .linalg import check_hermitian, hermitianize
 
 # Z_SIGNS[i, b] = <b|Z_i|b>: +1 where qubit i of basis state b is 0, -1 where
 # it is 1. Z_i is diagonal, so <Z_i> of a state is its diagonal times row i.
@@ -74,6 +73,11 @@ class RunConfig:
     def sample_index(self, k: int) -> int:
         """Input-sequence sample consumed at injection step k."""
         return int(round(k * self.delta_t / self.sample_spacing))
+
+    @property
+    def samples_needed(self) -> int:
+        """Samples an input sequence must hold: through ``sample_index(K - 1)``."""
+        return self.sample_index(self.n_steps - 1) + 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,24 +127,13 @@ def all_zero_state(n_qubits: int) -> np.ndarray:
     return rho
 
 
-def inject(rho: np.ndarray, s1: float, s2: float) -> np.ndarray:
-    """Reset input qubits 0 and 1 of a 4-qubit state to the encoded s1, s2.
-
-    The joint reduced state of qubits 2 and 3 is preserved exactly; the
-    result is unit trace, Hermitian and positive semidefinite whenever the
-    input state is.
-    """
-    rho_rest = partial_trace(rho, traced={0, 1}, n_qubits=4)
-    return kron(kron(encode_input_state(s1), encode_input_state(s2)), rho_rest)
-
-
 def interval_map(model: SpinNetworkModel, cfg: RunConfig,
                  convention: str = "paper") -> np.ndarray:
     """The 256 x 256 propagator of one injection interval, vec(rho) -> vec(rho).
 
     Built once per model: every run of a cell shares it.
     """
-    if model.n_qubits != 4:
+    if model.coupling.shape != (4, 4):
         raise ValueError("the run loop records 4-qubit observables; n_qubits must be 4")
     h = build_hamiltonian(model)
     jump_ops = build_jump_operators(model, convention)
@@ -161,15 +154,14 @@ def run_steps(propagator: np.ndarray, seq1: np.ndarray, seq2: np.ndarray, cfg: R
     one must pass ``check_hermitian``, and every later state is Hermitian by
     construction.
 
-    Each step is ``propagator @ inject(rho, s1, s2)`` followed by
-    ``hermitianize``, with the same floating-point operations in the same
-    order: the sigma(s1) x sigma(s2) blocks of all steps are built up front
-    with the products ``encode_input_state`` and ``kron`` perform, and each
-    step takes the block sums of ``partial_trace`` (over qubit 1, then
-    qubit 0) and the broadcast product of ``kron``.
+    Each step resets qubits 0 and 1 to sqrt(1 - s)|0> + sqrt(s)|1> for its
+    pair, applies the propagator and takes ``hermitianize``: the
+    sigma(s1) x sigma(s2) blocks of all steps are built up front, and each
+    step traces qubit 1, then qubit 0, out of the state by block sums, as
+    the per-step reference in ``tests/oracles.py`` does.
     """
     k_steps = cfg.n_steps
-    needed = cfg.sample_index(k_steps - 1) + 1
+    needed = cfg.samples_needed
     if len(seq1) < needed or len(seq2) < needed:
         raise ValueError(f"need at least {needed} samples per input sequence")
     idx = [cfg.sample_index(k) for k in range(k_steps)]

@@ -1,4 +1,4 @@
-"""Multi-sinusoid input sequences and single-qubit input encoding.
+"""Multi-sinusoid input sequences.
 
 Each raw sequence is a sum of 20 sinusoids with frequencies linearly spaced
 over [f0/5000, f0/50] and independent uniform phases, min-max normalized to
@@ -8,10 +8,11 @@ drive the training run, 2 and 3 the test run, 4..8 are reserved.
 The time variable is the integer sample index k = 0..N-1, so the component
 periods span 50/f0 .. 5000/f0 samples and the signal varies slowly but
 nontrivially between samples. A sequence is the 1-D array of its normalized
-samples. How a reservoir run walks through the samples is the run loop's
-concern: see ``reservoir.RunConfig.sample_spacing``, which lays the 1000
-samples out uniformly over the evolution window (2.75 time units apart by
-default, so one full-length run consumes nearly the whole sequence).
+samples. How a reservoir run walks through the samples and encodes each
+one into an input qubit is the run loop's concern (``reservoir``): its
+``RunConfig.sample_spacing`` lays the 1000 samples out uniformly over the
+evolution window (2.75 time units apart by default, so one full-length run
+consumes nearly the whole sequence).
 """
 
 from __future__ import annotations
@@ -70,19 +71,3 @@ def normalize_minmax(x: np.ndarray) -> np.ndarray:
 def make_input_sequence(f0: float, seq_id: int, seed) -> np.ndarray:
     """One input sequence: its N_SAMPLES normalized samples on [0, 1]."""
     return normalize_minmax(generate_raw_sequence(f0, seq_id, seed))
-
-
-def make_sequence_family(f0: float, seed) -> list[np.ndarray]:
-    """All nine sequences for one (f0, seed)."""
-    return [make_input_sequence(f0, q, seed) for q in range(N_SEQUENCES)]
-
-
-def encode_input_state(s: float) -> np.ndarray:
-    """Pure state sqrt(1-s)|0> + sqrt(s)|1> as a 2x2 density matrix.
-
-    The encoded state satisfies <Z> = 1 - 2s.
-    """
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"input value {s} outside [0, 1]")
-    amp = np.array([np.sqrt(1.0 - s), np.sqrt(s)], dtype=complex)
-    return np.outer(amp, amp.conj())

@@ -1,5 +1,6 @@
 import gc
 
+import numpy as np
 import pytest
 
 
@@ -25,3 +26,17 @@ def unfreeze_heap():
     collector, so that no test's garbage outlives it in this process."""
     yield
     gc.unfreeze()
+
+
+@pytest.fixture
+def reset_run():
+    """``reset_run(rho, s1, s2)``: an identity-map run; ``states[1]`` is rho reset to s1, s2."""
+    from spinqrc.reservoir import RunConfig, run_reservoir
+
+    cfg = RunConfig(t_final=2 * 7.5, washout_steps=0)
+
+    def run(rho, s1, s2):
+        seqs = [np.full(cfg.samples_needed, float(s)) for s in (s1, s2)]
+        return run_reservoir(np.eye(256), *seqs, cfg, initial_state=rho)
+
+    return run

@@ -1,7 +1,8 @@
 """Brute-force reference implementations used only as test oracles.
 
 Each oracle is deliberately written the slow, obvious way, independent of
-the library's code paths.
+the library's code paths; ``inject_oracle`` and ``log_negativity_oracle``
+keep the run loop's floating-point operations, so tests compare bit for bit.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import math
 import numpy as np
 
 from spinqrc.dynamics import RK4_STABILITY_MARGIN, build_hamiltonian, build_jump_operators
-from spinqrc.linalg import hermitianize
+from spinqrc.linalg import hermitianize, partial_transpose
 
 
 def kron_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -49,6 +50,26 @@ def partial_trace_oracle(rho: np.ndarray, traced, n_qubits: int) -> np.ndarray:
                 acc += rho[full_index(a, c), full_index(b, c)]
             out[a, b] = acc
     return out
+
+
+def encoded_state(s: float) -> np.ndarray:
+    """The input qubit state sqrt(1 - s)|0> + sqrt(s)|1> as a density matrix."""
+    amp = np.array([np.sqrt(1.0 - s), np.sqrt(s)], dtype=complex)
+    return np.outer(amp, amp.conj())
+
+
+def inject_oracle(rho: np.ndarray, s1: float, s2: float) -> np.ndarray:
+    """One state's input reset: qubits 0 and 1 become the encoded s1 and s2, and
+    the reduced state of qubits 2 and 3, traced over qubit 1, then 0, is kept."""
+    rest = np.trace(rho.reshape((2,) * 8), axis1=1, axis2=5)
+    rest = np.trace(rest, axis1=0, axis2=3).reshape(4, 4)
+    return np.kron(np.kron(encoded_state(s1), encoded_state(s2)), rest)
+
+
+def log_negativity_oracle(rho: np.ndarray, qubits) -> float:
+    """Unclamped log2 trace norm of one state's partial transpose on ``qubits``."""
+    eigs = np.linalg.eigvalsh(hermitianize(partial_transpose(rho, qubits)))
+    return float(np.log2(np.abs(eigs).sum()))
 
 
 def jacobi_eigenvalues(m: np.ndarray, max_sweeps: int = 60, tol: float = 1e-13) -> np.ndarray:

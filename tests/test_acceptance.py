@@ -25,7 +25,7 @@ from spinqrc.dynamics import (
     interval_propagator,
     liouvillian,
 )
-from spinqrc.entanglement import PARTITIONS, log_negativity
+from spinqrc.entanglement import negativities
 from spinqrc.experiments import (
     DEFAULT_JS_GRID,
     ExperimentConfig,
@@ -36,11 +36,12 @@ from spinqrc.experiments import (
     seed_averaged_metric,
 )
 from spinqrc.learning import evaluate_capacity_profile, ridge_weights
-from spinqrc.linalg import kron_all, partial_trace
+from spinqrc.linalg import kron_all
 from spinqrc.reservoir import RunConfig
 from spinqrc.signals import TEST_SEQUENCE_IDS, TRAIN_SEQUENCE_IDS, make_input_sequence
 
 from oracles import (
+    encoded_state,
     gaussian_solve,
     kron_oracle,
     partial_trace_oracle,
@@ -351,10 +352,10 @@ def test_ac6_physics_invariant_suite():
     assert reportd["max_zero_coupling_negativity"] <= 1e-8
 
 
-def test_ac7_numerical_oracles():
+def test_ac7_numerical_oracles(reset_run):
     # RK4 order-4 convergence of the interval propagator every run uses, on
     # the single-qubit unitary problem over one precession period.
-    model = SpinNetworkModel(coupling=np.zeros((1, 1)), n_qubits=1, h_z=1.5, gamma=0.0)
+    model = SpinNetworkModel(coupling=np.zeros((1, 1)), h_z=1.5, gamma=0.0)
     generator = liouvillian(build_hamiltonian(model), build_jump_operators(model))
     plus = 0.5 * np.ones((2, 2), dtype=complex)
     t_end = 2 * math.pi / 1.5
@@ -378,15 +379,16 @@ def test_ac7_numerical_oracles():
         want = gaussian_solve(r.T @ r + lam * np.eye(5), r.T @ g)
         ridge_ok &= bool(np.abs(got - want).max() <= 1e-10)
 
-    # Embedded Bell state negativity.
+    # Embedded Bell state negativity, column 0 (E1) of the stacked negativities.
     bell = 0.5 * np.array([[1, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 1]],
                           dtype=complex)
     ket0 = np.array([[1, 0], [0, 0]], dtype=complex)
     rho_bell = kron_all([bell, ket0, ket0])
-    bell_neg = log_negativity(rho_bell, PARTITIONS["E1"])
+    bell_neg = float(negativities(rho_bell[None])[0, 0])
     bell_ok = abs(bell_neg - 1.0) <= 1e-10
 
-    # Kronecker and partial-trace oracles, 100 instances each.
+    # Kronecker and partial-trace oracles, 100 instances each; the second
+    # rebuilds the run loop's input reset from the oracles.
     kron_ok = True
     ptrace_ok = True
     for _ in range(100):
@@ -394,10 +396,10 @@ def test_ac7_numerical_oracles():
         b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         kron_ok &= bool(np.abs(np.kron(a, b) - kron_oracle(a, b)).max() <= 1e-13)
         rho = random_density_matrix(rng, 16)
-        traced = {int(rng.integers(0, 4))}
-        got = partial_trace(rho, traced, 4)
-        want = partial_trace_oracle(rho, traced, 4)
-        ptrace_ok &= bool(np.abs(got - want).max() <= 1e-13)
+        s1, s2 = rng.uniform(0.0, 1.0, 2)
+        pair = kron_oracle(encoded_state(s1), encoded_state(s2))
+        want = kron_oracle(pair, partial_trace_oracle(rho, {0, 1}, 4))
+        ptrace_ok &= bool(np.abs(reset_run(rho, s1, s2).states[1] - want).max() <= 1e-13)
 
     ok = order_ok and ridge_ok and bell_ok and kron_ok and ptrace_ok
     report("AC-7", ok,

@@ -285,6 +285,24 @@ def test_vacuous_counts_and_negative_seeds_rejected(tmp_path, capsys, argv):
     assert not (tmp_path / "never").exists()
 
 
+def test_run_longer_than_the_input_sequences_exits_two(tmp_path, capsys):
+    # K = 367 steps read samples 0..998 of the 1000; K = 368 reads 1001.
+    cfg = tmp_path / "long.cfg"
+    for command, t_final, code in (("run", "2752.5", 0), ("run", "2760", 2), ("sweep", "2760", 2)):
+        cfg.write_text(SINGLE_CFG.replace("t_final = 750", f"t_final = {t_final}"))
+        out = tmp_path / f"{command}_{t_final}"
+        assert main([command, str(cfg), "--out", str(out)]) == code
+        assert ("K=368 steps read 1002 samples" in capsys.readouterr().err) == (code == 2)
+        assert out.exists() == (code == 0)
+
+
+def test_validate_longer_than_the_input_sequences_is_a_usage_error(capsys):
+    assert main(["validate", "--runs", "1", "--steps", "368"]) == 2
+    captured = capsys.readouterr()
+    assert "--steps 368 reads 1002 samples" in captured.err and not captured.out
+    assert main(["validate", "--runs", "1", "--steps", "367"]) == 0
+
+
 def test_sweep_then_emit_reproduces_golden_files(tmp_path):
     out = tmp_path / "tiny"
     assert main(["sweep", TINY_CFG, "--out", str(out), "--threads", "2"]) == 0

@@ -36,8 +36,7 @@ H_Z = 1.5
 
 
 def zero_coupling_model(n_qubits=4, h_z=H_Z, gamma=0.01):
-    return SpinNetworkModel(coupling=np.zeros((n_qubits, n_qubits)), n_qubits=n_qubits,
-                            h_z=h_z, gamma=gamma)
+    return SpinNetworkModel(coupling=np.zeros((n_qubits, n_qubits)), h_z=h_z, gamma=gamma)
 
 
 def operators(model, convention="paper"):
@@ -98,7 +97,7 @@ class TestBuildHamiltonian:
 
     def test_two_qubit_xx(self):
         coupling = np.array([[0.0, 2.0], [2.0, 0.0]])
-        model = SpinNetworkModel(coupling=coupling, n_qubits=2, h_z=0.0)
+        model = SpinNetworkModel(coupling=coupling, h_z=0.0)
         h = build_hamiltonian(model)
         assert np.allclose(h, np.kron(PAULI_X, PAULI_X), atol=1e-14)
         assert np.allclose(np.sort(np.linalg.eigvalsh(h)), [-1, -1, 1, 1], atol=1e-12)
@@ -245,7 +244,7 @@ class TestEvolve:
     def test_dissipative_self_convergence(self):
         # The (Z + iY)/2 jump operator has no textbook closed form; compare
         # against a 10x finer integration of the same problem.
-        model = SpinNetworkModel(coupling=np.zeros((1, 1)), n_qubits=1, h_z=0.0, gamma=0.01)
+        model = SpinNetworkModel(coupling=np.zeros((1, 1)), h_z=0.0, gamma=0.01)
         rho0 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
         coarse = propagate(rho0, model, 0.025, 2000)
         fine = propagate(rho0, model, 0.0025, 20000)
@@ -312,25 +311,28 @@ class TestDecoupledNetwork:
 
         rho = random_pure_product_state(rng, 4)
         rho = propagate(rho, model, 0.025, 1200)
-        from spinqrc.linalg import expectation
-
-        z0 = embed_single_qubit(PAULI_Z, 0, 4)
-        z2 = embed_single_qubit(PAULI_Z, 2, 4)
-        joint = expectation(rho, z0 @ z2)
-        assert joint == pytest.approx(expectation(rho, z0) * expectation(rho, z2), abs=1e-8)
+        # <Z_i> and <Z_0 Z_2> read off the diagonal, as the run loop reads them.
+        z0, z2 = (embed_single_qubit(PAULI_Z, i, 4).diagonal().real for i in (0, 2))
+        p = rho.diagonal().real
+        assert p @ (z0 * z2) == pytest.approx((p @ z0) * (p @ z2), abs=1e-8)
 
 
 class TestModelValidation:
+    @pytest.mark.parametrize("shape", [(2, 3), (4,)])
+    def test_non_square_coupling_rejected(self, shape):
+        with pytest.raises(ValueError, match="square"):
+            SpinNetworkModel(coupling=np.zeros(shape))
+
     def test_asymmetric_coupling_rejected(self):
         bad = np.array([[0.0, 1.0], [0.5, 0.0]])
         with pytest.raises(ValueError):
-            SpinNetworkModel(coupling=bad, n_qubits=2)
+            SpinNetworkModel(coupling=bad)
 
     def test_nonzero_diagonal_rejected(self):
         bad = np.array([[1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(ValueError):
-            SpinNetworkModel(coupling=bad, n_qubits=2)
+            SpinNetworkModel(coupling=bad)
 
     def test_negative_gamma_rejected(self):
         with pytest.raises(ValueError):
-            SpinNetworkModel(coupling=np.zeros((2, 2)), n_qubits=2, gamma=-0.1)
+            SpinNetworkModel(coupling=np.zeros((2, 2)), gamma=-0.1)

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -464,6 +465,22 @@ class TestSweep:
             read_sweep_results(tmp_path)
         assert main(["emit", "--results", str(tmp_path)]) == 1
         assert f"sweep_results.csv has {counts} cells" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("torn", ["short", "long"])
+    def test_torn_row_names_the_file_and_row(self, tmp_path, capsys, torn):
+        from spinqrc.cli import main
+
+        run_sweep(tiny_config(js_values=(0.5,)), out_dir=tmp_path)
+        path = tmp_path / "sweep_results.csv"
+        header, first, last = path.read_bytes().splitlines()
+        n = header.count(b",") + 1
+        last, got = (last[:last.rindex(b",")], n - 1) if torn == "short" else (last + b",0", n + 1)
+        path.write_bytes(b"\r\n".join([header, first, last, b""]))
+        message = f"{path}: row 2 has {got} fields, the header {n}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_sweep_results(tmp_path)
+        assert main(["emit", "--results", str(tmp_path)]) == 1
+        assert message in capsys.readouterr().err
 
     def test_header_must_match_the_manifest_tau_max(self, tmp_path):
         run_sweep(tiny_config(js_values=(0.5,)), out_dir=tmp_path)

@@ -1,21 +1,19 @@
 import numpy as np
 import pytest
 
+from spinqrc.entanglement import negativities
 from spinqrc.linalg import (
     PAULI_I,
-    PAULI_Z,
     check_density_matrix,
     check_hermitian,
-    expectation,
-    hermitian_eigenvalues,
-    hermitianize,
     kron,
-    partial_trace,
+    kron_all,
     partial_transpose,
-    trace_norm,
 )
+from spinqrc.reservoir import RunConfig, all_zero_state, run_steps
 
 from oracles import (
+    encoded_state,
     kron_oracle,
     jacobi_eigenvalues,
     partial_trace_oracle,
@@ -69,40 +67,39 @@ class TestKron:
 
 
 class TestPartialTrace:
-    def test_product_state_factorizes(self):
+    """The run loop's partial trace over input qubits 0 and 1: the reduced
+    state of qubits 2 and 3 that its reset keeps."""
+
+    def test_product_state_factorizes(self, reset_run):
         rng = np.random.default_rng(9)
         rho_a = random_density_matrix(rng, 4)
         rho_b = random_density_matrix(rng, 4)
-        full = kron(rho_a, rho_b)
-        assert np.allclose(partial_trace(full, {2, 3}, 4), rho_a, atol=1e-12)
-        assert np.allclose(partial_trace(full, {0, 1}, 4), rho_b, atol=1e-12)
+        out = reset_run(kron(rho_a, rho_b), 0.3, 0.8).states[1]
+        want = kron_all([encoded_state(0.3), encoded_state(0.8), rho_b])
+        assert np.allclose(out, want, atol=1e-12)
 
-    def test_bell_pair_reduces_to_maximally_mixed(self):
-        assert np.allclose(partial_trace(BELL, {1}, 2), 0.5 * np.eye(2), atol=1e-14)
+    def test_bell_pair_reduces_to_maximally_mixed(self, reset_run):
+        # A Bell pair on qubits 1 and 2: tracing qubit 1 leaves qubit 2 mixed.
+        out = reset_run(kron_all([KET0, BELL, KET0]), 0.0, 0.0).states[1]
+        assert np.allclose(out, kron_all([KET0, KET0, 0.5 * np.eye(2), KET0]), atol=1e-14)
 
-    def test_matches_index_sum_oracle(self):
+    def test_matches_index_sum_oracle(self, reset_run):
         rng = np.random.default_rng(10)
         for _ in range(100):
             rho = random_density_matrix(rng, 16)
-            traced = {0, 1} if rng.random() < 0.5 else {int(rng.integers(0, 4))}
-            got = partial_trace(rho, traced, 4)
-            want = partial_trace_oracle(rho, traced, 4)
-            assert np.allclose(got, want, atol=1e-13)
+            s1, s2 = rng.uniform(0.0, 1.0, 2)
+            want = kron_oracle(kron_oracle(encoded_state(s1), encoded_state(s2)),
+                               partial_trace_oracle(rho, {0, 1}, 4))
+            assert np.allclose(reset_run(rho, s1, s2).states[1], want, atol=1e-13)
 
     def test_sequential_trace_preserves_total(self):
+        # Twenty resets in a row, under the identity propagator, keep unit trace.
         rng = np.random.default_rng(11)
-        rho = random_density_matrix(rng, 16)
-        reduced = partial_trace(rho, {0, 2}, 4)
-        assert abs(np.trace(reduced) - 1.0) <= 1e-12
-        final = partial_trace(reduced, {0}, 2)
-        assert abs(np.trace(final) - 1.0) <= 1e-12
-
-    def test_rejects_bad_inputs(self):
-        rho = np.eye(4) / 4
-        with pytest.raises(ValueError):
-            partial_trace(rho, {5}, 2)
-        with pytest.raises(ValueError):
-            partial_trace(rho, {0, 1}, 2)
+        cfg = RunConfig(t_final=20 * 7.5, washout_steps=0)
+        s1, s2 = rng.uniform(0.0, 1.0, (2, cfg.samples_needed))
+        states, _, _ = run_steps(np.eye(256), s1, s2, cfg,
+                                 initial_state=random_density_matrix(rng, 16))
+        assert np.abs(np.trace(states, axis1=1, axis2=2) - 1.0).max() <= 1e-12
 
 
 class TestPartialTranspose:
@@ -111,7 +108,7 @@ class TestPartialTranspose:
         rho = random_pure_product_state(rng, 3)
         for a in ({0}, {1}, {0, 2}):
             pt = partial_transpose(rho, a)
-            assert abs(trace_norm(pt) - 1.0) <= 1e-10
+            assert abs(np.abs(np.linalg.eigvalsh(pt)).sum() - 1.0) <= 1e-10
 
     def test_involution(self):
         rng = np.random.default_rng(13)
@@ -121,7 +118,7 @@ class TestPartialTranspose:
 
     def test_bell_state_spectrum(self):
         pt = partial_transpose(BELL, (0,))
-        eigs = hermitian_eigenvalues(pt)
+        eigs = np.linalg.eigvalsh(pt)
         assert np.allclose(eigs, [-0.5, 0.5, 0.5, 0.5], atol=1e-12)
 
     def test_preserves_trace_and_hermiticity(self):
@@ -145,31 +142,36 @@ class TestPartialTranspose:
 
 
 class TestHermitianEigenvalues:
+    """The eigenvalues the package solves for, behind ``check_hermitian``: the
+    smallest in ``check_density_matrix``, and the partial transposes' spectra."""
+
     def test_diagonal_case(self):
-        assert np.allclose(hermitian_eigenvalues(np.diag([3.0, -1.0, 2.0]).astype(complex)),
-                           [-1.0, 2.0, 3.0])
+        m = np.diag([3.0, -1.0, 2.0]).astype(complex)
+        assert check_density_matrix(m)["min_eigenvalue"] == pytest.approx(-1.0)
 
     def test_identity(self):
-        assert np.allclose(hermitian_eigenvalues(np.eye(16, dtype=complex)), np.ones(16))
+        assert check_density_matrix(np.eye(16, dtype=complex))["min_eigenvalue"] == 1.0
 
     def test_trace_moment_consistency(self):
+        # A partial transpose keeps the trace and the purity of a state.
         rng = np.random.default_rng(17)
         for _ in range(50):
-            m = random_hermitian(rng, 16)
-            eigs = hermitian_eigenvalues(m)
-            assert abs(eigs.sum() - np.trace(m).real) <= 1e-10 * max(1, abs(np.trace(m)))
-            assert abs((eigs**2).sum() - np.trace(m @ m).real) <= 1e-10 * np.trace(m @ m).real
+            rho = random_density_matrix(rng, 16)
+            eigs = np.linalg.eigvalsh(partial_transpose(rho, (0, 2)))
+            assert abs(eigs.sum() - 1.0) <= 1e-10
+            assert abs((eigs**2).sum() - np.trace(rho @ rho).real) <= 1e-10
 
     def test_matches_jacobi_oracle(self):
         rng = np.random.default_rng(18)
         for _ in range(10):
             m = random_hermitian(rng, 8)
-            assert np.allclose(hermitian_eigenvalues(m), jacobi_eigenvalues(m), atol=1e-9)
+            got = check_density_matrix(m)["min_eigenvalue"]
+            assert got == pytest.approx(jacobi_eigenvalues(m)[0], abs=1e-9)
 
     def test_rejects_non_hermitian(self):
         m = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         with pytest.raises(ValueError):
-            hermitian_eigenvalues(m)
+            check_hermitian(m)
 
     def test_rejects_non_finite(self):
         # A NaN or infinite entry makes the residue NaN, which must fail the
@@ -180,54 +182,43 @@ class TestHermitianEigenvalues:
             m[i, j] = value
             with pytest.raises(ValueError, match="not Hermitian"):
                 check_hermitian(m)
-            with pytest.raises(ValueError, match="not Hermitian"):
-                hermitian_eigenvalues(m)
-
-    def test_eigenvalue_product_matches_determinant(self):
-        rng = np.random.default_rng(19)
-        for _ in range(20):
-            m = random_hermitian(rng, 6)
-            det = np.linalg.det(hermitianize(m)).real
-            prod = np.prod(hermitian_eigenvalues(m))
-            assert abs(prod - det) <= 1e-10 * max(1.0, abs(det))
 
 
 class TestTraceNorm:
+    """The trace norm of a partial transpose, 2 ** ``negativities``."""
+
     def test_diagonal_absolute_sum(self):
-        assert trace_norm(np.diag([1.0, -2.0]).astype(complex)) == pytest.approx(3.0)
+        # A diagonal matrix is its own partial transpose on every cut.
+        d = np.zeros(16)
+        d[[0, 5]] = [1.0, -2.0]
+        assert np.allclose(2.0 ** negativities(np.diag(d).astype(complex)[None]), 3.0)
 
     def test_density_matrices_have_unit_trace_norm(self):
+        # A mixture of basis states is its own partial transpose.
         rng = np.random.default_rng(20)
-        for dim in (2, 4, 8, 16):
-            rho = random_density_matrix(rng, dim)
-            assert trace_norm(rho) == pytest.approx(1.0, abs=1e-12)
+        weights = rng.dirichlet(np.ones(16), size=5)
+        states = np.stack([np.diag(w).astype(complex) for w in weights])
+        assert np.abs(2.0 ** negativities(states) - 1.0).max() <= 1e-12
 
     def test_bell_partial_transpose(self):
-        pt = partial_transpose(BELL, (0,))
-        assert trace_norm(pt) == pytest.approx(2.0, abs=1e-12)
+        # Column 0 is E1, the cut around qubit 0.
+        rho = kron_all([BELL, KET0, KET0])
+        assert 2.0 ** negativities(rho[None])[0, 0] == pytest.approx(2.0, abs=1e-12)
 
 
 class TestExpectation:
-    def test_ground_state(self):
-        assert expectation(KET0, PAULI_Z) == pytest.approx(1.0)
+    """The <Z_i> the run loop reads off each state's diagonal."""
 
-    def test_maximally_mixed(self):
-        assert expectation(0.5 * np.eye(2, dtype=complex), PAULI_Z) == pytest.approx(0.0)
+    def test_ground_state(self, reset_run):
+        assert reset_run(all_zero_state(4), 0.0, 0.0).features[0, :4].tolist() == [1.0] * 4
 
-    def test_encoded_input_value(self):
-        s = 0.3
-        amp = np.array([np.sqrt(1 - s), np.sqrt(s)])
-        rho = np.outer(amp, amp)
-        assert expectation(rho.astype(complex), PAULI_Z) == pytest.approx(0.4, abs=1e-14)
+    def test_maximally_mixed(self, reset_run):
+        z = reset_run(np.eye(16, dtype=complex) / 16, 0.0, 0.0).features[0, :4]
+        assert np.allclose(z, 0.0, atol=1e-15)
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            expectation(np.eye(2, dtype=complex), np.eye(4, dtype=complex))
-
-    def test_non_finite_state_rejected(self):
-        rho = np.full((2, 2), np.nan, dtype=complex)
-        with pytest.raises(ValueError, match="imaginary residue nan"):
-            expectation(rho, PAULI_Z)
+    def test_encoded_input_value(self, reset_run):
+        z = reset_run(all_zero_state(4), 0.3, 0.3).features[1, 0]
+        assert z == pytest.approx(0.4, abs=1e-14)
 
 
 def test_check_density_matrix_reports_clean_state():

@@ -10,26 +10,25 @@ from spinqrc.dynamics import (
     random_model,
     stable_step_count,
 )
-from spinqrc.entanglement import PARTITION_LABELS, PARTITIONS, log_negativity, negativities
-from spinqrc.linalg import (
-    PAULI_Z,
-    embed_single_qubit,
-    expectation,
-    hermitianize,
-    kron,
-    partial_trace,
-)
+from spinqrc.entanglement import PARTITION_LABELS, PARTITIONS, negativities
+from spinqrc.linalg import PAULI_Z, embed_single_qubit, hermitianize, kron
 from spinqrc.reservoir import (
     RunConfig,
     all_zero_state,
-    inject,
     interval_map,
     run_reservoir,
     run_steps,
 )
-from spinqrc.signals import encode_input_state, make_input_sequence
+from spinqrc.signals import make_input_sequence
 
-from oracles import random_density_matrix, rk4_reference_step
+from oracles import (
+    encoded_state,
+    inject_oracle,
+    log_negativity_oracle,
+    partial_trace_oracle,
+    random_density_matrix,
+    rk4_reference_step,
+)
 
 
 def constant_sequence(value, n=1000):
@@ -41,47 +40,46 @@ def short_cfg(n_steps=10, washout=0):
 
 
 class TestInject:
-    def test_reinjecting_same_state_is_identity(self):
+    """The run loop's input reset, as ``states[1]`` of ``reset_run``."""
+
+    def test_reinjecting_same_state_is_identity(self, reset_run):
         rho = all_zero_state(4)
-        assert np.allclose(inject(rho, 0.0, 0.0), rho, atol=1e-15)
+        assert np.allclose(reset_run(rho, 0.0, 0.0).states[1], rho, atol=1e-15)
 
-    def test_input_marginal_is_exact_product(self):
+    def test_input_marginal_is_exact_product(self, reset_run):
         rng = np.random.default_rng(1)
-        rho = random_density_matrix(rng, 16)
-        out = inject(rho, 0.3, 0.8)
-        marginal = partial_trace(out, traced={2, 3}, n_qubits=4)
-        expected = kron(encode_input_state(0.3), encode_input_state(0.8))
-        assert np.allclose(marginal, expected, atol=1e-12)
+        out = reset_run(random_density_matrix(rng, 16), 0.3, 0.8).states[1]
+        marginal = partial_trace_oracle(out, {2, 3}, 4)
+        want = kron(encoded_state(0.3), encoded_state(0.8))
+        assert np.allclose(marginal, want, atol=1e-12)
 
-    def test_rest_marginal_preserved_exactly(self):
+    def test_rest_marginal_preserved_exactly(self, reset_run):
         rng = np.random.default_rng(2)
         rho = random_density_matrix(rng, 16)
-        before = partial_trace(rho, traced={0, 1}, n_qubits=4)
-        after = partial_trace(inject(rho, 0.6, 0.1), traced={0, 1}, n_qubits=4)
+        before = partial_trace_oracle(rho, {0, 1}, 4)
+        after = partial_trace_oracle(reset_run(rho, 0.6, 0.1).states[1], {0, 1}, 4)
         assert np.allclose(before, after, atol=1e-13)
 
-    def test_input_pair_unentangled_after_reset(self):
+    def test_input_pair_unentangled_after_reset(self, reset_run):
+        # Qubits 0 and 1 come out pure and in a product with the rest, so no
+        # cut around either of them, or around the pair, is entangled.
         rng = np.random.default_rng(3)
-        rho = random_density_matrix(rng, 16)
-        out = inject(rho, 0.25, 0.75)
-        pair = partial_trace(out, traced={2, 3}, n_qubits=4)
-        e = log_negativity(pair, (0,), clamp=False)
-        assert abs(e) <= 1e-10
+        out = reset_run(random_density_matrix(rng, 16), 0.25, 0.75).states[1]
+        negs = dict(zip(PARTITION_LABELS, negativities(out[None])[0]))
+        for lbl in ("E1", "E2", "E12"):
+            assert abs(negs[lbl]) <= 1e-10
 
-    def test_z_readout_after_injection(self):
+    def test_z_readout_after_injection(self, reset_run):
         rng = np.random.default_rng(4)
         rho = random_density_matrix(rng, 16)
         for s1, s2 in ((0.0, 1.0), (0.37, 0.62)):
-            out = inject(rho, s1, s2)
-            z0 = embed_single_qubit(PAULI_Z, 0, 4)
-            z1 = embed_single_qubit(PAULI_Z, 1, 4)
-            assert expectation(out, z0) == pytest.approx(1 - 2 * s1, abs=1e-12)
-            assert expectation(out, z1) == pytest.approx(1 - 2 * s2, abs=1e-12)
+            z = reset_run(rho, s1, s2).features[1]
+            assert z[0] == pytest.approx(1 - 2 * s1, abs=1e-12)
+            assert z[1] == pytest.approx(1 - 2 * s2, abs=1e-12)
 
-    def test_state_stays_physical(self):
+    def test_state_stays_physical(self, reset_run):
         rng = np.random.default_rng(6)
-        rho = random_density_matrix(rng, 16)
-        out = inject(rho, 0.4, 0.5)
+        out = reset_run(random_density_matrix(rng, 16), 0.4, 0.5).states[1]
         assert abs(np.trace(out).real - 1.0) <= 1e-12
         assert np.abs(out - out.conj().T).max() <= 1e-13
         assert np.linalg.eigvalsh(out)[0] >= -1e-12
@@ -107,7 +105,7 @@ class TestRunReservoir:
 
     def test_matches_hand_driven_composition(self):
         # Compositional oracle: the run loop equals an explicit
-        # measure / inject / evolve sequence built from the public pieces,
+        # measure / inject / evolve sequence built from per-state references,
         # each interval evolved by textbook four-stage RK4 steps.
         model = random_model(0.8, seed=3)
         cfg = short_cfg(n_steps=10)
@@ -120,14 +118,15 @@ class TestRunReservoir:
         z_ops = [embed_single_qubit(PAULI_Z, i, 4) for i in range(4)]
         rho = all_zero_state(4)
         for k in range(10):
-            feats = [expectation(rho, z) for z in z_ops] + [1.0]
+            feats = [np.trace(rho @ z).real for z in z_ops] + [1.0]
             assert np.allclose(rec.features[k], feats, atol=1e-10)
-            negs = [log_negativity(rho, PARTITIONS[lbl]) for lbl in PARTITION_LABELS]
+            negs = [max(log_negativity_oracle(rho, PARTITIONS[lbl]), 0.0)
+                    for lbl in PARTITION_LABELS]
             assert np.allclose(rec.entanglement_samples[k], negs, atol=1e-10)
             idx = cfg.sample_index(k)
             assert np.allclose(rec.injected_values[k],
                                [s1[idx], s2[idx]], atol=0)
-            rho = inject(rho, float(s1[idx]), float(s2[idx]))
+            rho = inject_oracle(rho, float(s1[idx]), float(s2[idx]))
             for _ in range(n_sub):
                 rho = rk4_reference_step(rho, h, jump_ops, cfg.delta_t / n_sub)
 
@@ -154,7 +153,8 @@ class TestRunReservoir:
                                                  (75.0, False), (0.325, True)])
     def test_run_steps_equals_the_inject_loop_bit_for_bit(self, js, mixed_start):
         # Over a full-length run, every state and raw state equals the
-        # per-step reference hermitianize(P @ inject(rho, s1, s2)) exactly.
+        # per-step reference hermitianize(P @ inject_oracle(rho, s1, s2))
+        # exactly.
         cfg = RunConfig()
         propagator = interval_map(random_model(js, seed=(1, 3)), cfg)
         s1 = make_input_sequence(2.0, 0, (1, 3))
@@ -167,7 +167,7 @@ class TestRunReservoir:
             assert np.array_equal(states[k], rho)
             idx = cfg.sample_index(k)
             assert injected[k].tolist() == [s1[idx], s2[idx]]
-            raw_k = (propagator @ inject(rho, s1[idx], s2[idx]).reshape(-1)).reshape(16, 16)
+            raw_k = (propagator @ inject_oracle(rho, s1[idx], s2[idx]).reshape(-1)).reshape(16, 16)
             assert np.array_equal(raw[k], raw_k)
             rho = hermitianize(raw_k)
 
@@ -187,7 +187,7 @@ class TestRunReservoir:
 
     def test_observables_equal_the_per_state_references(self):
         # The diagonal features and stacked negativities reproduce the per-state
-        # expectation and log_negativity of every run_steps state bit for bit.
+        # Tr(rho Z_i) and log negativity of every run_steps state bit for bit.
         model = random_model(2.5, seed=4)
         cfg = short_cfg(n_steps=140)
         s1 = make_input_sequence(2.0, 0, 21)
@@ -197,9 +197,10 @@ class TestRunReservoir:
         z_ops = [embed_single_qubit(PAULI_Z, i, 4) for i in range(4)]
         states, _, _ = run_steps(propagator, s1, s2, cfg)
         for k, rho in enumerate(states):
-            assert rec.features[k].tolist() == [expectation(rho, z) for z in z_ops] + [1.0]
+            assert rec.features[k].tolist() == [
+                np.einsum("ij,ji->", rho, z).real for z in z_ops] + [1.0]
             assert rec.entanglement_samples[k].tolist() == [
-                log_negativity(rho, PARTITIONS[lbl]) for lbl in PARTITION_LABELS]
+                max(log_negativity_oracle(rho, PARTITIONS[lbl]), 0.0) for lbl in PARTITION_LABELS]
         assert rec.entanglement_samples.max() > 0.0
 
     @pytest.mark.parametrize("washout", [0, 50, 139])
@@ -232,7 +233,7 @@ class TestRunReservoir:
                               interval_propagator(liouvillian(h, jump_ops),
                                                   cfg.delta_t / n_sub, n_sub))
         with pytest.raises(ValueError, match="n_qubits must be 4"):
-            interval_map(SpinNetworkModel(coupling=np.zeros((3, 3)), n_qubits=3), cfg)
+            interval_map(SpinNetworkModel(coupling=np.zeros((3, 3))), cfg)
 
     def test_determinism(self):
         model = random_model(1.0, seed=1)

@@ -3,19 +3,19 @@ import itertools
 import numpy as np
 import pytest
 
-from spinqrc.linalg import PAULI_Z, expectation
+from spinqrc.reservoir import all_zero_state
 from spinqrc.signals import (
     N_COMPONENTS,
     N_SAMPLES,
     N_SEQUENCES,
     component_frequencies,
-    encode_input_state,
     generate_raw_sequence,
     make_input_sequence,
-    make_sequence_family,
     normalize_minmax,
     sequence_phases,
 )
+
+from oracles import partial_trace_oracle
 
 
 def rebuilt_sequence(f0, seq_id, seed):
@@ -78,28 +78,29 @@ class TestNormalizeMinmax:
 
 
 class TestEncodeInputState:
-    def test_endpoints(self):
-        assert np.allclose(encode_input_state(0.0), [[1, 0], [0, 0]])
-        assert np.allclose(encode_input_state(1.0), [[0, 0], [0, 1]])
+    """Input qubit 0 as the run loop's reset encodes s, and the <Z> read off it."""
 
-    def test_balanced_superposition(self):
-        rho = encode_input_state(0.5)
+    @staticmethod
+    def input_qubit(reset_run, s):
+        rec = reset_run(all_zero_state(4), s, 0.0)
+        return partial_trace_oracle(rec.states[1], {1, 2, 3}, 4), rec.features[1, 0]
+
+    def test_endpoints(self, reset_run):
+        assert np.allclose(self.input_qubit(reset_run, 0.0)[0], [[1, 0], [0, 0]])
+        assert np.allclose(self.input_qubit(reset_run, 1.0)[0], [[0, 0], [0, 1]])
+
+    def test_balanced_superposition(self, reset_run):
+        rho, z = self.input_qubit(reset_run, 0.5)
         assert np.allclose(rho, 0.5 * np.ones((2, 2)))
-        assert expectation(rho, PAULI_Z) == pytest.approx(0.0, abs=1e-14)
+        assert z == pytest.approx(0.0, abs=1e-14)
 
-    def test_z_expectation_is_one_minus_two_s(self):
+    def test_z_expectation_is_one_minus_two_s(self, reset_run):
         for s in np.linspace(0.0, 1.0, 21):
-            rho = encode_input_state(float(s))
-            assert expectation(rho, PAULI_Z) == pytest.approx(1 - 2 * s, abs=1e-12)
+            rho, z = self.input_qubit(reset_run, s)
+            assert z == pytest.approx(1 - 2 * s, abs=1e-12)
             # purity and positivity
             assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-12)
             assert np.linalg.eigvalsh(rho)[0] >= -1e-14
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            encode_input_state(-0.01)
-        with pytest.raises(ValueError):
-            encode_input_state(1.01)
 
 
 class TestSequenceFamily:
@@ -116,8 +117,8 @@ class TestSequenceFamily:
         assert np.isfinite(seq).all()
 
     def test_nine_sequences_pairwise_distinct(self):
-        family = make_sequence_family(2.0, 2024)
-        assert len(family) == N_SEQUENCES
+        family = [make_input_sequence(2.0, q, 2024) for q in range(N_SEQUENCES)]
+        assert N_SEQUENCES == 9
         for a, b in itertools.combinations(family, 2):
             assert np.abs(a - b).max() > 0.1
 
