@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import math
 import os
 import sys
 from dataclasses import replace
@@ -34,6 +35,7 @@ from .experiments import (
     run_cell,
     run_invariant_suite,
     run_sweep,
+    sweep_cells,
     write_csv,
     write_run_outputs,
 )
@@ -83,7 +85,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    n_cells = len(cfg.js_values) * len(cfg.f_values) * cfg.n_coupling_seeds
+    n_cells = len(sweep_cells(cfg))
     # Flushed, so that a reader of piped stdout sees the sweep advance.
     print(f"sweep {cfg.experiment_name}: {n_cells} cells, {args.threads} worker(s), "
           f"fingerprint {cfg.fingerprint()[:12]}", flush=True)
@@ -129,7 +131,10 @@ def _cmd_emit(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    needed = invariant_run_config(args.steps).samples_needed
+    try:
+        needed = invariant_run_config(args.steps).samples_needed
+    except (OverflowError, ValueError):  # the run's t_final is past float range
+        needed = math.inf
     if needed > N_SAMPLES:
         print(f"usage error: --steps {args.steps} reads {needed} samples per input sequence, "
               f"more than the {N_SAMPLES} it holds", file=sys.stderr)

@@ -516,7 +516,7 @@ def read_sweep_results(out_dir) -> tuple[CellResult, ...]:
         if status == "ok":
             nums = [float(x) for x in rec[4:]]
             profile = CapacityProfile(per_tau=np.array(nums[1:tau_max + 2]),
-                                      lambda_per_tau=np.full(tau_max + 1, np.nan), total=nums[0])
+                                      lambda_per_tau=np.full(tau_max + 1, np.nan))
             summary = summarize(dict(zip(PARTITION_LABELS, nums[tau_max + 2:])))
         rows.append(CellResult(js, f, seed, status, profile, summary, log["wall_time_s"],
                                error=log["error"], stage_s=log["stage_s"]))
@@ -637,7 +637,7 @@ def seed_averaged_metric(rows, f: float, metric) -> dict[float, float]:
 def invariant_run_config(n_injections: int) -> RunConfig:
     """The timing of each invariant-suite run: ``n_injections`` injections
     of the default interval, no washout."""
-    return RunConfig(t_final=n_injections * 7.5, delta_t=7.5, dt=0.025, washout_steps=0)
+    return RunConfig(t_final=n_injections * RunConfig.delta_t, washout_steps=0)
 
 
 def run_invariant_suite(n_runs: int = 100, n_injections: int = 50, base_seed: int = 7) -> dict:

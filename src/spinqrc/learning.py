@@ -1,7 +1,9 @@
 """Linear readout training and short-term-memory capacity evaluation.
 
 The readout is ridge regression from the 5-dimensional feature rows onto the
-delayed bilinear target g(k) = s1(k - tau) * s2(k - tau). Capacity at each
+delayed bilinear target g(k) = s1(k - tau) * s2(k - tau): feature row k, from
+washout + tau on, is scored against the input product at k - tau, so every
+delay reads a shifted slice of one product sequence per run. Capacity at each
 delay is the squared Pearson correlation between prediction and target on the
 test run, maximized over a logarithmic grid of regularization strengths; the
 total capacity sums the per-delay values up to tau_max.
@@ -20,29 +22,6 @@ TAU_MAX_DEFAULT = 24
 # so saturation at an edge is visible in the outputs.
 DEFAULT_LAMBDA_GRID = tuple(np.geomspace(1e-10, 1e2, 21))
 VARIANCE_FLOOR = 1e-14
-
-
-def bilinear_target(s1, s2, tau: int, n_steps: int, washout: int) -> np.ndarray:
-    """Delayed product targets for feature rows k = washout+tau .. n_steps-1.
-
-    Row k is paired with s1(k-tau)*s2(k-tau); rows whose target index would
-    fall inside the washout are dropped, so train and test windows share the
-    same per-tau semantics.
-    """
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    start = washout + tau
-    if start >= n_steps:
-        raise ValueError(f"empty target window: washout {washout} + tau {tau} >= K {n_steps}")
-    s1 = np.asarray(s1, dtype=float)
-    s2 = np.asarray(s2, dtype=float)
-    idx = np.arange(start, n_steps) - tau
-    return s1[idx] * s2[idx]
-
-
-def feature_window(features: np.ndarray, tau: int, washout: int) -> np.ndarray:
-    """Feature rows aligned with ``bilinear_target`` for the same tau."""
-    return features[washout + tau:]
 
 
 def ridge_weights(features: np.ndarray, targets: np.ndarray, lams) -> np.ndarray:
@@ -100,11 +79,15 @@ def stm_capacity(predicted, target):
 
 @dataclass(frozen=True, eq=False)
 class CapacityProfile:
-    """C_STM(tau) for tau = 0..tau_max plus the summed total."""
+    """C_STM(tau) for tau = 0..tau_max and the lambda chosen at each."""
 
     per_tau: np.ndarray
     lambda_per_tau: np.ndarray
-    total: float
+
+    @property
+    def total(self) -> float:
+        """The summed capacity, recomputed from ``per_tau``."""
+        return float(self.per_tau.sum())
 
 
 def evaluate_capacity_profile(train: TrajectoryRecord, test: TrajectoryRecord,
@@ -126,21 +109,19 @@ def evaluate_capacity_profile(train: TrajectoryRecord, test: TrajectoryRecord,
 
     washout = train.washout_steps
     k_steps = train.n_steps
+    if washout + tau_max >= k_steps:
+        raise ValueError(f"empty target window: washout {washout} + tau {tau_max} >= K {k_steps}")
+    r_train, r_test, r_sel = (r.features for r in (train, test, selection))
+    g_train, g_test, g_sel = (r.injected_values[:, 0] * r.injected_values[:, 1]
+                              for r in (train, test, selection))
     per_tau = np.zeros(tau_max + 1)
     lambdas = np.zeros(tau_max + 1)
     for tau in range(tau_max + 1):
-        r_train = feature_window(train.features, tau, washout)
-        g_train = bilinear_target(train.injected_values[:, 0], train.injected_values[:, 1],
-                                  tau, k_steps, washout)
-        r_test = feature_window(test.features, tau, washout)
-        g_test = bilinear_target(test.injected_values[:, 0], test.injected_values[:, 1],
-                                 tau, k_steps, washout)
-        r_sel = feature_window(selection.features, tau, washout)
-        g_sel = bilinear_target(selection.injected_values[:, 0],
-                                selection.injected_values[:, 1], tau, k_steps, washout)
-        weights = ridge_weights(r_train, g_train, lambda_grid)
+        rows, targets = slice(washout + tau, None), slice(washout, k_steps - tau)
+        weights = ridge_weights(r_train[rows], g_train[targets], lambda_grid)
         # One gemv per lambda: a stacked product need not round the same.
-        best = int(np.argmax(stm_capacity(np.stack([r_sel @ w for w in weights]), g_sel)))
-        per_tau[tau] = stm_capacity(r_test @ weights[best], g_test)
+        best = int(np.argmax(stm_capacity(np.stack([r_sel[rows] @ w for w in weights]),
+                                          g_sel[targets])))
+        per_tau[tau] = stm_capacity(r_test[rows] @ weights[best], g_test[targets])
         lambdas[tau] = float(lambda_grid[best])
-    return CapacityProfile(per_tau=per_tau, lambda_per_tau=lambdas, total=float(per_tau.sum()))
+    return CapacityProfile(per_tau=per_tau, lambda_per_tau=lambdas)

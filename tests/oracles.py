@@ -120,6 +120,12 @@ def gaussian_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
+def bilinear_target_oracle(s1, s2, tau: int, n_steps: int, washout: int) -> np.ndarray:
+    """s1(k-tau)*s2(k-tau), gathered by index, for rows k = washout+tau .. n_steps-1."""
+    idx = np.arange(washout + tau, n_steps) - tau
+    return np.asarray(s1, dtype=float)[idx] * np.asarray(s2, dtype=float)[idx]
+
+
 def lindblad_rhs(rho: np.ndarray, hamiltonian: np.ndarray, jump_ops) -> np.ndarray:
     """Textbook right-hand side -i[H, rho] + sum_L (L rho L† - 1/2 {L†L, rho})."""
     out = -1j * (hamiltonian @ rho - rho @ hamiltonian)

@@ -296,10 +296,13 @@ def test_run_longer_than_the_input_sequences_exits_two(tmp_path, capsys):
         assert out.exists() == (code == 0)
 
 
-def test_validate_longer_than_the_input_sequences_is_a_usage_error(capsys):
-    assert main(["validate", "--runs", "1", "--steps", "368"]) == 2
+# 1e308 injections last an infinite t_final; 1e400 is past float range.
+@pytest.mark.parametrize("steps, needed", [("368", "1002"), (str(10 ** 308), "inf"),
+                                           (str(10 ** 400), "inf")], ids=["368", "1e308", "1e400"])
+def test_validate_longer_than_the_input_sequences_is_a_usage_error(capsys, steps, needed):
+    assert main(["validate", "--runs", "1", "--steps", steps]) == 2
     captured = capsys.readouterr()
-    assert "--steps 368 reads 1002 samples" in captured.err and not captured.out
+    assert f"--steps {steps} reads {needed} samples" in captured.err and not captured.out
     assert main(["validate", "--runs", "1", "--steps", "367"]) == 0
 
 

@@ -173,7 +173,7 @@ def test_summary_json_round_trip(tmp_path):
     record = TrajectoryRecord(features=np.zeros((2, 5)),
                               states=np.stack([all_zero_state(4)] * 2),
                               injected_values=np.zeros((2, 2)), washout_steps=0)
-    profile = CapacityProfile(per_tau=np.zeros(1), lambda_per_tau=np.ones(1), total=0.0)
+    profile = CapacityProfile(per_tau=np.zeros(1), lambda_per_tau=np.ones(1))
     cell = CellResult(js=0.5, f=2.0, seed_index=3, status="ok", capacity=profile,
                       entanglement=s, wall_time_s=0.0, train=record, test=record)
     write_run_outputs(ExperimentConfig(output_dir="unused"), cell, tmp_path)

@@ -434,7 +434,8 @@ class TestSweep:
         assert len(back) == len(rows)
         for a, b in zip(back, rows):
             assert a.status == b.status
-            assert np.allclose(a.capacity.per_tau, b.capacity.per_tau, atol=0)
+            assert np.array_equal(a.capacity.per_tau, b.capacity.per_tau)
+            assert a.capacity.total == b.capacity.total
             assert a.entanglement == b.entanglement
 
     def test_manifest_entry_must_match_its_row(self, tmp_path):

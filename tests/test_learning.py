@@ -7,15 +7,13 @@ from spinqrc.experiments import CellResult, ExperimentConfig, write_run_outputs
 from spinqrc.learning import (
     DEFAULT_LAMBDA_GRID,
     CapacityProfile,
-    bilinear_target,
     evaluate_capacity_profile,
-    feature_window,
     ridge_weights,
     stm_capacity,
 )
 from spinqrc.reservoir import TrajectoryRecord, all_zero_state
 
-from oracles import gaussian_solve
+from oracles import bilinear_target_oracle, gaussian_solve
 
 
 def make_record(features, s1, s2, washout=0):
@@ -24,36 +22,60 @@ def make_record(features, s1, s2, washout=0):
                             washout_steps=washout)
 
 
+def noise_record(k, washout, seed):
+    """A run of k steps whose inputs and five features are uniform noise."""
+    rng = np.random.default_rng(seed)
+    return make_record(rng.uniform(0, 1, (k, 5)), *rng.uniform(0, 1, (2, k)), washout=washout)
+
+
+def target_record(k, tau, washout, seed):
+    """A noise run whose first feature is the oracle's delay-tau product from
+    row washout + tau on."""
+    rec = noise_record(k, washout, seed)
+    rec.features[washout + tau:, 0] = bilinear_target_oracle(*rec.injected_values.T,
+                                                             tau, k, washout)
+    return rec
+
+
+def recall(rec, tau):
+    """The delay-tau capacity of a run read out on itself."""
+    return evaluate_capacity_profile(rec, rec, tau_max=tau).per_tau[tau]
+
+
 class TestBilinearTarget:
     def test_constant_inputs(self):
+        # A constant product has no variance to recover: every delay scores 0.
         s = np.full(20, 0.5)
-        assert np.allclose(bilinear_target(s, s, 0, 20, 0), 0.25)
+        rec = make_record(np.random.default_rng(0).uniform(0, 1, (20, 5)), s, s)
+        assert evaluate_capacity_profile(rec, rec, tau_max=3).per_tau.tolist() == [0.0] * 4
 
     def test_degenerate_second_channel(self):
+        # With s2 = 1 the target is s1 alone: a feature s1(k - 4) recalls tau 4.
         rng = np.random.default_rng(0)
         s1 = rng.uniform(0, 1, 30)
-        ones = np.ones(30)
-        got = bilinear_target(s1, ones, 4, 30, 5)
-        assert np.allclose(got, s1[5:26])
+        rec = make_record(np.column_stack([np.roll(s1, 4), rng.uniform(0, 1, (30, 4))]),
+                          s1, np.ones(30), washout=5)
+        assert recall(rec, 4) == pytest.approx(1.0, abs=1e-9)
 
     def test_matches_shifted_product_oracle(self):
-        rng = np.random.default_rng(1)
-        s1 = rng.uniform(0, 1, 40)
-        s2 = rng.uniform(0, 1, 40)
-        tau, washout, k = 3, 6, 40
-        got = bilinear_target(s1, s2, tau, k, washout)
-        want = [s1[j - tau] * s2[j - tau] for j in range(washout + tau, k)]
-        assert np.allclose(got, want)
-        assert len(got) == k - washout - tau
+        for tau in (0, 3, 7):
+            assert recall(target_record(40, tau, 6, seed=tau), tau) == pytest.approx(
+                1.0, abs=1e-9)
 
     def test_window_alignment_with_features(self):
-        feats = np.arange(50).reshape(10, 5).astype(float)
-        assert len(feature_window(feats, 2, 3)) == 5
-        assert feature_window(feats, 2, 3)[0, 0] == feats[5, 0]
+        # The delay-3 window is rows washout + 3 .. K - 1: noise before it
+        # leaves the recall whole, a spike at either end of it does not.
+        rec = target_record(40, 3, 6, seed=3)
+        assert recall(rec, 3) == pytest.approx(1.0, abs=1e-9)
+        for row in (9, 39):
+            feats = rec.features.copy()
+            feats[row, 0] += 0.5
+            assert recall(make_record(feats, *rec.injected_values.T, washout=6), 3) < 1.0 - 1e-6
 
     def test_empty_window_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            bilinear_target(np.ones(10), np.ones(10), 6, 10, 5)
+        rec = make_record(np.ones((10, 5)), np.ones(10), np.ones(10), washout=5)
+        with pytest.raises(ValueError, match=r"^empty target window: washout 5 \+ tau 5 >= K 10$"):
+            evaluate_capacity_profile(rec, rec, tau_max=5)
 
 
 class TestRidgeFit:
@@ -187,32 +209,17 @@ class TestStmCapacity:
 class TestEvaluateCapacityProfile:
     def test_memoryless_perfect_linear_relationship(self):
         # Feature = target at tau 0; identical train and test records.
-        rng = np.random.default_rng(11)
-        s1 = rng.uniform(0.1, 0.9, 60)
-        s2 = rng.uniform(0.1, 0.9, 60)
-        feats = np.column_stack([s1 * s2, rng.uniform(0, 1, 60),
-                                 rng.uniform(0, 1, 60), rng.uniform(0, 1, 60),
-                                 np.ones(60)])
-        rec = make_record(feats, s1, s2, washout=5)
+        rec = target_record(60, 0, 5, seed=11)
         profile = evaluate_capacity_profile(rec, rec, tau_max=3)
         assert profile.per_tau[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_tau_max_total(self):
-        rng = np.random.default_rng(12)
-        s1 = rng.uniform(0, 1, 40)
-        s2 = rng.uniform(0, 1, 40)
-        feats = np.column_stack([rng.uniform(0, 1, (40, 4)), np.ones(40)])
-        rec = make_record(feats, s1, s2, washout=4)
+        rec = noise_record(40, 4, seed=12)
         profile = evaluate_capacity_profile(rec, rec, tau_max=0)
         assert profile.total == pytest.approx(profile.per_tau[0])
 
     def test_total_is_sum_of_per_tau(self):
-        rng = np.random.default_rng(13)
-        s1 = rng.uniform(0, 1, 80)
-        s2 = rng.uniform(0, 1, 80)
-        feats = np.column_stack([rng.uniform(0, 1, (80, 4)), np.ones(80)])
-        train = make_record(feats, s1, s2, washout=6)
-        test = make_record(np.roll(feats, 1, axis=0), np.roll(s1, 1), np.roll(s2, 1), washout=6)
+        train, test = noise_record(80, 6, seed=13), noise_record(80, 6, seed=14)
         profile = evaluate_capacity_profile(train, test, tau_max=5)
         assert profile.total == pytest.approx(profile.per_tau.sum(), abs=1e-12)
         assert np.all(profile.per_tau >= 0.0) and np.all(profile.per_tau <= 1.0)
@@ -256,9 +263,9 @@ class TestEvaluateCapacityProfile:
         profile = evaluate_capacity_profile(train, test, tau_max=4,
                                             selection=sel if holdout else None)
         for tau in range(5):
-            targets = [bilinear_target(r.injected_values[:, 0], r.injected_values[:, 1],
-                                       tau, 90, 6) for r in records]
-            windows = [feature_window(r.features, tau, 6) for r in records]
+            targets = [bilinear_target_oracle(r.injected_values[:, 0], r.injected_values[:, 1],
+                                              tau, 90, 6) for r in records]
+            windows = [r.features[6 + tau:] for r in records]
             weights = ridge_weights(windows[0], targets[0], DEFAULT_LAMBDA_GRID)
             score_on = 2 if holdout else 1
             best_score, best = -1.0, 0
@@ -273,12 +280,9 @@ class TestEvaluateCapacityProfile:
         assert profile.total == float(profile.per_tau.sum())
 
     def test_mismatched_records_rejected(self):
-        rng = np.random.default_rng(15)
-        feats = np.column_stack([rng.uniform(0, 1, (30, 4)), np.ones(30)])
-        a = make_record(feats, rng.uniform(0, 1, 30), rng.uniform(0, 1, 30), washout=2)
-        b = make_record(feats[:20], rng.uniform(0, 1, 20), rng.uniform(0, 1, 20), washout=2)
         with pytest.raises(ValueError):
-            evaluate_capacity_profile(a, b, tau_max=2)
+            evaluate_capacity_profile(noise_record(30, 2, seed=15), noise_record(20, 2, seed=16),
+                                      tau_max=2)
 
 
 def test_weak_coupling_prediction_quality():
@@ -301,8 +305,7 @@ def test_weak_coupling_prediction_quality():
 
 def test_capacity_serialization(tmp_path):
     profile = CapacityProfile(per_tau=np.array([0.9, 0.5, 0.1]),
-                              lambda_per_tau=np.array([1e-3, 1e-2, 1e-1]),
-                              total=1.5)
+                              lambda_per_tau=np.array([1e-3, 1e-2, 1e-1]))
     record = TrajectoryRecord(features=np.zeros((2, 5)),
                               states=np.stack([all_zero_state(4)] * 2),
                               injected_values=np.zeros((2, 2)), washout_steps=0)
