@@ -8,7 +8,7 @@ Run:  python demos/05_entanglement_structure.py   (about a minute)
 import numpy as np
 
 from spinqrc.dynamics import random_model
-from spinqrc.entanglement import PARTITION_LABELS, seed_average, steady_state_average
+from spinqrc.entanglement import PARTITION_LABELS, summarize
 from spinqrc.reservoir import RunConfig, interval_map, run_reservoir
 from spinqrc.signals import make_input_sequence
 
@@ -17,14 +17,15 @@ SEEDS = 3
 
 
 def summary(js):
+    """The summary of the seed mean of each seed's post-washout means."""
     per_seed = []
     for seed in range(SEEDS):
         propagator = interval_map(random_model(js, seed=(2024, seed)), cfg)
         s1 = make_input_sequence(2.0, 0, (2024, seed))
         s2 = make_input_sequence(2.0, 1, (2024, seed))
         rec = run_reservoir(propagator, s1, s2, cfg)
-        per_seed.append(steady_state_average(rec.steady_entanglement))
-    return seed_average(per_seed)
+        per_seed.append(rec.steady_entanglement.mean(axis=0))
+    return summarize(np.mean(per_seed, axis=0))
 
 
 print(f"post-washout, seed-averaged logarithmic negativities ({SEEDS} seeds, f = 2)\n")

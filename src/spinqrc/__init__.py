@@ -3,12 +3,12 @@ network used as a reservoir computer with two distributed input streams.
 
 Subpackage map:
 
-* ``linalg``        tensor products, partial trace/transpose, eigenvalues
+* ``linalg``        tensor products, Hermiticity checks, density-matrix checks
 * ``dynamics``      Hamiltonian, jump operators, RK4 master-equation solver
 * ``signals``       multi-sinusoid inputs and single-qubit encoding
 * ``reservoir``     the inject/evolve/measure run loop
 * ``learning``      ridge readout and short-term-memory capacity
-* ``entanglement``  logarithmic negativity over the seven bipartitions
+* ``entanglement``  the seven bipartitions' partial-transpose table, log negativity
 * ``experiments``   sweeps, reproducibility metadata, every file written
 * ``cli``           command-line entry point
 """

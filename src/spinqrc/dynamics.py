@@ -61,10 +61,9 @@ def sample_coupling_matrix(j_s: float, n_qubits: int, seed) -> np.ndarray:
         raise ValueError("j_s must be nonnegative")
     rng = stream(COUPLING_DOMAIN, *as_key(seed))
     j = np.zeros((n_qubits, n_qubits))
-    for a in range(n_qubits):
-        for b in range(a + 1, n_qubits):
-            j[a, b] = j[b, a] = rng.uniform(-j_s / 2.0, j_s / 2.0)
-    return j
+    j[np.triu_indices(n_qubits, 1)] = rng.uniform(-j_s / 2.0, j_s / 2.0,
+                                                  n_qubits * (n_qubits - 1) // 2)
+    return j + j.T
 
 
 @dataclass(frozen=True, eq=False)

@@ -37,8 +37,6 @@ from .entanglement import (
     PARTITION_LABELS,
     SUMMARY_FIELDS,
     negativities,
-    seed_average,
-    steady_state_average,
     summarize,
 )
 from .learning import (
@@ -299,7 +297,7 @@ def run_cell(cfg: ExperimentConfig, js: float, f: float, seed_index: int) -> Cel
         t_readout = time.perf_counter()
         profile = evaluate_capacity_profile(train, test, cfg.tau_max, cfg.lambda_grid,
                                             selection=selection)
-        summary = steady_state_average(samples)
+        summary = summarize(samples.mean(axis=0))
         end = time.perf_counter()
         stage_s = {"propagator": t_runs - t_build, "reservoirs": t_negs - t_runs,
                    "negativities": t_readout - t_negs, "readout": end - t_readout}
@@ -443,10 +441,13 @@ def write_run_outputs(cfg: ExperimentConfig, result: CellResult, out_dir) -> Non
                 **result.entanglement})
 
 
+CELL_LOG_KEYS = ("J_s", "f", "seed", "status", "error", "wall_time_s", "stage_s")
+
+
 def _cell_log(r: CellResult) -> dict:
     """A cell's status and timing, as cells.jsonl and the manifest list it."""
-    return {"J_s": r.js, "f": r.f, "seed": r.seed_index, "status": r.status,
-            "error": r.error, "wall_time_s": r.wall_time_s, "stage_s": r.stage_s}
+    return dict(zip(CELL_LOG_KEYS, (r.js, r.f, r.seed_index, r.status, r.error,
+                                    r.wall_time_s, r.stage_s)))
 
 
 def _repr_or_nan(value) -> str:
@@ -483,14 +484,29 @@ def write_sweep_outputs(cfg: ExperimentConfig, rows, out_dir) -> None:
     })
 
 
+def _number(rec, i, header, where, kind=float):
+    """Field ``i`` of the sweep_results.csv row ``where``, or a ValueError naming its column."""
+    try:
+        return kind(rec[i])
+    except ValueError:
+        raise ValueError(f"{where} column {header[i]} is {rec[i]!r}, not a number") from None
+
+
 def read_sweep_results(out_dir) -> tuple[CellResult, ...]:
     """The cell results of a finished sweep, in config order, from
     sweep_results.csv and manifest.json. Each row's error and timings come
     from its cell's entry in the manifest; ``lambda_per_tau``, which the CSV
-    does not hold, is NaN."""
-    with open(os.path.join(out_dir, "manifest.json")) as fh:
-        manifest = json.load(fh)
-    tau_max = manifest["config"]["tau_max"]
+    does not hold, is NaN. A malformed file raises a ValueError naming it."""
+    manifest_path = os.path.join(out_dir, "manifest.json")
+    with open(manifest_path) as fh:
+        try:
+            manifest = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{manifest_path}: not JSON: {exc}") from None
+    try:
+        tau_max, cells = manifest["config"]["tau_max"], manifest["cells"]
+    except (KeyError, TypeError):
+        raise ValueError(f"{manifest_path}: lacks config.tau_max or cells") from None
     csv_path = os.path.join(out_dir, "sweep_results.csv")
     header = sweep_csv_header(tau_max)
     with open(csv_path, newline="") as fh:
@@ -498,26 +514,32 @@ def read_sweep_results(out_dir) -> tuple[CellResult, ...]:
         if next(reader) != header:
             raise ValueError(f"unexpected sweep_results.csv header in {out_dir}")
         records = list(reader)
-    cells = manifest["cells"]
     if len(records) != len(cells):
         raise ValueError(f"{out_dir}: sweep_results.csv has {len(records)} rows, "
                          f"manifest.json lists {len(cells)} cells")
     rows = []
     for number, (rec, log) in enumerate(zip(records, cells), start=1):
+        if missing := [key for key in CELL_LOG_KEYS
+                       if not isinstance(log, dict) or key not in log]:
+            raise ValueError(f"{manifest_path}: cell {number} lacks {', '.join(missing)}")
+        where = f"{csv_path}: row {number}"
         if len(rec) != len(header):
-            raise ValueError(f"{csv_path}: row {number} has {len(rec)} fields, "
-                             f"the header {len(header)}")
-        js, f, seed, status = float(rec[0]), float(rec[1]), int(rec[2]), rec[3]
+            raise ValueError(f"{where} has {len(rec)} fields, the header {len(header)}")
+        js, f, seed = (_number(rec, i, header, where, kind)
+                       for i, kind in enumerate((float, float, int)))
+        status = rec[3]
+        if status not in ("ok", "error"):
+            raise ValueError(f"{where} column status is {status!r}, not ok or error")
         if (log["J_s"], log["f"], log["seed"]) != (js, f, seed):
             raise ValueError(f"{out_dir}: sweep_results.csv row {number} is (J_s, f, seed) = "
                              f"{(js, f, seed)}, its manifest entry "
                              f"{(log['J_s'], log['f'], log['seed'])}")
         profile = summary = None
         if status == "ok":
-            nums = [float(x) for x in rec[4:]]
+            nums = [_number(rec, i, header, where) for i in range(4, len(header))]
             profile = CapacityProfile(per_tau=np.array(nums[1:tau_max + 2]),
                                       lambda_per_tau=np.full(tau_max + 1, np.nan))
-            summary = summarize(dict(zip(PARTITION_LABELS, nums[tau_max + 2:])))
+            summary = summarize(nums[tau_max + 2:tau_max + 2 + len(PARTITION_LABELS)])
         rows.append(CellResult(js, f, seed, status, profile, summary, log["wall_time_s"],
                                error=log["error"], stage_s=log["stage_s"]))
     return tuple(rows)
@@ -542,10 +564,10 @@ def _group_ok(rows):
 
 # The per-J_s panels, one row per J_s and one file per f: (statistic,
 # suffix of the value headers, value names). A "seed" value is the mean over
-# coupling seeds of the per-cell value; an "aggregate" value is recomputed
-# from the seed-averaged partitions (``seed_average``), which sums in another
-# order, so the two stay apart. Each value has a ``<name>_stderr`` column, the
-# per-seed spread, nan when any seed's value is undefined.
+# coupling seeds of the per-cell value; an "aggregate" value is ``summarize``
+# of the seed-averaged partitions, which sums in another order, so the two
+# stay apart. Each value has a ``<name>_stderr`` column, the per-seed spread,
+# nan when any seed's value is undefined.
 _JS_PANELS = {
     "fig2a": ("seed", "_mean", ("capacity",)),
     "fig2b": ("seed", "_mean", ("E1", "E2", "E3", "E4")),
@@ -561,7 +583,8 @@ def _js_row(js, cells, statistic, names) -> list[str]:
         per_seed = ([c.capacity.total for c in cells] if name == "capacity"
                     else [c.entanglement[name] for c in cells])
         if statistic == "aggregate":
-            value = seed_average(c.entanglement for c in cells)[name]
+            value = summarize(np.mean([[c.entanglement[lbl] for lbl in PARTITION_LABELS]
+                                       for c in cells], axis=0))[name]
         else:
             value = _mean_stderr(per_seed)[0]
         err = float("nan") if None in per_seed else _mean_stderr(per_seed)[1]

@@ -119,8 +119,7 @@ def evaluate_capacity_profile(train: TrajectoryRecord, test: TrajectoryRecord,
     for tau in range(tau_max + 1):
         rows, targets = slice(washout + tau, None), slice(washout, k_steps - tau)
         weights = ridge_weights(r_train[rows], g_train[targets], lambda_grid)
-        # One gemv per lambda: a stacked product need not round the same.
-        best = int(np.argmax(stm_capacity(np.stack([r_sel[rows] @ w for w in weights]),
+        best = int(np.argmax(stm_capacity(np.matmul(r_sel[rows], weights[..., None])[..., 0],
                                           g_sel[targets])))
         per_tau[tau] = stm_capacity(r_test[rows] @ weights[best], g_test[targets])
         lambdas[tau] = float(lambda_grid[best])

@@ -78,32 +78,6 @@ def embed_single_qubit(op: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
     )
 
 
-def partial_transpose(rho: np.ndarray, qubits) -> np.ndarray:
-    """Transpose the indices of the given qubits only; trace is unchanged.
-
-    The register size n is read from the 2**n x 2**n matrix; ``qubits`` must
-    be a nonempty proper subset of {0..n-1}. Leading axes are a stack: each
-    matrix of ``rho[..., :, :]`` is transposed.
-    """
-    n = rho.shape[-1].bit_length() - 1
-    if rho.shape[-2:] != (2**n, 2**n):
-        raise ValueError(f"rho has shape {rho.shape}, expected 2**n x 2**n")
-    qubits = {int(q) for q in qubits}
-    if not qubits:
-        raise ValueError("the transposed qubits must be nonempty")
-    if any(q < 0 or q >= n for q in qubits):
-        raise ValueError(f"qubit indices {sorted(qubits)} out of range for n={n}")
-    if len(qubits) == n:
-        raise ValueError("the transposed qubits must be a proper subset")
-    lead = rho.shape[:-2]
-    axes = list(range(2 * n))
-    for q in qubits:
-        axes[q], axes[q + n] = axes[q + n], axes[q]
-    t = rho.reshape(lead + (2,) * (2 * n))
-    t = t.transpose(list(range(len(lead))) + [a + len(lead) for a in axes])
-    return np.ascontiguousarray(t.reshape(lead + (2**n, 2**n)))
-
-
 def check_density_matrix(rho: np.ndarray) -> dict:
     """Diagnostics for a would-be density matrix, or the worst over a stack.
 

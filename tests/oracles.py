@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from spinqrc.dynamics import RK4_STABILITY_MARGIN, build_hamiltonian, build_jump_operators
-from spinqrc.linalg import hermitianize, partial_transpose
+from spinqrc.linalg import hermitianize
 
 
 def kron_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -66,9 +66,29 @@ def inject_oracle(rho: np.ndarray, s1: float, s2: float) -> np.ndarray:
     return np.kron(np.kron(encoded_state(s1), encoded_state(s2)), rest)
 
 
+def partial_transpose_oracle(rho: np.ndarray, qubits) -> np.ndarray:
+    """Entry-by-entry partial transpose of an n-qubit matrix on ``qubits``:
+    entry (r, c) is rho's entry with the bits of those qubits exchanged
+    between r and c. Qubit 0 is the most significant bit."""
+    dim = rho.shape[0]
+    n = dim.bit_length() - 1
+    out = np.empty_like(rho)
+    for r in range(dim):
+        for c in range(dim):
+            rr, cc = r, c
+            for q in qubits:
+                shift = n - 1 - q
+                row_bit, col_bit = (r >> shift) & 1, (c >> shift) & 1
+                rr = (rr & ~(1 << shift)) | (col_bit << shift)
+                cc = (cc & ~(1 << shift)) | (row_bit << shift)
+            out[r, c] = rho[rr, cc]
+    return out
+
+
 def log_negativity_oracle(rho: np.ndarray, qubits) -> float:
     """Unclamped log2 trace norm of one state's partial transpose on ``qubits``."""
-    eigs = np.linalg.eigvalsh(hermitianize(partial_transpose(rho, qubits)))
+    pt = partial_transpose_oracle(rho, qubits)
+    eigs = np.linalg.eigvalsh(0.5 * (pt + pt.conj().T))
     return float(np.log2(np.abs(eigs).sum()))
 
 

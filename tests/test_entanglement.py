@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -9,11 +10,9 @@ from spinqrc.entanglement import (
     PARTITIONS,
     SUMMARY_FIELDS,
     negativities,
-    seed_average,
-    steady_state_average,
     summarize,
 )
-from spinqrc.experiments import CellResult, ExperimentConfig, write_run_outputs
+from spinqrc.experiments import CellResult, ExperimentConfig, emit_figure_data, write_run_outputs
 from spinqrc.learning import CapacityProfile
 from spinqrc.linalg import kron, kron_all
 from spinqrc.reservoir import TrajectoryRecord, all_zero_state
@@ -91,9 +90,12 @@ class TestLogNegativity:
 
 
 class TestSteadyStateAverage:
+    """A run's summary: ``summarize`` of its post-washout column means, as
+    ``run_cell`` takes it."""
+
     def test_constant_samples(self):
         samples = np.tile(np.arange(1.0, 8.0), (30, 1))
-        summary = steady_state_average(samples[10:])
+        summary = summarize(samples[10:].mean(axis=0))
         assert {lbl: summary[lbl] for lbl in PARTITION_LABELS} == dict(
             zip(PARTITION_LABELS, np.arange(1.0, 8.0)))
 
@@ -102,74 +104,81 @@ class TestSteadyStateAverage:
         ramp = np.linspace(0.0, 1.0, k)
         samples = np.tile(ramp[:, None], (1, 7))
         washout = 20
-        summary = steady_state_average(samples[washout:])
+        summary = summarize(samples[washout:].mean(axis=0))
         expected = 0.5 * (ramp[washout] + ramp[-1])
         for label in PARTITION_LABELS:
             assert summary[label] == pytest.approx(expected, abs=1e-12)
 
     def test_zero_samples_flag_ratios_undefined(self):
         samples = np.zeros((40, 7))
-        summary = steady_state_average(samples[5:])
+        summary = summarize(samples[5:].mean(axis=0))
         assert summary["diff_single"] == 0.0
         assert summary["diff_pair"] == 0.0
         assert summary["ratio_single"] is None
         assert summary["ratio_pair"] is None
 
-    def test_empty_window_rejected(self):
-        with pytest.raises(ValueError):
-            steady_state_average(np.zeros((10, 7))[10:])
-
     def test_aggregate_definitions(self):
-        means = {"E1": 0.4, "E2": 0.6, "E3": 0.1, "E4": 0.2,
-                 "E12": 0.05, "E13": 0.5, "E14": 0.3}
-        s = summarize(means)
+        # E1, E2, E3, E4, E12, E13, E14
+        s = summarize([0.4, 0.6, 0.1, 0.2, 0.05, 0.5, 0.3])
         assert tuple(s) == SUMMARY_FIELDS
         assert s["diff_single"] == pytest.approx(0.7)
         assert s["diff_pair"] == pytest.approx(0.7)
         assert s["ratio_single"] == pytest.approx(1.0 / 0.3)
         assert s["ratio_pair"] == pytest.approx(0.8 / 0.1)
+        with pytest.raises(ValueError):
+            summarize([0.4, 0.6, 0.1, 0.2, 0.05, 0.5])
+
+
+def figure_seed_average(summaries, out_dir) -> dict:
+    """The seed averages the figures report for one (J_s, f) whose cells
+    carry ``summaries``: each partition's mean (fig2b, fig2c) and the
+    aggregates (fig2d, fig2e), an undefined one as None."""
+    cells = [CellResult(js=1.0, f=2.0, seed_index=j, status="ok", capacity=None,
+                        entanglement=s, wall_time_s=0.0) for j, s in enumerate(summaries)]
+    out = {}
+    for figure in ("fig2b", "fig2c", "fig2d", "fig2e"):
+        (path,) = emit_figure_data(cells, figure, out_dir)
+        with open(path, newline="") as fh:
+            header, row = csv.reader(fh)
+        for name, value in zip(header[1::2], row[1::2]):
+            out[name.removesuffix("_mean")] = None if value == "nan" else float(value)
+    return out
 
 
 class TestSeedAverage:
-    def test_single_summary_is_identity(self):
-        s = summarize(dict(zip(PARTITION_LABELS, np.linspace(0.1, 0.7, 7))))
-        avg = seed_average([s])
-        assert avg == s
+    """The seed average of a (J_s, f) group in the figures: the mean of the
+    cells' seven values, and ``summarize`` of those means."""
 
-    def test_mean_symmetry(self):
+    def test_single_summary_is_identity(self, tmp_path):
+        s = summarize(np.linspace(0.1, 0.7, 7))
+        assert figure_seed_average([s], tmp_path) == s
+
+    def test_mean_symmetry(self, tmp_path):
         c = 0.35
         v = np.linspace(0.05, 0.65, 7)
-        a = summarize(dict(zip(PARTITION_LABELS, v)))
-        b = summarize(dict(zip(PARTITION_LABELS, -v + 2 * c)))
-        avg = seed_average([a, b])
+        avg = figure_seed_average([summarize(v), summarize(-v + 2 * c)], tmp_path)
         for label in PARTITION_LABELS:
             assert avg[label] == pytest.approx(c, abs=1e-12)
 
-    def test_matches_streaming_mean_oracle(self):
+    def test_matches_streaming_mean_oracle(self, tmp_path):
         rng = np.random.default_rng(3)
-        summaries = [summarize(dict(zip(PARTITION_LABELS, rng.uniform(0, 1, 7))))
-                     for _ in range(10)]
-        avg = seed_average(summaries)
+        summaries = [summarize(rng.uniform(0, 1, 7)) for _ in range(10)]
+        avg = figure_seed_average(summaries, tmp_path)
         acc = np.zeros(7)
         for i, s in enumerate(summaries, start=1):
             acc += (np.array([s[lbl] for lbl in PARTITION_LABELS]) - acc) / i
         assert np.allclose([avg[lbl] for lbl in PARTITION_LABELS], acc, atol=1e-12)
 
-    def test_aggregates_recomputed_from_seed_means(self):
+    def test_aggregates_recomputed_from_seed_means(self, tmp_path):
         rng = np.random.default_rng(4)
-        summaries = [summarize(dict(zip(PARTITION_LABELS, rng.uniform(0.1, 1, 7))))
-                     for _ in range(5)]
-        m = seed_average(summaries)
+        summaries = [summarize(rng.uniform(0.1, 1, 7)) for _ in range(5)]
+        m = figure_seed_average(summaries, tmp_path)
         assert m["diff_single"] == pytest.approx((m["E1"] + m["E2"]) - (m["E3"] + m["E4"]))
         assert m["ratio_pair"] == pytest.approx((m["E13"] + m["E14"]) / (2 * m["E12"]))
 
-    def test_empty_input_rejected(self):
-        with pytest.raises(ValueError):
-            seed_average([])
-
 
 def test_summary_json_round_trip(tmp_path):
-    s = summarize(dict(zip(PARTITION_LABELS, np.linspace(0.0, 0.6, 7))))
+    s = summarize(np.linspace(0.0, 0.6, 7))
     record = TrajectoryRecord(features=np.zeros((2, 5)),
                               states=np.stack([all_zero_state(4)] * 2),
                               injected_values=np.zeros((2, 2)), washout_steps=0)

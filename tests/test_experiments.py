@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from spinqrc.dynamics import random_model
 from spinqrc.entanglement import PARTITION_LABELS, SUMMARY_FIELDS
 from spinqrc.experiments import (
+    CELL_LOG_KEYS,
     DEFAULT_JS_GRID,
     FIGURE_NAMES,
     ConfigError,
@@ -467,7 +469,7 @@ class TestSweep:
         assert main(["emit", "--results", str(tmp_path)]) == 1
         assert f"sweep_results.csv has {counts} cells" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("torn", ["short", "long"])
+    @pytest.mark.parametrize("torn", ["short", "long", "abc", "okay"])
     def test_torn_row_names_the_file_and_row(self, tmp_path, capsys, torn):
         from spinqrc.cli import main
 
@@ -475,9 +477,45 @@ class TestSweep:
         path = tmp_path / "sweep_results.csv"
         header, first, last = path.read_bytes().splitlines()
         n = header.count(b",") + 1
-        last, got = (last[:last.rindex(b",")], n - 1) if torn == "short" else (last + b",0", n + 1)
+        fields = last.split(b",")
+        if torn == "short":
+            last, message = b",".join(fields[:-1]), f"row 2 has {n - 1} fields, the header {n}"
+        elif torn == "long":
+            last, message = last + b",0", f"row 2 has {n + 1} fields, the header {n}"
+        elif torn == "abc":
+            fields[header.split(b",").index(b"E13")] = b"abc"
+            last, message = b",".join(fields), "row 2 column E13 is 'abc', not a number"
+        else:
+            fields[3] = b"okay"
+            last, message = b",".join(fields), "row 2 column status is 'okay', not ok or error"
         path.write_bytes(b"\r\n".join([header, first, last, b""]))
-        message = f"{path}: row 2 has {got} fields, the header {n}"
+        message = f"{path}: {message}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_sweep_results(tmp_path)
+        assert main(["emit", "--results", str(tmp_path)]) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("broken", ["not-json", "config", "cells", "cell-7", *CELL_LOG_KEYS])
+    def test_malformed_manifest_names_the_file(self, tmp_path, capsys, broken):
+        from spinqrc.cli import main
+
+        run_sweep(tiny_config(js_values=(0.5,)), out_dir=tmp_path)
+        path = tmp_path / "manifest.json"
+        text = path.read_text()
+        manifest = json.loads(text)
+        if broken == "not-json":
+            text, message = "{\n" + text, "not JSON: Expecting property name"
+        elif broken in ("config", "cells"):
+            del manifest[broken]
+            message = "lacks config.tau_max or cells"
+        elif broken == "cell-7":
+            manifest["cells"][1] = 7
+            message = f"cell 2 lacks {', '.join(CELL_LOG_KEYS)}"
+        else:
+            del manifest["cells"][1][broken]
+            message = f"cell 2 lacks {broken}"
+        path.write_text(text if broken == "not-json" else json.dumps(manifest))
+        message = f"{path}: {message}"
         with pytest.raises(ValueError, match=re.escape(message)):
             read_sweep_results(tmp_path)
         assert main(["emit", "--results", str(tmp_path)]) == 1
@@ -586,7 +624,7 @@ class TestEmitFigureData:
     def test_fig2a_schema(self, sweep, tmp_path):
         paths = emit_figure_data(sweep, "fig2a", tmp_path)
         assert [os.path.basename(p) for p in paths] == ["fig2a_f2.csv"]
-        lines = open(paths[0]).read().strip().splitlines()
+        lines = Path(paths[0]).read_text().strip().splitlines()
         assert lines[0] == "J_s,capacity_mean,capacity_stderr"
         js_col = [float(l.split(",")[0]) for l in lines[1:]]
         assert js_col == sorted(js_col) == [0.1, 1.0]
@@ -594,9 +632,9 @@ class TestEmitFigureData:
     def test_fig2b_fig2c_schema(self, sweep, tmp_path):
         (p2b,) = emit_figure_data(sweep, "fig2b", tmp_path)
         (p2c,) = emit_figure_data(sweep, "fig2c", tmp_path)
-        assert open(p2b).readline().strip() == (
+        assert Path(p2b).read_text().splitlines()[0] == (
             "J_s,E1_mean,E1_stderr,E2_mean,E2_stderr,E3_mean,E3_stderr,E4_mean,E4_stderr")
-        assert open(p2c).readline().strip() == (
+        assert Path(p2c).read_text().splitlines()[0] == (
             "J_s,E12_mean,E12_stderr,E13_mean,E13_stderr,E14_mean,E14_stderr")
 
     def test_fig2d_consistent_with_fig2b_fig2c(self, sweep, tmp_path):
@@ -607,7 +645,7 @@ class TestEmitFigureData:
         (p2d,) = emit_figure_data(sweep, "fig2d", tmp_path)
 
         def rows(path):
-            lines = open(path).read().strip().splitlines()[1:]
+            lines = Path(path).read_text().strip().splitlines()[1:]
             return {float(l.split(",")[0]): [float(x) for x in l.split(",")[1:]] for l in lines}
 
         b, c, d = rows(p2b), rows(p2c), rows(p2d)
@@ -619,12 +657,12 @@ class TestEmitFigureData:
 
     def test_fig2e_schema(self, sweep, tmp_path):
         (p,) = emit_figure_data(sweep, "fig2e", tmp_path)
-        header = open(p).readline().strip()
+        header = Path(p).read_text().splitlines()[0]
         assert header == "J_s,ratio_single,ratio_single_stderr,ratio_pair,ratio_pair_stderr"
 
     def test_fig3_blocks(self, sweep, tmp_path):
         (p,) = emit_figure_data(sweep, "fig3", tmp_path)
-        text = open(p).read()
+        text = Path(p).read_text()
         assert text.startswith("tau,capacity_mean,capacity_stderr")
         assert "# J_s=0.1\n" in text
         assert "# J_s=1\n" in text
@@ -633,7 +671,7 @@ class TestEmitFigureData:
         cfg = tiny_config(js_values=(1.5,), f_values=(1.0, 2.0))
         rows = run_sweep(cfg, threads=2)
         (p,) = emit_figure_data(rows, "fig4", tmp_path)
-        lines = open(p).read().strip().splitlines()
+        lines = Path(p).read_text().strip().splitlines()
         assert lines[0] == "tau,capacity"
         assert "# f=1" in lines and "# f=2" in lines
         data_lines = [l for l in lines[1:] if not l.startswith("#")]

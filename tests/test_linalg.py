@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from spinqrc.entanglement import negativities
+from spinqrc.entanglement import PARTITION_LABELS, PARTITIONS, PT_INDEX, negativities
 from spinqrc.linalg import (
     PAULI_I,
     check_density_matrix,
     check_hermitian,
     kron,
     kron_all,
-    partial_transpose,
 )
 from spinqrc.reservoir import RunConfig, all_zero_state, run_steps
 
@@ -17,6 +16,7 @@ from oracles import (
     kron_oracle,
     jacobi_eigenvalues,
     partial_trace_oracle,
+    partial_transpose_oracle,
     random_density_matrix,
     random_hermitian,
     random_pure_product_state,
@@ -29,6 +29,12 @@ BELL = 0.5 * np.array([[1, 0, 0, 1],
 
 KET0 = np.array([[1, 0], [0, 0]], dtype=complex)
 KET1 = np.array([[0, 0], [0, 1]], dtype=complex)
+
+
+def partial_transposes(rho):
+    """The seven partial transposes of a 4-qubit state, gathered through
+    ``PT_INDEX`` in PARTITION_LABELS order."""
+    return rho.reshape(256)[PT_INDEX].reshape(7, 16, 16)
 
 
 class TestKron:
@@ -103,42 +109,40 @@ class TestPartialTrace:
 
 
 class TestPartialTranspose:
+    """The partial transposes ``entanglement.PT_INDEX`` gathers."""
+
     def test_pure_product_state_trace_norm_one(self):
         rng = np.random.default_rng(12)
-        rho = random_pure_product_state(rng, 3)
-        for a in ({0}, {1}, {0, 2}):
-            pt = partial_transpose(rho, a)
+        rho = random_pure_product_state(rng, 4)
+        for pt in partial_transposes(rho):
             assert abs(np.abs(np.linalg.eigvalsh(pt)).sum() - 1.0) <= 1e-10
+
+    def test_rows_equal_the_entry_by_entry_oracle(self):
+        rng = np.random.default_rng(15)
+        rho = random_density_matrix(rng, 16)
+        for lbl, pt in zip(PARTITION_LABELS, partial_transposes(rho)):
+            assert np.array_equal(pt, partial_transpose_oracle(rho, PARTITIONS[lbl]))
 
     def test_involution(self):
         rng = np.random.default_rng(13)
         rho = random_density_matrix(rng, 16)
-        part = (1, 3)
-        assert np.array_equal(partial_transpose(partial_transpose(rho, part), part), rho)
+        for row, pt in zip(PT_INDEX, partial_transposes(rho)):
+            assert np.array_equal(row[row], np.arange(256))
+            assert np.array_equal(pt.reshape(256)[row].reshape(16, 16), rho)
 
     def test_bell_state_spectrum(self):
-        pt = partial_transpose(BELL, (0,))
+        # Column 0 is E1, the cut around qubit 0 of a Bell pair on qubits 0, 1.
+        pt = partial_transposes(kron_all([BELL, KET0, KET0]))[0]
         eigs = np.linalg.eigvalsh(pt)
-        assert np.allclose(eigs, [-0.5, 0.5, 0.5, 0.5], atol=1e-12)
+        assert np.allclose(eigs, [-0.5] + [0.0] * 12 + [0.5] * 3, atol=1e-12)
 
     def test_preserves_trace_and_hermiticity(self):
         rng = np.random.default_rng(14)
         for _ in range(20):
             rho = random_density_matrix(rng, 16)
-            pt = partial_transpose(rho, (0, 3))
-            assert abs(np.trace(pt) - np.trace(rho)) <= 1e-14
-            assert np.abs(pt - pt.conj().T).max() <= 1e-14
-
-    def test_invalid_partition(self):
-        rho = np.eye(16, dtype=complex) / 16
-        with pytest.raises(ValueError):
-            partial_transpose(rho, ())
-        with pytest.raises(ValueError):
-            partial_transpose(rho, (0, 1, 2, 3))
-        with pytest.raises(ValueError):
-            partial_transpose(rho, (4,))
-        with pytest.raises(ValueError):
-            partial_transpose(rho[:, :12], (0,))
+            for pt in partial_transposes(rho):
+                assert abs(np.trace(pt) - np.trace(rho)) <= 1e-14
+                assert np.abs(pt - pt.conj().T).max() <= 1e-14
 
 
 class TestHermitianEigenvalues:
@@ -157,7 +161,7 @@ class TestHermitianEigenvalues:
         rng = np.random.default_rng(17)
         for _ in range(50):
             rho = random_density_matrix(rng, 16)
-            eigs = np.linalg.eigvalsh(partial_transpose(rho, (0, 2)))
+            eigs = np.linalg.eigvalsh(partial_transposes(rho)[PARTITION_LABELS.index("E13")])
             assert abs(eigs.sum() - 1.0) <= 1e-10
             assert abs((eigs**2).sum() - np.trace(rho @ rho).real) <= 1e-10
 
