@@ -23,7 +23,7 @@ s1 = make_input_sequence(2.0, 0, (2024, 0))
 s2 = make_input_sequence(2.0, 1, (2024, 0))
 
 print(f"running K = {cfg.n_steps} injection cycles at J_s = 0.3, f = 2 ...")
-record = run_reservoir(propagator, s1, s2, cfg)
+record = run_reservoir(propagator, [(s1, s2)], cfg)[0]
 
 print("\nstep   s1     s2     <Z1>    <Z2>    <Z3>    <Z4>    E12     E13")
 for k in list(range(3)) + list(range(60, 66)):
@@ -44,7 +44,7 @@ print(f"\nfull trajectory exported to {path}")
 
 print("\n=== echo-state check ===")
 mixed = np.eye(16, dtype=complex) / 16
-alt = run_reservoir(propagator, s1, s2, cfg, initial_state=mixed)
+alt = run_reservoir(propagator, [(s1, s2)], cfg, initial_state=mixed)[0]
 diff = np.abs(record.features - alt.features).max(axis=1)
 print("max feature difference between all-|0> and maximally mixed starts:")
 for k in (0, 10, 25, 50, 100):

@@ -21,8 +21,7 @@ def profile(js, f):
     for seed in range(SEEDS):
         propagator = interval_map(random_model(js, seed=(2024, seed)), cfg)
         seqs = [make_input_sequence(f, q, (2024, seed)) for q in range(4)]
-        train = run_reservoir(propagator, seqs[0], seqs[1], cfg)
-        test = run_reservoir(propagator, seqs[2], seqs[3], cfg)
+        train, test = run_reservoir(propagator, [seqs[0:2], seqs[2:4]], cfg)
         acc.append(evaluate_capacity_profile(train, test).per_tau)
     return np.mean(acc, axis=0)
 

@@ -23,7 +23,7 @@ def summary(js):
         propagator = interval_map(random_model(js, seed=(2024, seed)), cfg)
         s1 = make_input_sequence(2.0, 0, (2024, seed))
         s2 = make_input_sequence(2.0, 1, (2024, seed))
-        rec = run_reservoir(propagator, s1, s2, cfg)
+        rec = run_reservoir(propagator, [(s1, s2)], cfg)[0]
         per_seed.append(rec.steady_entanglement.mean(axis=0))
     return summarize(np.mean(per_seed, axis=0))
 

@@ -34,8 +34,7 @@ def genuine_profile(js, gamma=0.01):
         coupling = sample_coupling_matrix(js, 4, (2024, seed))
         propagator = interval_map(SpinNetworkModel(coupling=coupling, gamma=gamma), cfg)
         seqs = [white_sequence(q, 99 + seed) for q in range(4)]
-        train = run_reservoir(propagator, seqs[0], seqs[1], cfg)
-        test = run_reservoir(propagator, seqs[2], seqs[3], cfg)
+        train, test = run_reservoir(propagator, [seqs[0:2], seqs[2:4]], cfg)
         acc.append(evaluate_capacity_profile(train, test).per_tau)
     return np.mean(acc, axis=0)
 

@@ -65,6 +65,17 @@ DEFAULT_JS_GRID = tuple(float(v) for v in np.geomspace(0.005, 75.0, 20))
 FIGURE_NAMES = ("fig2a", "fig2b", "fig2c", "fig2d", "fig2e", "fig3", "fig4")
 
 
+def _check_f_tags(f_values) -> None:
+    """Raise a ValueError naming two of ``f_values`` that print alike as
+    ``{f:g}``, the tag in the names of their files (``fig2a_f2.csv``,
+    ``signal_f2_seq0.csv``): both would write one path."""
+    seen = {}
+    for f in f_values:
+        other = seen.setdefault(f"{f:g}", f)
+        if other != f:
+            raise ValueError(f"f_values {other!r} and {f!r} both write files tagged f{f:g}")
+
+
 class ConfigError(Exception):
     """Invalid experiment configuration, with file/line diagnostics."""
 
@@ -109,6 +120,7 @@ class ExperimentConfig:
             raise ValueError("js_values must be nonnegative")
         if not self.f_values or any(f <= 0 for f in self.f_values):
             raise ValueError("f_values must be positive")
+        _check_f_tags(self.f_values)
         if self.n_coupling_seeds < 1:
             raise ValueError("n_coupling_seeds must be at least 1")
         if self.base_seed < 0:
@@ -246,9 +258,10 @@ class CellResult:
     ``train`` and ``test`` are the records the capacity was scored on; a
     sweep drops them and keeps only the summaries. ``stage_s`` holds the
     seconds an ok cell spent in each stage: ``propagator`` (the interval
-    map), ``reservoirs`` (every run of the cell), ``negativities`` (the
-    post-washout entanglement of the train and test runs) and ``readout``
-    (capacity and entanglement summary); it is empty for a failed cell.
+    map), ``reservoirs`` (the one loop that steps every run of the cell
+    together), ``negativities`` (the post-washout entanglement of the train
+    and test runs) and ``readout`` (capacity and entanglement summary); it
+    is empty for a failed cell.
     """
 
     js: float
@@ -267,7 +280,9 @@ class CellResult:
 def run_cell(cfg: ExperimentConfig, js: float, f: float, seed_index: int) -> CellResult:
     """Run the train and test reservoirs for one cell and evaluate them.
 
-    Every run of the cell shares one interval map. The summary reads the
+    Every run of the cell shares one interval map, and the runs (train,
+    test and, with ``lambda_selection = holdout``, the holdout run) step
+    together in one ``run_reservoir`` loop. The summary reads the
     negativities of the post-washout steps of the train and test runs only,
     so no other state's are computed. The result carries both records, so a
     caller can export or rescore them without running the reservoirs again.
@@ -275,22 +290,15 @@ def run_cell(cfg: ExperimentConfig, js: float, f: float, seed_index: int) -> Cel
     start = time.perf_counter()
     try:
         model = random_model(js, seed=(cfg.base_seed, seed_index))
-        seqs = {
-            q: make_input_sequence(f, q, (cfg.base_seed, seed_index))
-            for q in TRAIN_SEQUENCE_IDS + TEST_SEQUENCE_IDS + (
-                HOLDOUT_SEQUENCE_IDS if cfg.lambda_selection == "holdout" else ())
-        }
+        runs = (TRAIN_SEQUENCE_IDS, TEST_SEQUENCE_IDS) + (
+            (HOLDOUT_SEQUENCE_IDS,) if cfg.lambda_selection == "holdout" else ())
+        pairs = [tuple(make_input_sequence(f, q, (cfg.base_seed, seed_index)) for q in ids)
+                 for ids in runs]
         t_build = time.perf_counter()
         propagator = interval_map(model, cfg.run, cfg.dissipator_convention)
         t_runs = time.perf_counter()
-        train = run_reservoir(propagator, seqs[TRAIN_SEQUENCE_IDS[0]],
-                              seqs[TRAIN_SEQUENCE_IDS[1]], cfg.run)
-        test = run_reservoir(propagator, seqs[TEST_SEQUENCE_IDS[0]],
-                             seqs[TEST_SEQUENCE_IDS[1]], cfg.run)
-        selection = None
-        if cfg.lambda_selection == "holdout":
-            selection = run_reservoir(propagator, seqs[HOLDOUT_SEQUENCE_IDS[0]],
-                                      seqs[HOLDOUT_SEQUENCE_IDS[1]], cfg.run)
+        train, test, *holdout = run_reservoir(propagator, pairs, cfg.run)
+        selection = holdout[0] if holdout else None
         t_negs = time.perf_counter()
         # Entanglement statistics use the post-washout samples of both runs.
         samples = np.vstack([train.steady_entanglement, test.steady_entanglement])
@@ -542,6 +550,10 @@ def read_sweep_results(out_dir) -> tuple[CellResult, ...]:
             summary = summarize(nums[tau_max + 2:tau_max + 2 + len(PARTITION_LABELS)])
         rows.append(CellResult(js, f, seed, status, profile, summary, log["wall_time_s"],
                                error=log["error"], stage_s=log["stage_s"]))
+    try:
+        _check_f_tags(sorted({r.f for r in rows}))
+    except ValueError as exc:
+        raise ValueError(f"{csv_path}: {exc}") from None
     return tuple(rows)
 
 
@@ -682,7 +694,7 @@ def run_invariant_suite(n_runs: int = 100, n_injections: int = 50, base_seed: in
         js = 0.0 if i % 10 == 0 else float(rng.uniform(0.0, 10.0))
         model = random_model(js, seed=(base_seed, i))
         seqs = [make_input_sequence(2.0, q, (base_seed, i)) for q in TRAIN_SEQUENCE_IDS]
-        _, _, raw = run_steps(interval_map(model, run_cfg), *seqs, run_cfg, keep_raw=True)
+        _, _, (raw,) = run_steps(interval_map(model, run_cfg), [seqs], run_cfg, keep_raw=True)
         negs = negativities(hermitianize(raw))
         runs.append({**check_density_matrix(raw), "js": js,
                      "min_neg": float(negs.min()), "max_neg": float(negs.max())})

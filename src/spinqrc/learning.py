@@ -98,8 +98,10 @@ def evaluate_capacity_profile(train: TrajectoryRecord, test: TrajectoryRecord,
 
     For each tau the regularization strength is the one that maximizes
     capacity on the ``selection`` run, and the test run is scored once with
-    it. ``selection`` defaults to the test run itself, the default protocol;
-    a held-out run gives the clean variant.
+    it. ``selection`` defaults to the test run itself, the default protocol,
+    whose score at the chosen lambda is the one the selection computed (a
+    row of the stacked score equals that row scored alone bit for bit); a
+    held-out run gives the clean variant.
     """
     if selection is None:
         selection = test
@@ -119,8 +121,10 @@ def evaluate_capacity_profile(train: TrajectoryRecord, test: TrajectoryRecord,
     for tau in range(tau_max + 1):
         rows, targets = slice(washout + tau, None), slice(washout, k_steps - tau)
         weights = ridge_weights(r_train[rows], g_train[targets], lambda_grid)
-        best = int(np.argmax(stm_capacity(np.matmul(r_sel[rows], weights[..., None])[..., 0],
-                                          g_sel[targets])))
-        per_tau[tau] = stm_capacity(r_test[rows] @ weights[best], g_test[targets])
+        scores = stm_capacity(np.matmul(r_sel[rows], weights[..., None])[..., 0],
+                              g_sel[targets])
+        best = int(np.argmax(scores))
+        per_tau[tau] = (scores[best] if selection is test
+                        else stm_capacity(r_test[rows] @ weights[best], g_test[targets]))
         lambdas[tau] = float(lambda_grid[best])
     return CapacityProfile(per_tau=per_tau, lambda_per_tau=lambdas)

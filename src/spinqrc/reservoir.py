@@ -15,6 +15,11 @@ Input sequences are sampled on their own uniform time grid
 (``sample_spacing`` time units apart, default 2.75 so that 1000 samples
 span the default t_final = 2750); injection k consumes the sample nearest
 simulation time k * delta_t.
+
+One call runs every input pair it is given: ``run_reservoir(propagator,
+[(seq1, seq2), ...], cfg)`` returns one record per pair, in order, and a
+cell's train, test and holdout runs step together in one loop. A single
+run is a one-pair list, ``run_reservoir(propagator, [(seq1, seq2)], cfg)[0]``.
 """
 
 from __future__ import annotations
@@ -141,77 +146,89 @@ def interval_map(model: SpinNetworkModel, cfg: RunConfig,
     return interval_propagator(liouvillian(h, jump_ops), cfg.delta_t / n_sub, n_sub)
 
 
-def run_steps(propagator: np.ndarray, seq1: np.ndarray, seq2: np.ndarray, cfg: RunConfig,
+def run_steps(propagator: np.ndarray, pairs, cfg: RunConfig,
               initial_state: np.ndarray | None = None, keep_raw: bool = False):
-    """The run loop: return ``(states, injected, raw)`` as arrays over the K steps.
+    """The run loop: return ``(states, injected, raw)`` as arrays over the runs and K steps.
 
-    ``propagator`` is the ``interval_map`` of the model; ``seq1`` and ``seq2``
-    are the 1-D sample arrays of the two inputs. ``states[k]`` is the state at
-    t_k, before the pair ``injected[k]`` enters. With ``keep_raw``,
-    ``raw[k]`` is the state at t_{k+1} as the propagator returns it, and
-    ``states[k + 1]`` its ``hermitianize``-d form; otherwise ``raw`` is None.
-    Starts from the all-|0> state unless ``initial_state`` is given; a given
-    one must pass ``check_hermitian``, and every later state is Hermitian by
-    construction.
+    ``propagator`` is the ``interval_map`` of the model; ``pairs`` is a
+    sequence of ``(seq1, seq2)`` input pairs, one per run, each the 1-D
+    sample arrays of the two inputs. All runs step together, and run r's
+    arrays are index r of the results. ``states[r, k]`` is the state at t_k,
+    before the pair ``injected[r, k]`` enters. With ``keep_raw``,
+    ``raw[r, k]`` is the state at t_{k+1} as the propagator returns it, and
+    ``states[r, k + 1]`` its ``hermitianize``-d form; otherwise ``raw`` is
+    None. Every run starts from the all-|0> state unless ``initial_state``
+    is given; a given one must pass ``check_hermitian``, and every later
+    state is Hermitian by construction.
 
     Each step resets qubits 0 and 1 to sqrt(1 - s)|0> + sqrt(s)|1> for its
     pair, applies the propagator and takes ``hermitianize``: the
     sigma(s1) x sigma(s2) blocks of all steps are built up front, and each
-    step traces qubit 1, then qubit 0, out of the state by block sums, as
-    the per-step reference in ``tests/oracles.py`` does.
+    step traces qubit 1, then qubit 0, out of the states by block sums, as
+    the per-step reference in ``tests/oracles.py`` does. Every run's arrays
+    equal those of a run stepped alone bit for bit.
     """
-    k_steps = cfg.n_steps
+    n_runs, k_steps = len(pairs), cfg.n_steps
     needed = cfg.samples_needed
-    if len(seq1) < needed or len(seq2) < needed:
-        raise ValueError(f"need at least {needed} samples per input sequence")
     idx = [cfg.sample_index(k) for k in range(k_steps)]
-    injected = np.column_stack([np.asarray(seq1, dtype=float)[idx],
-                                np.asarray(seq2, dtype=float)[idx]])
+    injected = np.empty((n_runs, k_steps, 2))
+    for r, (seq1, seq2) in enumerate(pairs):
+        if len(seq1) < needed or len(seq2) < needed:
+            raise ValueError(f"need at least {needed} samples per input sequence")
+        injected[r] = np.column_stack([np.asarray(seq1, dtype=float)[idx],
+                                       np.asarray(seq2, dtype=float)[idx]])
     in_range = (0.0 <= injected) & (injected <= 1.0)
     if not in_range.all():
         raise ValueError(f"input value {injected[~in_range][0]} outside [0, 1]")
 
-    # amp[k, i] = [sqrt(1 - s), sqrt(s)] of input i; sig[k, i] is its outer product.
+    # amp[r, k, i] = [sqrt(1 - s), sqrt(s)] of input i; sig[r, k, i] is its outer product.
     amp = np.stack([np.sqrt(1.0 - injected), np.sqrt(injected)], axis=-1).astype(complex)
     sig = amp[..., :, None] * amp.conj()[..., None, :]
-    pairs = (sig[:, 0, :, None, :, None] * sig[:, 1, None, :, None, :]).reshape(k_steps, 4, 4)
+    blocks = (sig[..., 0, :, None, :, None]
+              * sig[..., 1, None, :, None, :]).reshape(n_runs, k_steps, 4, 4)
 
-    states = np.empty((k_steps, 16, 16), dtype=complex)
+    states = np.empty((n_runs, k_steps, 16, 16), dtype=complex)
     if initial_state is None:
-        states[0] = all_zero_state(4)
+        states[:, 0] = all_zero_state(4)
     elif np.shape(initial_state) == (16, 16):
         check_hermitian(np.asarray(initial_state))
-        states[0] = initial_state
+        states[:, 0] = initial_state
     else:
         raise ValueError(f"initial state has shape {np.shape(initial_state)}, expected (16, 16)")
     raw = np.empty_like(states) if keep_raw else None
-    # diag[k, :, :, i] is the 4 x 4 block of states[k] where qubits 0 and 1
-    # are in basis state i on both sides.
-    diag = states.reshape(k_steps, 4, 4, 4, 4).diagonal(axis1=1, axis2=3)
+    # diag[r, k, :, :, i] is the 4 x 4 block of states[r, k] where qubits 0
+    # and 1 are in basis state i on both sides.
+    diag = states.reshape(n_runs, k_steps, 4, 4, 4, 4).diagonal(axis1=2, axis2=4)
     even, odd = diag[..., 0::2], diag[..., 1::2]
     for k in range(k_steps):
-        halves = even[k] + odd[k]
+        halves = even[:, k] + odd[:, k]
         rho_rest = halves[..., 0] + halves[..., 1]
-        x = pairs[k][:, None, :, None] * rho_rest[None, :, None, :]
-        rho_next = (propagator @ x.reshape(-1)).reshape(16, 16)
+        x = blocks[:, k, :, None, :, None] * rho_rest[:, None, :, None, :]
+        # One matrix-vector product per run: a single 256 x R matrix product
+        # would round differently from a run stepped alone.
+        rho_next = np.matmul(propagator, x.reshape(n_runs, 256, 1)).reshape(n_runs, 16, 16)
         if keep_raw:
-            raw[k] = rho_next
+            raw[:, k] = rho_next
         if k + 1 < k_steps:
-            states[k + 1] = hermitianize(rho_next)
+            states[:, k + 1] = hermitianize(rho_next)
     return states, injected, raw
 
 
-def run_reservoir(propagator: np.ndarray, seq1: np.ndarray, seq2: np.ndarray, cfg: RunConfig,
-                  initial_state: np.ndarray | None = None) -> TrajectoryRecord:
-    """Drive the reservoir with two input sequences and record observables.
+def run_reservoir(propagator: np.ndarray, pairs, cfg: RunConfig,
+                  initial_state: np.ndarray | None = None) -> list[TrajectoryRecord]:
+    """Drive the reservoir with each ``(seq1, seq2)`` input pair of ``pairs``
+    and return one record per pair, in order.
 
-    Records every ``run_steps`` state at its injection instant (the washout
-    discard makes the initial state immaterial) and computes the features of
-    all of them at once; the record computes negativities only when they are
-    read. Deterministic for fixed inputs.
+    The runs step together in one ``run_steps`` loop. Each record holds its
+    run's states at the injection instants (the washout discard makes the
+    initial state immaterial) and the features of all of them; it computes
+    negativities only when they are read. Deterministic for fixed inputs.
     """
-    states, injected, _ = run_steps(propagator, seq1, seq2, cfg, initial_state)
-    z = states.diagonal(axis1=1, axis2=2).real @ Z_SIGNS.T
-    features = np.column_stack([z, np.ones(cfg.n_steps)])
-    return TrajectoryRecord(features=features, states=states,
-                            injected_values=injected, washout_steps=cfg.washout_steps)
+    states, injected, _ = run_steps(propagator, pairs, cfg, initial_state)
+    records = []
+    for run_states, run_injected in zip(states, injected):
+        z = run_states.diagonal(axis1=1, axis2=2).real @ Z_SIGNS.T
+        records.append(TrajectoryRecord(features=np.column_stack([z, np.ones(cfg.n_steps)]),
+                                        states=run_states, injected_values=run_injected,
+                                        washout_steps=cfg.washout_steps))
+    return records

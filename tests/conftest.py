@@ -37,6 +37,6 @@ def reset_run():
 
     def run(rho, s1, s2):
         seqs = [np.full(cfg.samples_needed, float(s)) for s in (s1, s2)]
-        return run_reservoir(np.eye(256), *seqs, cfg, initial_state=rho)
+        return run_reservoir(np.eye(256), [seqs], cfg, initial_state=rho)[0]
 
     return run

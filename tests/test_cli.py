@@ -109,6 +109,18 @@ def test_non_finite_or_repeated_value_exits_two(tmp_path, capsys, line):
     assert not (tmp_path / "never").exists()
 
 
+@pytest.mark.parametrize("command", ["sweep", "gen-signals"])
+def test_f_values_that_share_a_file_tag_exit_two(tmp_path, capsys, command):
+    # 2 and 2.0000001 both print as f2: emit wrote fig2a_f2.csv twice and
+    # gen-signals overwrote signal_f2_seq*.csv, keeping the second f's data.
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("experiment = sweep_js\nn_coupling_seeds = 1\nf_values = 2, 2.0000001\n")
+    assert main([command, str(bad), "--out", str(tmp_path / "never")]) == 2
+    err = capsys.readouterr().err
+    assert "bad.cfg:3:" in err and "2.0 and 2.0000001" in err and "f2" in err
+    assert not (tmp_path / "never").exists()
+
+
 SINGLE_CFG = ("experiment = single_run\njs_values = 0.3\nf_values = 2\n"
               "n_coupling_seeds = 1\nbase_seed = 42\nt_final = 750\n"
               "washout_steps = 30\ntau_max = 10\n")
@@ -224,21 +236,28 @@ def test_gen_signals_exports_the_run_cells_inputs(tmp_path):
 
 
 def test_run_runs_each_reservoir_once(tmp_path, monkeypatch):
+    # Counts runs, not calls: one run_reservoir call steps the train and
+    # test runs together, and each must be run exactly once.
     import spinqrc.cli
     import spinqrc.experiments
+    from spinqrc.signals import TEST_SEQUENCE_IDS, TRAIN_SEQUENCE_IDS, make_input_sequence
 
-    calls = []
+    runs = []
     for module in (spinqrc.cli, spinqrc.experiments):
         original = getattr(module, "run_reservoir", None)
         if original is not None:
-            def counted(*args, _original=original, **kwargs):
-                calls.append(1)
-                return _original(*args, **kwargs)
+            def counted(propagator, pairs, *args, _original=original, **kwargs):
+                runs.extend(pairs)
+                return _original(propagator, pairs, *args, **kwargs)
             monkeypatch.setattr(module, "run_reservoir", counted)
     cfg = tmp_path / "single.cfg"
     cfg.write_text(SINGLE_CFG)
     assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == 0
-    assert len(calls) == 2
+    want = [[make_input_sequence(2.0, q, (42, 0)) for q in ids]
+            for ids in (TRAIN_SEQUENCE_IDS, TEST_SEQUENCE_IDS)]
+    assert len(runs) == len(want)
+    for pair, expected in zip(runs, want):
+        assert [seq.tolist() for seq in pair] == [seq.tolist() for seq in expected]
 
 
 def test_run_computes_each_negativity_once(tmp_path, negativity_calls):

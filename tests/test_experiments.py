@@ -495,6 +495,26 @@ class TestSweep:
         assert main(["emit", "--results", str(tmp_path)]) == 1
         assert message in capsys.readouterr().err
 
+    def test_f_values_that_share_a_file_tag_are_refused(self, tmp_path, capsys):
+        # A results directory whose two f values both print as f2 would make
+        # emit write each fig*_f2.csv twice, keeping only the second f's data.
+        from spinqrc.cli import main
+
+        run_sweep(tiny_config(js_values=(0.5,)), out_dir=tmp_path)
+        path = tmp_path / "sweep_results.csv"
+        header, first, last = path.read_bytes().splitlines()
+        path.write_bytes(b"\r\n".join([header, first, last.replace(b",2.0,", b",2.0000001,", 1),
+                                         b""]))
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest["cells"][1]["f"] = 2.0000001
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        message = f"{path}: f_values 2.0 and 2.0000001 both write files tagged f2"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_sweep_results(tmp_path)
+        assert main(["emit", "--results", str(tmp_path)]) == 1
+        assert message in capsys.readouterr().err
+        assert not [name for name in os.listdir(tmp_path) if name.startswith("fig")]
+
     @pytest.mark.parametrize("broken", ["not-json", "config", "cells", "cell-7", *CELL_LOG_KEYS])
     def test_malformed_manifest_names_the_file(self, tmp_path, capsys, broken):
         from spinqrc.cli import main
@@ -571,7 +591,7 @@ def test_trajectory_csv_round_trip(tmp_path):
     cfg = RunConfig(t_final=6 * 7.5, washout_steps=0)
     s1 = make_input_sequence(2.0, 0, 3)
     s2 = make_input_sequence(2.0, 1, 3)
-    rec = run_reservoir(interval_map(random_model(0.5, seed=9), cfg), s1, s2, cfg)
+    rec = run_reservoir(interval_map(random_model(0.5, seed=9), cfg), [(s1, s2)], cfg)[0]
     path = tmp_path / "traj.csv"
     write_trajectory_csv(rec, path)
     header = ["k", "s1", "s2", "Z1", "Z2", "Z3", "Z4", *PARTITION_LABELS]
@@ -722,8 +742,8 @@ def test_invariant_suite_reports_the_true_minimum_eigenvalue():
     report = run_invariant_suite(n_runs=1, n_injections=20, base_seed=3)
     cfg = RunConfig(t_final=20 * 7.5, washout_steps=0)
     seqs = [make_input_sequence(2.0, q, (3, 0)) for q in TRAIN_SEQUENCE_IDS]
-    _, _, raw = run_steps(interval_map(random_model(0.0, seed=(3, 0)), cfg), *seqs, cfg,
-                          keep_raw=True)
+    _, _, (raw,) = run_steps(interval_map(random_model(0.0, seed=(3, 0)), cfg), [seqs], cfg,
+                             keep_raw=True)
     smallest = min(np.linalg.eigvalsh(hermitianize(rho))[0] for rho in raw)
     assert smallest > 0.0
     assert report["min_eigenvalue"] == pytest.approx(smallest, rel=1e-9)

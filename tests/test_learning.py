@@ -296,11 +296,32 @@ def test_weak_coupling_prediction_quality():
     model = random_model(0.1, seed=(2024, 0))
     seqs = [make_input_sequence(2.0, q, (2024, 0)) for q in range(4)]
     propagator = interval_map(model, cfg)
-    train = run_reservoir(propagator, seqs[0], seqs[1], cfg)
-    test = run_reservoir(propagator, seqs[2], seqs[3], cfg)
+    train, test = run_reservoir(propagator, [seqs[0:2], seqs[2:4]], cfg)
     profile = evaluate_capacity_profile(train, test)
     assert profile.per_tau.max() > 0.9
     assert int(np.argmax(profile.per_tau)) >= 1
+
+
+@pytest.mark.parametrize("js", [0.005, 0.325])
+def test_test_selection_reuses_the_score_a_fresh_one_equals(js):
+    # With lambda selected on the test run, each delay reports the stacked
+    # selection score at the chosen lambda; a separate record holding the
+    # test run's arrays takes the rescoring path, and both agree bit for bit.
+    from spinqrc.dynamics import random_model
+    from spinqrc.reservoir import RunConfig, interval_map, run_reservoir
+    from spinqrc.signals import make_input_sequence
+
+    cfg = RunConfig()
+    seqs = [make_input_sequence(2.0, q, (2024, 1)) for q in range(4)]
+    propagator = interval_map(random_model(js, seed=(2024, 1)), cfg)
+    train, test = run_reservoir(propagator, [seqs[0:2], seqs[2:4]], cfg)
+    twin = TrajectoryRecord(features=test.features.copy(), states=None,
+                            injected_values=test.injected_values.copy(),
+                            washout_steps=test.washout_steps)
+    reused = evaluate_capacity_profile(train, test)
+    fresh = evaluate_capacity_profile(train, test, selection=twin)
+    assert reused.per_tau.tobytes() == fresh.per_tau.tobytes()
+    assert reused.lambda_per_tau.tobytes() == fresh.lambda_per_tau.tobytes()
 
 
 def test_capacity_serialization(tmp_path):

@@ -103,8 +103,8 @@ class TestPartialTrace:
         rng = np.random.default_rng(11)
         cfg = RunConfig(t_final=20 * 7.5, washout_steps=0)
         s1, s2 = rng.uniform(0.0, 1.0, (2, cfg.samples_needed))
-        states, _, _ = run_steps(np.eye(256), s1, s2, cfg,
-                                 initial_state=random_density_matrix(rng, 16))
+        (states,), _, _ = run_steps(np.eye(256), [(s1, s2)], cfg,
+                                    initial_state=random_density_matrix(rng, 16))
         assert np.abs(np.trace(states, axis1=1, axis2=2) - 1.0).max() <= 1e-12
 
 

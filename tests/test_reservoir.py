@@ -90,7 +90,7 @@ class TestRunReservoir:
         model = SpinNetworkModel(coupling=np.zeros((4, 4)), gamma=0.0)
         cfg = short_cfg(n_steps=12)
         seq = constant_sequence(0.0)
-        rec = run_reservoir(interval_map(model, cfg), seq, seq, cfg)
+        rec = run_reservoir(interval_map(model, cfg), [(seq, seq)], cfg)[0]
         assert np.allclose(rec.features[:, 0], 1.0, atol=1e-10)
         assert np.allclose(rec.features[:, 1], 1.0, atol=1e-10)
         assert np.allclose(rec.features[:, 4], 1.0)
@@ -100,7 +100,7 @@ class TestRunReservoir:
         cfg = short_cfg(n_steps=20)
         s1 = make_input_sequence(2.0, 0, 5)
         s2 = make_input_sequence(2.0, 1, 5)
-        rec = run_reservoir(interval_map(model, cfg), s1, s2, cfg)
+        rec = run_reservoir(interval_map(model, cfg), [(s1, s2)], cfg)[0]
         assert rec.entanglement_samples.max() <= 1e-8
 
     def test_matches_hand_driven_composition(self):
@@ -111,7 +111,7 @@ class TestRunReservoir:
         cfg = short_cfg(n_steps=10)
         s1 = make_input_sequence(2.0, 0, 12)
         s2 = make_input_sequence(2.0, 1, 12)
-        rec = run_reservoir(interval_map(model, cfg), s1, s2, cfg)
+        rec = run_reservoir(interval_map(model, cfg), [(s1, s2)], cfg)[0]
 
         h, jump_ops = build_hamiltonian(model), build_jump_operators(model)
         n_sub = stable_step_count(h, jump_ops, cfg.delta_t, cfg.dt)
@@ -138,15 +138,15 @@ class TestRunReservoir:
         s1 = make_input_sequence(2.0, 0, 12)
         s2 = make_input_sequence(2.0, 1, 12)
         propagator = interval_map(model, cfg)
-        states, injected, raw = run_steps(propagator, s1, s2, cfg, keep_raw=True)
+        (states,), (injected,), (raw,) = run_steps(propagator, [(s1, s2)], cfg, keep_raw=True)
         assert states.shape == raw.shape == (6, 16, 16)
         assert np.array_equal(states[0], all_zero_state(4))
         assert np.array_equal(hermitianize(raw[:-1]), states[1:])
-        plain_states, plain_injected, plain_raw = run_steps(propagator, s1, s2, cfg)
+        plain_states, plain_injected, plain_raw = run_steps(propagator, [(s1, s2)], cfg)
         assert plain_raw is None
-        assert np.array_equal(plain_states, states)
-        assert np.array_equal(plain_injected, injected)
-        rec = run_reservoir(propagator, s1, s2, cfg)
+        assert np.array_equal(plain_states, states[None])
+        assert np.array_equal(plain_injected, injected[None])
+        rec = run_reservoir(propagator, [(s1, s2)], cfg)[0]
         assert np.array_equal(injected, rec.injected_values)
 
     @pytest.mark.parametrize("js, mixed_start", [(0.0, False), (0.005, False), (0.325, False),
@@ -160,8 +160,8 @@ class TestRunReservoir:
         s1 = make_input_sequence(2.0, 0, (1, 3))
         s2 = make_input_sequence(2.0, 1, (1, 3))
         rho = np.eye(16, dtype=complex) / 16 if mixed_start else all_zero_state(4)
-        states, injected, raw = run_steps(propagator, s1, s2, cfg, initial_state=rho,
-                                          keep_raw=True)
+        (states,), (injected,), (raw,) = run_steps(propagator, [(s1, s2)], cfg,
+                                                   initial_state=rho, keep_raw=True)
         assert states.shape == (366, 16, 16)
         for k in range(cfg.n_steps):
             assert np.array_equal(states[k], rho)
@@ -171,6 +171,32 @@ class TestRunReservoir:
             assert np.array_equal(raw[k], raw_k)
             rho = hermitianize(raw_k)
 
+    @pytest.mark.parametrize("js", [0.005, 75.0])
+    @pytest.mark.parametrize("mixed_start", [False, True])
+    def test_runs_stepped_together_equal_runs_stepped_alone(self, js, mixed_start):
+        # One call over three pairs, the shape of a holdout cell, gives each
+        # run the states, raw states, injected values and features of a
+        # one-pair call bit for bit.
+        cfg = RunConfig()
+        propagator = interval_map(random_model(js, seed=(1, 3)), cfg)
+        seqs = [make_input_sequence(2.0, q, (1, 3)) for q in range(6)]
+        pairs = [seqs[0:2], seqs[2:4], seqs[4:6]]
+        rho = np.eye(16, dtype=complex) / 16 if mixed_start else None
+        states, injected, raw = run_steps(propagator, pairs, cfg, initial_state=rho,
+                                          keep_raw=True)
+        records = run_reservoir(propagator, pairs, cfg, initial_state=rho)
+        assert states.shape == raw.shape == (3, 366, 16, 16) and len(records) == 3
+        for r, pair in enumerate(pairs):
+            alone_states, alone_injected, alone_raw = run_steps(propagator, [pair], cfg,
+                                                                initial_state=rho, keep_raw=True)
+            assert states[r].tobytes() == alone_states[0].tobytes()
+            assert raw[r].tobytes() == alone_raw[0].tobytes()
+            assert injected[r].tobytes() == alone_injected[0].tobytes()
+            alone, = run_reservoir(propagator, [pair], cfg, initial_state=rho)
+            assert records[r].states.tobytes() == alone.states.tobytes()
+            assert records[r].features.tobytes() == alone.features.tobytes()
+            assert records[r].injected_values.tobytes() == alone.injected_values.tobytes()
+
     @pytest.mark.parametrize("js", [0.0, 0.005, 0.325, 6.0, 75.0])
     def test_diagonal_features_equal_the_z_einsum(self, js):
         # Over a full-length run, the <Z_i> read off the state diagonals
@@ -179,7 +205,7 @@ class TestRunReservoir:
         cfg = RunConfig()
         s1 = make_input_sequence(2.0, 0, (1, 3))
         s2 = make_input_sequence(2.0, 1, (1, 3))
-        rec = run_reservoir(interval_map(random_model(js, seed=(1, 3)), cfg), s1, s2, cfg)
+        rec = run_reservoir(interval_map(random_model(js, seed=(1, 3)), cfg), [(s1, s2)], cfg)[0]
         z_ops = np.stack([embed_single_qubit(PAULI_Z, i, 4) for i in range(4)])
         z = np.einsum("kij,nji->kn", rec.states, z_ops)
         assert rec.features[:, :4].tobytes() == np.ascontiguousarray(z.real).tobytes()
@@ -193,9 +219,9 @@ class TestRunReservoir:
         s1 = make_input_sequence(2.0, 0, 21)
         s2 = make_input_sequence(2.0, 1, 21)
         propagator = interval_map(model, cfg)
-        rec = run_reservoir(propagator, s1, s2, cfg)
+        rec = run_reservoir(propagator, [(s1, s2)], cfg)[0]
         z_ops = [embed_single_qubit(PAULI_Z, i, 4) for i in range(4)]
-        states, _, _ = run_steps(propagator, s1, s2, cfg)
+        (states,), _, _ = run_steps(propagator, [(s1, s2)], cfg)
         for k, rho in enumerate(states):
             assert rec.features[k].tolist() == [
                 np.einsum("ij,ji->", rho, z).real for z in z_ops] + [1.0]
@@ -212,7 +238,7 @@ class TestRunReservoir:
         cfg = short_cfg(n_steps=140, washout=washout)
         s1 = make_input_sequence(2.0, 0, 21)
         s2 = make_input_sequence(2.0, 1, 21)
-        rec = run_reservoir(interval_map(model, cfg), s1, s2, cfg)
+        rec = run_reservoir(interval_map(model, cfg), [(s1, s2)], cfg)[0]
         assert negativity_calls == []
         assert rec.states.shape == (140, 16, 16)
         steady = rec.steady_entanglement
@@ -240,8 +266,8 @@ class TestRunReservoir:
         cfg = short_cfg(n_steps=8)
         s1 = make_input_sequence(2.0, 0, 9)
         s2 = make_input_sequence(2.0, 1, 9)
-        a = run_reservoir(interval_map(model, cfg), s1, s2, cfg)
-        b = run_reservoir(interval_map(model, cfg), s1, s2, cfg)
+        a = run_reservoir(interval_map(model, cfg), [(s1, s2)], cfg)[0]
+        b = run_reservoir(interval_map(model, cfg), [(s1, s2)], cfg)[0]
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.entanglement_samples, b.entanglement_samples)
 
@@ -253,8 +279,9 @@ class TestRunReservoir:
         s1 = make_input_sequence(2.0, 0, 4)
         s2 = make_input_sequence(2.0, 1, 4)
         propagator = interval_map(model, cfg)
-        a = run_reservoir(propagator, s1, s2, cfg)
-        b = run_reservoir(propagator, s1, s2, cfg, initial_state=np.eye(16, dtype=complex) / 16)
+        a = run_reservoir(propagator, [(s1, s2)], cfg)[0]
+        b, = run_reservoir(propagator, [(s1, s2)], cfg,
+                           initial_state=np.eye(16, dtype=complex) / 16)
         diff = np.abs(a.features[cfg.washout_steps:] - b.features[cfg.washout_steps:]).max()
         assert diff < 1e-3
 
@@ -263,7 +290,7 @@ class TestRunReservoir:
         cfg = short_cfg(n_steps=15, washout=3)
         s1 = make_input_sequence(1.0, 0, 44)
         s2 = make_input_sequence(1.0, 1, 44)
-        rec = run_reservoir(interval_map(model, cfg), s1, s2, cfg)
+        rec = run_reservoir(interval_map(model, cfg), [(s1, s2)], cfg)[0]
         assert rec.features.shape == (15, 5)
         assert rec.entanglement_samples.shape == (15, 7)
         assert rec.injected_values.shape == (15, 2)
@@ -276,7 +303,7 @@ class TestRunReservoir:
         cfg = RunConfig(t_final=2750.0)
         short = constant_sequence(0.5, n=100)
         with pytest.raises(ValueError, match="samples"):
-            run_reservoir(interval_map(model, cfg), short, short, cfg)
+            run_reservoir(interval_map(model, cfg), [(short, short)], cfg)
 
     @pytest.mark.parametrize("bad", [np.nan, -0.01, 1.01])
     def test_input_outside_unit_interval_rejected(self, bad):
@@ -286,7 +313,7 @@ class TestRunReservoir:
         s2 = constant_sequence(0.5)
         s2[cfg.sample_index(4)] = bad
         with pytest.raises(ValueError, match=r"input value .* outside \[0, 1\]"):
-            run_steps(interval_map(model, cfg), s1, s2, cfg)
+            run_steps(interval_map(model, cfg), [(s1, s2)], cfg)
 
     def test_bad_initial_state_rejected(self):
         model = random_model(1.0, seed=0)
@@ -294,10 +321,10 @@ class TestRunReservoir:
         seq = constant_sequence(0.5)
         propagator = interval_map(model, cfg)
         with pytest.raises(ValueError, match="initial state has shape"):
-            run_steps(propagator, seq, seq, cfg, initial_state=np.eye(4) / 4)
+            run_steps(propagator, [(seq, seq)], cfg, initial_state=np.eye(4) / 4)
         # A non-finite state fails the Hermiticity check, not later in LAPACK.
         with pytest.raises(ValueError, match="not Hermitian"):
-            run_reservoir(propagator, seq, seq, cfg, initial_state=np.full((16, 16), np.nan))
+            run_reservoir(propagator, [(seq, seq)], cfg, initial_state=np.full((16, 16), np.nan))
 
     def test_non_hermitian_initial_state_rejected(self):
         # A real diagonal gives real <Z_i>, so only the entry check catches
@@ -307,7 +334,7 @@ class TestRunReservoir:
         rho = all_zero_state(4)
         rho[0, 5] = 0.1
         with pytest.raises(ValueError, match="not Hermitian"):
-            run_steps(interval_map(random_model(1.0, seed=0), cfg), seq, seq, cfg,
+            run_steps(interval_map(random_model(1.0, seed=0), cfg), [(seq, seq)], cfg,
                       initial_state=rho)
 
     def test_sample_consumption_rule(self):
