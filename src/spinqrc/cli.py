@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import gc
 import math
-import os
 import sys
 from dataclasses import replace
 
@@ -36,10 +35,10 @@ from .experiments import (
     run_invariant_suite,
     run_sweep,
     sweep_cells,
-    write_csv,
     write_run_outputs,
+    write_signal_files,
 )
-from .signals import N_SAMPLES, N_SEQUENCES, make_input_sequence
+from .signals import N_SAMPLES
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -154,15 +153,8 @@ def _cmd_validate(args) -> int:
 
 def _cmd_gen_signals(args) -> int:
     cfg = _load_config(args)
-    out = cfg.output_dir
-    os.makedirs(out, exist_ok=True)
-    for f in cfg.f_values:
-        for q in range(N_SEQUENCES):
-            path = os.path.join(out, f"signal_f{f:g}_seq{q}.csv")
-            samples = make_input_sequence(f, q, (cfg.base_seed, 0))
-            write_csv(path, ["index", "value"],
-                      ([k, repr(float(v))] for k, v in enumerate(samples)))
-            print(f"wrote {path}")
+    for path in write_signal_files(cfg, cfg.output_dir):
+        print(f"wrote {path}")
     return 0
 
 

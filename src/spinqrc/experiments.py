@@ -46,10 +46,11 @@ from .learning import (
     evaluate_capacity_profile,
 )
 from .linalg import check_density_matrix, hermitianize
-from .reservoir import RunConfig, TrajectoryRecord, interval_map, run_reservoir, run_steps
+from .reservoir import RunConfig, TrajectoryRecord, interval_map, run_reservoir
 from .signals import (
     HOLDOUT_SEQUENCE_IDS,
     N_SAMPLES,
+    N_SEQUENCES,
     TEST_SEQUENCE_IDS,
     TRAIN_SEQUENCE_IDS,
     make_input_sequence,
@@ -65,15 +66,15 @@ DEFAULT_JS_GRID = tuple(float(v) for v in np.geomspace(0.005, 75.0, 20))
 FIGURE_NAMES = ("fig2a", "fig2b", "fig2c", "fig2d", "fig2e", "fig3", "fig4")
 
 
-def _check_f_tags(f_values) -> None:
-    """Raise a ValueError naming two of ``f_values`` that print alike as
-    ``{f:g}``, the tag in the names of their files (``fig2a_f2.csv``,
-    ``signal_f2_seq0.csv``): both would write one path."""
-    seen = {}
-    for f in f_values:
-        other = seen.setdefault(f"{f:g}", f)
-        if other != f:
-            raise ValueError(f"f_values {other!r} and {f!r} both write files tagged f{f:g}")
+def _check_tags(name: str, values) -> None:
+    """Raise a ValueError at the first of ``values`` that prints as an earlier
+    one, as f in file names (``fig2a_f2.csv``) or as J_s in fig3's labels
+    (``# J_s=0.1``); a repeat would run its cells twice, averaged as seeds."""
+    seen, form = {}, "f{:g}" if name == "f_values" else "J_s={:g}"
+    for value in values:
+        if (tag := form.format(value)) in seen:
+            raise ValueError(f"{name} {seen[tag]!r} and {value!r} both print as {tag}")
+        seen[tag] = value
 
 
 class ConfigError(Exception):
@@ -111,16 +112,14 @@ class ExperimentConfig:
             values = getattr(self, name)
             if not all(math.isfinite(v) for v in values):
                 raise ValueError(f"{name} must be finite, got {values}")
-            # A repeated J_s or f would run its cells twice and average them as seeds.
-            if name != "lambda_grid" and len(set(values)) != len(values):
-                raise ValueError(f"{name} must not repeat a value, got {values}")
+            if name != "lambda_grid":
+                _check_tags(name, values)
         if not self.js_values:
             raise ValueError("js_values must be nonempty")
         if any(js < 0 for js in self.js_values):
             raise ValueError("js_values must be nonnegative")
         if not self.f_values or any(f <= 0 for f in self.f_values):
             raise ValueError("f_values must be positive")
-        _check_f_tags(self.f_values)
         if self.n_coupling_seeds < 1:
             raise ValueError("n_coupling_seeds must be at least 1")
         if self.base_seed < 0:
@@ -413,6 +412,20 @@ def write_json(path, payload) -> None:
         fh.write("\n")
 
 
+def write_signal_files(cfg: ExperimentConfig, out_dir) -> list[str]:
+    """The N_SEQUENCES input sequences of coupling seed 0 for each f, one
+    ``signal_f<f>_seq<id>.csv`` of index and value each; returns the paths."""
+    os.makedirs(out_dir, exist_ok=True)
+    paths = []
+    for f in cfg.f_values:
+        for q in range(N_SEQUENCES):
+            paths.append(os.path.join(out_dir, f"signal_f{f:g}_seq{q}.csv"))
+            samples = make_input_sequence(f, q, (cfg.base_seed, 0))
+            write_csv(paths[-1], ["index", "value"],
+                      ([k, repr(float(v))] for k, v in enumerate(samples)))
+    return paths
+
+
 TRAJECTORY_COLUMNS = ["k", "s1", "s2", "Z1", "Z2", "Z3", "Z4"] + list(PARTITION_LABELS)
 
 
@@ -515,6 +528,10 @@ def read_sweep_results(out_dir) -> tuple[CellResult, ...]:
         tau_max, cells = manifest["config"]["tau_max"], manifest["cells"]
     except (KeyError, TypeError):
         raise ValueError(f"{manifest_path}: lacks config.tau_max or cells") from None
+    if type(tau_max) is not int or tau_max < 0:
+        raise ValueError(f"{manifest_path}: config.tau_max is {tau_max!r}, not an integer >= 0")
+    if not isinstance(cells, list):
+        raise ValueError(f"{manifest_path}: cells is {cells!r}, not a list")
     csv_path = os.path.join(out_dir, "sweep_results.csv")
     header = sweep_csv_header(tau_max)
     with open(csv_path, newline="") as fh:
@@ -551,7 +568,8 @@ def read_sweep_results(out_dir) -> tuple[CellResult, ...]:
         rows.append(CellResult(js, f, seed, status, profile, summary, log["wall_time_s"],
                                error=log["error"], stage_s=log["stage_s"]))
     try:
-        _check_f_tags(sorted({r.f for r in rows}))
+        for name, values in (("js_values", {r.js for r in rows}), ("f_values", {r.f for r in rows})):
+            _check_tags(name, sorted(values))
     except ValueError as exc:
         raise ValueError(f"{csv_path}: {exc}") from None
     return tuple(rows)
@@ -680,10 +698,10 @@ def run_invariant_suite(n_runs: int = 100, n_injections: int = 50, base_seed: in
 
     Run i draws J_s uniformly from [0, 10) (J_s = 0 on every 10th run, so
     the uncoupled-network entanglement check is exercised) and drives the
-    ``run_steps`` loop at f = 2. Each run's post-evolve states, as the
-    propagator returns them, go through ``check_density_matrix`` as one
-    stack, and the negativities of their Hermitian parts (the states the run
-    hands on) are taken once.
+    run loop at f = 2. Each run's post-evolve states, as the propagator
+    returns them (the record's ``raw``), go through ``check_density_matrix``
+    as one stack, and the negativities of their Hermitian parts (the states
+    the run hands on) are taken once.
     Returns worst-case diagnostics across all runs and steps; callers assert
     the tolerances.
     """
@@ -694,9 +712,9 @@ def run_invariant_suite(n_runs: int = 100, n_injections: int = 50, base_seed: in
         js = 0.0 if i % 10 == 0 else float(rng.uniform(0.0, 10.0))
         model = random_model(js, seed=(base_seed, i))
         seqs = [make_input_sequence(2.0, q, (base_seed, i)) for q in TRAIN_SEQUENCE_IDS]
-        _, _, (raw,) = run_steps(interval_map(model, run_cfg), [seqs], run_cfg, keep_raw=True)
-        negs = negativities(hermitianize(raw))
-        runs.append({**check_density_matrix(raw), "js": js,
+        (run,) = run_reservoir(interval_map(model, run_cfg), [seqs], run_cfg, keep_raw=True)
+        negs = negativities(hermitianize(run.raw))
+        runs.append({**check_density_matrix(run.raw), "js": js,
                      "min_neg": float(negs.min()), "max_neg": float(negs.max())})
     return {
         "n_runs": n_runs,

@@ -16,10 +16,10 @@ Input sequences are sampled on their own uniform time grid
 span the default t_final = 2750); injection k consumes the sample nearest
 simulation time k * delta_t.
 
-One call runs every input pair it is given: ``run_reservoir(propagator,
-[(seq1, seq2), ...], cfg)`` returns one record per pair, in order, and a
-cell's train, test and holdout runs step together in one loop. A single
-run is a one-pair list, ``run_reservoir(propagator, [(seq1, seq2)], cfg)[0]``.
+One function, ``run_reservoir(propagator, [(seq1, seq2), ...], cfg)``, runs
+the loop for every input pair it is given and returns one record per pair,
+in order: a cell's train, test and holdout runs step together, and a single
+run is a one-pair list.
 """
 
 from __future__ import annotations
@@ -94,6 +94,8 @@ class TrajectoryRecord:
     states: K x 16 x 16 density matrices at the same instants, or None for a
     record that holds no states (its entanglement cannot be read).
     injected_values: K x 2 matrix of the (s1, s2) pairs injected at each step.
+    raw: K x 16 x 16 post-evolve states as the propagator returns them
+    (``states[k + 1]`` is ``hermitianize(raw[k])``), or None unless kept.
 
     The negativities are computed from ``states`` on first read and cached:
     ``steady_entanglement`` for the steps from ``washout_steps`` on, and
@@ -105,6 +107,7 @@ class TrajectoryRecord:
     states: np.ndarray | None
     injected_values: np.ndarray
     washout_steps: int
+    raw: np.ndarray | None = None
 
     @property
     def n_steps(self) -> int:
@@ -146,27 +149,25 @@ def interval_map(model: SpinNetworkModel, cfg: RunConfig,
     return interval_propagator(liouvillian(h, jump_ops), cfg.delta_t / n_sub, n_sub)
 
 
-def run_steps(propagator: np.ndarray, pairs, cfg: RunConfig,
-              initial_state: np.ndarray | None = None, keep_raw: bool = False):
-    """The run loop: return ``(states, injected, raw)`` as arrays over the runs and K steps.
+def run_reservoir(propagator: np.ndarray, pairs, cfg: RunConfig,
+                  initial_state: np.ndarray | None = None,
+                  keep_raw: bool = False) -> list[TrajectoryRecord]:
+    """Drive the reservoir with each ``(seq1, seq2)`` input pair of ``pairs``
+    (the 1-D sample arrays of the two inputs) and return one record per
+    pair, in order; ``propagator`` is the ``interval_map`` of the model.
 
-    ``propagator`` is the ``interval_map`` of the model; ``pairs`` is a
-    sequence of ``(seq1, seq2)`` input pairs, one per run, each the 1-D
-    sample arrays of the two inputs. All runs step together, and run r's
-    arrays are index r of the results. ``states[r, k]`` is the state at t_k,
-    before the pair ``injected[r, k]`` enters. With ``keep_raw``,
-    ``raw[r, k]`` is the state at t_{k+1} as the propagator returns it, and
-    ``states[r, k + 1]`` its ``hermitianize``-d form; otherwise ``raw`` is
-    None. Every run starts from the all-|0> state unless ``initial_state``
-    is given; a given one must pass ``check_hermitian``, and every later
-    state is Hermitian by construction.
+    All runs step together, and each record keeps its ``raw`` states only
+    with ``keep_raw``. Every run starts from the all-|0> state unless
+    ``initial_state`` is given (the washout discard makes it immaterial); a
+    given one must pass ``check_hermitian``, and every later state is
+    Hermitian by construction.
 
     Each step resets qubits 0 and 1 to sqrt(1 - s)|0> + sqrt(s)|1> for its
     pair, applies the propagator and takes ``hermitianize``: the
     sigma(s1) x sigma(s2) blocks of all steps are built up front, and each
     step traces qubit 1, then qubit 0, out of the states by block sums, as
-    the per-step reference in ``tests/oracles.py`` does. Every run's arrays
-    equal those of a run stepped alone bit for bit.
+    the per-step reference in ``tests/oracles.py`` does. Every run's record
+    equals that of a run stepped alone bit for bit.
     """
     n_runs, k_steps = len(pairs), cfg.n_steps
     needed = cfg.samples_needed
@@ -211,24 +212,12 @@ def run_steps(propagator: np.ndarray, pairs, cfg: RunConfig,
             raw[:, k] = rho_next
         if k + 1 < k_steps:
             states[:, k + 1] = hermitianize(rho_next)
-    return states, injected, raw
-
-
-def run_reservoir(propagator: np.ndarray, pairs, cfg: RunConfig,
-                  initial_state: np.ndarray | None = None) -> list[TrajectoryRecord]:
-    """Drive the reservoir with each ``(seq1, seq2)`` input pair of ``pairs``
-    and return one record per pair, in order.
-
-    The runs step together in one ``run_steps`` loop. Each record holds its
-    run's states at the injection instants (the washout discard makes the
-    initial state immaterial) and the features of all of them; it computes
-    negativities only when they are read. Deterministic for fixed inputs.
-    """
-    states, injected, _ = run_steps(propagator, pairs, cfg, initial_state)
     records = []
-    for run_states, run_injected in zip(states, injected):
-        z = run_states.diagonal(axis1=1, axis2=2).real @ Z_SIGNS.T
-        records.append(TrajectoryRecord(features=np.column_stack([z, np.ones(cfg.n_steps)]),
-                                        states=run_states, injected_values=run_injected,
-                                        washout_steps=cfg.washout_steps))
+    for r in range(n_runs):
+        # One product per run: a product over all runs at once may round differently.
+        z = states[r].diagonal(axis1=1, axis2=2).real @ Z_SIGNS.T
+        records.append(TrajectoryRecord(features=np.column_stack([z, np.ones(k_steps)]),
+                                        states=states[r], injected_values=injected[r],
+                                        washout_steps=cfg.washout_steps,
+                                        raw=None if raw is None else raw[r]))
     return records

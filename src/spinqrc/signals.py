@@ -2,8 +2,8 @@
 
 Each raw sequence is a sum of 20 sinusoids with frequencies linearly spaced
 over [f0/5000, f0/50] and independent uniform phases, min-max normalized to
-[0, 1]. Nine sequences (ids 0..8) are generated per (f0, seed): ids 0 and 1
-drive the training run, 2 and 3 the test run, 4..8 are reserved.
+[0, 1]. Nine sequences (ids 0..8) are generated per (f0, seed): ids 0-1 drive
+the training run, 2-3 the test run, 4-5 the holdout run; 6-8 are unused.
 
 The time variable is the integer sample index k = 0..N-1, so the component
 periods span 50/f0 .. 5000/f0 samples and the signal varies slowly but

@@ -70,6 +70,21 @@ def test_validate_clean_build_exits_zero(capsys):
     assert "all invariants hold" in out
 
 
+def test_validate_reports_a_violated_invariant(monkeypatch, capsys):
+    import spinqrc.cli
+    from spinqrc.experiments import run_invariant_suite
+
+    def with_trace_drift(**kwargs):
+        return {**run_invariant_suite(**kwargs), "max_trace_error": 1e-3}
+
+    monkeypatch.setattr(spinqrc.cli, "run_invariant_suite", with_trace_drift)
+    assert main(["validate", "--runs", "1", "--steps", "15"]) == 1
+    captured = capsys.readouterr()
+    assert "max_trace_error: 1.000e-03" in captured.out
+    assert "all invariants hold" not in captured.out
+    assert "invariant violation detected" in captured.err
+
+
 def test_run_with_missing_config_exits_two(capsys):
     assert main(["run", "/nonexistent/path.cfg"]) == 2
     assert "config error" in capsys.readouterr().err
@@ -95,17 +110,33 @@ def test_invalid_config_exits_two(tmp_path, capsys):
 @pytest.mark.parametrize("line", ["js_values = nan", "js_values = inf", "f_values = nan",
                                   "lambda_grid = 1e-3, nan", "sample_spacing = nan",
                                   "dt = nan", "delta_t = nan", "t_final = inf",
-                                  "js_values = 0.3, 0.3", "f_values = 2, 1, 2"])
+                                  "js_values = 0.3, 0.3", "f_values = 2, 1, 2",
+                                  "js_values = 0.1, 0.1000001"])
 def test_non_finite_or_repeated_value_exits_two(tmp_path, capsys, line):
     # A NaN passes every sign check: it failed every cell (exit 1), and an
     # infinite t_final overflowed the step count. A repeated J_s or f ran its
-    # cells twice, and emit averaged the copies as if they were seeds.
+    # cells twice, and emit averaged the copies as if they were seeds; two J_s
+    # that print alike headed two fig3 blocks `# J_s=0.1`.
     bad = tmp_path / "bad.cfg"
     bad.write_text(f"experiment = sweep_js\nn_coupling_seeds = 1\n{line}\n")
     assert main(["sweep", str(bad), "--out", str(tmp_path / "never")]) == 2
     err = capsys.readouterr().err
-    assert "must be finite" in err or "must not repeat" in err
+    assert "must be finite" in err or "both print as" in err
     assert line.split(" =")[0] in err and "bad.cfg:3:" in err
+    assert not (tmp_path / "never").exists()
+
+
+@pytest.mark.parametrize("line", ["experiment = sweep", "js_values =", "f_values = 0",
+                                  "n_coupling_seeds = 0", "tau_max = -1",
+                                  "lambda_selection = best", "dissipator_convention = lindblad",
+                                  "tau_max 3"])
+def test_each_config_rule_exits_two_at_its_line(tmp_path, capsys, line):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(f"# one bad line\nbase_seed = 3\n{line}\n")
+    assert main(["sweep", str(bad), "--out", str(tmp_path / "never")]) == 2
+    err = capsys.readouterr().err
+    assert "bad.cfg:3:" in err
+    assert ("expected 'key = value'" if "=" not in line else line.split(" =")[0]) in err
     assert not (tmp_path / "never").exists()
 
 
@@ -186,6 +217,22 @@ def test_single_run_outputs(tmp_path, capsys):
             rows = list(csv.reader(fh))[1:]
         assert [row[0] for row in rows] == [str(k) for k in range(len(rows))]
         assert all(field == repr(float(field)) for row in rows for field in row[1:])
+
+
+def test_failed_run_exits_one_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    import spinqrc.experiments
+
+    def failing(*args, **kwargs):
+        raise RuntimeError("synthetic propagator failure")
+
+    monkeypatch.setattr(spinqrc.experiments, "interval_map", failing)
+    cfg = tmp_path / "single.cfg"
+    cfg.write_text(SINGLE_CFG)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "never")]) == 1
+    captured = capsys.readouterr()
+    assert "run failed: RuntimeError: synthetic propagator failure" in captured.err
+    assert "outputs written" not in captured.out
+    assert not (tmp_path / "never").exists()
 
 
 def test_single_run_reproduces_golden_files(tmp_path):

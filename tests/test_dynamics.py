@@ -59,6 +59,10 @@ class TestSampleCouplingMatrix:
     def test_zero_width_gives_zero_matrix(self):
         assert not sample_coupling_matrix(0.0, 4, seed=3).any()
 
+    def test_negative_width_rejected(self):
+        with pytest.raises(ValueError, match="j_s must be nonnegative"):
+            sample_coupling_matrix(-0.1, 4, seed=3)
+
     def test_bounds_and_symmetry(self):
         j = sample_coupling_matrix(1.0, 4, seed=5)
         assert np.array_equal(j, j.T)

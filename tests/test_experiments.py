@@ -29,7 +29,7 @@ from spinqrc.experiments import (
 )
 from spinqrc.learning import evaluate_capacity_profile
 from spinqrc.linalg import hermitianize
-from spinqrc.reservoir import RunConfig, interval_map, run_reservoir, run_steps
+from spinqrc.reservoir import RunConfig, interval_map, run_reservoir
 from spinqrc.signals import TRAIN_SEQUENCE_IDS, make_input_sequence
 
 TINY_RUN = RunConfig(t_final=750.0, washout_steps=30)
@@ -508,14 +508,35 @@ class TestSweep:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         manifest["cells"][1]["f"] = 2.0000001
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-        message = f"{path}: f_values 2.0 and 2.0000001 both write files tagged f2"
+        message = f"{path}: f_values 2.0 and 2.0000001 both print as f2"
         with pytest.raises(ValueError, match=re.escape(message)):
             read_sweep_results(tmp_path)
         assert main(["emit", "--results", str(tmp_path)]) == 1
         assert message in capsys.readouterr().err
         assert not [name for name in os.listdir(tmp_path) if name.startswith("fig")]
 
-    @pytest.mark.parametrize("broken", ["not-json", "config", "cells", "cell-7", *CELL_LOG_KEYS])
+    def test_js_values_that_share_a_fig3_label_are_refused(self, tmp_path, capsys):
+        # Two J_s values that both print as 0.1 would head two fig3 blocks alike.
+        from spinqrc.cli import main
+
+        run_sweep(tiny_config(js_values=(0.1, 0.2), n_coupling_seeds=1), out_dir=tmp_path)
+        path = tmp_path / "sweep_results.csv"
+        header, first, last = path.read_bytes().splitlines()
+        assert last.startswith(b"0.2,")
+        path.write_bytes(b"\r\n".join([header, first, b"0.1000001" + last[3:], b""]))
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest["cells"][1]["J_s"] = 0.1000001
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        message = f"{path}: js_values 0.1 and 0.1000001 both print as J_s=0.1"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_sweep_results(tmp_path)
+        assert main(["emit", "--results", str(tmp_path)]) == 1
+        assert message in capsys.readouterr().err
+        assert not [name for name in os.listdir(tmp_path) if name.startswith("fig")]
+
+    @pytest.mark.parametrize("broken", ["not-json", "config", "cells", "cell-7", *CELL_LOG_KEYS,
+                                        "tau_max-str", "tau_max-float", "tau_max-bool",
+                                        "tau_max-negative", "cells-int"])
     def test_malformed_manifest_names_the_file(self, tmp_path, capsys, broken):
         from spinqrc.cli import main
 
@@ -523,11 +544,19 @@ class TestSweep:
         path = tmp_path / "manifest.json"
         text = path.read_text()
         manifest = json.loads(text)
+        wrong_tau_max = {"tau_max-str": "3", "tau_max-float": 2.5, "tau_max-bool": True,
+                         "tau_max-negative": -1}
         if broken == "not-json":
             text, message = "{\n" + text, "not JSON: Expecting property name"
         elif broken in ("config", "cells"):
             del manifest[broken]
             message = "lacks config.tau_max or cells"
+        elif broken in wrong_tau_max:
+            manifest["config"]["tau_max"] = wrong_tau_max[broken]
+            message = f"config.tau_max is {wrong_tau_max[broken]!r}, not an integer >= 0"
+        elif broken == "cells-int":
+            manifest["cells"] = 5
+            message = "cells is 5, not a list"
         elif broken == "cell-7":
             manifest["cells"][1] = 7
             message = f"cell 2 lacks {', '.join(CELL_LOG_KEYS)}"
@@ -742,8 +771,8 @@ def test_invariant_suite_reports_the_true_minimum_eigenvalue():
     report = run_invariant_suite(n_runs=1, n_injections=20, base_seed=3)
     cfg = RunConfig(t_final=20 * 7.5, washout_steps=0)
     seqs = [make_input_sequence(2.0, q, (3, 0)) for q in TRAIN_SEQUENCE_IDS]
-    _, _, (raw,) = run_steps(interval_map(random_model(0.0, seed=(3, 0)), cfg), [seqs], cfg,
-                             keep_raw=True)
-    smallest = min(np.linalg.eigvalsh(hermitianize(rho))[0] for rho in raw)
+    (run,) = run_reservoir(interval_map(random_model(0.0, seed=(3, 0)), cfg), [seqs], cfg,
+                           keep_raw=True)
+    smallest = min(np.linalg.eigvalsh(hermitianize(rho))[0] for rho in run.raw)
     assert smallest > 0.0
     assert report["min_eigenvalue"] == pytest.approx(smallest, rel=1e-9)

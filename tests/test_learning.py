@@ -148,6 +148,17 @@ class TestRidgeFit:
         with pytest.raises(ValueError):
             ridge_weights(np.ones((3, 5)), np.ones(3), [0.1])
 
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="disagree in length"):
+            ridge_weights(np.ones((9, 5)), np.ones(8), [0.1])
+
+    def test_overflowing_solution_names_lambda(self):
+        # A tiny, well-conditioned system with a huge target: the solve
+        # overflows to inf without a singular pivot.
+        features = 1e-150 * np.vstack([np.eye(5), np.eye(5)])
+        with pytest.raises(np.linalg.LinAlgError, match="non-finite ridge solution at lambda=1e-300"):
+            ridge_weights(features, np.full(10, 1e300), [1e-300])
+
     def test_nonpositive_lambda_rejected(self):
         with pytest.raises(ValueError):
             ridge_weights(np.ones((9, 5)), np.ones(9), [0.0])
@@ -181,6 +192,10 @@ class TestStmCapacity:
             stm_capacity(np.ones((3, 5)), np.ones(6))
         with pytest.raises(ValueError):
             stm_capacity(np.ones(5), np.ones((1, 5)))
+
+    def test_single_sample_rejected(self):
+        with pytest.raises(ValueError, match="at least two samples"):
+            stm_capacity(np.ones(1), np.ones(1))
 
     def test_stacked_rows_equal_the_vector_call(self):
         # Row i of a stacked call equals scoring row i alone, bit for bit,

@@ -6,10 +6,11 @@ from spinqrc.linalg import (
     PAULI_I,
     check_density_matrix,
     check_hermitian,
+    embed_single_qubit,
     kron,
     kron_all,
 )
-from spinqrc.reservoir import RunConfig, all_zero_state, run_steps
+from spinqrc.reservoir import RunConfig, all_zero_state, run_reservoir
 
 from oracles import (
     encoded_state,
@@ -71,6 +72,11 @@ class TestKron:
             right = kron(a, kron(b, c))
             assert np.abs(left - right).max() <= 1e-14 * max(np.abs(left).max(), 1.0)
 
+    @pytest.mark.parametrize("qubit", [-1, 4])
+    def test_embedding_rejects_a_qubit_out_of_range(self, qubit):
+        with pytest.raises(ValueError, match=f"qubit index {qubit} out of range for 4 qubits"):
+            embed_single_qubit(PAULI_I, qubit, 4)
+
 
 class TestPartialTrace:
     """The run loop's partial trace over input qubits 0 and 1: the reduced
@@ -103,9 +109,9 @@ class TestPartialTrace:
         rng = np.random.default_rng(11)
         cfg = RunConfig(t_final=20 * 7.5, washout_steps=0)
         s1, s2 = rng.uniform(0.0, 1.0, (2, cfg.samples_needed))
-        (states,), _, _ = run_steps(np.eye(256), [(s1, s2)], cfg,
-                                    initial_state=random_density_matrix(rng, 16))
-        assert np.abs(np.trace(states, axis1=1, axis2=2) - 1.0).max() <= 1e-12
+        (run,) = run_reservoir(np.eye(256), [(s1, s2)], cfg,
+                               initial_state=random_density_matrix(rng, 16))
+        assert np.abs(np.trace(run.states, axis1=1, axis2=2) - 1.0).max() <= 1e-12
 
 
 class TestPartialTranspose:

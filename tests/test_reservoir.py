@@ -17,7 +17,6 @@ from spinqrc.reservoir import (
     all_zero_state,
     interval_map,
     run_reservoir,
-    run_steps,
 )
 from spinqrc.signals import make_input_sequence
 
@@ -131,23 +130,23 @@ class TestRunReservoir:
                 rho = rk4_reference_step(rho, h, jump_ops, cfg.delta_t / n_sub)
 
     def test_run_steps_hands_each_state_on(self):
-        # states[k + 1] is hermitianize(raw[k]); without keep_raw the states
-        # are the same and raw is None.
+        # states[k + 1] is hermitianize(raw[k]); without keep_raw the states,
+        # injected values and features are the same and raw is None.
         model = random_model(0.8, seed=3)
         cfg = short_cfg(n_steps=6)
         s1 = make_input_sequence(2.0, 0, 12)
         s2 = make_input_sequence(2.0, 1, 12)
         propagator = interval_map(model, cfg)
-        (states,), (injected,), (raw,) = run_steps(propagator, [(s1, s2)], cfg, keep_raw=True)
+        (run,) = run_reservoir(propagator, [(s1, s2)], cfg, keep_raw=True)
+        states, raw = run.states, run.raw
         assert states.shape == raw.shape == (6, 16, 16)
         assert np.array_equal(states[0], all_zero_state(4))
         assert np.array_equal(hermitianize(raw[:-1]), states[1:])
-        plain_states, plain_injected, plain_raw = run_steps(propagator, [(s1, s2)], cfg)
-        assert plain_raw is None
-        assert np.array_equal(plain_states, states[None])
-        assert np.array_equal(plain_injected, injected[None])
-        rec = run_reservoir(propagator, [(s1, s2)], cfg)[0]
-        assert np.array_equal(injected, rec.injected_values)
+        (plain,) = run_reservoir(propagator, [(s1, s2)], cfg)
+        assert plain.raw is None
+        assert np.array_equal(plain.states, states)
+        assert np.array_equal(plain.injected_values, run.injected_values)
+        assert np.array_equal(plain.features, run.features)
 
     @pytest.mark.parametrize("js, mixed_start", [(0.0, False), (0.005, False), (0.325, False),
                                                  (75.0, False), (0.325, True)])
@@ -160,8 +159,8 @@ class TestRunReservoir:
         s1 = make_input_sequence(2.0, 0, (1, 3))
         s2 = make_input_sequence(2.0, 1, (1, 3))
         rho = np.eye(16, dtype=complex) / 16 if mixed_start else all_zero_state(4)
-        (states,), (injected,), (raw,) = run_steps(propagator, [(s1, s2)], cfg,
-                                                   initial_state=rho, keep_raw=True)
+        (run,) = run_reservoir(propagator, [(s1, s2)], cfg, initial_state=rho, keep_raw=True)
+        states, injected, raw = run.states, run.injected_values, run.raw
         assert states.shape == (366, 16, 16)
         for k in range(cfg.n_steps):
             assert np.array_equal(states[k], rho)
@@ -176,22 +175,22 @@ class TestRunReservoir:
     def test_runs_stepped_together_equal_runs_stepped_alone(self, js, mixed_start):
         # One call over three pairs, the shape of a holdout cell, gives each
         # run the states, raw states, injected values and features of a
-        # one-pair call bit for bit.
+        # one-pair call bit for bit, with raw states kept or not.
         cfg = RunConfig()
         propagator = interval_map(random_model(js, seed=(1, 3)), cfg)
         seqs = [make_input_sequence(2.0, q, (1, 3)) for q in range(6)]
         pairs = [seqs[0:2], seqs[2:4], seqs[4:6]]
         rho = np.eye(16, dtype=complex) / 16 if mixed_start else None
-        states, injected, raw = run_steps(propagator, pairs, cfg, initial_state=rho,
-                                          keep_raw=True)
+        kept = run_reservoir(propagator, pairs, cfg, initial_state=rho, keep_raw=True)
         records = run_reservoir(propagator, pairs, cfg, initial_state=rho)
-        assert states.shape == raw.shape == (3, 366, 16, 16) and len(records) == 3
+        assert len(kept) == len(records) == 3
+        assert all(rec.states.shape == rec.raw.shape == (366, 16, 16) for rec in kept)
         for r, pair in enumerate(pairs):
-            alone_states, alone_injected, alone_raw = run_steps(propagator, [pair], cfg,
-                                                                initial_state=rho, keep_raw=True)
-            assert states[r].tobytes() == alone_states[0].tobytes()
-            assert raw[r].tobytes() == alone_raw[0].tobytes()
-            assert injected[r].tobytes() == alone_injected[0].tobytes()
+            alone, = run_reservoir(propagator, [pair], cfg, initial_state=rho, keep_raw=True)
+            assert kept[r].states.tobytes() == alone.states.tobytes()
+            assert kept[r].raw.tobytes() == alone.raw.tobytes()
+            assert kept[r].injected_values.tobytes() == alone.injected_values.tobytes()
+            assert kept[r].features.tobytes() == alone.features.tobytes()
             alone, = run_reservoir(propagator, [pair], cfg, initial_state=rho)
             assert records[r].states.tobytes() == alone.states.tobytes()
             assert records[r].features.tobytes() == alone.features.tobytes()
@@ -213,7 +212,7 @@ class TestRunReservoir:
 
     def test_observables_equal_the_per_state_references(self):
         # The diagonal features and stacked negativities reproduce the per-state
-        # Tr(rho Z_i) and log negativity of every run_steps state bit for bit.
+        # Tr(rho Z_i) and log negativity of every state of the run bit for bit.
         model = random_model(2.5, seed=4)
         cfg = short_cfg(n_steps=140)
         s1 = make_input_sequence(2.0, 0, 21)
@@ -221,8 +220,7 @@ class TestRunReservoir:
         propagator = interval_map(model, cfg)
         rec = run_reservoir(propagator, [(s1, s2)], cfg)[0]
         z_ops = [embed_single_qubit(PAULI_Z, i, 4) for i in range(4)]
-        (states,), _, _ = run_steps(propagator, [(s1, s2)], cfg)
-        for k, rho in enumerate(states):
+        for k, rho in enumerate(rec.states):
             assert rec.features[k].tolist() == [
                 np.einsum("ij,ji->", rho, z).real for z in z_ops] + [1.0]
             assert rec.entanglement_samples[k].tolist() == [
@@ -313,7 +311,7 @@ class TestRunReservoir:
         s2 = constant_sequence(0.5)
         s2[cfg.sample_index(4)] = bad
         with pytest.raises(ValueError, match=r"input value .* outside \[0, 1\]"):
-            run_steps(interval_map(model, cfg), [(s1, s2)], cfg)
+            run_reservoir(interval_map(model, cfg), [(s1, s2)], cfg)
 
     def test_bad_initial_state_rejected(self):
         model = random_model(1.0, seed=0)
@@ -321,7 +319,7 @@ class TestRunReservoir:
         seq = constant_sequence(0.5)
         propagator = interval_map(model, cfg)
         with pytest.raises(ValueError, match="initial state has shape"):
-            run_steps(propagator, [(seq, seq)], cfg, initial_state=np.eye(4) / 4)
+            run_reservoir(propagator, [(seq, seq)], cfg, initial_state=np.eye(4) / 4)
         # A non-finite state fails the Hermiticity check, not later in LAPACK.
         with pytest.raises(ValueError, match="not Hermitian"):
             run_reservoir(propagator, [(seq, seq)], cfg, initial_state=np.full((16, 16), np.nan))
@@ -334,8 +332,8 @@ class TestRunReservoir:
         rho = all_zero_state(4)
         rho[0, 5] = 0.1
         with pytest.raises(ValueError, match="not Hermitian"):
-            run_steps(interval_map(random_model(1.0, seed=0), cfg), [(seq, seq)], cfg,
-                      initial_state=rho)
+            run_reservoir(interval_map(random_model(1.0, seed=0), cfg), [(seq, seq)], cfg,
+                          initial_state=rho)
 
     def test_sample_consumption_rule(self):
         cfg = RunConfig()
@@ -354,3 +352,8 @@ class TestRunConfig:
     def test_rejects_washout_longer_than_run(self):
         with pytest.raises(ValueError):
             RunConfig(t_final=75.0, washout_steps=50)
+
+    @pytest.mark.parametrize("spacing", [0.0, -2.75])
+    def test_rejects_nonpositive_sample_spacing(self, spacing):
+        with pytest.raises(ValueError, match="sample_spacing must be positive"):
+            RunConfig(sample_spacing=spacing)

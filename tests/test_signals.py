@@ -129,3 +129,11 @@ class TestSequenceFamily:
         assert np.allclose(a, rebuilt_sequence(1.0, 2, 7), atol=1e-12)
         assert np.allclose(b, rebuilt_sequence(3.0, 2, 7), atol=1e-12)
         assert not np.array_equal(a, b)
+
+    def test_bad_frequency_or_sequence_id_rejected(self):
+        for f0 in (0.0, -2.0):
+            with pytest.raises(ValueError, match="f0 must be positive"):
+                make_input_sequence(f0, 0, 7)
+        for seq_id in (-1, N_SEQUENCES):
+            with pytest.raises(ValueError, match=r"sequence id .* out of range 0\.\.8"):
+                make_input_sequence(2.0, seq_id, 7)
