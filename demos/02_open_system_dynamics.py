@@ -6,15 +6,17 @@ refinement.
 Run:  python demos/02_open_system_dynamics.py
 """
 
+import math
+
 import numpy as np
 
 from spinqrc.dynamics import (
+    JUMP_BLOCK,
     build_hamiltonian,
     build_jump_operators,
     interval_propagator,
     liouvillian,
     random_model,
-    single_qubit_jump,
     stable_step_count,
 )
 from spinqrc.linalg import check_density_matrix
@@ -32,7 +34,7 @@ print(f"\nHamiltonian spectrum: [{eigs[0]:.4f} .. {eigs[-1]:.4f}], "
       f"spread {eigs[-1] - eigs[0]:.4f}")
 
 print("\nsingle-qubit jump operator sqrt(gamma) * (Z + iY)/2 at gamma = 0.01:")
-print(single_qubit_jump(model.gamma))
+print(math.sqrt(model.gamma) * JUMP_BLOCK)
 
 print("\n=== integration invariants over t = 0 .. 300 ===")
 # One 256 x 256 propagator: 3000 RK4 steps of dt = 0.025, i.e. 75 time units.

@@ -6,6 +6,7 @@ Subpackage map:
 * ``linalg``        tensor products, Hermiticity checks, density-matrix checks
 * ``dynamics``      Hamiltonian, jump operators, RK4 master-equation solver
 * ``signals``       multi-sinusoid input sequences
+* ``streams``       PCG64 seed streams keyed by (domain tag, ...) integer tuples
 * ``reservoir``     the inject/evolve/measure run loop
 * ``learning``      ridge readout and short-term-memory capacity
 * ``entanglement``  the seven bipartitions' partial-transpose table, log negativity

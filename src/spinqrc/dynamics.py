@@ -6,8 +6,7 @@ The model is an n-qubit network with local Z fields and pairwise XX couplings,
 
 opened to local environments through one jump operator per qubit,
 
-    L_i = sqrt(gamma) * (Z_i + i Y_i)/2        (convention "paper")
-    L_i = sqrt(gamma) * (X_i + i Y_i)/2        (convention "sigma_minus")
+    L_i = sqrt(gamma) * (Z_i + i Y_i)/2,
 
 and evolved with the Lindblad master equation
 
@@ -41,7 +40,9 @@ from .linalg import (
 )
 from .streams import COUPLING_DOMAIN, as_key, stream
 
-DISSIPATOR_CONVENTIONS = ("paper", "sigma_minus")
+# One-qubit jump block (Z + iY)/2 of every local dissipator, before sqrt(gamma).
+JUMP_BLOCK = 0.5 * (PAULI_Z + 1j * PAULI_Y)
+JUMP_BLOCK.flags.writeable = False
 
 # Largest |lambda|*dt the RK4 stability polynomial is allowed to see. The
 # imaginary-axis stability boundary is 2*sqrt(2); 0.9 keeps a wide margin and
@@ -57,7 +58,7 @@ def sample_coupling_matrix(j_s: float, n_qubits: int, seed) -> np.ndarray:
     The underlying uniforms do not depend on j_s, so the same seed yields the
     same connectivity pattern rescaled as j_s varies.
     """
-    if j_s < 0:
+    if math.copysign(1.0, j_s) < 0:  # -0.0 too: rng.uniform(0.0, -0.0) raises
         raise ValueError("j_s must be nonnegative")
     rng = stream(COUPLING_DOMAIN, *as_key(seed))
     j = np.zeros((n_qubits, n_qubits))
@@ -123,20 +124,10 @@ def build_hamiltonian(model: SpinNetworkModel) -> np.ndarray:
     return h
 
 
-def single_qubit_jump(gamma: float, convention: str = "paper") -> np.ndarray:
-    """One-qubit jump operator block sqrt(gamma) * (Z + iY)/2 (or (X + iY)/2)."""
-    if convention == "paper":
-        base = 0.5 * (PAULI_Z + 1j * PAULI_Y)
-    elif convention == "sigma_minus":
-        base = 0.5 * (PAULI_X + 1j * PAULI_Y)
-    else:
-        raise ValueError(f"unknown dissipator convention {convention!r}")
-    return math.sqrt(gamma) * base
-
-
-def build_jump_operators(model: SpinNetworkModel, convention: str = "paper") -> list[np.ndarray]:
-    """One local jump operator per qubit, embedded in the full register."""
-    block = single_qubit_jump(model.gamma, convention)
+def build_jump_operators(model: SpinNetworkModel) -> list[np.ndarray]:
+    """One local jump operator sqrt(gamma) * JUMP_BLOCK per qubit, embedded in
+    the full register."""
+    block = math.sqrt(model.gamma) * JUMP_BLOCK
     n = len(model.coupling)
     return [embed_single_qubit(block, i, n) for i in range(n)]
 

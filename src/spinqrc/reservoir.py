@@ -135,8 +135,7 @@ def all_zero_state(n_qubits: int) -> np.ndarray:
     return rho
 
 
-def interval_map(model: SpinNetworkModel, cfg: RunConfig,
-                 convention: str = "paper") -> np.ndarray:
+def interval_map(model: SpinNetworkModel, cfg: RunConfig) -> np.ndarray:
     """The 256 x 256 propagator of one injection interval, vec(rho) -> vec(rho).
 
     Built once per model: every run of a cell shares it.
@@ -144,7 +143,7 @@ def interval_map(model: SpinNetworkModel, cfg: RunConfig,
     if model.coupling.shape != (4, 4):
         raise ValueError("the run loop records 4-qubit observables; n_qubits must be 4")
     h = build_hamiltonian(model)
-    jump_ops = build_jump_operators(model, convention)
+    jump_ops = build_jump_operators(model)
     n_sub = stable_step_count(h, jump_ops, cfg.delta_t, cfg.dt)
     return interval_propagator(liouvillian(h, jump_ops), cfg.delta_t / n_sub, n_sub)
 

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from spinqrc.dynamics import RK4_STABILITY_MARGIN, build_hamiltonian, build_jump_operators
+from spinqrc.dynamics import RK4_STABILITY_MARGIN
 from spinqrc.linalg import hermitianize
 
 
@@ -181,14 +181,13 @@ def kron_generator(hamiltonian: np.ndarray, jump_ops) -> np.ndarray:
     return m
 
 
-def reference_interval_map(model, duration: float, dt_request: float,
-                           convention: str = "paper") -> np.ndarray:
+def reference_interval_map(hamiltonian, jump_ops, duration: float,
+                           dt_request: float) -> np.ndarray:
     """The RK4 propagator over ``duration``, assembled step by step the long
     way: the Hermitian part of the Hamiltonian, substeps from its eigenvalue
     spread plus 3 sum Tr(L†L), the step polynomial as Taylor terms started
     from the identity, and ``np.linalg.matrix_power`` of that step."""
-    h = hermitianize(build_hamiltonian(model))
-    jump_ops = build_jump_operators(model, convention)
+    h = hermitianize(hamiltonian)
     eigs = np.linalg.eigvalsh(h)
     pad = 3.0 * sum(float(np.trace(l.conj().T @ l).real) for l in jump_ops)
     n_requested = max(1, int(math.ceil(duration / dt_request - 1e-9)))

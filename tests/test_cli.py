@@ -129,7 +129,7 @@ def test_non_finite_or_repeated_value_exits_two(tmp_path, capsys, line):
 @pytest.mark.parametrize("line", ["experiment = sweep", "js_values =", "f_values = 0",
                                   "n_coupling_seeds = 0", "tau_max = -1",
                                   "lambda_selection = best", "dissipator_convention = lindblad",
-                                  "tau_max 3"])
+                                  "tau_max 3", "js_values = -0", "js_values = 0, -0"])
 def test_each_config_rule_exits_two_at_its_line(tmp_path, capsys, line):
     bad = tmp_path / "bad.cfg"
     bad.write_text(f"# one bad line\nbase_seed = 3\n{line}\n")

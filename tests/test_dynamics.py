@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spinqrc.dynamics import (
-    DISSIPATOR_CONVENTIONS,
+    JUMP_BLOCK,
     SpinNetworkModel,
     build_hamiltonian,
     build_jump_operators,
@@ -12,12 +12,12 @@ from spinqrc.dynamics import (
     liouvillian,
     random_model,
     sample_coupling_matrix,
-    single_qubit_jump,
     stable_step_count,
 )
 from spinqrc.linalg import (
     PAULI_I,
     PAULI_X,
+    PAULI_Y,
     PAULI_Z,
     embed_single_qubit,
     hermitianize,
@@ -39,9 +39,15 @@ def zero_coupling_model(n_qubits=4, h_z=H_Z, gamma=0.01):
     return SpinNetworkModel(coupling=np.zeros((n_qubits, n_qubits)), h_z=h_z, gamma=gamma)
 
 
-def operators(model, convention="paper"):
-    """The Hamiltonian and jump operators of ``model``."""
-    return build_hamiltonian(model), build_jump_operators(model, convention)
+def operators(model, jumps="paper"):
+    """The Hamiltonian and jump operators of ``model``: the model's own, or
+    with ``jumps="sigma_minus"`` the lowering operators sqrt(gamma)(X + iY)/2,
+    built as plain arrays the way a script tries another jump set."""
+    if jumps == "paper":
+        return build_hamiltonian(model), build_jump_operators(model)
+    block = math.sqrt(model.gamma) * 0.5 * (PAULI_X + 1j * PAULI_Y)
+    n = len(model.coupling)
+    return build_hamiltonian(model), [embed_single_qubit(block, i, n) for i in range(n)]
 
 
 def generator(model):
@@ -60,8 +66,10 @@ class TestSampleCouplingMatrix:
         assert not sample_coupling_matrix(0.0, 4, seed=3).any()
 
     def test_negative_width_rejected(self):
-        with pytest.raises(ValueError, match="j_s must be nonnegative"):
-            sample_coupling_matrix(-0.1, 4, seed=3)
+        # -0.0 < 0 is False, but its sign bit makes uniform(0.0, -0.0) raise.
+        for j_s in (-0.1, -0.0):
+            with pytest.raises(ValueError, match="j_s must be nonnegative"):
+                sample_coupling_matrix(j_s, 4, seed=3)
 
     def test_bounds_and_symmetry(self):
         j = sample_coupling_matrix(1.0, 4, seed=5)
@@ -127,21 +135,13 @@ class TestJumpOperators:
         assert all(not op.any() for op in ops)
 
     def test_single_qubit_block_literal_form(self):
-        block = single_qubit_jump(0.01, "paper")
+        (block,) = build_jump_operators(zero_coupling_model(n_qubits=1, gamma=0.01))
         assert np.allclose(block, np.array([[0.05, 0.05], [-0.05, -0.05]]), atol=1e-15)
-
-    def test_sigma_minus_variant(self):
-        block = single_qubit_jump(0.04, "sigma_minus")
-        assert np.allclose(block, np.array([[0.0, 0.2], [0.0, 0.0]]), atol=1e-15)
-
-    def test_unknown_convention_rejected(self):
-        with pytest.raises(ValueError):
-            single_qubit_jump(0.01, "bogus")
 
     def test_embedding_matches_kron_oracle(self):
         model = zero_coupling_model()
         ops = build_jump_operators(model)
-        block = single_qubit_jump(model.gamma, "paper")
+        block = math.sqrt(model.gamma) * JUMP_BLOCK
         oracle = np.kron(np.eye(4), np.kron(block, np.eye(2)))
         assert np.allclose(ops[2], oracle, atol=1e-15)
         assert len(ops) == 4
@@ -164,9 +164,9 @@ class TestLindbladRhs:
 
     def test_matches_the_commutator_form(self):
         rng = np.random.default_rng(5)
-        for convention in DISSIPATOR_CONVENTIONS:
+        for jumps in ("paper", "sigma_minus"):
             for seed in range(5):
-                h, jump_ops = operators(random_model(3.0, seed=seed), convention)
+                h, jump_ops = operators(random_model(3.0, seed=seed), jumps)
                 rho = random_density_matrix(rng, 16)
                 assert np.allclose(apply(liouvillian(h, jump_ops), rho),
                                    lindblad_rhs(rho, h, jump_ops), rtol=0, atol=1e-14)
@@ -287,23 +287,23 @@ class TestStableStepCount:
 
 class TestReferenceConstruction:
     """The generator and interval propagator equal, byte for byte, the
-    eight-``np.kron`` generator and the step-by-step reference assembly."""
+    eight-``np.kron`` generator and the step-by-step reference assembly, for
+    the model's jump operators and for a jump set passed in as plain arrays."""
 
-    @pytest.mark.parametrize("convention", DISSIPATOR_CONVENTIONS)
+    @pytest.mark.parametrize("jumps", ["paper", "sigma_minus"])
     @pytest.mark.parametrize("js", [0.0, 0.005, 0.325, 6.0, 75.0])
-    def test_generator_equals_the_kron_terms(self, js, convention):
-        h, jump_ops = operators(random_model(js, seed=(1, 0)), convention)
+    def test_generator_equals_the_kron_terms(self, js, jumps):
+        h, jump_ops = operators(random_model(js, seed=(1, 0)), jumps)
         assert np.array_equal(hermitianize(h), h)
         assert np.array_equal(liouvillian(h, jump_ops), kron_generator(h, jump_ops))
 
-    @pytest.mark.parametrize("convention", DISSIPATOR_CONVENTIONS)
+    @pytest.mark.parametrize("jumps", ["paper", "sigma_minus"])
     @pytest.mark.parametrize("js", [0.0, 0.005, 0.325, 6.0, 75.0])
-    def test_propagator_bytes_equal_the_reference(self, js, convention):
-        model = random_model(js, seed=(1, 0))
-        h, jump_ops = operators(model, convention)
+    def test_propagator_bytes_equal_the_reference(self, js, jumps):
+        h, jump_ops = operators(random_model(js, seed=(1, 0)), jumps)
         n = stable_step_count(h, jump_ops, 7.5, 0.025)
         got = interval_propagator(liouvillian(h, jump_ops), 7.5 / n, n)
-        assert got.tobytes() == reference_interval_map(model, 7.5, 0.025, convention).tobytes()
+        assert got.tobytes() == reference_interval_map(h, jump_ops, 7.5, 0.025).tobytes()
 
 
 class TestDecoupledNetwork:

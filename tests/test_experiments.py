@@ -74,14 +74,13 @@ sample_spacing = 2.5
 tau_max = 8
 lambda_grid = 1e-6, 1e-3, 1
 lambda_selection = holdout
-dissipator_convention = sigma_minus
 output_dir = results/all_keys
 """
 
 # A fingerprint names the results of a sweep: a change of either value means
 # old and new sweeps of the same file no longer match.
 TINY_SWEEP_FINGERPRINT = "108f217369d0a64ce36a9096da1628327bb529386007f1fc5f4e01c284a7459f"
-ALL_KEYS_FINGERPRINT = "dc34b4e1ae86ae943b6128a478896b39c87f76403387b5735e3cb9b0a644d652"
+ALL_KEYS_FINGERPRINT = "83f0fbdaf951a0d99cfbc7fef44733ee92cfb2aec96cfd4c4f92278a5b4bb577"
 
 
 class TestConfigParsing:
@@ -106,10 +105,11 @@ class TestConfigParsing:
         assert len(cfg.lambda_grid) == 21
 
     def test_unknown_key_reports_line(self, tmp_path):
-        # The retired settings input_qubits and time_axis are unknown keys too.
+        # The retired settings input_qubits, time_axis and dissipator_convention
+        # are unknown keys too.
         path = tmp_path / "exp.cfg"
         for line in ("bogus_key = 3", "input_qubits = 0, 5", "input_qubits = 0, 1, 2",
-                     "time_axis = index"):
+                     "time_axis = index", "dissipator_convention = paper"):
             path.write_text(f"experiment = sweep_js\n{line}\n")
             with pytest.raises(ConfigError, match="unknown key") as err:
                 parse_config_file(path)
@@ -161,8 +161,6 @@ class TestFingerprint:
         assert base.fingerprint() != tiny_config(js_values=(0.1, 2.0)).fingerprint()
         assert base.fingerprint() != tiny_config(
             run=RunConfig(t_final=750.0, washout_steps=31)).fingerprint()
-        assert base.fingerprint() != tiny_config(
-            dissipator_convention="sigma_minus").fingerprint()
 
     def test_tiny_sweep_fingerprint_pinned(self):
         cfg = parse_config_file(os.path.join(os.path.dirname(__file__), "data", "tiny_sweep.cfg"))
@@ -593,14 +591,6 @@ class TestSweep:
         # can never lose to holdout selection on the same test run.
         assert np.all(a.capacity.per_tau >= b.capacity.per_tau - 1e-12)
         assert cfg_test.fingerprint() != cfg_holdout.fingerprint()
-
-    def test_sigma_minus_convention_runs(self):
-        cfg = tiny_config(js_values=(0.3,), n_coupling_seeds=1,
-                          dissipator_convention="sigma_minus")
-        row = run_cell(cfg, 0.3, 2.0, 0)
-        assert row.status == "ok"
-        baseline = run_cell(tiny_config(js_values=(0.3,), n_coupling_seeds=1), 0.3, 2.0, 0)
-        assert not np.array_equal(row.capacity.per_tau, baseline.capacity.per_tau)
 
     def test_desk_scale_capacity_ordering(self):
         # Miniature of the coupling sweep: capacity peaks between the
