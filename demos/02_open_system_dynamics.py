@@ -20,7 +20,7 @@ from spinqrc.dynamics import (
     stable_step_count,
 )
 from spinqrc.linalg import check_density_matrix
-from spinqrc.reservoir import all_zero_state
+from spinqrc.reservoir import DELTA_T, DT, all_zero_state
 
 print("=== one reservoir instance at J_s = 0.5 ===")
 model = random_model(0.5, seed=(2024, 0))
@@ -37,8 +37,8 @@ print("\nsingle-qubit jump operator sqrt(gamma) * (Z + iY)/2 at gamma = 0.01:")
 print(math.sqrt(model.gamma) * JUMP_BLOCK)
 
 print("\n=== integration invariants over t = 0 .. 300 ===")
-# One 256 x 256 propagator: 3000 RK4 steps of dt = 0.025, i.e. 75 time units.
-p75 = interval_propagator(liouvillian(h, jump_ops), 0.025, 3000)
+# One 256 x 256 propagator: 3000 RK4 steps of DT = 0.025, i.e. 75 time units.
+p75 = interval_propagator(liouvillian(h, jump_ops), DT, 3000)
 states = [all_zero_state(4)]
 for _ in range(4):
     states.append((p75 @ states[-1].reshape(-1)).reshape(16, 16))
@@ -58,7 +58,7 @@ for js in (0.5, 6.0, 30.0, 75.0):
     strong = random_model(js, seed=(2024, 0))
     h_js = build_hamiltonian(strong)
     eigs = np.linalg.eigvalsh(h_js)
-    n = stable_step_count(h_js, build_jump_operators(strong), 7.5, 0.025)
+    n = stable_step_count(h_js, build_jump_operators(strong), DELTA_T, DT)
     print(f"{js:6.1f}   {eigs[-1] - eigs[0]:10.2f}       {n}")
 print("\nThe default 300 substeps hold until the Hamiltonian's eigenvalue")
 print("spread would push RK4 past its imaginary-axis stability limit; the")

@@ -17,8 +17,8 @@ from spinqrc.signals import make_input_sequence
 OUT = os.path.join(os.path.dirname(__file__), "output")
 os.makedirs(OUT, exist_ok=True)
 
-cfg = RunConfig()  # t_final 2750, delta_t 7.5 -> K = 366 injection steps
-propagator = interval_map(random_model(0.3, seed=(2024, 0)), cfg)
+cfg = RunConfig()  # t_final 2750, DELTA_T 7.5 -> K = 366 injection steps
+propagator = interval_map(random_model(0.3, seed=(2024, 0)))
 s1 = make_input_sequence(2.0, 0, (2024, 0))
 s2 = make_input_sequence(2.0, 1, (2024, 0))
 

@@ -19,7 +19,7 @@ SEEDS = 3
 def profile(js, f):
     acc = []
     for seed in range(SEEDS):
-        propagator = interval_map(random_model(js, seed=(2024, seed)), cfg)
+        propagator = interval_map(random_model(js, seed=(2024, seed)))
         seqs = [make_input_sequence(f, q, (2024, seed)) for q in range(4)]
         train, test = run_reservoir(propagator, [seqs[0:2], seqs[2:4]], cfg)
         acc.append(evaluate_capacity_profile(train, test).per_tau)

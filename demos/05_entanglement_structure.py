@@ -20,7 +20,7 @@ def summary(js):
     """The summary of the seed mean of each seed's post-washout means."""
     per_seed = []
     for seed in range(SEEDS):
-        propagator = interval_map(random_model(js, seed=(2024, seed)), cfg)
+        propagator = interval_map(random_model(js, seed=(2024, seed)))
         s1 = make_input_sequence(2.0, 0, (2024, seed))
         s2 = make_input_sequence(2.0, 1, (2024, seed))
         rec = run_reservoir(propagator, [(s1, s2)], cfg)[0]

@@ -32,7 +32,7 @@ def genuine_profile(js, gamma=0.01):
     acc = []
     for seed in range(SEEDS):
         coupling = sample_coupling_matrix(js, 4, (2024, seed))
-        propagator = interval_map(SpinNetworkModel(coupling=coupling, gamma=gamma), cfg)
+        propagator = interval_map(SpinNetworkModel(coupling=coupling, gamma=gamma))
         seqs = [white_sequence(q, 99 + seed) for q in range(4)]
         train, test = run_reservoir(propagator, [seqs[0:2], seqs[2:4]], cfg)
         acc.append(evaluate_capacity_profile(train, test).per_tau)

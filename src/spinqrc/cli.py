@@ -43,11 +43,11 @@ from .signals import N_SAMPLES
 
 def _load_config(args) -> ExperimentConfig:
     cfg = parse_config_file(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, base_seed=args.seed)
-    if args.out is not None:
-        cfg = replace(cfg, output_dir=args.out)
-    return cfg
+    try:
+        return replace(cfg, base_seed=cfg.base_seed if args.seed is None else args.seed,
+                       output_dir=cfg.output_dir if args.out is None else args.out)
+    except ValueError as exc:  # an override the config's checks refuse, e.g. --out ''
+        raise ConfigError(str(exc)) from exc
 
 
 def positive_int(text: str) -> int:

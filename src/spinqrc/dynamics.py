@@ -58,8 +58,8 @@ def sample_coupling_matrix(j_s: float, n_qubits: int, seed) -> np.ndarray:
     The underlying uniforms do not depend on j_s, so the same seed yields the
     same connectivity pattern rescaled as j_s varies.
     """
-    if math.copysign(1.0, j_s) < 0:  # -0.0 too: rng.uniform(0.0, -0.0) raises
-        raise ValueError("j_s must be nonnegative")
+    if not math.isfinite(j_s) or math.copysign(1.0, j_s) < 0:  # -0.0: uniform(0, -0.0) raises
+        raise ValueError(f"j_s must be finite and nonnegative, got {j_s}")
     rng = stream(COUPLING_DOMAIN, *as_key(seed))
     j = np.zeros((n_qubits, n_qubits))
     j[np.triu_indices(n_qubits, 1)] = rng.uniform(-j_s / 2.0, j_s / 2.0,
@@ -79,6 +79,9 @@ class SpinNetworkModel:
         j = np.asarray(self.coupling, dtype=float)
         if j.ndim != 2 or j.shape[0] != j.shape[1]:
             raise ValueError(f"coupling has shape {j.shape}, expected a square matrix")
+        for name, value in (("coupling", j), ("h_z", self.h_z), ("gamma", self.gamma)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite")
         if not np.allclose(j, j.T, atol=1e-12):
             raise ValueError("coupling matrix must be symmetric")
         if np.abs(np.diag(j)).max(initial=0.0) > 0:

@@ -48,7 +48,15 @@ from .learning import (
     evaluate_capacity_profile,
 )
 from .linalg import check_density_matrix, hermitianize
-from .reservoir import RunConfig, TrajectoryRecord, interval_map, run_reservoir
+from .reservoir import (
+    DELTA_T,
+    DT,
+    SAMPLE_SPACING,
+    RunConfig,
+    TrajectoryRecord,
+    interval_map,
+    run_reservoir,
+)
 from .signals import (
     HOLDOUT_SEQUENCE_IDS,
     N_SAMPLES,
@@ -102,19 +110,17 @@ class ExperimentConfig:
     base_seed: int = 2024
     run: RunConfig = field(default_factory=RunConfig)
     tau_max: int = TAU_MAX_DEFAULT
-    lambda_grid: tuple = DEFAULT_LAMBDA_GRID
     lambda_selection: str = "test"
     output_dir: str = "results"
 
     def __post_init__(self):
         if self.experiment_name not in EXPERIMENT_NAMES:
             raise ValueError(f"unknown experiment {self.experiment_name!r}")
-        for name in ("js_values", "f_values", "lambda_grid"):
+        for name in ("js_values", "f_values"):
             values = getattr(self, name)
             if not all(math.isfinite(v) for v in values):
                 raise ValueError(f"{name} must be finite, got {values}")
-            if name != "lambda_grid":
-                _check_tags(name, values)
+            _check_tags(name, values)
         if not self.js_values:
             raise ValueError("js_values must be nonempty")
         # -0.0 too: it would share a results key with 0.0.
@@ -128,10 +134,10 @@ class ExperimentConfig:
             raise ValueError("base_seed must be nonnegative")
         if self.tau_max < 0:
             raise ValueError("tau_max must be nonnegative")
-        if not self.lambda_grid or any(lam <= 0 for lam in self.lambda_grid):
-            raise ValueError("lambda_grid must be nonempty and positive")
         if self.lambda_selection not in ("test", "holdout"):
             raise ValueError(f"unknown lambda_selection {self.lambda_selection!r}")
+        if not self.output_dir:
+            raise ValueError("output_dir must be nonempty")
         # Train/test segments must stay non-degenerate at the largest delay.
         if self.run.n_steps < self.run.washout_steps + 2 * (self.tau_max + 10):
             raise ValueError(
@@ -144,8 +150,10 @@ class ExperimentConfig:
 
     def semantic_dict(self) -> dict:
         """Everything that affects numeric results (not output locations)."""
-        # Three retired settings keep their one value, so fingerprints stay put.
+        # Retired settings keep their one value, so fingerprints stay put.
         return {"input_qubits": [0, 1], "time_axis": "index", "dissipator_convention": "paper",
+                "delta_t": DELTA_T, "dt": DT, "sample_spacing": SAMPLE_SPACING,
+                "lambda_grid": [float(lam) for lam in DEFAULT_LAMBDA_GRID],
                 **{fld.name: fld.to_json(getattr(self.run if fld.on_run else self, fld.name))
                    for fld in CONFIG_FIELDS if fld.semantic}}
 
@@ -192,12 +200,8 @@ CONFIG_FIELDS = (
     ConfigField("n_coupling_seeds", int),
     ConfigField("base_seed", int),
     ConfigField("t_final", float, on_run=True),
-    ConfigField("delta_t", float, on_run=True),
-    ConfigField("dt", float, on_run=True),
     ConfigField("washout_steps", int, on_run=True),
-    ConfigField("sample_spacing", float, on_run=True),
     ConfigField("tau_max", int),
-    ConfigField("lambda_grid", _list_of(float, DEFAULT_LAMBDA_GRID), float),
     ConfigField("lambda_selection", str),
     ConfigField("output_dir", str, semantic=False),
 )
@@ -207,14 +211,13 @@ def parse_config_file(path) -> ExperimentConfig:
     """Read a flat ``key = value`` config file.
 
     Blank lines and lines starting with ``#`` are ignored. List values are
-    comma separated; ``js_values = default`` selects the 20-point grid and
-    ``lambda_grid = default`` the 21-point grid. A value check that names
-    exactly one key reports that key's line.
+    comma separated; ``js_values = default`` selects the 20-point grid. A
+    value check that names exactly one key reports that key's line.
     """
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(str(exc), path=path) from exc
 
     by_key = {fld.key or fld.name: fld for fld in CONFIG_FIELDS}
@@ -293,7 +296,7 @@ def run_cell(cfg: ExperimentConfig, js: float, f: float, seed_index: int) -> Cel
         pairs = [tuple(make_input_sequence(f, q, (cfg.base_seed, seed_index)) for q in ids)
                  for ids in runs]
         t_build = time.perf_counter()
-        propagator = interval_map(model, cfg.run)
+        propagator = interval_map(model)
         t_runs = time.perf_counter()
         train, test, *holdout = run_reservoir(propagator, pairs, cfg.run)
         selection = holdout[0] if holdout else None
@@ -301,8 +304,7 @@ def run_cell(cfg: ExperimentConfig, js: float, f: float, seed_index: int) -> Cel
         # Entanglement statistics use the post-washout samples of both runs.
         samples = np.vstack([train.steady_entanglement, test.steady_entanglement])
         t_readout = time.perf_counter()
-        profile = evaluate_capacity_profile(train, test, cfg.tau_max, cfg.lambda_grid,
-                                            selection=selection)
+        profile = evaluate_capacity_profile(train, test, cfg.tau_max, selection=selection)
         summary = summarize(samples.mean(axis=0))
         end = time.perf_counter()
         stage_s = {"propagator": t_runs - t_build, "reservoirs": t_negs - t_runs,
@@ -689,9 +691,8 @@ def seed_averaged_metric(rows, f: float, metric) -> dict[float, float]:
 
 
 def invariant_run_config(n_injections: int) -> RunConfig:
-    """The timing of each invariant-suite run: ``n_injections`` injections
-    of the default interval, no washout."""
-    return RunConfig(t_final=n_injections * RunConfig.delta_t, washout_steps=0)
+    """The timing of each invariant-suite run: ``n_injections`` injections, no washout."""
+    return RunConfig(t_final=n_injections * DELTA_T, washout_steps=0)
 
 
 def run_invariant_suite(n_runs: int = 100, n_injections: int = 50, base_seed: int = 7) -> dict:
@@ -713,7 +714,7 @@ def run_invariant_suite(n_runs: int = 100, n_injections: int = 50, base_seed: in
         js = 0.0 if i % 10 == 0 else float(rng.uniform(0.0, 10.0))
         model = random_model(js, seed=(base_seed, i))
         seqs = [make_input_sequence(2.0, q, (base_seed, i)) for q in TRAIN_SEQUENCE_IDS]
-        (run,) = run_reservoir(interval_map(model, run_cfg), [seqs], run_cfg, keep_raw=True)
+        (run,) = run_reservoir(interval_map(model), [seqs], run_cfg, keep_raw=True)
         negs = negativities(hermitianize(run.raw))
         runs.append({**check_density_matrix(run.raw), "js": js,
                      "min_neg": float(negs.min()), "max_neg": float(negs.max())})

@@ -1,20 +1,20 @@
 """The reservoir run loop: measure, inject two inputs, evolve one interval.
 
-Each cycle begins at an injection instant t_k = k * delta_t. The state
+Each cycle begins at an injection instant t_k = k * DELTA_T. The state
 produced by the previous interval's evolution is recorded first, with its
 four <Z_i> readouts (plus a constant bias feature; its seven logarithmic
 negativities are computed from it when first read); then the input qubits
 0 and 1 are reset to fresh pure states encoding the step's input values
 (the remaining qubits keep their joint reduced state exactly) and the full
-density matrix evolves for delta_t. Row k therefore reflects inputs up to
+density matrix evolves for DELTA_T. Row k therefore reflects inputs up to
 step k-1, and the value pair stored in ``injected_values[k]`` is the one
 entering the reservoir at the very instant row k is measured; recalling it
 is the zero-delay task.
 
 Input sequences are sampled on their own uniform time grid
-(``sample_spacing`` time units apart, default 2.75 so that 1000 samples
-span the default t_final = 2750); injection k consumes the sample nearest
-simulation time k * delta_t.
+(``SAMPLE_SPACING`` = 2.75 time units apart, so that 1000 samples span the
+default t_final = 2750); injection k consumes the sample nearest simulation
+time k * DELTA_T.
 
 One function, ``run_reservoir(propagator, [(seq1, seq2), ...], cfg)``, runs
 the loop for every input pair it is given and returns one record per pair,
@@ -45,26 +45,22 @@ from .linalg import check_hermitian, hermitianize
 # it is 1. Z_i is diagonal, so <Z_i> of a state is its diagonal times row i.
 Z_SIGNS = 1.0 - 2.0 * ((np.arange(16) >> np.arange(3, -1, -1)[:, None]) & 1)
 
+# The run protocol: injection interval, RK4 step request and input sample spacing.
+DELTA_T = 7.5
+DT = 0.025
+SAMPLE_SPACING = 2.75
+
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Timing and layout of one reservoir run."""
+    """Length and washout of one reservoir run."""
 
     t_final: float = 2750.0
-    delta_t: float = 7.5
-    dt: float = 0.025
     washout_steps: int = 50
-    sample_spacing: float = 2.75
 
     def __post_init__(self):
-        for name in ("t_final", "delta_t", "dt", "sample_spacing"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.t_final <= 0 or self.delta_t <= 0 or self.dt <= 0:
-            raise ValueError("t_final, delta_t and dt must be positive")
-        if self.sample_spacing <= 0:
-            raise ValueError("sample_spacing must be positive")
+        if not 0 < self.t_final < math.inf:
+            raise ValueError(f"t_final must be finite and positive, got {self.t_final}")
         if self.washout_steps < 0:
             raise ValueError("washout_steps must be nonnegative")
         if self.n_steps <= self.washout_steps:
@@ -72,12 +68,12 @@ class RunConfig:
 
     @property
     def n_steps(self) -> int:
-        """Number of injection steps K = floor(t_final / delta_t)."""
-        return int(math.floor(self.t_final / self.delta_t + 1e-9))
+        """Number of injection steps K = floor(t_final / DELTA_T)."""
+        return int(math.floor(self.t_final / DELTA_T + 1e-9))
 
     def sample_index(self, k: int) -> int:
         """Input-sequence sample consumed at injection step k."""
-        return int(round(k * self.delta_t / self.sample_spacing))
+        return int(round(k * DELTA_T / SAMPLE_SPACING))
 
     @property
     def samples_needed(self) -> int:
@@ -135,8 +131,8 @@ def all_zero_state(n_qubits: int) -> np.ndarray:
     return rho
 
 
-def interval_map(model: SpinNetworkModel, cfg: RunConfig) -> np.ndarray:
-    """The 256 x 256 propagator of one injection interval, vec(rho) -> vec(rho).
+def interval_map(model: SpinNetworkModel) -> np.ndarray:
+    """The 256 x 256 propagator of one injection interval DELTA_T, vec(rho) -> vec(rho).
 
     Built once per model: every run of a cell shares it.
     """
@@ -144,8 +140,8 @@ def interval_map(model: SpinNetworkModel, cfg: RunConfig) -> np.ndarray:
         raise ValueError("the run loop records 4-qubit observables; n_qubits must be 4")
     h = build_hamiltonian(model)
     jump_ops = build_jump_operators(model)
-    n_sub = stable_step_count(h, jump_ops, cfg.delta_t, cfg.dt)
-    return interval_propagator(liouvillian(h, jump_ops), cfg.delta_t / n_sub, n_sub)
+    n_sub = stable_step_count(h, jump_ops, DELTA_T, DT)
+    return interval_propagator(liouvillian(h, jump_ops), DELTA_T / n_sub, n_sub)
 
 
 def run_reservoir(propagator: np.ndarray, pairs, cfg: RunConfig,

@@ -10,9 +10,9 @@ periods span 50/f0 .. 5000/f0 samples and the signal varies slowly but
 nontrivially between samples. A sequence is the 1-D array of its normalized
 samples. How a reservoir run walks through the samples and encodes each
 one into an input qubit is the run loop's concern (``reservoir``): its
-``RunConfig.sample_spacing`` lays the 1000 samples out uniformly over the
-evolution window (2.75 time units apart by default, so one full-length run
-consumes nearly the whole sequence).
+``SAMPLE_SPACING`` lays the 1000 samples out uniformly over the evolution
+window, 2.75 time units apart, so one full-length run consumes nearly the
+whole sequence.
 """
 
 from __future__ import annotations

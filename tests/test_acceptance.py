@@ -35,7 +35,7 @@ from spinqrc.experiments import (
     run_sweep,
     seed_averaged_metric,
 )
-from spinqrc.learning import evaluate_capacity_profile, ridge_weights
+from spinqrc.learning import DEFAULT_LAMBDA_GRID, evaluate_capacity_profile, ridge_weights
 from spinqrc.linalg import kron_all
 from spinqrc.reservoir import RunConfig
 from spinqrc.signals import TEST_SEQUENCE_IDS, TRAIN_SEQUENCE_IDS, make_input_sequence
@@ -110,7 +110,7 @@ def null_control(cfg, sweep):
         profile = evaluate_capacity_profile(
             dataclasses.replace(cell.train, injected_values=np.column_stack(null_seqs[:2])),
             dataclasses.replace(cell.test, injected_values=np.column_stack(null_seqs[2:])),
-            cfg.tau_max, cfg.lambda_grid)
+            cfg.tau_max)
         null.setdefault((row.js, row.f), []).append(profile.per_tau)
     return {k: np.array(v) for k, v in null.items()}, reproduced
 
@@ -195,7 +195,7 @@ def test_ac1_capacity_peak_location(grid_sweep):
     drop, drop_se = paired_drop(peak_totals, low_totals)
     low_ok = end_drop_ok(peak_totals, low_totals)
     # The readout's regularisation at the decoupled end, beside the peak's.
-    floor = min(GRID_CFG.lambda_grid)
+    floor = min(DEFAULT_LAMBDA_GRID)
     low_lams = np.array([r.capacity.lambda_per_tau for r in low_rows])
     peak_lam = np.median([r.capacity.lambda_per_tau for r in peak_rows])
     ok = (0.1 <= peak_js <= 1.0) and low_ok and (high_ratio < 0.6)

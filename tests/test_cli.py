@@ -90,6 +90,24 @@ def test_run_with_missing_config_exits_two(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_config_that_is_not_utf8_exits_two(tmp_path, capsys):
+    # A UnicodeDecodeError is no OSError: it left the reader and exited 1.
+    bad = tmp_path / "latin.cfg"
+    bad.write_bytes(b"experiment = sweep_js\n\xff\xfe bad = 1\n")
+    assert main(["sweep", str(bad), "--out", str(tmp_path / "never")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {bad}: ") and "utf-8" in err
+    assert not (tmp_path / "never").exists()
+
+
+def test_empty_out_exits_two(capsys):
+    # An empty output directory failed each command at its first write (exit
+    # 1), after run had computed its whole cell.
+    for command in ("run", "sweep", "gen-signals"):
+        assert main([command, TINY_CFG, "--out", ""]) == 2
+        assert "output_dir must be nonempty" in capsys.readouterr().err
+
+
 def test_invalid_config_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("experiment = sweep_js\nnot_a_key = 1\n")
@@ -98,8 +116,7 @@ def test_invalid_config_exits_two(tmp_path, capsys):
     assert "not_a_key" in err and ":2:" in err
     # Bad values are config errors before any cell runs, reported at the
     # line of the one key their check names.
-    for line in ("lambda_grid = -1, 1", "lambda_grid =", "base_seed = -1", "js_values = 1, -1",
-                 "washout_steps = -5"):
+    for line in ("base_seed = -1", "js_values = 1, -1", "washout_steps = -5"):
         bad.write_text(f"experiment = sweep_js\nf_values = 2\n{line}\n")
         assert main(["sweep", str(bad), "--out", str(tmp_path / "never")]) == 2
         err = capsys.readouterr().err
@@ -108,8 +125,7 @@ def test_invalid_config_exits_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line", ["js_values = nan", "js_values = inf", "f_values = nan",
-                                  "lambda_grid = 1e-3, nan", "sample_spacing = nan",
-                                  "dt = nan", "delta_t = nan", "t_final = inf",
+                                  "t_final = inf",
                                   "js_values = 0.3, 0.3", "f_values = 2, 1, 2",
                                   "js_values = 0.1, 0.1000001"])
 def test_non_finite_or_repeated_value_exits_two(tmp_path, capsys, line):
@@ -129,8 +145,11 @@ def test_non_finite_or_repeated_value_exits_two(tmp_path, capsys, line):
 @pytest.mark.parametrize("line", ["experiment = sweep", "js_values =", "f_values = 0",
                                   "n_coupling_seeds = 0", "tau_max = -1",
                                   "lambda_selection = best", "dissipator_convention = lindblad",
-                                  "tau_max 3", "js_values = -0", "js_values = 0, -0"])
+                                  "tau_max 3", "js_values = -0", "js_values = 0, -0",
+                                  "t_final = -750", "output_dir =", "lambda_grid = 1e-3, nan",
+                                  "sample_spacing = nan", "dt = nan", "delta_t = nan"])
 def test_each_config_rule_exits_two_at_its_line(tmp_path, capsys, line):
+    # Retired settings (dissipator_convention, delta_t, ...) are unknown keys.
     bad = tmp_path / "bad.cfg"
     bad.write_text(f"# one bad line\nbase_seed = 3\n{line}\n")
     assert main(["sweep", str(bad), "--out", str(tmp_path / "never")]) == 2

@@ -66,9 +66,10 @@ class TestSampleCouplingMatrix:
         assert not sample_coupling_matrix(0.0, 4, seed=3).any()
 
     def test_negative_width_rejected(self):
-        # -0.0 < 0 is False, but its sign bit makes uniform(0.0, -0.0) raise.
-        for j_s in (-0.1, -0.0):
-            with pytest.raises(ValueError, match="j_s must be nonnegative"):
+        # -0.0 < 0 is False, but its sign bit makes uniform(0.0, -0.0) raise;
+        # a NaN or infinite width made it raise an OverflowError.
+        for j_s in (-0.1, -0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="j_s must be finite and nonnegative"):
                 sample_coupling_matrix(j_s, 4, seed=3)
 
     def test_bounds_and_symmetry(self):
@@ -331,6 +332,10 @@ class TestModelValidation:
         bad = np.array([[0.0, 1.0], [0.5, 0.0]])
         with pytest.raises(ValueError):
             SpinNetworkModel(coupling=bad)
+        # A non-finite coupling was refused as asymmetric (NaN) or accepted (inf).
+        for value in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="coupling must be finite"):
+                SpinNetworkModel(coupling=np.where(np.eye(4), 0.0, value))
 
     def test_nonzero_diagonal_rejected(self):
         bad = np.array([[1.0, 0.0], [0.0, 0.0]])
@@ -340,3 +345,8 @@ class TestModelValidation:
     def test_negative_gamma_rejected(self):
         with pytest.raises(ValueError):
             SpinNetworkModel(coupling=np.zeros((2, 2)), gamma=-0.1)
+        # A NaN or infinite h_z or gamma passed every check.
+        for name in ("h_z", "gamma"):
+            for value in (np.nan, np.inf):
+                with pytest.raises(ValueError, match=f"{name} must be finite"):
+                    SpinNetworkModel(coupling=np.zeros((4, 4)), **{name: value})

@@ -51,15 +51,13 @@ f_values = 2
 n_coupling_seeds = 2
 base_seed = 777
 t_final = 750
-delta_t = 7.5
-dt = 0.025
 washout_steps = 30
 tau_max = 10
 output_dir = results/tiny
 """
 
 
-# Every key, with the list, explicit-grid and non-default forms.
+# Every key, with the list and non-default forms.
 ALL_KEYS_CONFIG_TEXT = """\
 experiment = sweep_js
 js_values = 0.2, 0.7
@@ -67,12 +65,8 @@ f_values = 1.5
 n_coupling_seeds = 1
 base_seed = 5
 t_final = 600
-delta_t = 7.5
-dt = 0.05
 washout_steps = 20
-sample_spacing = 2.5
 tau_max = 8
-lambda_grid = 1e-6, 1e-3, 1
 lambda_selection = holdout
 output_dir = results/all_keys
 """
@@ -80,7 +74,7 @@ output_dir = results/all_keys
 # A fingerprint names the results of a sweep: a change of either value means
 # old and new sweeps of the same file no longer match.
 TINY_SWEEP_FINGERPRINT = "108f217369d0a64ce36a9096da1628327bb529386007f1fc5f4e01c284a7459f"
-ALL_KEYS_FINGERPRINT = "83f0fbdaf951a0d99cfbc7fef44733ee92cfb2aec96cfd4c4f92278a5b4bb577"
+ALL_KEYS_FINGERPRINT = "25fab144c9a22be770bd62dceb7b5a06a5ef1ac179c5c225ca1f1b1af7ffe6e3"
 
 
 class TestConfigParsing:
@@ -99,17 +93,15 @@ class TestConfigParsing:
 
     def test_default_grids(self, tmp_path):
         path = tmp_path / "exp.cfg"
-        path.write_text("experiment = sweep_js\njs_values = default\nlambda_grid = default\n")
-        cfg = parse_config_file(path)
-        assert cfg.js_values == DEFAULT_JS_GRID
-        assert len(cfg.lambda_grid) == 21
+        path.write_text("experiment = sweep_js\njs_values = default\n")
+        assert parse_config_file(path).js_values == DEFAULT_JS_GRID
 
     def test_unknown_key_reports_line(self, tmp_path):
-        # The retired settings input_qubits, time_axis and dissipator_convention
-        # are unknown keys too.
+        # The retired settings are unknown keys too, at their one value.
         path = tmp_path / "exp.cfg"
         for line in ("bogus_key = 3", "input_qubits = 0, 5", "input_qubits = 0, 1, 2",
-                     "time_axis = index", "dissipator_convention = paper"):
+                     "time_axis = index", "dissipator_convention = paper", "delta_t = 7.5",
+                     "dt = 0.025", "sample_spacing = 2.75", "lambda_grid = default"):
             path.write_text(f"experiment = sweep_js\n{line}\n")
             with pytest.raises(ConfigError, match="unknown key") as err:
                 parse_config_file(path)
@@ -146,7 +138,7 @@ class TestConfigParsing:
 
     def test_value_check_naming_several_keys_reports_no_line(self, tmp_path):
         path = tmp_path / "exp.cfg"
-        for text in ("tau_max = 10\nt_final = -750\n", "t_final = 750\nwashout_steps = 90\n"):
+        for text in ("tau_max = 30\nt_final = 750\n", "t_final = 750\nwashout_steps = 90\n"):
             path.write_text(text)
             with pytest.raises(ConfigError) as err:
                 parse_config_file(path)
@@ -170,8 +162,7 @@ class TestFingerprint:
         path = tmp_path / "all_keys.cfg"
         path.write_text(ALL_KEYS_CONFIG_TEXT)
         cfg = parse_config_file(path)
-        assert cfg.run.sample_spacing == 2.5
-        assert cfg.lambda_grid == (1e-6, 1e-3, 1.0)
+        assert cfg.lambda_selection == "holdout"
         assert cfg.output_dir == "results/all_keys"
         assert cfg.fingerprint() == ALL_KEYS_FINGERPRINT
         rows = run_sweep(cfg, out_dir=tmp_path / "out")
@@ -220,8 +211,7 @@ class TestSweep:
         assert row.entanglement == single.entanglement
         # A cell returns the records it scored; a sweep does not keep them.
         assert row.train is None and row.test is None
-        rescored = evaluate_capacity_profile(single.train, single.test, cfg.tau_max,
-                                             cfg.lambda_grid)
+        rescored = evaluate_capacity_profile(single.train, single.test, cfg.tau_max)
         assert np.array_equal(rescored.per_tau, single.capacity.per_tau)
 
     def test_cells_enumerated_in_config_order(self):
@@ -610,7 +600,7 @@ def test_trajectory_csv_round_trip(tmp_path):
     cfg = RunConfig(t_final=6 * 7.5, washout_steps=0)
     s1 = make_input_sequence(2.0, 0, 3)
     s2 = make_input_sequence(2.0, 1, 3)
-    rec = run_reservoir(interval_map(random_model(0.5, seed=9), cfg), [(s1, s2)], cfg)[0]
+    rec = run_reservoir(interval_map(random_model(0.5, seed=9)), [(s1, s2)], cfg)[0]
     path = tmp_path / "traj.csv"
     write_trajectory_csv(rec, path)
     header = ["k", "s1", "s2", "Z1", "Z2", "Z3", "Z4", *PARTITION_LABELS]
@@ -761,7 +751,7 @@ def test_invariant_suite_reports_the_true_minimum_eigenvalue():
     report = run_invariant_suite(n_runs=1, n_injections=20, base_seed=3)
     cfg = RunConfig(t_final=20 * 7.5, washout_steps=0)
     seqs = [make_input_sequence(2.0, q, (3, 0)) for q in TRAIN_SEQUENCE_IDS]
-    (run,) = run_reservoir(interval_map(random_model(0.0, seed=(3, 0)), cfg), [seqs], cfg,
+    (run,) = run_reservoir(interval_map(random_model(0.0, seed=(3, 0))), [seqs], cfg,
                            keep_raw=True)
     smallest = min(np.linalg.eigvalsh(hermitianize(rho))[0] for rho in run.raw)
     assert smallest > 0.0

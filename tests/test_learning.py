@@ -310,7 +310,7 @@ def test_weak_coupling_prediction_quality():
     cfg = RunConfig()
     model = random_model(0.1, seed=(2024, 0))
     seqs = [make_input_sequence(2.0, q, (2024, 0)) for q in range(4)]
-    propagator = interval_map(model, cfg)
+    propagator = interval_map(model)
     train, test = run_reservoir(propagator, [seqs[0:2], seqs[2:4]], cfg)
     profile = evaluate_capacity_profile(train, test)
     assert profile.per_tau.max() > 0.9
@@ -328,7 +328,7 @@ def test_test_selection_reuses_the_score_a_fresh_one_equals(js):
 
     cfg = RunConfig()
     seqs = [make_input_sequence(2.0, q, (2024, 1)) for q in range(4)]
-    propagator = interval_map(random_model(js, seed=(2024, 1)), cfg)
+    propagator = interval_map(random_model(js, seed=(2024, 1)))
     train, test = run_reservoir(propagator, [seqs[0:2], seqs[2:4]], cfg)
     twin = TrajectoryRecord(features=test.features.copy(), states=None,
                             injected_values=test.injected_values.copy(),

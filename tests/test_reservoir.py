@@ -13,6 +13,8 @@ from spinqrc.dynamics import (
 from spinqrc.entanglement import PARTITION_LABELS, PARTITIONS, negativities
 from spinqrc.linalg import PAULI_Z, embed_single_qubit, hermitianize, kron
 from spinqrc.reservoir import (
+    DELTA_T,
+    DT,
     RunConfig,
     all_zero_state,
     interval_map,
@@ -35,7 +37,7 @@ def constant_sequence(value, n=1000):
 
 
 def short_cfg(n_steps=10, washout=0):
-    return RunConfig(t_final=n_steps * 7.5, delta_t=7.5, dt=0.025, washout_steps=washout)
+    return RunConfig(t_final=n_steps * 7.5, washout_steps=washout)
 
 
 class TestInject:
@@ -89,7 +91,7 @@ class TestRunReservoir:
         model = SpinNetworkModel(coupling=np.zeros((4, 4)), gamma=0.0)
         cfg = short_cfg(n_steps=12)
         seq = constant_sequence(0.0)
-        rec = run_reservoir(interval_map(model, cfg), [(seq, seq)], cfg)[0]
+        rec = run_reservoir(interval_map(model), [(seq, seq)], cfg)[0]
         assert np.allclose(rec.features[:, 0], 1.0, atol=1e-10)
         assert np.allclose(rec.features[:, 1], 1.0, atol=1e-10)
         assert np.allclose(rec.features[:, 4], 1.0)
@@ -99,7 +101,7 @@ class TestRunReservoir:
         cfg = short_cfg(n_steps=20)
         s1 = make_input_sequence(2.0, 0, 5)
         s2 = make_input_sequence(2.0, 1, 5)
-        rec = run_reservoir(interval_map(model, cfg), [(s1, s2)], cfg)[0]
+        rec = run_reservoir(interval_map(model), [(s1, s2)], cfg)[0]
         assert rec.entanglement_samples.max() <= 1e-8
 
     def test_matches_hand_driven_composition(self):
@@ -110,10 +112,10 @@ class TestRunReservoir:
         cfg = short_cfg(n_steps=10)
         s1 = make_input_sequence(2.0, 0, 12)
         s2 = make_input_sequence(2.0, 1, 12)
-        rec = run_reservoir(interval_map(model, cfg), [(s1, s2)], cfg)[0]
+        rec = run_reservoir(interval_map(model), [(s1, s2)], cfg)[0]
 
         h, jump_ops = build_hamiltonian(model), build_jump_operators(model)
-        n_sub = stable_step_count(h, jump_ops, cfg.delta_t, cfg.dt)
+        n_sub = stable_step_count(h, jump_ops, DELTA_T, DT)
         z_ops = [embed_single_qubit(PAULI_Z, i, 4) for i in range(4)]
         rho = all_zero_state(4)
         for k in range(10):
@@ -127,7 +129,7 @@ class TestRunReservoir:
                                [s1[idx], s2[idx]], atol=0)
             rho = inject_oracle(rho, float(s1[idx]), float(s2[idx]))
             for _ in range(n_sub):
-                rho = rk4_reference_step(rho, h, jump_ops, cfg.delta_t / n_sub)
+                rho = rk4_reference_step(rho, h, jump_ops, DELTA_T / n_sub)
 
     def test_run_steps_hands_each_state_on(self):
         # states[k + 1] is hermitianize(raw[k]); without keep_raw the states,
@@ -136,7 +138,7 @@ class TestRunReservoir:
         cfg = short_cfg(n_steps=6)
         s1 = make_input_sequence(2.0, 0, 12)
         s2 = make_input_sequence(2.0, 1, 12)
-        propagator = interval_map(model, cfg)
+        propagator = interval_map(model)
         (run,) = run_reservoir(propagator, [(s1, s2)], cfg, keep_raw=True)
         states, raw = run.states, run.raw
         assert states.shape == raw.shape == (6, 16, 16)
@@ -155,7 +157,7 @@ class TestRunReservoir:
         # per-step reference hermitianize(P @ inject_oracle(rho, s1, s2))
         # exactly.
         cfg = RunConfig()
-        propagator = interval_map(random_model(js, seed=(1, 3)), cfg)
+        propagator = interval_map(random_model(js, seed=(1, 3)))
         s1 = make_input_sequence(2.0, 0, (1, 3))
         s2 = make_input_sequence(2.0, 1, (1, 3))
         rho = np.eye(16, dtype=complex) / 16 if mixed_start else all_zero_state(4)
@@ -177,7 +179,7 @@ class TestRunReservoir:
         # run the states, raw states, injected values and features of a
         # one-pair call bit for bit, with raw states kept or not.
         cfg = RunConfig()
-        propagator = interval_map(random_model(js, seed=(1, 3)), cfg)
+        propagator = interval_map(random_model(js, seed=(1, 3)))
         seqs = [make_input_sequence(2.0, q, (1, 3)) for q in range(6)]
         pairs = [seqs[0:2], seqs[2:4], seqs[4:6]]
         rho = np.eye(16, dtype=complex) / 16 if mixed_start else None
@@ -204,7 +206,7 @@ class TestRunReservoir:
         cfg = RunConfig()
         s1 = make_input_sequence(2.0, 0, (1, 3))
         s2 = make_input_sequence(2.0, 1, (1, 3))
-        rec = run_reservoir(interval_map(random_model(js, seed=(1, 3)), cfg), [(s1, s2)], cfg)[0]
+        rec = run_reservoir(interval_map(random_model(js, seed=(1, 3))), [(s1, s2)], cfg)[0]
         z_ops = np.stack([embed_single_qubit(PAULI_Z, i, 4) for i in range(4)])
         z = np.einsum("kij,nji->kn", rec.states, z_ops)
         assert rec.features[:, :4].tobytes() == np.ascontiguousarray(z.real).tobytes()
@@ -217,7 +219,7 @@ class TestRunReservoir:
         cfg = short_cfg(n_steps=140)
         s1 = make_input_sequence(2.0, 0, 21)
         s2 = make_input_sequence(2.0, 1, 21)
-        propagator = interval_map(model, cfg)
+        propagator = interval_map(model)
         rec = run_reservoir(propagator, [(s1, s2)], cfg)[0]
         z_ops = [embed_single_qubit(PAULI_Z, i, 4) for i in range(4)]
         for k, rho in enumerate(rec.states):
@@ -236,7 +238,7 @@ class TestRunReservoir:
         cfg = short_cfg(n_steps=140, washout=washout)
         s1 = make_input_sequence(2.0, 0, 21)
         s2 = make_input_sequence(2.0, 1, 21)
-        rec = run_reservoir(interval_map(model, cfg), [(s1, s2)], cfg)[0]
+        rec = run_reservoir(interval_map(model), [(s1, s2)], cfg)[0]
         assert negativity_calls == []
         assert rec.states.shape == (140, 16, 16)
         steady = rec.steady_entanglement
@@ -250,22 +252,21 @@ class TestRunReservoir:
 
     def test_interval_map_is_the_4_qubit_interval_propagator(self):
         model = random_model(0.8, seed=3)
-        cfg = short_cfg()
         h, jump_ops = build_hamiltonian(model), build_jump_operators(model)
-        n_sub = stable_step_count(h, jump_ops, cfg.delta_t, cfg.dt)
-        assert np.array_equal(interval_map(model, cfg),
+        n_sub = stable_step_count(h, jump_ops, DELTA_T, DT)
+        assert np.array_equal(interval_map(model),
                               interval_propagator(liouvillian(h, jump_ops),
-                                                  cfg.delta_t / n_sub, n_sub))
+                                                  DELTA_T / n_sub, n_sub))
         with pytest.raises(ValueError, match="n_qubits must be 4"):
-            interval_map(SpinNetworkModel(coupling=np.zeros((3, 3))), cfg)
+            interval_map(SpinNetworkModel(coupling=np.zeros((3, 3))))
 
     def test_determinism(self):
         model = random_model(1.0, seed=1)
         cfg = short_cfg(n_steps=8)
         s1 = make_input_sequence(2.0, 0, 9)
         s2 = make_input_sequence(2.0, 1, 9)
-        a = run_reservoir(interval_map(model, cfg), [(s1, s2)], cfg)[0]
-        b = run_reservoir(interval_map(model, cfg), [(s1, s2)], cfg)[0]
+        a = run_reservoir(interval_map(model), [(s1, s2)], cfg)[0]
+        b = run_reservoir(interval_map(model), [(s1, s2)], cfg)[0]
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.entanglement_samples, b.entanglement_samples)
 
@@ -273,10 +274,10 @@ class TestRunReservoir:
         # Runs started from all-|0> and from the maximally mixed state agree
         # after the washout.
         model = random_model(8.0, seed=2)
-        cfg = RunConfig(t_final=80 * 7.5, delta_t=7.5, dt=0.025, washout_steps=50)
+        cfg = RunConfig(t_final=80 * 7.5, washout_steps=50)
         s1 = make_input_sequence(2.0, 0, 4)
         s2 = make_input_sequence(2.0, 1, 4)
-        propagator = interval_map(model, cfg)
+        propagator = interval_map(model)
         a = run_reservoir(propagator, [(s1, s2)], cfg)[0]
         b, = run_reservoir(propagator, [(s1, s2)], cfg,
                            initial_state=np.eye(16, dtype=complex) / 16)
@@ -288,7 +289,7 @@ class TestRunReservoir:
         cfg = short_cfg(n_steps=15, washout=3)
         s1 = make_input_sequence(1.0, 0, 44)
         s2 = make_input_sequence(1.0, 1, 44)
-        rec = run_reservoir(interval_map(model, cfg), [(s1, s2)], cfg)[0]
+        rec = run_reservoir(interval_map(model), [(s1, s2)], cfg)[0]
         assert rec.features.shape == (15, 5)
         assert rec.entanglement_samples.shape == (15, 7)
         assert rec.injected_values.shape == (15, 2)
@@ -301,7 +302,7 @@ class TestRunReservoir:
         cfg = RunConfig(t_final=2750.0)
         short = constant_sequence(0.5, n=100)
         with pytest.raises(ValueError, match="samples"):
-            run_reservoir(interval_map(model, cfg), [(short, short)], cfg)
+            run_reservoir(interval_map(model), [(short, short)], cfg)
 
     @pytest.mark.parametrize("bad", [np.nan, -0.01, 1.01])
     def test_input_outside_unit_interval_rejected(self, bad):
@@ -311,13 +312,13 @@ class TestRunReservoir:
         s2 = constant_sequence(0.5)
         s2[cfg.sample_index(4)] = bad
         with pytest.raises(ValueError, match=r"input value .* outside \[0, 1\]"):
-            run_reservoir(interval_map(model, cfg), [(s1, s2)], cfg)
+            run_reservoir(interval_map(model), [(s1, s2)], cfg)
 
     def test_bad_initial_state_rejected(self):
         model = random_model(1.0, seed=0)
         cfg = short_cfg(n_steps=6)
         seq = constant_sequence(0.5)
-        propagator = interval_map(model, cfg)
+        propagator = interval_map(model)
         with pytest.raises(ValueError, match="initial state has shape"):
             run_reservoir(propagator, [(seq, seq)], cfg, initial_state=np.eye(4) / 4)
         # A non-finite state fails the Hermiticity check, not later in LAPACK.
@@ -332,7 +333,7 @@ class TestRunReservoir:
         rho = all_zero_state(4)
         rho[0, 5] = 0.1
         with pytest.raises(ValueError, match="not Hermitian"):
-            run_reservoir(interval_map(random_model(1.0, seed=0), cfg), [(seq, seq)], cfg,
+            run_reservoir(interval_map(random_model(1.0, seed=0)), [(seq, seq)], cfg,
                           initial_state=rho)
 
     def test_sample_consumption_rule(self):
@@ -352,8 +353,3 @@ class TestRunConfig:
     def test_rejects_washout_longer_than_run(self):
         with pytest.raises(ValueError):
             RunConfig(t_final=75.0, washout_steps=50)
-
-    @pytest.mark.parametrize("spacing", [0.0, -2.75])
-    def test_rejects_nonpositive_sample_spacing(self, spacing):
-        with pytest.raises(ValueError, match="sample_spacing must be positive"):
-            RunConfig(sample_spacing=spacing)
