@@ -26,6 +26,7 @@ from .experiments import (
     FIGURE_NAMES,
     ConfigError,
     ExperimentConfig,
+    check_output_dir,
     emit_figure_data,
     invariant_run_config,
     invariant_suite_ok,
@@ -44,10 +45,12 @@ from .signals import N_SAMPLES
 def _load_config(args) -> ExperimentConfig:
     cfg = parse_config_file(args.config)
     try:
-        return replace(cfg, base_seed=cfg.base_seed if args.seed is None else args.seed,
-                       output_dir=cfg.output_dir if args.out is None else args.out)
+        cfg = replace(cfg, base_seed=cfg.base_seed if args.seed is None else args.seed,
+                      output_dir=cfg.output_dir if args.out is None else args.out)
     except ValueError as exc:  # an override the config's checks refuse, e.g. --out ''
         raise ConfigError(str(exc)) from exc
+    check_output_dir(cfg.output_dir)
+    return cfg
 
 
 def positive_int(text: str) -> int:

@@ -38,7 +38,7 @@ from .linalg import (
     kron,
     kron_all,
 )
-from .streams import COUPLING_DOMAIN, as_key, stream
+from .streams import COUPLING_DOMAIN, stream
 
 # One-qubit jump block (Z + iY)/2 of every local dissipator, before sqrt(gamma).
 JUMP_BLOCK = 0.5 * (PAULI_Z + 1j * PAULI_Y)
@@ -50,17 +50,17 @@ JUMP_BLOCK.flags.writeable = False
 RK4_STABILITY_MARGIN = 0.9
 
 
-def sample_coupling_matrix(j_s: float, n_qubits: int, seed) -> np.ndarray:
+def sample_coupling_matrix(j_s: float, n_qubits: int, seed: tuple[int, int]) -> np.ndarray:
     """Random symmetric coupling matrix with zero diagonal.
 
     Entries i<j are i.i.d. uniform on [-j_s/2, j_s/2], drawn in row-major pair
-    order from the stream keyed by ``seed``; deterministic for a fixed seed.
+    order from the stream of the (base_seed, index) pair ``seed``.
     The underlying uniforms do not depend on j_s, so the same seed yields the
     same connectivity pattern rescaled as j_s varies.
     """
     if not math.isfinite(j_s) or math.copysign(1.0, j_s) < 0:  # -0.0: uniform(0, -0.0) raises
         raise ValueError(f"j_s must be finite and nonnegative, got {j_s}")
-    rng = stream(COUPLING_DOMAIN, *as_key(seed))
+    rng = stream(COUPLING_DOMAIN, seed)
     j = np.zeros((n_qubits, n_qubits))
     j[np.triu_indices(n_qubits, 1)] = rng.uniform(-j_s / 2.0, j_s / 2.0,
                                                   n_qubits * (n_qubits - 1) // 2)
@@ -91,9 +91,9 @@ class SpinNetworkModel:
         object.__setattr__(self, "coupling", j)
 
 
-def random_model(j_s: float, seed) -> SpinNetworkModel:
+def random_model(j_s: float, seed: tuple[int, int]) -> SpinNetworkModel:
     """4-qubit model with the default fields and damping, its couplings
-    freshly sampled from the seed's stream."""
+    freshly sampled from the stream of the (base_seed, index) pair ``seed``."""
     return SpinNetworkModel(coupling=sample_coupling_matrix(j_s, 4, seed))
 
 

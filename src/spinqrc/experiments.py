@@ -12,11 +12,10 @@ is identical no matter how many worker processes are used, on OpenBLAS's
 SkylakeX and Sandybridge kernels; its Haswell/Zen kernels round the
 propagator's ``zgemm`` differently at 1 and 2 BLAS threads.
 
-Seed streams (see ``streams``): both the coupling matrix and the input
-sequences of seed index j derive from the key (base_seed, j), with the
-sequence id mixed in by the signals module, so every coupling seed drives
-the reservoir with freshly drawn input phases. Coupling patterns are shared
-across J_s values (rescaled), giving smooth curves along the sweep axis.
+Seed streams (see ``streams``): the coupling matrix and the input sequences
+of seed index j all draw from the pair (base_seed, j), so every coupling seed
+drives the reservoir with fresh input phases and shares its coupling pattern
+(rescaled) across J_s values, giving smooth curves along the sweep axis.
 """
 
 from __future__ import annotations
@@ -252,6 +251,16 @@ def parse_config_file(path) -> ExperimentConfig:
         raise ConfigError(str(exc), path, line) from exc
 
 
+def check_output_dir(path) -> None:
+    """Raise a ConfigError naming ``path`` unless it is a directory or its
+    nearest existing ancestor is one, so that a command fails before its work."""
+    found = os.path.abspath(path)
+    while not os.path.exists(found):
+        found = os.path.dirname(found)
+    if not os.path.isdir(found):
+        raise ConfigError(f"output directory {path!r} cannot be made: {found!r} is not a directory")
+
+
 @dataclass(frozen=True, eq=False)
 class CellResult:
     """Outcome of one (J_s, f, seed) sweep cell.
@@ -485,10 +494,34 @@ def sweep_csv_header(tau_max: int) -> list[str]:
             + list(SUMMARY_FIELDS))
 
 
+def blas_info() -> dict:
+    """The core name and thread count of the OpenBLAS that numpy loaded, each
+    None where numpy bundles no ``libscipy_openblas64_`` library exporting it.
+
+    The goldens hold the rounding of one OpenBLAS kernel family, so a sweep
+    records which one it ran on.
+    """
+    import ctypes
+    import glob
+
+    libs = sorted(glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                         "libscipy_openblas64_*.so")))
+    core = threads = None
+    if libs:
+        lib = ctypes.CDLL(libs[0])
+        if get_core := getattr(lib, "scipy_openblas_get_corename64_", None):
+            get_core.argtypes, get_core.restype = [], ctypes.c_char_p
+            core = get_core().decode()
+        if get_threads := getattr(lib, "scipy_openblas_get_num_threads64_", None):
+            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+            threads = get_threads()
+    return {"core": core, "threads": threads}
+
+
 def write_sweep_outputs(cfg: ExperimentConfig, rows, out_dir) -> None:
     """Write sweep_results.csv (no wall times, byte-reproducible) and the
-    manifest (config, fingerprint, code version, per-cell status, wall time
-    and stage times) for the cell results ``rows`` of ``cfg``."""
+    manifest (config, fingerprint, code version, OpenBLAS kernel, per-cell
+    status, wall time and stage times) for the cell results ``rows`` of ``cfg``."""
     os.makedirs(out_dir, exist_ok=True)
     header = sweep_csv_header(cfg.tau_max)
     table = []
@@ -504,6 +537,7 @@ def write_sweep_outputs(cfg: ExperimentConfig, rows, out_dir) -> None:
         "output_dir": cfg.output_dir,
         "fingerprint": cfg.fingerprint(),
         "code_version": __version__,
+        "blas": blas_info(),
         "cells": [_cell_log(r) for r in rows],
     })
 
@@ -710,7 +744,7 @@ def run_invariant_suite(n_runs: int = 100, n_injections: int = 50, base_seed: in
     run_cfg = invariant_run_config(n_injections)
     runs = []
     for i in range(n_runs):
-        rng = stream(VALIDATE_DOMAIN, base_seed, i)
+        rng = stream(VALIDATE_DOMAIN, (base_seed, i))
         js = 0.0 if i % 10 == 0 else float(rng.uniform(0.0, 10.0))
         model = random_model(js, seed=(base_seed, i))
         seqs = [make_input_sequence(2.0, q, (base_seed, i)) for q in TRAIN_SEQUENCE_IDS]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .streams import SIGNAL_DOMAIN, as_key, stream
+from .streams import SIGNAL_DOMAIN, stream
 
 N_SAMPLES = 1000
 N_COMPONENTS = 20
@@ -37,19 +37,20 @@ def component_frequencies(f0: float) -> np.ndarray:
     return np.linspace(f0 / 5000.0, f0 / 50.0, N_COMPONENTS)
 
 
-def sequence_phases(seq_id: int, seed) -> np.ndarray:
+def sequence_phases(seq_id: int, seed: tuple[int, int]) -> np.ndarray:
     """The sequence's 20 phase offsets, i.i.d. uniform on [0, 1).
 
-    Phases depend only on (seed, seq_id), never on f0, so sweeps over input
-    frequency reuse the same phase realizations.
+    Phases depend only on the (base_seed, index) pair ``seed`` and seq_id,
+    never on f0, so sweeps over input frequency reuse the same phases.
     """
     if not 0 <= seq_id < N_SEQUENCES:
         raise ValueError(f"sequence id {seq_id} out of range 0..{N_SEQUENCES - 1}")
-    rng = stream(SIGNAL_DOMAIN, *as_key(seed), seq_id)
+    rng = stream(SIGNAL_DOMAIN, seed, seq_id)
     return rng.uniform(0.0, 1.0, size=N_COMPONENTS)
 
 
-def generate_raw_sequence(f0: float, seq_id: int, seed, n_samples: int = N_SAMPLES) -> np.ndarray:
+def generate_raw_sequence(f0: float, seq_id: int, seed: tuple[int, int],
+                          n_samples: int = N_SAMPLES) -> np.ndarray:
     """Un-normalized sum of sinusoids at the sample indices 0..n_samples-1."""
     freqs = component_frequencies(f0)
     phases = sequence_phases(seq_id, seed)
@@ -68,6 +69,6 @@ def normalize_minmax(x: np.ndarray) -> np.ndarray:
     return (x - lo) / (hi - lo)
 
 
-def make_input_sequence(f0: float, seq_id: int, seed) -> np.ndarray:
+def make_input_sequence(f0: float, seq_id: int, seed: tuple[int, int]) -> np.ndarray:
     """One input sequence: its N_SAMPLES normalized samples on [0, 1]."""
     return normalize_minmax(generate_raw_sequence(f0, seq_id, seed))

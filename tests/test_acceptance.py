@@ -38,7 +38,15 @@ from spinqrc.experiments import (
 from spinqrc.learning import DEFAULT_LAMBDA_GRID, evaluate_capacity_profile, ridge_weights
 from spinqrc.linalg import kron_all
 from spinqrc.reservoir import RunConfig
-from spinqrc.signals import TEST_SEQUENCE_IDS, TRAIN_SEQUENCE_IDS, make_input_sequence
+from spinqrc.signals import (
+    N_COMPONENTS,
+    N_SAMPLES,
+    TEST_SEQUENCE_IDS,
+    TRAIN_SEQUENCE_IDS,
+    component_frequencies,
+    normalize_minmax,
+)
+from spinqrc.streams import SIGNAL_DOMAIN
 
 from oracles import (
     encoded_state,
@@ -51,9 +59,9 @@ from oracles import (
 THREADS = 2
 N_SEEDS = 10
 BASE_SEED = 2024
-# Null input sequences are drawn under the seed (base_seed, seed_index,
-# NULL_TAG); the program seeds its streams with (base_seed, seed_index), so
-# none of them draws these.
+# Null input sequences draw their phases from the five-word signal key
+# (SIGNAL_DOMAIN, base_seed, seed_index, NULL_TAG, sequence_id); the
+# program's signal keys have four words, so none of them draws these.
 NULL_TAG = 1
 
 
@@ -88,6 +96,17 @@ def dip_sweep():
     return run_sweep(DIP_CFG, threads=THREADS)
 
 
+def null_sequence(f, q, key):
+    """Sequence ``q`` at ``f``, built as ``make_input_sequence`` builds it,
+    with its phases drawn from the null key of the (base_seed, seed_index)
+    pair ``key``."""
+    seed = np.random.SeedSequence([SIGNAL_DOMAIN, *key, NULL_TAG, q])
+    phases = np.random.default_rng(seed).uniform(0.0, 1.0, size=N_COMPONENTS)
+    t = np.arange(N_SAMPLES, dtype=float)
+    arg = 2.0 * np.pi * (np.outer(t, component_frequencies(f)) + phases[np.newaxis, :])
+    return normalize_minmax(np.sin(arg).sum(axis=1))
+
+
 def null_control(cfg, sweep):
     """Null capacity profiles of the cells ``sweep`` of ``cfg``, per (J_s, f)
     in seed order.
@@ -104,7 +123,7 @@ def null_control(cfg, sweep):
     null, reproduced = {}, True
     for row in (r for r in sweep if r.status == "ok"):
         key = (cfg.base_seed, row.seed_index)
-        null_seqs = [make_input_sequence(row.f, q, key + (NULL_TAG,))[steps] for q in ids]
+        null_seqs = [null_sequence(row.f, q, key)[steps] for q in ids]
         cell = run_cell(cfg, row.js, row.f, row.seed_index)
         reproduced &= bool(np.array_equal(cell.capacity.per_tau, row.capacity.per_tau))
         profile = evaluate_capacity_profile(

@@ -108,6 +108,29 @@ def test_empty_out_exits_two(capsys):
         assert "output_dir must be nonempty" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "sweep", "gen-signals"])
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+def test_out_that_cannot_be_a_directory_exits_two(tmp_path, monkeypatch, capsys, command, below):
+    # run computed its whole cell and sweep set up its sweep before their
+    # first write failed with exit 1 (FileExistsError).
+    import spinqrc.cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("run_cell", "run_sweep", "write_signal_files"):
+        monkeypatch.setattr(spinqrc.cli, name, no_work)
+    cfg = tmp_path / "single.cfg"
+    cfg.write_text(SINGLE_CFG)
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    out = blocker / "sub" if below else blocker
+    assert main([command, str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and repr(str(out)) in err
+    assert blocker.read_text() == ""
+
+
 def test_invalid_config_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("experiment = sweep_js\nnot_a_key = 1\n")

@@ -63,28 +63,29 @@ def apply(m, rho):
 
 class TestSampleCouplingMatrix:
     def test_zero_width_gives_zero_matrix(self):
-        assert not sample_coupling_matrix(0.0, 4, seed=3).any()
+        assert not sample_coupling_matrix(0.0, 4, seed=(3, 0)).any()
 
     def test_negative_width_rejected(self):
         # -0.0 < 0 is False, but its sign bit makes uniform(0.0, -0.0) raise;
         # a NaN or infinite width made it raise an OverflowError.
         for j_s in (-0.1, -0.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="j_s must be finite and nonnegative"):
-                sample_coupling_matrix(j_s, 4, seed=3)
+                sample_coupling_matrix(j_s, 4, seed=(3, 0))
 
     def test_bounds_and_symmetry(self):
-        j = sample_coupling_matrix(1.0, 4, seed=5)
+        j = sample_coupling_matrix(1.0, 4, seed=(5, 0))
         assert np.array_equal(j, j.T)
         assert np.abs(np.diag(j)).max() == 0.0
         assert np.abs(j).max() <= 0.5
 
     def test_deterministic_for_fixed_seed(self):
-        assert np.array_equal(sample_coupling_matrix(2.0, 4, 11), sample_coupling_matrix(2.0, 4, 11))
-        assert not np.array_equal(sample_coupling_matrix(2.0, 4, 11), sample_coupling_matrix(2.0, 4, 12))
+        a = sample_coupling_matrix(2.0, 4, (11, 0))
+        assert np.array_equal(a, sample_coupling_matrix(2.0, 4, (11, 0)))
+        assert not np.array_equal(a, sample_coupling_matrix(2.0, 4, (12, 0)))
 
     def test_same_seed_rescales_smoothly(self):
-        a = sample_coupling_matrix(1.0, 4, 13)
-        b = sample_coupling_matrix(2.0, 4, 13)
+        a = sample_coupling_matrix(1.0, 4, (13, 0))
+        b = sample_coupling_matrix(2.0, 4, (13, 0))
         assert np.allclose(2.0 * a, b, atol=1e-12)
 
     def test_empirical_mean_near_zero(self):
@@ -117,7 +118,7 @@ class TestBuildHamiltonian:
 
     def test_matches_term_embedding_oracle(self):
         # The same terms summed in the same order: equal entry for entry.
-        model = random_model(3.0, seed=21)
+        model = random_model(3.0, seed=(21, 0))
         h = build_hamiltonian(model)
         oracle = np.zeros((16, 16), dtype=complex)
         for i in range(4):
@@ -159,7 +160,8 @@ class TestLindbladRhs:
     def test_traceless_and_hermitian_for_random_systems(self):
         rng = np.random.default_rng(2)
         for seed in range(10):
-            out = apply(generator(random_model(2.0, seed=seed)), random_density_matrix(rng, 16))
+            m = generator(random_model(2.0, seed=(seed, 0)))
+            out = apply(m, random_density_matrix(rng, 16))
             assert abs(np.trace(out)) <= 1e-12
             assert np.abs(out - out.conj().T).max() <= 1e-12
 
@@ -167,7 +169,7 @@ class TestLindbladRhs:
         rng = np.random.default_rng(5)
         for jumps in ("paper", "sigma_minus"):
             for seed in range(5):
-                h, jump_ops = operators(random_model(3.0, seed=seed), jumps)
+                h, jump_ops = operators(random_model(3.0, seed=(seed, 0)), jumps)
                 rho = random_density_matrix(rng, 16)
                 assert np.allclose(apply(liouvillian(h, jump_ops), rho),
                                    lindblad_rhs(rho, h, jump_ops), rtol=0, atol=1e-14)
@@ -198,7 +200,7 @@ class TestRk4Step:
     def test_matches_textbook_four_stage_update(self):
         rng = np.random.default_rng(3)
         for seed in range(5):
-            model = random_model(4.0, seed=seed)
+            model = random_model(4.0, seed=(seed, 0))
             rho = random_density_matrix(rng, 16)
             assert np.allclose(hermitianize(propagate(rho, model, 0.025, 1)),
                                rk4_reference_step(rho, *operators(model), 0.025), atol=1e-13)
@@ -226,7 +228,7 @@ class TestRk4Step:
 
     def test_trace_drift_per_step(self):
         rho = random_density_matrix(np.random.default_rng(4), 16)
-        out = propagate(rho, random_model(5.0, seed=9), 0.025, 1)
+        out = propagate(rho, random_model(5.0, seed=(9, 0)), 0.025, 1)
         assert abs(np.trace(out).real - np.trace(rho).real) <= 1e-12
 
     def test_fourth_order_convergence(self):
@@ -257,7 +259,7 @@ class TestEvolve:
 
     def test_trace_and_hermiticity_over_long_run(self):
         rho = random_density_matrix(np.random.default_rng(7), 16)
-        rho = propagate(rho, random_model(5.0, seed=17), 0.025, 3000)
+        rho = propagate(rho, random_model(5.0, seed=(17, 0)), 0.025, 3000)
         assert abs(np.trace(rho).real - 1.0) <= 1e-9
         assert np.abs(rho - rho.conj().T).max() <= 1e-9
         assert np.linalg.eigvalsh(rho)[0] >= -1e-7
@@ -265,10 +267,10 @@ class TestEvolve:
 
 class TestStableStepCount:
     def test_default_grid_unchanged_at_moderate_coupling(self):
-        assert stable_step_count(*operators(random_model(6.0, seed=0)), 7.5, 0.025) == 300
+        assert stable_step_count(*operators(random_model(6.0, seed=(0, 0))), 7.5, 0.025) == 300
 
     def test_strong_coupling_gets_refined(self):
-        h, jump_ops = operators(random_model(75.0, seed=0))
+        h, jump_ops = operators(random_model(75.0, seed=(0, 0)))
         n = stable_step_count(h, jump_ops, 7.5, 0.025)
         assert n > 300
         # Refined step keeps |lambda| * dt inside the stability margin.
@@ -276,7 +278,7 @@ class TestStableStepCount:
         assert (eigs[-1] - eigs[0]) * (7.5 / n) <= 0.9 + 1e-9
 
     def test_strong_coupling_long_run_stays_physical(self):
-        model = random_model(75.0, seed=4)
+        model = random_model(75.0, seed=(4, 0))
         n = stable_step_count(*operators(model), 7.5, 0.025)
         propagator = interval_propagator(generator(model), 7.5 / n, n)
         rho = random_density_matrix(np.random.default_rng(8), 16)

@@ -15,6 +15,7 @@ from spinqrc.experiments import (
     FIGURE_NAMES,
     ConfigError,
     ExperimentConfig,
+    blas_info,
     emit_figure_data,
     invariant_suite_ok,
     parse_config_file,
@@ -413,6 +414,18 @@ class TestSweep:
         assert manifest["config"]["base_seed"] == 777
         assert (tmp_path / "cells.jsonl").read_text().count("\n") == 1
 
+    def test_manifest_names_the_blas_kernel(self, tmp_path, monkeypatch):
+        # The CSV stays free of it, and the sweep still reads back.
+        cfg = tiny_config(js_values=(0.5,), n_coupling_seeds=1)
+        run_sweep(cfg, out_dir=tmp_path)
+        blas = json.loads((tmp_path / "manifest.json").read_text())["blas"]
+        assert blas == blas_info() and set(blas) == {"core", "threads"}
+        assert "blas" not in (tmp_path / "sweep_results.csv").read_text().lower()
+        assert read_sweep_results(tmp_path)[0].status == "ok"
+        # Without numpy's bundled OpenBLAS, both are null.
+        monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+        assert blas_info() == {"core": None, "threads": None}
+
     def test_round_trip_through_files(self, tmp_path):
         cfg = tiny_config()
         rows = run_sweep(cfg, out_dir=tmp_path)
@@ -598,9 +611,9 @@ class TestSweep:
 
 def test_trajectory_csv_round_trip(tmp_path):
     cfg = RunConfig(t_final=6 * 7.5, washout_steps=0)
-    s1 = make_input_sequence(2.0, 0, 3)
-    s2 = make_input_sequence(2.0, 1, 3)
-    rec = run_reservoir(interval_map(random_model(0.5, seed=9)), [(s1, s2)], cfg)[0]
+    s1 = make_input_sequence(2.0, 0, (3, 0))
+    s2 = make_input_sequence(2.0, 1, (3, 0))
+    rec = run_reservoir(interval_map(random_model(0.5, seed=(9, 0))), [(s1, s2)], cfg)[0]
     path = tmp_path / "traj.csv"
     write_trajectory_csv(rec, path)
     header = ["k", "s1", "s2", "Z1", "Z2", "Z3", "Z4", *PARTITION_LABELS]

@@ -99,8 +99,8 @@ class TestRunReservoir:
     def test_zero_coupling_has_no_entanglement(self):
         model = SpinNetworkModel(coupling=np.zeros((4, 4)))
         cfg = short_cfg(n_steps=20)
-        s1 = make_input_sequence(2.0, 0, 5)
-        s2 = make_input_sequence(2.0, 1, 5)
+        s1 = make_input_sequence(2.0, 0, (5, 0))
+        s2 = make_input_sequence(2.0, 1, (5, 0))
         rec = run_reservoir(interval_map(model), [(s1, s2)], cfg)[0]
         assert rec.entanglement_samples.max() <= 1e-8
 
@@ -108,10 +108,10 @@ class TestRunReservoir:
         # Compositional oracle: the run loop equals an explicit
         # measure / inject / evolve sequence built from per-state references,
         # each interval evolved by textbook four-stage RK4 steps.
-        model = random_model(0.8, seed=3)
+        model = random_model(0.8, seed=(3, 0))
         cfg = short_cfg(n_steps=10)
-        s1 = make_input_sequence(2.0, 0, 12)
-        s2 = make_input_sequence(2.0, 1, 12)
+        s1 = make_input_sequence(2.0, 0, (12, 0))
+        s2 = make_input_sequence(2.0, 1, (12, 0))
         rec = run_reservoir(interval_map(model), [(s1, s2)], cfg)[0]
 
         h, jump_ops = build_hamiltonian(model), build_jump_operators(model)
@@ -134,10 +134,10 @@ class TestRunReservoir:
     def test_run_steps_hands_each_state_on(self):
         # states[k + 1] is hermitianize(raw[k]); without keep_raw the states,
         # injected values and features are the same and raw is None.
-        model = random_model(0.8, seed=3)
+        model = random_model(0.8, seed=(3, 0))
         cfg = short_cfg(n_steps=6)
-        s1 = make_input_sequence(2.0, 0, 12)
-        s2 = make_input_sequence(2.0, 1, 12)
+        s1 = make_input_sequence(2.0, 0, (12, 0))
+        s2 = make_input_sequence(2.0, 1, (12, 0))
         propagator = interval_map(model)
         (run,) = run_reservoir(propagator, [(s1, s2)], cfg, keep_raw=True)
         states, raw = run.states, run.raw
@@ -215,10 +215,10 @@ class TestRunReservoir:
     def test_observables_equal_the_per_state_references(self):
         # The diagonal features and stacked negativities reproduce the per-state
         # Tr(rho Z_i) and log negativity of every state of the run bit for bit.
-        model = random_model(2.5, seed=4)
+        model = random_model(2.5, seed=(4, 0))
         cfg = short_cfg(n_steps=140)
-        s1 = make_input_sequence(2.0, 0, 21)
-        s2 = make_input_sequence(2.0, 1, 21)
+        s1 = make_input_sequence(2.0, 0, (21, 0))
+        s2 = make_input_sequence(2.0, 1, (21, 0))
         propagator = interval_map(model)
         rec = run_reservoir(propagator, [(s1, s2)], cfg)[0]
         z_ops = [embed_single_qubit(PAULI_Z, i, 4) for i in range(4)]
@@ -234,10 +234,10 @@ class TestRunReservoir:
         # The record keeps its states; steady_entanglement eigensolves the
         # post-washout ones and entanglement_samples adds only the washout
         # head, with the numbers of one negativities call over every state.
-        model = random_model(2.5, seed=4)
+        model = random_model(2.5, seed=(4, 0))
         cfg = short_cfg(n_steps=140, washout=washout)
-        s1 = make_input_sequence(2.0, 0, 21)
-        s2 = make_input_sequence(2.0, 1, 21)
+        s1 = make_input_sequence(2.0, 0, (21, 0))
+        s2 = make_input_sequence(2.0, 1, (21, 0))
         rec = run_reservoir(interval_map(model), [(s1, s2)], cfg)[0]
         assert negativity_calls == []
         assert rec.states.shape == (140, 16, 16)
@@ -251,7 +251,7 @@ class TestRunReservoir:
         assert steady.tobytes() == want[washout:].tobytes()
 
     def test_interval_map_is_the_4_qubit_interval_propagator(self):
-        model = random_model(0.8, seed=3)
+        model = random_model(0.8, seed=(3, 0))
         h, jump_ops = build_hamiltonian(model), build_jump_operators(model)
         n_sub = stable_step_count(h, jump_ops, DELTA_T, DT)
         assert np.array_equal(interval_map(model),
@@ -261,10 +261,10 @@ class TestRunReservoir:
             interval_map(SpinNetworkModel(coupling=np.zeros((3, 3))))
 
     def test_determinism(self):
-        model = random_model(1.0, seed=1)
+        model = random_model(1.0, seed=(1, 0))
         cfg = short_cfg(n_steps=8)
-        s1 = make_input_sequence(2.0, 0, 9)
-        s2 = make_input_sequence(2.0, 1, 9)
+        s1 = make_input_sequence(2.0, 0, (9, 0))
+        s2 = make_input_sequence(2.0, 1, (9, 0))
         a = run_reservoir(interval_map(model), [(s1, s2)], cfg)[0]
         b = run_reservoir(interval_map(model), [(s1, s2)], cfg)[0]
         assert np.array_equal(a.features, b.features)
@@ -273,10 +273,10 @@ class TestRunReservoir:
     def test_echo_state_convergence(self):
         # Runs started from all-|0> and from the maximally mixed state agree
         # after the washout.
-        model = random_model(8.0, seed=2)
+        model = random_model(8.0, seed=(2, 0))
         cfg = RunConfig(t_final=80 * 7.5, washout_steps=50)
-        s1 = make_input_sequence(2.0, 0, 4)
-        s2 = make_input_sequence(2.0, 1, 4)
+        s1 = make_input_sequence(2.0, 0, (4, 0))
+        s2 = make_input_sequence(2.0, 1, (4, 0))
         propagator = interval_map(model)
         a = run_reservoir(propagator, [(s1, s2)], cfg)[0]
         b, = run_reservoir(propagator, [(s1, s2)], cfg,
@@ -285,10 +285,10 @@ class TestRunReservoir:
         assert diff < 1e-3
 
     def test_feature_bounds_and_shapes(self):
-        model = random_model(2.0, seed=7)
+        model = random_model(2.0, seed=(7, 0))
         cfg = short_cfg(n_steps=15, washout=3)
-        s1 = make_input_sequence(1.0, 0, 44)
-        s2 = make_input_sequence(1.0, 1, 44)
+        s1 = make_input_sequence(1.0, 0, (44, 0))
+        s2 = make_input_sequence(1.0, 1, (44, 0))
         rec = run_reservoir(interval_map(model), [(s1, s2)], cfg)[0]
         assert rec.features.shape == (15, 5)
         assert rec.entanglement_samples.shape == (15, 7)
@@ -298,7 +298,7 @@ class TestRunReservoir:
         assert rec.entanglement_samples.min() >= 0.0
 
     def test_sequence_too_short_rejected(self):
-        model = random_model(1.0, seed=0)
+        model = random_model(1.0, seed=(0, 0))
         cfg = RunConfig(t_final=2750.0)
         short = constant_sequence(0.5, n=100)
         with pytest.raises(ValueError, match="samples"):
@@ -306,7 +306,7 @@ class TestRunReservoir:
 
     @pytest.mark.parametrize("bad", [np.nan, -0.01, 1.01])
     def test_input_outside_unit_interval_rejected(self, bad):
-        model = random_model(1.0, seed=0)
+        model = random_model(1.0, seed=(0, 0))
         cfg = short_cfg(n_steps=6)
         s1 = constant_sequence(0.5)
         s2 = constant_sequence(0.5)
@@ -315,7 +315,7 @@ class TestRunReservoir:
             run_reservoir(interval_map(model), [(s1, s2)], cfg)
 
     def test_bad_initial_state_rejected(self):
-        model = random_model(1.0, seed=0)
+        model = random_model(1.0, seed=(0, 0))
         cfg = short_cfg(n_steps=6)
         seq = constant_sequence(0.5)
         propagator = interval_map(model)
@@ -333,7 +333,7 @@ class TestRunReservoir:
         rho = all_zero_state(4)
         rho[0, 5] = 0.1
         with pytest.raises(ValueError, match="not Hermitian"):
-            run_reservoir(interval_map(random_model(1.0, seed=0)), [(seq, seq)], cfg,
+            run_reservoir(interval_map(random_model(1.0, seed=(0, 0))), [(seq, seq)], cfg,
                           initial_state=rho)
 
     def test_sample_consumption_rule(self):

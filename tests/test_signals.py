@@ -30,11 +30,11 @@ class TestRawSequence:
     def test_single_component_reduces_to_pure_sine(self):
         # Each component is a plain sinusoid with its drawn phase: the
         # sequence equals a direct reconstruction from those phases.
-        assert np.allclose(make_input_sequence(2.0, 0, 42), rebuilt_sequence(2.0, 0, 42),
+        assert np.allclose(make_input_sequence(2.0, 0, (42, 0)), rebuilt_sequence(2.0, 0, (42, 0)),
                            atol=1e-12)
 
     def test_amplitude_bound(self):
-        raw = generate_raw_sequence(3.0, 4, 7)
+        raw = generate_raw_sequence(3.0, 4, (7, 0))
         assert np.abs(raw).max() <= N_COMPONENTS
 
     def test_frequencies_linearly_spaced_inclusive(self):
@@ -47,7 +47,7 @@ class TestRawSequence:
         # DFT oracle: energy of the generated signal lives in the 20
         # requested frequency bins (plus leakage from non-integer bins).
         f0 = 2.0
-        raw = generate_raw_sequence(f0, 2, 11, n_samples=5000)
+        raw = generate_raw_sequence(f0, 2, (11, 0), n_samples=5000)
         spec = np.abs(np.fft.rfft(raw - raw.mean())) ** 2
         grid = np.fft.rfftfreq(5000)
         freqs = component_frequencies(f0)
@@ -110,30 +110,30 @@ class TestSequenceFamily:
         assert np.array_equal(a, b)
 
     def test_normalization_attains_endpoints(self):
-        seq = make_input_sequence(1.0, 0, 99)
+        seq = make_input_sequence(1.0, 0, (99, 0))
         assert seq.shape == (N_SAMPLES,)
         assert seq.min() == 0.0
         assert seq.max() == 1.0
         assert np.isfinite(seq).all()
 
     def test_nine_sequences_pairwise_distinct(self):
-        family = [make_input_sequence(2.0, q, 2024) for q in range(N_SEQUENCES)]
+        family = [make_input_sequence(2.0, q, (2024, 0)) for q in range(N_SEQUENCES)]
         assert N_SEQUENCES == 9
         for a, b in itertools.combinations(family, 2):
             assert np.abs(a - b).max() > 0.1
 
     def test_phases_do_not_depend_on_f0(self):
         # Both frequencies are rebuilt from the one phase draw of (seed, id).
-        a = make_input_sequence(1.0, 2, 7)
-        b = make_input_sequence(3.0, 2, 7)
-        assert np.allclose(a, rebuilt_sequence(1.0, 2, 7), atol=1e-12)
-        assert np.allclose(b, rebuilt_sequence(3.0, 2, 7), atol=1e-12)
+        a = make_input_sequence(1.0, 2, (7, 0))
+        b = make_input_sequence(3.0, 2, (7, 0))
+        assert np.allclose(a, rebuilt_sequence(1.0, 2, (7, 0)), atol=1e-12)
+        assert np.allclose(b, rebuilt_sequence(3.0, 2, (7, 0)), atol=1e-12)
         assert not np.array_equal(a, b)
 
     def test_bad_frequency_or_sequence_id_rejected(self):
         for f0 in (0.0, -2.0):
             with pytest.raises(ValueError, match="f0 must be positive"):
-                make_input_sequence(f0, 0, 7)
+                make_input_sequence(f0, 0, (7, 0))
         for seq_id in (-1, N_SEQUENCES):
             with pytest.raises(ValueError, match=r"sequence id .* out of range 0\.\.8"):
-                make_input_sequence(2.0, seq_id, 7)
+                make_input_sequence(2.0, seq_id, (7, 0))
