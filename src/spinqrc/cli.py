@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import gc
 import math
+import os
 import sys
 from dataclasses import replace
 
@@ -26,6 +27,7 @@ from .experiments import (
     FIGURE_NAMES,
     ConfigError,
     ExperimentConfig,
+    blas_info,
     check_output_dir,
     emit_figure_data,
     invariant_run_config,
@@ -82,6 +84,7 @@ def _cmd_run(args) -> int:
     write_run_outputs(cfg, result, cfg.output_dir)
     print(f"total capacity: {result.capacity.total:.4f}")
     print(f"outputs written to {cfg.output_dir}")
+    print(f"OpenBLAS {blas_info()}")
     return 0
 
 
@@ -111,8 +114,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_emit(args) -> int:
-    rows = read_sweep_results(args.results)
+    if not os.path.isdir(args.results):
+        raise ConfigError(f"results directory {args.results!r} is not a directory")
     out = args.out or args.results
+    check_output_dir(out)
+    rows = read_sweep_results(args.results)
     written = 0
     for figure in FIGURE_NAMES if args.figure == "all" else (args.figure,):
         try:

@@ -19,6 +19,12 @@ arrays: ``build_hamiltonian`` and ``build_jump_operators`` give the
 operators, ``liouvillian`` their 4^n x 4^n generator, ``stable_step_count``
 the number of substeps, and ``interval_propagator`` builds the step
 polynomial and composes n steps of it into one matrix.
+
+The generator is written entry by entry through index arrays, never as a
+Kronecker product of two full matrices, and the step polynomial is summed in
+place. The byte references are ``tests/oracles.kron_generator``, the
+eight-``np.kron`` generator it equals by value, and
+``tests/oracles.reference_interval_map``, whose bytes the propagator has.
 """
 
 from __future__ import annotations
@@ -35,7 +41,6 @@ from .linalg import (
     PAULI_Y,
     PAULI_Z,
     embed_single_qubit,
-    kron,
     kron_all,
 )
 from .streams import COUPLING_DOMAIN, stream
@@ -136,17 +141,37 @@ def build_jump_operators(model: SpinNetworkModel) -> list[np.ndarray]:
 
 
 def liouvillian(hamiltonian: np.ndarray, jump_ops) -> np.ndarray:
-    """Matrix of the Lindblad generator acting on row-major vec(rho)."""
+    """Matrix of the Lindblad generator acting on row-major vec(rho).
+
+    Written straight into a (d, d, d, d) view of the d^2 x d^2 result, whose
+    entry [a, b, c, e] is ((a, b), (c, e)): the commutator's H x I and
+    I x H^T at [:, k, :, k] and [k, :, k, :], each L x L* at the nonzero
+    entries of L only, jump by jump, then the anticommutator's two sides,
+    with the diagonal [a, b, a, b] taking half[a, a] + half[b, b] as one sum.
+    Each entry gets the products and sums, in order, of the
+    eight-Kronecker-product form ``tests/oracles.kron_generator``, less
+    those of a zero, so it equals that form by value (the sign of a zero
+    entry may differ).
+    """
     d = hamiltonian.shape[0]
-    eye = np.eye(d)
-    m = -1j * (kron(hamiltonian, eye) - kron(eye, hamiltonian.T))
+    k = np.arange(d)
+    m = np.zeros((d * d, d * d), dtype=complex)
+    m4 = m.reshape(d, d, d, d)
+    m4[:, k, :, k] = hamiltonian
+    m4[k, :, k, :] -= hamiltonian.T
+    m *= -1j
     if jump_ops:
         acc = np.zeros((d, d), dtype=complex)
         for l in jump_ops:
-            m += kron(l, l.conj())
+            rows, cols = np.nonzero(l)
+            v = l[rows, cols]
+            m4[rows[:, None], rows, cols[:, None], cols] += v[:, None] * v.conj()
             acc += l.conj().T @ l
         half = 0.5 * acc
-        m -= kron(half, eye) + kron(eye, half.T)
+        m4[k[:, None], k, k[:, None], k] -= half.diagonal()[:, None] + half.diagonal()
+        np.fill_diagonal(half, 0.0)  # x - 0 is x: the diagonal is done
+        m4[:, k, :, k] -= half
+        m4[k, :, k, :] -= half.T
     return m
 
 
@@ -172,13 +197,19 @@ def interval_propagator(generator: np.ndarray, dt: float, n_steps: int) -> np.nd
     """RK4 map of n_steps steps of length dt on vec(rho) under ``generator``.
 
     One step is I + dt M + ... + dt^4/24 M^4 for the Liouvillian M: the
-    first term is dt M, each later one (dt / order) times the previous one
-    times M.
+    first term is dt M, each later one the previous one times M, scaled in
+    place by dt / order, and each is added into the step in place. With the
+    generator and the last term released before the squarings, at most four
+    4^n x 4^n matrices are alive at once when the caller passes the
+    generator as a temporary, as ``reservoir.interval_map`` does. The bytes
+    are those of ``tests/oracles.reference_interval_map``.
     """
     term = dt * generator
-    step = np.eye(generator.shape[0], dtype=complex) + term
+    step = np.eye(generator.shape[0], dtype=complex)
+    step += term
     for order in range(2, 5):
-        term = (dt / order) * (term @ generator)
-        step = step + term
-    del term  # one 4^n x 4^n matrix fewer alive during the squarings
+        term = term @ generator
+        term *= dt / order
+        step += term
+    del term, generator
     return np.linalg.matrix_power(step, n_steps)

@@ -308,6 +308,7 @@ def run_cell(cfg: ExperimentConfig, js: float, f: float, seed_index: int) -> Cel
         propagator = interval_map(model)
         t_runs = time.perf_counter()
         train, test, *holdout = run_reservoir(propagator, pairs, cfg.run)
+        del propagator  # 1 MiB the readout, where the cell peaks, need not hold
         selection = holdout[0] if holdout else None
         t_negs = time.perf_counter()
         # Entanglement statistics use the post-washout samples of both runs.

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from spinqrc.cli import main
+from spinqrc.experiments import blas_info
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 TINY_CFG = os.path.join(DATA_DIR, "tiny_sweep.cfg")
@@ -108,27 +109,39 @@ def test_empty_out_exits_two(capsys):
         assert "output_dir must be nonempty" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["run", "sweep", "gen-signals"])
+@pytest.mark.parametrize("command", ["run", "sweep", "gen-signals", "emit"])
 @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
 def test_out_that_cannot_be_a_directory_exits_two(tmp_path, monkeypatch, capsys, command, below):
-    # run computed its whole cell and sweep set up its sweep before their
-    # first write failed with exit 1 (FileExistsError).
+    # run computed its whole cell, sweep set up its sweep and emit read the
+    # whole sweep before their first write failed with exit 1
+    # (FileExistsError or NotADirectoryError).
     import spinqrc.cli
 
     def no_work(*args, **kwargs):
         raise AssertionError("work started")
 
-    for name in ("run_cell", "run_sweep", "write_signal_files"):
+    for name in ("run_cell", "run_sweep", "write_signal_files", "read_sweep_results"):
         monkeypatch.setattr(spinqrc.cli, name, no_work)
     cfg = tmp_path / "single.cfg"
     cfg.write_text(SINGLE_CFG)
     blocker = tmp_path / "afile"
     blocker.write_text("")
     out = blocker / "sub" if below else blocker
-    assert main([command, str(cfg), "--out", str(out)]) == 2
+    source = ["--results", str(tmp_path)] if command == "emit" else [str(cfg)]
+    assert main([command, *source, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and repr(str(out)) in err
     assert blocker.read_text() == ""
+
+
+@pytest.mark.parametrize("missing", ["absent", "afile"])
+def test_emit_from_a_missing_results_directory_exits_two(tmp_path, capsys, missing):
+    # A bare FileNotFoundError for its manifest.json exited 1.
+    (tmp_path / "afile").write_text("")
+    results = tmp_path / missing
+    assert main(["emit", "--results", str(results)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and repr(str(results)) in err
 
 
 def test_invalid_config_exits_two(tmp_path, capsys):
@@ -236,6 +249,11 @@ def test_single_run_outputs(tmp_path, capsys):
     cfg.write_text(SINGLE_CFG)
     out = tmp_path / "run_out"
     assert main(["run", str(cfg), "--out", str(out)]) == 0
+    # The first line ends the set-up a user waits for; the kernel the
+    # numbers were computed on comes last, after the outputs are written.
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("running single cell")
+    assert lines[-2:] == [f"outputs written to {out}", f"OpenBLAS {blas_info()}"]
     produced = sorted(os.listdir(out))
     assert produced == ["capacity.csv", "capacity.json", "entanglement.json",
                         "trajectory_test.csv", "trajectory_train.csv"]
@@ -484,6 +502,7 @@ def gated(*args):
 
 experiments.run_cell = gated
 from spinqrc.cli import main
+from spinqrc.experiments import blas_info
 raise SystemExit(main(sys.argv[2:]))
 """
 

@@ -288,22 +288,41 @@ class TestStableStepCount:
         assert np.linalg.eigvalsh(rho)[0] >= -1e-7
 
 
+# A J_s of the default 4-qubit model, or the (n_qubits, h_z, gamma) of a
+# model at J_s = 0.325.
+REFERENCE_MODELS = [0.0, 0.005, 0.325, 6.0, 75.0,
+                    pytest.param((1, H_Z, 0.01), id="1-qubit"),
+                    pytest.param((2, H_Z, 0.01), id="2-qubit"),
+                    pytest.param((4, 0.7, 0.01), id="h_z=0.7"),
+                    pytest.param((4, H_Z, 0.0), id="gamma=0"),
+                    pytest.param((4, H_Z, 0.05), id="gamma=0.05")]
+
+
+def reference_model(spec):
+    if isinstance(spec, float):
+        return random_model(spec, seed=(1, 0))
+    n_qubits, h_z, gamma = spec
+    return SpinNetworkModel(coupling=sample_coupling_matrix(0.325, n_qubits, seed=(1, 0)),
+                            h_z=h_z, gamma=gamma)
+
+
 class TestReferenceConstruction:
-    """The generator and interval propagator equal, byte for byte, the
-    eight-``np.kron`` generator and the step-by-step reference assembly, for
-    the model's jump operators and for a jump set passed in as plain arrays."""
+    """The generator equals the eight-``np.kron`` generator by value (the
+    sign of a zero entry may differ), and the interval propagator equals
+    the step-by-step reference assembly byte for byte, for the model's jump
+    operators and for a jump set passed in as plain arrays."""
 
     @pytest.mark.parametrize("jumps", ["paper", "sigma_minus"])
-    @pytest.mark.parametrize("js", [0.0, 0.005, 0.325, 6.0, 75.0])
-    def test_generator_equals_the_kron_terms(self, js, jumps):
-        h, jump_ops = operators(random_model(js, seed=(1, 0)), jumps)
+    @pytest.mark.parametrize("spec", REFERENCE_MODELS)
+    def test_generator_equals_the_kron_terms(self, spec, jumps):
+        h, jump_ops = operators(reference_model(spec), jumps)
         assert np.array_equal(hermitianize(h), h)
         assert np.array_equal(liouvillian(h, jump_ops), kron_generator(h, jump_ops))
 
     @pytest.mark.parametrize("jumps", ["paper", "sigma_minus"])
-    @pytest.mark.parametrize("js", [0.0, 0.005, 0.325, 6.0, 75.0])
-    def test_propagator_bytes_equal_the_reference(self, js, jumps):
-        h, jump_ops = operators(random_model(js, seed=(1, 0)), jumps)
+    @pytest.mark.parametrize("spec", REFERENCE_MODELS)
+    def test_propagator_bytes_equal_the_reference(self, spec, jumps):
+        h, jump_ops = operators(reference_model(spec), jumps)
         n = stable_step_count(h, jump_ops, 7.5, 0.025)
         got = interval_propagator(liouvillian(h, jump_ops), 7.5 / n, n)
         assert got.tobytes() == reference_interval_map(h, jump_ops, 7.5, 0.025).tobytes()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -344,6 +346,21 @@ class TestRunReservoir:
         assert cfg.sample_index(1) == 3
         assert cfg.sample_index(2) == 5
         assert cfg.sample_index(cfg.n_steps - 1) <= 999
+
+
+def test_interval_map_holds_at_most_four_propagator_sized_matrices():
+    # Each 256 x 256 complex matrix is 1 MiB. Building the RK4 step holds
+    # the generator, the step, a term and the next term; the squarings hold
+    # the step and three products. The parent build peaked at 5.02 MiB.
+    model = random_model(0.325, seed=(1, 0))
+    interval_map(model)  # the register's cached Pauli strings
+    tracemalloc.start()
+    try:
+        interval_map(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * 2**20
 
 
 class TestRunConfig:
