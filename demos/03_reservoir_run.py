@@ -10,20 +10,20 @@ import os
 import numpy as np
 
 from spinqrc.dynamics import random_model
-from spinqrc.experiments import write_trajectory_csv
-from spinqrc.reservoir import RunConfig, interval_map, run_reservoir
+from spinqrc.experiments import ExperimentConfig, write_trajectory_csv
+from spinqrc.reservoir import interval_map, run_reservoir
 from spinqrc.signals import make_input_sequence
 
 OUT = os.path.join(os.path.dirname(__file__), "output")
 os.makedirs(OUT, exist_ok=True)
 
-cfg = RunConfig()  # t_final 2750, DELTA_T 7.5 -> K = 366 injection steps
+cfg = ExperimentConfig()  # t_final 2750, DELTA_T 7.5 -> K = 366 injection steps
 propagator = interval_map(random_model(0.3, seed=(2024, 0)))
 s1 = make_input_sequence(2.0, 0, (2024, 0))
 s2 = make_input_sequence(2.0, 1, (2024, 0))
 
 print(f"running K = {cfg.n_steps} injection cycles at J_s = 0.3, f = 2 ...")
-record = run_reservoir(propagator, [(s1, s2)], cfg)[0]
+record = run_reservoir(propagator, [(s1, s2)], cfg.n_steps, cfg.washout_steps)[0]
 
 print("\nstep   s1     s2     <Z1>    <Z2>    <Z3>    <Z4>    E12     E13")
 for k in list(range(3)) + list(range(60, 66)):
@@ -44,7 +44,8 @@ print(f"\nfull trajectory exported to {path}")
 
 print("\n=== echo-state check ===")
 mixed = np.eye(16, dtype=complex) / 16
-alt = run_reservoir(propagator, [(s1, s2)], cfg, initial_state=mixed)[0]
+alt = run_reservoir(propagator, [(s1, s2)], cfg.n_steps, cfg.washout_steps,
+                    initial_state=mixed)[0]
 diff = np.abs(record.features - alt.features).max(axis=1)
 print("max feature difference between all-|0> and maximally mixed starts:")
 for k in (0, 10, 25, 50, 100):

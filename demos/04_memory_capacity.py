@@ -8,11 +8,12 @@ Run:  python demos/04_memory_capacity.py   (about a minute)
 import numpy as np
 
 from spinqrc.dynamics import random_model
+from spinqrc.experiments import ExperimentConfig
 from spinqrc.learning import evaluate_capacity_profile
-from spinqrc.reservoir import RunConfig, interval_map, run_reservoir
+from spinqrc.reservoir import interval_map, run_reservoir
 from spinqrc.signals import make_input_sequence
 
-cfg = RunConfig()
+cfg = ExperimentConfig()
 SEEDS = 3
 
 
@@ -21,7 +22,8 @@ def profile(js, f):
     for seed in range(SEEDS):
         propagator = interval_map(random_model(js, seed=(2024, seed)))
         seqs = [make_input_sequence(f, q, (2024, seed)) for q in range(4)]
-        train, test = run_reservoir(propagator, [seqs[0:2], seqs[2:4]], cfg)
+        train, test = run_reservoir(propagator, [seqs[0:2], seqs[2:4]],
+                                    cfg.n_steps, cfg.washout_steps)
         acc.append(evaluate_capacity_profile(train, test).per_tau)
     return np.mean(acc, axis=0)
 

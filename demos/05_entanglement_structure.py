@@ -9,10 +9,11 @@ import numpy as np
 
 from spinqrc.dynamics import random_model
 from spinqrc.entanglement import PARTITION_LABELS, summarize
-from spinqrc.reservoir import RunConfig, interval_map, run_reservoir
+from spinqrc.experiments import ExperimentConfig
+from spinqrc.reservoir import interval_map, run_reservoir
 from spinqrc.signals import make_input_sequence
 
-cfg = RunConfig()
+cfg = ExperimentConfig()
 SEEDS = 3
 
 
@@ -23,7 +24,7 @@ def summary(js):
         propagator = interval_map(random_model(js, seed=(2024, seed)))
         s1 = make_input_sequence(2.0, 0, (2024, seed))
         s2 = make_input_sequence(2.0, 1, (2024, seed))
-        rec = run_reservoir(propagator, [(s1, s2)], cfg)[0]
+        rec = run_reservoir(propagator, [(s1, s2)], cfg.n_steps, cfg.washout_steps)[0]
         per_seed.append(rec.steady_entanglement.mean(axis=0))
     return summarize(np.mean(per_seed, axis=0))
 

@@ -16,10 +16,11 @@ Run:  python demos/07_memory_limits.py   (about a minute)
 import numpy as np
 
 from spinqrc.dynamics import SpinNetworkModel, sample_coupling_matrix
+from spinqrc.experiments import ExperimentConfig
 from spinqrc.learning import evaluate_capacity_profile
-from spinqrc.reservoir import RunConfig, interval_map, run_reservoir
+from spinqrc.reservoir import interval_map, run_reservoir
 
-cfg = RunConfig()
+cfg = ExperimentConfig()
 SEEDS = 3
 
 
@@ -34,7 +35,8 @@ def genuine_profile(js, gamma=0.01):
         coupling = sample_coupling_matrix(js, 4, (2024, seed))
         propagator = interval_map(SpinNetworkModel(coupling=coupling, gamma=gamma))
         seqs = [white_sequence(q, 99 + seed) for q in range(4)]
-        train, test = run_reservoir(propagator, [seqs[0:2], seqs[2:4]], cfg)
+        train, test = run_reservoir(propagator, [seqs[0:2], seqs[2:4]],
+                                    cfg.n_steps, cfg.washout_steps)
         acc.append(evaluate_capacity_profile(train, test).per_tau)
     return np.mean(acc, axis=0)
 

@@ -30,7 +30,6 @@ from .experiments import (
     blas_info,
     check_output_dir,
     emit_figure_data,
-    invariant_run_config,
     invariant_suite_ok,
     parse_config_file,
     read_sweep_results,
@@ -41,6 +40,7 @@ from .experiments import (
     write_run_outputs,
     write_signal_files,
 )
+from .reservoir import samples_needed
 from .signals import N_SAMPLES
 
 
@@ -116,7 +116,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_emit(args) -> int:
     if not os.path.isdir(args.results):
         raise ConfigError(f"results directory {args.results!r} is not a directory")
-    out = args.out or args.results
+    out = args.results if args.out is None else args.out
     check_output_dir(out)
     rows = read_sweep_results(args.results)
     written = 0
@@ -140,8 +140,8 @@ def _cmd_emit(args) -> int:
 
 def _cmd_validate(args) -> int:
     try:
-        needed = invariant_run_config(args.steps).samples_needed
-    except (OverflowError, ValueError):  # the run's t_final is past float range
+        needed = samples_needed(args.steps)
+    except OverflowError:  # the run's last injection time is past float range
         needed = math.inf
     if needed > N_SAMPLES:
         print(f"usage error: --steps {args.steps} reads {needed} samples per input sequence, "

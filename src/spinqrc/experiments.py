@@ -3,6 +3,10 @@
 Every file the package writes goes through this module: ``write_csv`` and
 ``write_json`` fix the two formats, and the physics modules do no I/O.
 
+``ExperimentConfig`` is the one config object: each config-file key is one
+of its fields, and a run's length is its ``t_final`` (``n_steps`` injections)
+and ``washout_steps``, which every run of a cell passes to ``run_reservoir``.
+
 A sweep runs one cell per (J_s, f, coupling-seed) triple: sample a coupling
 matrix, drive a training and a test reservoir with independent input
 sequences, evaluate the capacity profile, and time-average the entanglement
@@ -51,10 +55,10 @@ from .reservoir import (
     DELTA_T,
     DT,
     SAMPLE_SPACING,
-    RunConfig,
     TrajectoryRecord,
     interval_map,
     run_reservoir,
+    samples_needed,
 )
 from .signals import (
     HOLDOUT_SEQUENCE_IDS,
@@ -100,19 +104,25 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
-    """Resolved configuration of one experiment."""
+    """Resolved configuration of one experiment: one field per config key
+    (``CONFIG_FIELDS``), checked once, here."""
 
     experiment_name: str = "sweep_js"
     js_values: tuple = DEFAULT_JS_GRID
     f_values: tuple = (2.0,)
     n_coupling_seeds: int = 10
     base_seed: int = 2024
-    run: RunConfig = field(default_factory=RunConfig)
+    t_final: float = 2750.0
+    washout_steps: int = 50
     tau_max: int = TAU_MAX_DEFAULT
     lambda_selection: str = "test"
     output_dir: str = "results"
 
     def __post_init__(self):
+        if not 0 < self.t_final < math.inf:
+            raise ValueError(f"t_final must be finite and positive, got {self.t_final}")
+        if self.washout_steps < 0:
+            raise ValueError("washout_steps must be nonnegative")
         if self.experiment_name not in EXPERIMENT_NAMES:
             raise ValueError(f"unknown experiment {self.experiment_name!r}")
         for name in ("js_values", "f_values"):
@@ -138,14 +148,19 @@ class ExperimentConfig:
         if not self.output_dir:
             raise ValueError("output_dir must be nonempty")
         # Train/test segments must stay non-degenerate at the largest delay.
-        if self.run.n_steps < self.run.washout_steps + 2 * (self.tau_max + 10):
+        if self.n_steps < self.washout_steps + 2 * (self.tau_max + 10):
             raise ValueError(
-                f"run too short: K={self.run.n_steps} < washout_steps + 2*(tau_max+10) "
-                f"= {self.run.washout_steps + 2 * (self.tau_max + 10)}")
-        if self.run.samples_needed > N_SAMPLES:
+                f"run too short: K={self.n_steps} < washout_steps + 2*(tau_max+10) "
+                f"= {self.washout_steps + 2 * (self.tau_max + 10)}")
+        if (needed := samples_needed(self.n_steps)) > N_SAMPLES:
             raise ValueError(
-                f"run too long: K={self.run.n_steps} steps read {self.run.samples_needed} "
+                f"run too long: K={self.n_steps} steps read {needed} "
                 f"samples per input sequence, more than the {N_SAMPLES} it holds")
+
+    @property
+    def n_steps(self) -> int:
+        """Number of injection steps K = floor(t_final / DELTA_T)."""
+        return int(math.floor(self.t_final / DELTA_T + 1e-9))
 
     def semantic_dict(self) -> dict:
         """Everything that affects numeric results (not output locations)."""
@@ -153,7 +168,7 @@ class ExperimentConfig:
         return {"input_qubits": [0, 1], "time_axis": "index", "dissipator_convention": "paper",
                 "delta_t": DELTA_T, "dt": DT, "sample_spacing": SAMPLE_SPACING,
                 "lambda_grid": [float(lam) for lam in DEFAULT_LAMBDA_GRID],
-                **{fld.name: fld.to_json(getattr(self.run if fld.on_run else self, fld.name))
+                **{fld.name: fld.to_json(getattr(self, fld.name))
                    for fld in CONFIG_FIELDS if fld.semantic}}
 
     def fingerprint(self) -> str:
@@ -176,15 +191,14 @@ def _list_of(item, default=None):
 class ConfigField:
     """One setting: config-file key, parser, and its form in ``semantic_dict``.
 
-    ``name`` is the attribute (on ``RunConfig`` when ``on_run``) and the
-    setting's key in ``semantic_dict`` and the manifest. A list value is a
-    tuple in the config and a list of ``item`` in JSON.
+    ``name`` is the ``ExperimentConfig`` attribute and the setting's key in
+    ``semantic_dict`` and the manifest. A list value is a tuple in the
+    config and a list of ``item`` in JSON.
     """
 
     name: str
     parse: Callable[[str], object]
     item: type | None = None
-    on_run: bool = False
     semantic: bool = True
     key: str | None = None
 
@@ -198,8 +212,8 @@ CONFIG_FIELDS = (
     ConfigField("f_values", _list_of(float), float),
     ConfigField("n_coupling_seeds", int),
     ConfigField("base_seed", int),
-    ConfigField("t_final", float, on_run=True),
-    ConfigField("washout_steps", int, on_run=True),
+    ConfigField("t_final", float),
+    ConfigField("washout_steps", int),
     ConfigField("tau_max", int),
     ConfigField("lambda_selection", str),
     ConfigField("output_dir", str, semantic=False),
@@ -241,10 +255,8 @@ def parse_config_file(path) -> ExperimentConfig:
             raise ConfigError(f"bad value for {key!r}: {exc}", path, lineno) from exc
         key_lines[key] = lineno
 
-    on_run = {fld.name for fld in CONFIG_FIELDS if fld.on_run}
     try:
-        run = RunConfig(**{k: v for k, v in values.items() if k in on_run})
-        return ExperimentConfig(run=run, **{k: v for k, v in values.items() if k not in on_run})
+        return ExperimentConfig(**values)
     except ValueError as exc:
         named = [key for key in by_key if re.search(rf"\b{key}\b", str(exc))]
         line = key_lines.get(named[0]) if len(named) == 1 else None
@@ -254,6 +266,8 @@ def parse_config_file(path) -> ExperimentConfig:
 def check_output_dir(path) -> None:
     """Raise a ConfigError naming ``path`` unless it is a directory or its
     nearest existing ancestor is one, so that a command fails before its work."""
+    if not path:
+        raise ConfigError(f"output directory must be nonempty, got {path!r}")
     found = os.path.abspath(path)
     while not os.path.exists(found):
         found = os.path.dirname(found)
@@ -307,7 +321,7 @@ def run_cell(cfg: ExperimentConfig, js: float, f: float, seed_index: int) -> Cel
         t_build = time.perf_counter()
         propagator = interval_map(model)
         t_runs = time.perf_counter()
-        train, test, *holdout = run_reservoir(propagator, pairs, cfg.run)
+        train, test, *holdout = run_reservoir(propagator, pairs, cfg.n_steps, cfg.washout_steps)
         del propagator  # 1 MiB the readout, where the cell peaks, need not hold
         selection = holdout[0] if holdout else None
         t_negs = time.perf_counter()
@@ -725,11 +739,6 @@ def seed_averaged_metric(rows, f: float, metric) -> dict[float, float]:
     return out
 
 
-def invariant_run_config(n_injections: int) -> RunConfig:
-    """The timing of each invariant-suite run: ``n_injections`` injections, no washout."""
-    return RunConfig(t_final=n_injections * DELTA_T, washout_steps=0)
-
-
 def run_invariant_suite(n_runs: int = 100, n_injections: int = 50, base_seed: int = 7) -> dict:
     """Randomized short runs checking the physics invariants.
 
@@ -742,14 +751,13 @@ def run_invariant_suite(n_runs: int = 100, n_injections: int = 50, base_seed: in
     Returns worst-case diagnostics across all runs and steps; callers assert
     the tolerances.
     """
-    run_cfg = invariant_run_config(n_injections)
     runs = []
     for i in range(n_runs):
         rng = stream(VALIDATE_DOMAIN, (base_seed, i))
         js = 0.0 if i % 10 == 0 else float(rng.uniform(0.0, 10.0))
         model = random_model(js, seed=(base_seed, i))
         seqs = [make_input_sequence(2.0, q, (base_seed, i)) for q in TRAIN_SEQUENCE_IDS]
-        (run,) = run_reservoir(interval_map(model), [seqs], run_cfg, keep_raw=True)
+        (run,) = run_reservoir(interval_map(model), [seqs], n_injections, 0, keep_raw=True)
         negs = negativities(hermitianize(run.raw))
         runs.append({**check_density_matrix(run.raw), "js": js,
                      "min_neg": float(negs.min()), "max_neg": float(negs.max())})

@@ -14,17 +14,17 @@ is the zero-delay task.
 Input sequences are sampled on their own uniform time grid
 (``SAMPLE_SPACING`` = 2.75 time units apart, so that 1000 samples span the
 default t_final = 2750); injection k consumes the sample nearest simulation
-time k * DELTA_T.
+time k * DELTA_T, ``sample_index(k)``, so an n-step run reads
+``samples_needed(n)`` samples of each sequence.
 
-One function, ``run_reservoir(propagator, [(seq1, seq2), ...], cfg)``, runs
-the loop for every input pair it is given and returns one record per pair,
-in order: a cell's train, test and holdout runs step together, and a single
-run is a one-pair list.
+One function, ``run_reservoir(propagator, [(seq1, seq2), ...], n_steps,
+washout_steps)``, runs the loop for every input pair it is given and returns
+one record per pair, in order: a cell's train, test and holdout runs step
+together, and a single run is a one-pair list.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -51,34 +51,15 @@ DT = 0.025
 SAMPLE_SPACING = 2.75
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Length and washout of one reservoir run."""
+def sample_index(k: int) -> int:
+    """Input-sequence sample consumed at injection step k."""
+    return int(round(k * DELTA_T / SAMPLE_SPACING))
 
-    t_final: float = 2750.0
-    washout_steps: int = 50
 
-    def __post_init__(self):
-        if not 0 < self.t_final < math.inf:
-            raise ValueError(f"t_final must be finite and positive, got {self.t_final}")
-        if self.washout_steps < 0:
-            raise ValueError("washout_steps must be nonnegative")
-        if self.n_steps <= self.washout_steps:
-            raise ValueError("run too short: no post-washout steps")
-
-    @property
-    def n_steps(self) -> int:
-        """Number of injection steps K = floor(t_final / DELTA_T)."""
-        return int(math.floor(self.t_final / DELTA_T + 1e-9))
-
-    def sample_index(self, k: int) -> int:
-        """Input-sequence sample consumed at injection step k."""
-        return int(round(k * DELTA_T / SAMPLE_SPACING))
-
-    @property
-    def samples_needed(self) -> int:
-        """Samples an input sequence must hold: through ``sample_index(K - 1)``."""
-        return self.sample_index(self.n_steps - 1) + 1
+def samples_needed(n_steps: int) -> int:
+    """Samples an input sequence must hold for an ``n_steps`` run: through
+    ``sample_index(n_steps - 1)``."""
+    return sample_index(n_steps - 1) + 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,12 +125,15 @@ def interval_map(model: SpinNetworkModel) -> np.ndarray:
     return interval_propagator(liouvillian(h, jump_ops), DELTA_T / n_sub, n_sub)
 
 
-def run_reservoir(propagator: np.ndarray, pairs, cfg: RunConfig,
+def run_reservoir(propagator: np.ndarray, pairs, n_steps: int, washout_steps: int,
                   initial_state: np.ndarray | None = None,
                   keep_raw: bool = False) -> list[TrajectoryRecord]:
-    """Drive the reservoir with each ``(seq1, seq2)`` input pair of ``pairs``
-    (the 1-D sample arrays of the two inputs) and return one record per
-    pair, in order; ``propagator`` is the ``interval_map`` of the model.
+    """Drive the reservoir for ``n_steps`` injections with each ``(seq1,
+    seq2)`` input pair of ``pairs`` (the 1-D sample arrays of the two
+    inputs) and return one record per pair, in order; ``propagator`` is the
+    ``interval_map`` of the model. Each record discards the first
+    ``washout_steps`` steps from its steady entanglement, and at least one
+    step must remain.
 
     All runs step together, and each record keeps its ``raw`` states only
     with ``keep_raw``. Every run starts from the all-|0> state unless
@@ -164,10 +148,11 @@ def run_reservoir(propagator: np.ndarray, pairs, cfg: RunConfig,
     the per-step reference in ``tests/oracles.py`` does. Every run's record
     equals that of a run stepped alone bit for bit.
     """
-    n_runs, k_steps = len(pairs), cfg.n_steps
-    needed = cfg.samples_needed
-    idx = [cfg.sample_index(k) for k in range(k_steps)]
-    injected = np.empty((n_runs, k_steps, 2))
+    if not 0 <= washout_steps < n_steps:
+        raise ValueError(f"need 0 <= washout_steps < n_steps, got {washout_steps} and {n_steps}")
+    n_runs, needed = len(pairs), samples_needed(n_steps)
+    idx = [sample_index(k) for k in range(n_steps)]
+    injected = np.empty((n_runs, n_steps, 2))
     for r, (seq1, seq2) in enumerate(pairs):
         if len(seq1) < needed or len(seq2) < needed:
             raise ValueError(f"need at least {needed} samples per input sequence")
@@ -181,9 +166,9 @@ def run_reservoir(propagator: np.ndarray, pairs, cfg: RunConfig,
     amp = np.stack([np.sqrt(1.0 - injected), np.sqrt(injected)], axis=-1).astype(complex)
     sig = amp[..., :, None] * amp.conj()[..., None, :]
     blocks = (sig[..., 0, :, None, :, None]
-              * sig[..., 1, None, :, None, :]).reshape(n_runs, k_steps, 4, 4)
+              * sig[..., 1, None, :, None, :]).reshape(n_runs, n_steps, 4, 4)
 
-    states = np.empty((n_runs, k_steps, 16, 16), dtype=complex)
+    states = np.empty((n_runs, n_steps, 16, 16), dtype=complex)
     if initial_state is None:
         states[:, 0] = all_zero_state(4)
     elif np.shape(initial_state) == (16, 16):
@@ -194,9 +179,9 @@ def run_reservoir(propagator: np.ndarray, pairs, cfg: RunConfig,
     raw = np.empty_like(states) if keep_raw else None
     # diag[r, k, :, :, i] is the 4 x 4 block of states[r, k] where qubits 0
     # and 1 are in basis state i on both sides.
-    diag = states.reshape(n_runs, k_steps, 4, 4, 4, 4).diagonal(axis1=2, axis2=4)
+    diag = states.reshape(n_runs, n_steps, 4, 4, 4, 4).diagonal(axis1=2, axis2=4)
     even, odd = diag[..., 0::2], diag[..., 1::2]
-    for k in range(k_steps):
+    for k in range(n_steps):
         halves = even[:, k] + odd[:, k]
         rho_rest = halves[..., 0] + halves[..., 1]
         x = blocks[:, k, :, None, :, None] * rho_rest[:, None, :, None, :]
@@ -205,14 +190,14 @@ def run_reservoir(propagator: np.ndarray, pairs, cfg: RunConfig,
         rho_next = np.matmul(propagator, x.reshape(n_runs, 256, 1)).reshape(n_runs, 16, 16)
         if keep_raw:
             raw[:, k] = rho_next
-        if k + 1 < k_steps:
+        if k + 1 < n_steps:
             states[:, k + 1] = hermitianize(rho_next)
     records = []
     for r in range(n_runs):
         # One product per run: a product over all runs at once may round differently.
         z = states[r].diagonal(axis1=1, axis2=2).real @ Z_SIGNS.T
-        records.append(TrajectoryRecord(features=np.column_stack([z, np.ones(k_steps)]),
+        records.append(TrajectoryRecord(features=np.column_stack([z, np.ones(n_steps)]),
                                         states=states[r], injected_values=injected[r],
-                                        washout_steps=cfg.washout_steps,
+                                        washout_steps=washout_steps,
                                         raw=None if raw is None else raw[r]))
     return records

@@ -27,7 +27,7 @@ def stream(domain: int, seed, *tail: int) -> np.random.Generator:
     """PCG64 generator for the key (domain, *seed, *tail): ``seed`` is a
     (base_seed, index) pair, ``tail`` the domain's further words."""
     if not (type(seed) is tuple and len(seed) == 2
-            and all(isinstance(s, int) and s >= 0 for s in seed)):
+            and all(type(s) is int and s >= 0 for s in seed)):
         raise ValueError(f"seed must be a (base_seed, index) pair of integers >= 0, got {seed!r}")
     if len(key := (domain, *seed, *tail)) != KEY_WORDS.get(domain):
         raise ValueError(f"key {key} has {len(key)} words, not {KEY_WORDS.get(domain)}")

@@ -31,12 +31,10 @@ def unfreeze_heap():
 @pytest.fixture
 def reset_run():
     """``reset_run(rho, s1, s2)``: an identity-map run; ``states[1]`` is rho reset to s1, s2."""
-    from spinqrc.reservoir import RunConfig, run_reservoir
-
-    cfg = RunConfig(t_final=2 * 7.5, washout_steps=0)
+    from spinqrc.reservoir import run_reservoir, samples_needed
 
     def run(rho, s1, s2):
-        seqs = [np.full(cfg.samples_needed, float(s)) for s in (s1, s2)]
-        return run_reservoir(np.eye(256), [seqs], cfg, initial_state=rho)[0]
+        seqs = [np.full(samples_needed(2), float(s)) for s in (s1, s2)]
+        return run_reservoir(np.eye(256), [seqs], 2, 0, initial_state=rho)[0]
 
     return run

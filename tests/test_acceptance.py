@@ -37,7 +37,7 @@ from spinqrc.experiments import (
 )
 from spinqrc.learning import DEFAULT_LAMBDA_GRID, evaluate_capacity_profile, ridge_weights
 from spinqrc.linalg import kron_all
-from spinqrc.reservoir import RunConfig
+from spinqrc.reservoir import sample_index
 from spinqrc.signals import (
     N_COMPONENTS,
     N_SAMPLES,
@@ -119,7 +119,7 @@ def null_control(cfg, sweep):
     Also returns whether every rerun cell's real profile equals the sweep's.
     """
     ids = TRAIN_SEQUENCE_IDS + TEST_SEQUENCE_IDS
-    steps = [cfg.run.sample_index(k) for k in range(cfg.run.n_steps)]
+    steps = [sample_index(k) for k in range(cfg.n_steps)]
     null, reproduced = {}, True
     for row in (r for r in sweep if r.status == "ok"):
         key = (cfg.base_seed, row.seed_index)
@@ -435,8 +435,8 @@ def test_ac7_numerical_oracles(reset_run):
 def test_ac8_determinism(tmp_path):
     cfg = ExperimentConfig(experiment_name="sweep_js", js_values=(0.1, 1.0), f_values=(2.0,),
                            n_coupling_seeds=2, base_seed=777,
-                           run=RunConfig(t_final=750.0, washout_steps=30),
-                           tau_max=10, output_dir="unused")
+                           t_final=750.0, washout_steps=30, tau_max=10,
+                           output_dir="unused")
     blobs = {}
     for name, threads in (("first", 1), ("second", 1), ("threaded", 8)):
         out = tmp_path / name

@@ -110,11 +110,12 @@ def test_empty_out_exits_two(capsys):
 
 
 @pytest.mark.parametrize("command", ["run", "sweep", "gen-signals", "emit"])
-@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+@pytest.mark.parametrize("below", [False, True, None], ids=["file", "below-file", "empty"])
 def test_out_that_cannot_be_a_directory_exits_two(tmp_path, monkeypatch, capsys, command, below):
     # run computed its whole cell, sweep set up its sweep and emit read the
     # whole sweep before their first write failed with exit 1
-    # (FileExistsError or NotADirectoryError).
+    # (FileExistsError or NotADirectoryError). emit took an empty --out for
+    # its results directory and wrote there with exit 0.
     import spinqrc.cli
 
     def no_work(*args, **kwargs):
@@ -126,12 +127,14 @@ def test_out_that_cannot_be_a_directory_exits_two(tmp_path, monkeypatch, capsys,
     cfg.write_text(SINGLE_CFG)
     blocker = tmp_path / "afile"
     blocker.write_text("")
-    out = blocker / "sub" if below else blocker
+    out = "" if below is None else str(blocker / "sub" if below else blocker)
     source = ["--results", str(tmp_path)] if command == "emit" else [str(cfg)]
-    assert main([command, *source, "--out", str(out)]) == 2
+    assert main([command, *source, "--out", out]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: ") and repr(str(out)) in err
+    assert err.startswith("config error: ")
+    assert "must be nonempty" in err if below is None else repr(out) in err
     assert blocker.read_text() == ""
+    assert sorted(os.listdir(tmp_path)) == ["afile", "single.cfg"]
 
 
 @pytest.mark.parametrize("missing", ["absent", "afile"])
@@ -327,14 +330,14 @@ def test_run_with_several_js_or_f_exits_two(tmp_path, capsys, one, several):
 
 
 def test_gen_signals_exports_the_run_cells_inputs(tmp_path):
-    from spinqrc.reservoir import RunConfig
+    from spinqrc.reservoir import sample_index
 
     cfg = tmp_path / "single.cfg"
     cfg.write_text(SINGLE_CFG)
     assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == 0
     assert main(["gen-signals", str(cfg), "--out", str(tmp_path / "sig")]) == 0
     train = read_trajectory(tmp_path / "run" / "trajectory_train.csv")
-    steps = [RunConfig(t_final=750).sample_index(k) for k in range(train.n_steps)]
+    steps = [sample_index(k) for k in range(train.n_steps)]
     for q in (0, 1):
         path = tmp_path / "sig" / f"signal_f2_seq{q}.csv"
         assert path.read_text().splitlines()[0] == "index,value"
@@ -375,7 +378,7 @@ def test_run_computes_each_negativity_once(tmp_path, negativity_calls):
     cfg = tmp_path / "single.cfg"
     cfg.write_text(SINGLE_CFG)
     assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == 0
-    assert sum(negativity_calls) == 2 * parse_config_file(cfg).run.n_steps
+    assert sum(negativity_calls) == 2 * parse_config_file(cfg).n_steps
 
 
 def test_threads_is_a_sweep_option_only(tmp_path):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -11,6 +12,7 @@ from spinqrc.dynamics import random_model
 from spinqrc.entanglement import PARTITION_LABELS, SUMMARY_FIELDS
 from spinqrc.experiments import (
     CELL_LOG_KEYS,
+    CONFIG_FIELDS,
     DEFAULT_JS_GRID,
     FIGURE_NAMES,
     ConfigError,
@@ -30,16 +32,14 @@ from spinqrc.experiments import (
 )
 from spinqrc.learning import evaluate_capacity_profile
 from spinqrc.linalg import hermitianize
-from spinqrc.reservoir import RunConfig, interval_map, run_reservoir
+from spinqrc.reservoir import interval_map, run_reservoir
 from spinqrc.signals import TRAIN_SEQUENCE_IDS, make_input_sequence
-
-TINY_RUN = RunConfig(t_final=750.0, washout_steps=30)
 
 
 def tiny_config(**overrides):
     base = dict(experiment_name="sweep_js", js_values=(0.1, 1.0), f_values=(2.0,),
-                n_coupling_seeds=2, base_seed=777, run=TINY_RUN, tau_max=10,
-                output_dir="unused")
+                n_coupling_seeds=2, base_seed=777, t_final=750.0, washout_steps=30,
+                tau_max=10, output_dir="unused")
     base.update(overrides)
     return ExperimentConfig(**base)
 
@@ -79,6 +79,11 @@ ALL_KEYS_FINGERPRINT = "25fab144c9a22be770bd62dceb7b5a06a5ef1ac179c5c225ca1f1b1a
 
 
 class TestConfigParsing:
+    def test_each_key_is_one_config_field(self):
+        # Every config key sets one field of the one config object.
+        assert ({fld.name for fld in dataclasses.fields(ExperimentConfig)}
+                == {fld.name for fld in CONFIG_FIELDS})
+
     def test_round_trip(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text(TINY_CONFIG_TEXT)
@@ -87,8 +92,8 @@ class TestConfigParsing:
         assert cfg.f_values == (2.0,)
         assert cfg.n_coupling_seeds == 2
         assert cfg.base_seed == 777
-        assert cfg.run.t_final == 750.0
-        assert cfg.run.washout_steps == 30
+        assert cfg.t_final == 750.0
+        assert cfg.washout_steps == 30
         assert cfg.tau_max == 10
         assert cfg.output_dir == "results/tiny"
 
@@ -152,8 +157,7 @@ class TestFingerprint:
         base = tiny_config()
         assert base.fingerprint() != tiny_config(base_seed=778).fingerprint()
         assert base.fingerprint() != tiny_config(js_values=(0.1, 2.0)).fingerprint()
-        assert base.fingerprint() != tiny_config(
-            run=RunConfig(t_final=750.0, washout_steps=31)).fingerprint()
+        assert base.fingerprint() != tiny_config(washout_steps=31).fingerprint()
 
     def test_tiny_sweep_fingerprint_pinned(self):
         cfg = parse_config_file(os.path.join(os.path.dirname(__file__), "data", "tiny_sweep.cfg"))
@@ -184,7 +188,7 @@ class TestFingerprint:
     def test_run_length_invariant_enforced(self):
         # K = 100 cannot host washout 50 plus 2*(tau_max + 10) = 68 steps.
         with pytest.raises(ValueError, match="run too short"):
-            tiny_config(tau_max=24, run=RunConfig(t_final=750.0, washout_steps=50))
+            tiny_config(tau_max=24, washout_steps=50)
 
 
 @pytest.fixture
@@ -403,7 +407,7 @@ class TestSweep:
             negativity_calls.clear()
             cfg = tiny_config(js_values=(0.3,), n_coupling_seeds=1, lambda_selection=selection)
             assert run_sweep(cfg)[0].status == "ok"
-            assert sum(negativity_calls) == 2 * (cfg.run.n_steps - cfg.run.washout_steps)
+            assert sum(negativity_calls) == 2 * (cfg.n_steps - cfg.washout_steps)
 
     def test_manifest_contents(self, tmp_path):
         cfg = tiny_config(js_values=(0.5,), n_coupling_seeds=1)
@@ -601,7 +605,7 @@ class TestSweep:
         # full-size version).
         cfg = ExperimentConfig(js_values=(0.005, 0.325, 6.0), f_values=(2.0,),
                                n_coupling_seeds=3, base_seed=2024,
-                               run=RunConfig(t_final=1500.0), tau_max=24,
+                               t_final=1500.0, tau_max=24,
                                output_dir="unused")
         rows = run_sweep(cfg, threads=2)
         caps = seed_averaged_metric(rows, 2.0, lambda c: c.capacity.total)
@@ -610,10 +614,9 @@ class TestSweep:
 
 
 def test_trajectory_csv_round_trip(tmp_path):
-    cfg = RunConfig(t_final=6 * 7.5, washout_steps=0)
     s1 = make_input_sequence(2.0, 0, (3, 0))
     s2 = make_input_sequence(2.0, 1, (3, 0))
-    rec = run_reservoir(interval_map(random_model(0.5, seed=(9, 0))), [(s1, s2)], cfg)[0]
+    rec = run_reservoir(interval_map(random_model(0.5, seed=(9, 0))), [(s1, s2)], 6, 0)[0]
     path = tmp_path / "traj.csv"
     write_trajectory_csv(rec, path)
     header = ["k", "s1", "s2", "Z1", "Z2", "Z3", "Z4", *PARTITION_LABELS]
@@ -654,7 +657,7 @@ def test_write_run_outputs(tmp_path):
         with open(out / f"trajectory_{run}.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["k", "s1", "s2", "Z1", "Z2", "Z3", "Z4", *PARTITION_LABELS]
-        assert len(rows) == 1 + cfg.run.n_steps
+        assert len(rows) == 1 + cfg.n_steps
 
 
 @pytest.fixture(scope="module")
@@ -762,9 +765,8 @@ def test_invariant_suite_small():
 def test_invariant_suite_reports_the_true_minimum_eigenvalue():
     # One run: J_s = 0 (every 10th run is uncoupled) under the key (3, 0).
     report = run_invariant_suite(n_runs=1, n_injections=20, base_seed=3)
-    cfg = RunConfig(t_final=20 * 7.5, washout_steps=0)
     seqs = [make_input_sequence(2.0, q, (3, 0)) for q in TRAIN_SEQUENCE_IDS]
-    (run,) = run_reservoir(interval_map(random_model(0.0, seed=(3, 0))), [seqs], cfg,
+    (run,) = run_reservoir(interval_map(random_model(0.0, seed=(3, 0))), [seqs], 20, 0,
                            keep_raw=True)
     smallest = min(np.linalg.eigvalsh(hermitianize(rho))[0] for rho in run.raw)
     assert smallest > 0.0

@@ -304,14 +304,16 @@ def test_weak_coupling_prediction_quality():
     # End-to-end check: at J_s = 0.1, f = 2 the test prediction at the best
     # delay overlays the target, i.e. C at the optimal tau exceeds 0.9.
     from spinqrc.dynamics import random_model
-    from spinqrc.reservoir import RunConfig, interval_map, run_reservoir
+    from spinqrc.experiments import ExperimentConfig
+    from spinqrc.reservoir import interval_map, run_reservoir
     from spinqrc.signals import make_input_sequence
 
-    cfg = RunConfig()
+    cfg = ExperimentConfig()
     model = random_model(0.1, seed=(2024, 0))
     seqs = [make_input_sequence(2.0, q, (2024, 0)) for q in range(4)]
     propagator = interval_map(model)
-    train, test = run_reservoir(propagator, [seqs[0:2], seqs[2:4]], cfg)
+    train, test = run_reservoir(propagator, [seqs[0:2], seqs[2:4]],
+                                cfg.n_steps, cfg.washout_steps)
     profile = evaluate_capacity_profile(train, test)
     assert profile.per_tau.max() > 0.9
     assert int(np.argmax(profile.per_tau)) >= 1
@@ -323,13 +325,15 @@ def test_test_selection_reuses_the_score_a_fresh_one_equals(js):
     # selection score at the chosen lambda; a separate record holding the
     # test run's arrays takes the rescoring path, and both agree bit for bit.
     from spinqrc.dynamics import random_model
-    from spinqrc.reservoir import RunConfig, interval_map, run_reservoir
+    from spinqrc.experiments import ExperimentConfig
+    from spinqrc.reservoir import interval_map, run_reservoir
     from spinqrc.signals import make_input_sequence
 
-    cfg = RunConfig()
+    cfg = ExperimentConfig()
     seqs = [make_input_sequence(2.0, q, (2024, 1)) for q in range(4)]
     propagator = interval_map(random_model(js, seed=(2024, 1)))
-    train, test = run_reservoir(propagator, [seqs[0:2], seqs[2:4]], cfg)
+    train, test = run_reservoir(propagator, [seqs[0:2], seqs[2:4]],
+                                cfg.n_steps, cfg.washout_steps)
     twin = TrajectoryRecord(features=test.features.copy(), states=None,
                             injected_values=test.injected_values.copy(),
                             washout_steps=test.washout_steps)

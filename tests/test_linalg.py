@@ -10,7 +10,7 @@ from spinqrc.linalg import (
     kron,
     kron_all,
 )
-from spinqrc.reservoir import RunConfig, all_zero_state, run_reservoir
+from spinqrc.reservoir import all_zero_state, run_reservoir, samples_needed
 
 from oracles import (
     encoded_state,
@@ -54,7 +54,7 @@ class TestKron:
             assert np.array_equal(kron(a, b), np.kron(a, b))
 
     def test_equals_numpy_kron_for_mixed_shapes_and_dtypes(self):
-        # The Liouvillian's products: complex with a real identity, either side.
+        # Complex with a real identity, a real matrix or a transposed view, either side.
         rng = np.random.default_rng(9)
         a = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
         for b in (np.eye(4), rng.standard_normal((2, 5)), a.T):
@@ -107,9 +107,8 @@ class TestPartialTrace:
     def test_sequential_trace_preserves_total(self):
         # Twenty resets in a row, under the identity propagator, keep unit trace.
         rng = np.random.default_rng(11)
-        cfg = RunConfig(t_final=20 * 7.5, washout_steps=0)
-        s1, s2 = rng.uniform(0.0, 1.0, (2, cfg.samples_needed))
-        (run,) = run_reservoir(np.eye(256), [(s1, s2)], cfg,
+        s1, s2 = rng.uniform(0.0, 1.0, (2, samples_needed(20)))
+        (run,) = run_reservoir(np.eye(256), [(s1, s2)], 20, 0,
                                initial_state=random_density_matrix(rng, 16))
         assert np.abs(np.trace(run.states, axis1=1, axis2=2) - 1.0).max() <= 1e-12
 

@@ -13,14 +13,16 @@ from spinqrc.dynamics import (
     stable_step_count,
 )
 from spinqrc.entanglement import PARTITION_LABELS, PARTITIONS, negativities
+from spinqrc.experiments import ExperimentConfig
 from spinqrc.linalg import PAULI_Z, embed_single_qubit, hermitianize, kron
 from spinqrc.reservoir import (
     DELTA_T,
     DT,
-    RunConfig,
     all_zero_state,
     interval_map,
     run_reservoir,
+    sample_index,
+    samples_needed,
 )
 from spinqrc.signals import make_input_sequence
 
@@ -36,10 +38,6 @@ from oracles import (
 
 def constant_sequence(value, n=1000):
     return np.full(n, float(value))
-
-
-def short_cfg(n_steps=10, washout=0):
-    return RunConfig(t_final=n_steps * 7.5, washout_steps=washout)
 
 
 class TestInject:
@@ -91,19 +89,17 @@ class TestInject:
 class TestRunReservoir:
     def test_decoupled_undriven_network_stays_polarized(self):
         model = SpinNetworkModel(coupling=np.zeros((4, 4)), gamma=0.0)
-        cfg = short_cfg(n_steps=12)
         seq = constant_sequence(0.0)
-        rec = run_reservoir(interval_map(model), [(seq, seq)], cfg)[0]
+        rec = run_reservoir(interval_map(model), [(seq, seq)], 12, 0)[0]
         assert np.allclose(rec.features[:, 0], 1.0, atol=1e-10)
         assert np.allclose(rec.features[:, 1], 1.0, atol=1e-10)
         assert np.allclose(rec.features[:, 4], 1.0)
 
     def test_zero_coupling_has_no_entanglement(self):
         model = SpinNetworkModel(coupling=np.zeros((4, 4)))
-        cfg = short_cfg(n_steps=20)
         s1 = make_input_sequence(2.0, 0, (5, 0))
         s2 = make_input_sequence(2.0, 1, (5, 0))
-        rec = run_reservoir(interval_map(model), [(s1, s2)], cfg)[0]
+        rec = run_reservoir(interval_map(model), [(s1, s2)], 20, 0)[0]
         assert rec.entanglement_samples.max() <= 1e-8
 
     def test_matches_hand_driven_composition(self):
@@ -111,10 +107,9 @@ class TestRunReservoir:
         # measure / inject / evolve sequence built from per-state references,
         # each interval evolved by textbook four-stage RK4 steps.
         model = random_model(0.8, seed=(3, 0))
-        cfg = short_cfg(n_steps=10)
         s1 = make_input_sequence(2.0, 0, (12, 0))
         s2 = make_input_sequence(2.0, 1, (12, 0))
-        rec = run_reservoir(interval_map(model), [(s1, s2)], cfg)[0]
+        rec = run_reservoir(interval_map(model), [(s1, s2)], 10, 0)[0]
 
         h, jump_ops = build_hamiltonian(model), build_jump_operators(model)
         n_sub = stable_step_count(h, jump_ops, DELTA_T, DT)
@@ -126,7 +121,7 @@ class TestRunReservoir:
             negs = [max(log_negativity_oracle(rho, PARTITIONS[lbl]), 0.0)
                     for lbl in PARTITION_LABELS]
             assert np.allclose(rec.entanglement_samples[k], negs, atol=1e-10)
-            idx = cfg.sample_index(k)
+            idx = sample_index(k)
             assert np.allclose(rec.injected_values[k],
                                [s1[idx], s2[idx]], atol=0)
             rho = inject_oracle(rho, float(s1[idx]), float(s2[idx]))
@@ -137,16 +132,15 @@ class TestRunReservoir:
         # states[k + 1] is hermitianize(raw[k]); without keep_raw the states,
         # injected values and features are the same and raw is None.
         model = random_model(0.8, seed=(3, 0))
-        cfg = short_cfg(n_steps=6)
         s1 = make_input_sequence(2.0, 0, (12, 0))
         s2 = make_input_sequence(2.0, 1, (12, 0))
         propagator = interval_map(model)
-        (run,) = run_reservoir(propagator, [(s1, s2)], cfg, keep_raw=True)
+        (run,) = run_reservoir(propagator, [(s1, s2)], 6, 0, keep_raw=True)
         states, raw = run.states, run.raw
         assert states.shape == raw.shape == (6, 16, 16)
         assert np.array_equal(states[0], all_zero_state(4))
         assert np.array_equal(hermitianize(raw[:-1]), states[1:])
-        (plain,) = run_reservoir(propagator, [(s1, s2)], cfg)
+        (plain,) = run_reservoir(propagator, [(s1, s2)], 6, 0)
         assert plain.raw is None
         assert np.array_equal(plain.states, states)
         assert np.array_equal(plain.injected_values, run.injected_values)
@@ -158,17 +152,18 @@ class TestRunReservoir:
         # Over a full-length run, every state and raw state equals the
         # per-step reference hermitianize(P @ inject_oracle(rho, s1, s2))
         # exactly.
-        cfg = RunConfig()
+        cfg = ExperimentConfig()
         propagator = interval_map(random_model(js, seed=(1, 3)))
         s1 = make_input_sequence(2.0, 0, (1, 3))
         s2 = make_input_sequence(2.0, 1, (1, 3))
         rho = np.eye(16, dtype=complex) / 16 if mixed_start else all_zero_state(4)
-        (run,) = run_reservoir(propagator, [(s1, s2)], cfg, initial_state=rho, keep_raw=True)
+        (run,) = run_reservoir(propagator, [(s1, s2)], cfg.n_steps, cfg.washout_steps,
+                               initial_state=rho, keep_raw=True)
         states, injected, raw = run.states, run.injected_values, run.raw
         assert states.shape == (366, 16, 16)
         for k in range(cfg.n_steps):
             assert np.array_equal(states[k], rho)
-            idx = cfg.sample_index(k)
+            idx = sample_index(k)
             assert injected[k].tolist() == [s1[idx], s2[idx]]
             raw_k = (propagator @ inject_oracle(rho, s1[idx], s2[idx]).reshape(-1)).reshape(16, 16)
             assert np.array_equal(raw[k], raw_k)
@@ -180,22 +175,23 @@ class TestRunReservoir:
         # One call over three pairs, the shape of a holdout cell, gives each
         # run the states, raw states, injected values and features of a
         # one-pair call bit for bit, with raw states kept or not.
-        cfg = RunConfig()
+        cfg = ExperimentConfig()
         propagator = interval_map(random_model(js, seed=(1, 3)))
         seqs = [make_input_sequence(2.0, q, (1, 3)) for q in range(6)]
         pairs = [seqs[0:2], seqs[2:4], seqs[4:6]]
         rho = np.eye(16, dtype=complex) / 16 if mixed_start else None
-        kept = run_reservoir(propagator, pairs, cfg, initial_state=rho, keep_raw=True)
-        records = run_reservoir(propagator, pairs, cfg, initial_state=rho)
+        run = (cfg.n_steps, cfg.washout_steps)
+        kept = run_reservoir(propagator, pairs, *run, initial_state=rho, keep_raw=True)
+        records = run_reservoir(propagator, pairs, *run, initial_state=rho)
         assert len(kept) == len(records) == 3
         assert all(rec.states.shape == rec.raw.shape == (366, 16, 16) for rec in kept)
         for r, pair in enumerate(pairs):
-            alone, = run_reservoir(propagator, [pair], cfg, initial_state=rho, keep_raw=True)
+            alone, = run_reservoir(propagator, [pair], *run, initial_state=rho, keep_raw=True)
             assert kept[r].states.tobytes() == alone.states.tobytes()
             assert kept[r].raw.tobytes() == alone.raw.tobytes()
             assert kept[r].injected_values.tobytes() == alone.injected_values.tobytes()
             assert kept[r].features.tobytes() == alone.features.tobytes()
-            alone, = run_reservoir(propagator, [pair], cfg, initial_state=rho)
+            alone, = run_reservoir(propagator, [pair], *run, initial_state=rho)
             assert records[r].states.tobytes() == alone.states.tobytes()
             assert records[r].features.tobytes() == alone.features.tobytes()
             assert records[r].injected_values.tobytes() == alone.injected_values.tobytes()
@@ -205,10 +201,11 @@ class TestRunReservoir:
         # Over a full-length run, the <Z_i> read off the state diagonals
         # equal the real part of the stacked Tr(rho Z_i) einsum byte for
         # byte, and that trace has no imaginary part.
-        cfg = RunConfig()
+        cfg = ExperimentConfig()
         s1 = make_input_sequence(2.0, 0, (1, 3))
         s2 = make_input_sequence(2.0, 1, (1, 3))
-        rec = run_reservoir(interval_map(random_model(js, seed=(1, 3))), [(s1, s2)], cfg)[0]
+        rec = run_reservoir(interval_map(random_model(js, seed=(1, 3))), [(s1, s2)],
+                            cfg.n_steps, cfg.washout_steps)[0]
         z_ops = np.stack([embed_single_qubit(PAULI_Z, i, 4) for i in range(4)])
         z = np.einsum("kij,nji->kn", rec.states, z_ops)
         assert rec.features[:, :4].tobytes() == np.ascontiguousarray(z.real).tobytes()
@@ -218,11 +215,10 @@ class TestRunReservoir:
         # The diagonal features and stacked negativities reproduce the per-state
         # Tr(rho Z_i) and log negativity of every state of the run bit for bit.
         model = random_model(2.5, seed=(4, 0))
-        cfg = short_cfg(n_steps=140)
         s1 = make_input_sequence(2.0, 0, (21, 0))
         s2 = make_input_sequence(2.0, 1, (21, 0))
         propagator = interval_map(model)
-        rec = run_reservoir(propagator, [(s1, s2)], cfg)[0]
+        rec = run_reservoir(propagator, [(s1, s2)], 140, 0)[0]
         z_ops = [embed_single_qubit(PAULI_Z, i, 4) for i in range(4)]
         for k, rho in enumerate(rec.states):
             assert rec.features[k].tolist() == [
@@ -237,10 +233,9 @@ class TestRunReservoir:
         # post-washout ones and entanglement_samples adds only the washout
         # head, with the numbers of one negativities call over every state.
         model = random_model(2.5, seed=(4, 0))
-        cfg = short_cfg(n_steps=140, washout=washout)
         s1 = make_input_sequence(2.0, 0, (21, 0))
         s2 = make_input_sequence(2.0, 1, (21, 0))
-        rec = run_reservoir(interval_map(model), [(s1, s2)], cfg)[0]
+        rec = run_reservoir(interval_map(model), [(s1, s2)], 140, washout)[0]
         assert negativity_calls == []
         assert rec.states.shape == (140, 16, 16)
         steady = rec.steady_entanglement
@@ -264,11 +259,10 @@ class TestRunReservoir:
 
     def test_determinism(self):
         model = random_model(1.0, seed=(1, 0))
-        cfg = short_cfg(n_steps=8)
         s1 = make_input_sequence(2.0, 0, (9, 0))
         s2 = make_input_sequence(2.0, 1, (9, 0))
-        a = run_reservoir(interval_map(model), [(s1, s2)], cfg)[0]
-        b = run_reservoir(interval_map(model), [(s1, s2)], cfg)[0]
+        a = run_reservoir(interval_map(model), [(s1, s2)], 8, 0)[0]
+        b = run_reservoir(interval_map(model), [(s1, s2)], 8, 0)[0]
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.entanglement_samples, b.entanglement_samples)
 
@@ -276,22 +270,20 @@ class TestRunReservoir:
         # Runs started from all-|0> and from the maximally mixed state agree
         # after the washout.
         model = random_model(8.0, seed=(2, 0))
-        cfg = RunConfig(t_final=80 * 7.5, washout_steps=50)
         s1 = make_input_sequence(2.0, 0, (4, 0))
         s2 = make_input_sequence(2.0, 1, (4, 0))
         propagator = interval_map(model)
-        a = run_reservoir(propagator, [(s1, s2)], cfg)[0]
-        b, = run_reservoir(propagator, [(s1, s2)], cfg,
+        a = run_reservoir(propagator, [(s1, s2)], 80, 50)[0]
+        b, = run_reservoir(propagator, [(s1, s2)], 80, 50,
                            initial_state=np.eye(16, dtype=complex) / 16)
-        diff = np.abs(a.features[cfg.washout_steps:] - b.features[cfg.washout_steps:]).max()
+        diff = np.abs(a.features[50:] - b.features[50:]).max()
         assert diff < 1e-3
 
     def test_feature_bounds_and_shapes(self):
         model = random_model(2.0, seed=(7, 0))
-        cfg = short_cfg(n_steps=15, washout=3)
         s1 = make_input_sequence(1.0, 0, (44, 0))
         s2 = make_input_sequence(1.0, 1, (44, 0))
-        rec = run_reservoir(interval_map(model), [(s1, s2)], cfg)[0]
+        rec = run_reservoir(interval_map(model), [(s1, s2)], 15, 3)[0]
         assert rec.features.shape == (15, 5)
         assert rec.entanglement_samples.shape == (15, 7)
         assert rec.injected_values.shape == (15, 2)
@@ -301,51 +293,48 @@ class TestRunReservoir:
 
     def test_sequence_too_short_rejected(self):
         model = random_model(1.0, seed=(0, 0))
-        cfg = RunConfig(t_final=2750.0)
         short = constant_sequence(0.5, n=100)
         with pytest.raises(ValueError, match="samples"):
-            run_reservoir(interval_map(model), [(short, short)], cfg)
+            run_reservoir(interval_map(model), [(short, short)], 366, 50)
 
     @pytest.mark.parametrize("bad", [np.nan, -0.01, 1.01])
     def test_input_outside_unit_interval_rejected(self, bad):
         model = random_model(1.0, seed=(0, 0))
-        cfg = short_cfg(n_steps=6)
         s1 = constant_sequence(0.5)
         s2 = constant_sequence(0.5)
-        s2[cfg.sample_index(4)] = bad
+        s2[sample_index(4)] = bad
         with pytest.raises(ValueError, match=r"input value .* outside \[0, 1\]"):
-            run_reservoir(interval_map(model), [(s1, s2)], cfg)
+            run_reservoir(interval_map(model), [(s1, s2)], 6, 0)
 
     def test_bad_initial_state_rejected(self):
         model = random_model(1.0, seed=(0, 0))
-        cfg = short_cfg(n_steps=6)
         seq = constant_sequence(0.5)
         propagator = interval_map(model)
         with pytest.raises(ValueError, match="initial state has shape"):
-            run_reservoir(propagator, [(seq, seq)], cfg, initial_state=np.eye(4) / 4)
+            run_reservoir(propagator, [(seq, seq)], 6, 0, initial_state=np.eye(4) / 4)
         # A non-finite state fails the Hermiticity check, not later in LAPACK.
         with pytest.raises(ValueError, match="not Hermitian"):
-            run_reservoir(propagator, [(seq, seq)], cfg, initial_state=np.full((16, 16), np.nan))
+            run_reservoir(propagator, [(seq, seq)], 6, 0, initial_state=np.full((16, 16), np.nan))
 
     def test_non_hermitian_initial_state_rejected(self):
         # A real diagonal gives real <Z_i>, so only the entry check catches
         # an off-diagonal entry without its conjugate partner.
-        cfg = short_cfg(n_steps=6)
         seq = constant_sequence(0.5)
         rho = all_zero_state(4)
         rho[0, 5] = 0.1
         with pytest.raises(ValueError, match="not Hermitian"):
-            run_reservoir(interval_map(random_model(1.0, seed=(0, 0))), [(seq, seq)], cfg,
+            run_reservoir(interval_map(random_model(1.0, seed=(0, 0))), [(seq, seq)], 6, 0,
                           initial_state=rho)
 
     def test_sample_consumption_rule(self):
-        cfg = RunConfig()
+        cfg = ExperimentConfig()
         # With the default spacing 2.75, injection k reads the sample nearest
         # simulation time 7.5 k; a full run fits inside 1000 samples.
-        assert cfg.sample_index(0) == 0
-        assert cfg.sample_index(1) == 3
-        assert cfg.sample_index(2) == 5
-        assert cfg.sample_index(cfg.n_steps - 1) <= 999
+        assert sample_index(0) == 0
+        assert sample_index(1) == 3
+        assert sample_index(2) == 5
+        assert sample_index(cfg.n_steps - 1) <= 999
+        assert samples_needed(cfg.n_steps) == sample_index(cfg.n_steps - 1) + 1
 
 
 def test_interval_map_holds_at_most_four_propagator_sized_matrices():
@@ -363,10 +352,13 @@ def test_interval_map_holds_at_most_four_propagator_sized_matrices():
     assert peak < 4.5 * 2**20
 
 
-class TestRunConfig:
+class TestRunLength:
     def test_default_step_count(self):
-        assert RunConfig().n_steps == 366
+        assert ExperimentConfig().n_steps == 366
 
     def test_rejects_washout_longer_than_run(self):
-        with pytest.raises(ValueError):
-            RunConfig(t_final=75.0, washout_steps=50)
+        # A negative washout is refused, and at least one step must follow it.
+        seq = constant_sequence(0.5)
+        for n_steps, washout_steps in ((10, -1), (10, 10), (10, 50), (0, 0)):
+            with pytest.raises(ValueError, match="0 <= washout_steps < n_steps"):
+                run_reservoir(np.eye(256), [(seq, seq)], n_steps, washout_steps)

@@ -6,7 +6,6 @@ import spinqrc.experiments
 import spinqrc.signals
 from spinqrc.dynamics import random_model, sample_coupling_matrix
 from spinqrc.experiments import ExperimentConfig, run_cell, run_invariant_suite
-from spinqrc.reservoir import RunConfig
 from spinqrc.signals import generate_raw_sequence, make_input_sequence, sequence_phases
 from spinqrc.streams import COUPLING_DOMAIN, KEY_WORDS, SIGNAL_DOMAIN, VALIDATE_DOMAIN, stream
 
@@ -24,10 +23,10 @@ def test_each_domain_keys_have_one_length(monkeypatch):
 
     for module in (spinqrc.dynamics, spinqrc.signals, spinqrc.experiments):
         monkeypatch.setattr(module, "stream", recording)
-    run = RunConfig(t_final=750.0, washout_steps=30)
     for selection in ("test", "holdout"):
-        cfg = ExperimentConfig(js_values=(0.3,), n_coupling_seeds=1, base_seed=5, run=run,
-                               tau_max=10, lambda_selection=selection)
+        cfg = ExperimentConfig(js_values=(0.3,), n_coupling_seeds=1, base_seed=5,
+                               t_final=750.0, washout_steps=30, tau_max=10,
+                               lambda_selection=selection)
         assert run_cell(cfg, 0.3, 2.0, 0).status == "ok"
     run_invariant_suite(2, 5)
     lengths = {}
@@ -48,8 +47,10 @@ SEEDED = {
 
 
 @pytest.mark.parametrize("name", SEEDED)
-@pytest.mark.parametrize("seed", [3, (3,), (3, 1, 0), (-1, 0), (3, -1), [3, 1], (3.0, 1)])
+@pytest.mark.parametrize("seed", [3, (3,), (3, 1, 0), (-1, 0), (3, -1), [3, 1], (3.0, 1),
+                                  (True, 0)])
 def test_seeded_draws_take_only_a_nonnegative_pair(name, seed):
+    # A bool is an int to isinstance: (True, 0) drew the stream of (1, 0).
     with pytest.raises(ValueError, match=PAIR_FORM):
         SEEDED[name](seed)
 
