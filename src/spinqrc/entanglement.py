@@ -4,9 +4,15 @@ Partition labels follow the 1-based qubit naming used for reporting (E1 is
 qubit 1 against the rest; E13 is the pair {1,3} against {2,4}); internally
 qubit i maps to index i-1. Negativity is log2 of the trace norm of the
 partial transpose. ``PT_INDEX`` writes all seven partial transposes as one
-fixed gather of a state's 256 entries, so ``negativities`` takes a block of
-states to its (n, 7, 16, 16) stack of partial transposes in one indexing
-step and solves that stack in one eigensolve.
+fixed gather of a state's 256 entries, so ``hermitian_negativities`` takes a
+block of states to its (n, 7, 16, 16) stack of partial transposes in one
+indexing step and solves that stack in one eigensolve.
+
+``negativities`` is the checked entry point: it rejects a stack that is not
+Hermitian and symmetrises each block before that kernel. A run's records
+call the kernel directly, because every state a record holds is exactly
+Hermitian (``reservoir.run_reservoir`` stores each as ``hermitianize`` of
+what it computed), and symmetrising such a state returns the same bytes.
 """
 
 from __future__ import annotations
@@ -47,11 +53,26 @@ SUMMARY_FIELDS = PARTITION_LABELS + ("diff_single", "diff_pair", "ratio_single",
 
 RATIO_DENOMINATOR_FLOOR = 1e-9
 
-# States per block in ``negativities``: it bounds the temporaries. A block's
-# 7 * 18 = 126 partial transposes stay within the 128 matrices per stacked
-# eigensolve that measured fastest. For one 316-state run, blocks of 8 to 64
-# states took the same time, and blocks of 18 peaked at 1.08 MiB allocated.
+# States per block in ``hermitian_negativities``: it bounds the temporaries.
+# A block's 7 * 18 = 126 partial transposes stay within the 128 matrices per
+# stacked eigensolve that measured fastest. For one 316-state run, blocks of 8
+# to 64 states took the same time, and blocks of 18 peaked at 1.08 MiB allocated.
 NEGATIVITY_BLOCK = 18
+
+
+def hermitian_negativities(states: np.ndarray) -> np.ndarray:
+    """Raw (unclamped) log negativities of a (K, 16, 16) stack of exactly
+    Hermitian states (``np.array_equal(states, hermitianize(states))``), as
+    a K x 7 array in PARTITION_LABELS order. Nothing is checked, since the
+    eigensolve reads one triangle of each partial transpose: any other stack
+    belongs to ``negativities``.
+    """
+    out = np.empty((len(states), len(PARTITION_LABELS)))
+    for start in range(0, len(states), NEGATIVITY_BLOCK):
+        block = states[start:start + NEGATIVITY_BLOCK]
+        pts = block.reshape(-1, 256)[:, PT_INDEX].reshape(-1, 7, 16, 16)
+        out[start:start + len(block)] = np.log2(np.abs(np.linalg.eigvalsh(pts)).sum(axis=-1))
+    return out
 
 
 def negativities(states: np.ndarray) -> np.ndarray:
@@ -59,18 +80,17 @@ def negativities(states: np.ndarray) -> np.ndarray:
 
     Returns K x 7 in PARTITION_LABELS order, equal bit for bit to the
     per-state reference in ``tests/oracles.py``. ``check_hermitian`` and the
-    symmetrisation run once per block on the states themselves: a partial
-    transpose permutes the entries of rho - rho†, so the relative residue is
-    the same number, and PT(hermitianize(rho)) equals hermitianize(PT(rho))
-    entry for entry.
+    symmetrisation run once per block on the states themselves, before
+    ``hermitian_negativities``: a partial transpose permutes the entries of
+    rho - rho†, so the relative residue is the same number, and
+    PT(hermitianize(rho)) equals hermitianize(PT(rho)) entry for entry.
     """
     states = np.asarray(states)
     out = np.empty((len(states), len(PARTITION_LABELS)))
     for start in range(0, len(states), NEGATIVITY_BLOCK):
         block = states[start:start + NEGATIVITY_BLOCK]
         check_hermitian(block)
-        pts = hermitianize(block).reshape(-1, 256)[:, PT_INDEX].reshape(-1, 7, 16, 16)
-        out[start:start + len(block)] = np.log2(np.abs(np.linalg.eigvalsh(pts)).sum(axis=-1))
+        out[start:start + len(block)] = hermitian_negativities(hermitianize(block))
     return out
 
 

@@ -41,7 +41,7 @@ from .dynamics import random_model
 from .entanglement import (
     PARTITION_LABELS,
     SUMMARY_FIELDS,
-    negativities,
+    hermitian_negativities,
     summarize,
 )
 from .learning import (
@@ -747,7 +747,8 @@ def run_invariant_suite(n_runs: int = 100, n_injections: int = 50, base_seed: in
     run loop at f = 2. Each run's post-evolve states, as the propagator
     returns them (the record's ``raw``), go through ``check_density_matrix``
     as one stack, and the negativities of their Hermitian parts (the states
-    the run hands on) are taken once.
+    the run hands on, exactly Hermitian, so ``hermitian_negativities`` takes
+    them unchecked) are taken once.
     Returns worst-case diagnostics across all runs and steps; callers assert
     the tolerances.
     """
@@ -758,7 +759,7 @@ def run_invariant_suite(n_runs: int = 100, n_injections: int = 50, base_seed: in
         model = random_model(js, seed=(base_seed, i))
         seqs = [make_input_sequence(2.0, q, (base_seed, i)) for q in TRAIN_SEQUENCE_IDS]
         (run,) = run_reservoir(interval_map(model), [seqs], n_injections, 0, keep_raw=True)
-        negs = negativities(hermitianize(run.raw))
+        negs = hermitian_negativities(hermitianize(run.raw))
         runs.append({**check_density_matrix(run.raw), "js": js,
                      "min_neg": float(negs.min()), "max_neg": float(negs.max())})
     return {

@@ -20,7 +20,11 @@ time k * DELTA_T, ``sample_index(k)``, so an n-step run reads
 One function, ``run_reservoir(propagator, [(seq1, seq2), ...], n_steps,
 washout_steps)``, runs the loop for every input pair it is given and returns
 one record per pair, in order: a cell's train, test and holdout runs step
-together, and a single run is a one-pair list.
+together, and a single run is a one-pair list. Every state a record holds
+is exactly Hermitian: a given ``initial_state`` is recorded as its
+Hermitian part, and every later one is ``hermitianize`` of the evolved
+state. So a record reads its negativities from
+``entanglement.hermitian_negativities``, with no Hermiticity pass.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from .dynamics import (
     liouvillian,
     stable_step_count,
 )
-from .entanglement import negativities
+from .entanglement import hermitian_negativities
 from .linalg import check_hermitian, hermitianize
 
 # Z_SIGNS[i, b] = <b|Z_i|b>: +1 where qubit i of basis state b is 0, -1 where
@@ -74,7 +78,10 @@ class TrajectoryRecord:
     raw: K x 16 x 16 post-evolve states as the propagator returns them
     (``states[k + 1]`` is ``hermitianize(raw[k])``), or None unless kept.
 
-    The negativities are computed from ``states`` on first read and cached:
+    Every state is exactly Hermitian (``states`` equals
+    ``hermitianize(states)`` byte for byte), so the negativities come from
+    ``entanglement.hermitian_negativities``, with no Hermiticity pass. They
+    are computed from ``states`` on first read and cached:
     ``steady_entanglement`` for the steps from ``washout_steps`` on, and
     ``entanglement_samples`` for all K steps, which adds only the washout
     head, so every state's negativities are computed at most once.
@@ -94,13 +101,13 @@ class TrajectoryRecord:
     def steady_entanglement(self) -> np.ndarray:
         """(K - washout_steps) x 7 clamped negativities of the post-washout
         states, in PARTITION_LABELS order."""
-        return np.maximum(negativities(self.states[self.washout_steps:]), 0.0)
+        return np.maximum(hermitian_negativities(self.states[self.washout_steps:]), 0.0)
 
     @cached_property
     def entanglement_samples(self) -> np.ndarray:
         """K x 7 clamped negativities of every state, in PARTITION_LABELS
         order, at the same instants as the features."""
-        head = np.maximum(negativities(self.states[:self.washout_steps]), 0.0)
+        head = np.maximum(hermitian_negativities(self.states[:self.washout_steps]), 0.0)
         return np.vstack([head, self.steady_entanglement])
 
 
@@ -138,8 +145,9 @@ def run_reservoir(propagator: np.ndarray, pairs, n_steps: int, washout_steps: in
     All runs step together, and each record keeps its ``raw`` states only
     with ``keep_raw``. Every run starts from the all-|0> state unless
     ``initial_state`` is given (the washout discard makes it immaterial); a
-    given one must pass ``check_hermitian``, and every later state is
-    Hermitian by construction.
+    given one must pass ``check_hermitian`` and is recorded as its Hermitian
+    part, ``hermitianize(initial_state)``, so that, like every later state,
+    it is exactly Hermitian.
 
     Each step resets qubits 0 and 1 to sqrt(1 - s)|0> + sqrt(s)|1> for its
     pair, applies the propagator and takes ``hermitianize``: the
@@ -172,8 +180,9 @@ def run_reservoir(propagator: np.ndarray, pairs, n_steps: int, washout_steps: in
     if initial_state is None:
         states[:, 0] = all_zero_state(4)
     elif np.shape(initial_state) == (16, 16):
-        check_hermitian(np.asarray(initial_state))
-        states[:, 0] = initial_state
+        rho0 = np.asarray(initial_state)
+        check_hermitian(rho0)
+        states[:, 0] = hermitianize(rho0)
     else:
         raise ValueError(f"initial state has shape {np.shape(initial_state)}, expected (16, 16)")
     raw = np.empty_like(states) if keep_raw else None

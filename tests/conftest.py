@@ -6,17 +6,17 @@ import pytest
 
 @pytest.fixture
 def negativity_calls(monkeypatch):
-    """The size of every state stack a record passes to ``negativities``."""
+    """The size of every state stack a record passes to ``hermitian_negativities``."""
     import spinqrc.reservoir
 
     calls = []
-    original = spinqrc.reservoir.negativities
+    original = spinqrc.reservoir.hermitian_negativities
 
     def counting(states):
         calls.append(len(states))
         return original(states)
 
-    monkeypatch.setattr(spinqrc.reservoir, "negativities", counting)
+    monkeypatch.setattr(spinqrc.reservoir, "hermitian_negativities", counting)
     return calls
 
 

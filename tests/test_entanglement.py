@@ -12,7 +12,13 @@ from spinqrc.entanglement import (
     negativities,
     summarize,
 )
-from spinqrc.experiments import CellResult, ExperimentConfig, emit_figure_data, write_run_outputs
+from spinqrc.experiments import (
+    CellResult,
+    ExperimentConfig,
+    emit_figure_data,
+    run_cell,
+    write_run_outputs,
+)
 from spinqrc.learning import CapacityProfile
 from spinqrc.linalg import kron, kron_all
 from spinqrc.reservoir import TrajectoryRecord, all_zero_state
@@ -82,6 +88,17 @@ class TestLogNegativity:
         states[-1] = np.nan
         with pytest.raises(ValueError, match="not Hermitian"):
             negativities(states)
+
+    @pytest.mark.parametrize("js", [0.005, 0.325, 75.0])
+    def test_records_equal_the_checked_negativities(self, js):
+        # A record eigensolves its states with no Hermiticity pass; over a
+        # full-length cell that gives the numbers of the checked entry point
+        # bit for bit, for every row of the train and test runs.
+        cell = run_cell(ExperimentConfig(), js, 2.0, 0)
+        for rec in (cell.train, cell.test):
+            assert rec.states.shape == (366, 16, 16)
+            want = np.maximum(negativities(rec.states), 0.0)
+            assert rec.entanglement_samples.tolist() == want.tolist()
 
     def test_mixing_bell_with_identity_reduces_negativity(self):
         rho4 = 0.75 * BELL + 0.25 * np.eye(4) / 4

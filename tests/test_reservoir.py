@@ -146,6 +146,26 @@ class TestRunReservoir:
         assert np.array_equal(plain.injected_values, run.injected_values)
         assert np.array_equal(plain.features, run.features)
 
+    def test_every_recorded_state_is_exactly_hermitian(self):
+        # The records' negativities skip the Hermiticity pass because every
+        # state they hold is its own Hermitian part, byte for byte: over a
+        # full-length run, and from a given state that is Hermitian only to
+        # within 1e-12, which is recorded as its Hermitian part.
+        cfg = ExperimentConfig()
+        propagator = interval_map(random_model(0.325, seed=(1, 3)))
+        s1 = make_input_sequence(2.0, 0, (1, 3))
+        s2 = make_input_sequence(2.0, 1, (1, 3))
+        (rec,) = run_reservoir(propagator, [(s1, s2)], cfg.n_steps, cfg.washout_steps)
+        assert rec.states.shape == (366, 16, 16)
+        assert np.array_equal(rec.states, hermitianize(rec.states))
+        rng = np.random.default_rng(11)
+        g = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        rho = random_density_matrix(rng, 16) + 1e-12 * (g - g.conj().T)
+        assert not np.array_equal(rho, hermitianize(rho))
+        (rec,) = run_reservoir(propagator, [(s1, s2)], 20, 0, initial_state=rho)
+        assert np.array_equal(rec.states[0], hermitianize(rho))
+        assert np.array_equal(rec.states, hermitianize(rec.states))
+
     @pytest.mark.parametrize("js, mixed_start", [(0.0, False), (0.005, False), (0.325, False),
                                                  (75.0, False), (0.325, True)])
     def test_run_steps_equals_the_inject_loop_bit_for_bit(self, js, mixed_start):
