@@ -42,6 +42,7 @@ from .experiments import (
 )
 from .reservoir import samples_needed
 from .signals import N_SAMPLES
+from .streams import WORD_LIMIT
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -62,10 +63,11 @@ def positive_int(text: str) -> int:
     return value
 
 
-def nonnegative_int(text: str) -> int:
+def base_seed(text: str) -> int:
     value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    if not 0 <= value < WORD_LIMIT:
+        raise argparse.ArgumentTypeError(f"base_seed must be at least 0 and below 2**32, "
+                                         f"got {value}")
     return value
 
 
@@ -176,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("config", help="path to a key = value config file")
-        p.add_argument("--seed", type=nonnegative_int, default=None, help="override base_seed")
+        p.add_argument("--seed", type=base_seed, default=None, help="override base_seed")
         p.add_argument("--out", default=None, help="override output directory")
 
     p_run = sub.add_parser("run", help="run a single (J_s, f, seed) cell")
@@ -198,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("validate", help="run the physics invariant suite")
     p_val.add_argument("--runs", type=positive_int, default=25)
     p_val.add_argument("--steps", type=positive_int, default=50)
-    p_val.add_argument("--seed", type=nonnegative_int, default=None)
+    p_val.add_argument("--seed", type=base_seed, default=None)
     p_val.set_defaults(func=_cmd_validate)
 
     p_gen = sub.add_parser("gen-signals", help="export the nine input sequences")

@@ -1,6 +1,6 @@
 """Spin-network Hamiltonian, local dissipators, and master-equation integration.
 
-The model is an n-qubit network with local Z fields and pairwise XX couplings,
+The model is a 4-qubit network with local Z fields and pairwise XX couplings,
 
     H = sum_i (h_z/2) Z_i + sum_{i<j} (J_ij/2) X_i X_j,
 
@@ -14,11 +14,13 @@ and evolved with the Lindblad master equation
 
 Integration is fixed-step classical RK4. Because the generator is linear and
 time independent, one RK4 step is exactly the degree-4 Taylor polynomial of
-the Liouvillian acting on vec(rho). Each stage is a function of plain
-arrays: ``build_hamiltonian`` and ``build_jump_operators`` give the
-operators, ``liouvillian`` their 4^n x 4^n generator, ``stable_step_count``
-the number of substeps, and ``interval_propagator`` builds the step
-polynomial and composes n steps of it into one matrix.
+the Liouvillian acting on vec(rho). ``SpinNetworkModel`` is 4 qubits by
+construction, and ``build_hamiltonian`` and ``build_jump_operators`` give
+its 16 x 16 operators. The later stages are functions of plain arrays of
+any size: ``liouvillian`` gives the 4^n x 4^n generator of an n-qubit
+Hamiltonian and jump set, ``stable_step_count`` the number of substeps, and
+``interval_propagator`` builds the step polynomial and composes n steps of
+it into one matrix; ``sample_coupling_matrix`` draws a coupling of any size.
 
 The generator is written entry by entry through index arrays, never as a
 Kronecker product of two full matrices, and the step polynomial is summed in
@@ -31,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -48,6 +49,14 @@ from .streams import COUPLING_DOMAIN, stream
 # One-qubit jump block (Z + iY)/2 of every local dissipator, before sqrt(gamma).
 JUMP_BLOCK = 0.5 * (PAULI_Z + 1j * PAULI_Y)
 JUMP_BLOCK.flags.writeable = False
+
+# The Z_i strings and the ((i, j), X_i X_j) pairs, i < j in row-major order,
+# of the 4-qubit register, read-only: every Hamiltonian sums these.
+Z_STRINGS = tuple(embed_single_qubit(PAULI_Z, i, 4) for i in range(4))
+XX_STRINGS = tuple(((i, j), kron_all(PAULI_X if q in (i, j) else PAULI_I for q in range(4)))
+                   for i in range(4) for j in range(i + 1, 4))
+for _op in (*Z_STRINGS, *(term for _, term in XX_STRINGS)):
+    _op.flags.writeable = False
 
 # Largest |lambda|*dt the RK4 stability polynomial is allowed to see. The
 # imaginary-axis stability boundary is 2*sqrt(2); 0.9 keeps a wide margin and
@@ -74,7 +83,8 @@ def sample_coupling_matrix(j_s: float, n_qubits: int, seed: tuple[int, int]) -> 
 
 @dataclass(frozen=True, eq=False)
 class SpinNetworkModel:
-    """Static description of one reservoir instance (n qubits for an n x n ``coupling``)."""
+    """Static description of one reservoir instance: the 4 x 4 ``coupling``
+    of a 4-qubit network, its field ``h_z`` and its damping ``gamma``."""
 
     coupling: np.ndarray
     h_z: float = 1.5
@@ -82,14 +92,14 @@ class SpinNetworkModel:
 
     def __post_init__(self):
         j = np.asarray(self.coupling, dtype=float)
-        if j.ndim != 2 or j.shape[0] != j.shape[1]:
-            raise ValueError(f"coupling has shape {j.shape}, expected a square matrix")
+        if j.shape != (4, 4):
+            raise ValueError(f"coupling has shape {j.shape}, expected (4, 4)")
         for name, value in (("coupling", j), ("h_z", self.h_z), ("gamma", self.gamma)):
             if not np.isfinite(value).all():
                 raise ValueError(f"{name} must be finite")
         if not np.allclose(j, j.T, atol=1e-12):
             raise ValueError("coupling matrix must be symmetric")
-        if np.abs(np.diag(j)).max(initial=0.0) > 0:
+        if np.diag(j).any():
             raise ValueError("coupling matrix must have zero diagonal")
         if self.gamma < 0:
             raise ValueError("gamma must be nonnegative")
@@ -97,34 +107,17 @@ class SpinNetworkModel:
 
 
 def random_model(j_s: float, seed: tuple[int, int]) -> SpinNetworkModel:
-    """4-qubit model with the default fields and damping, its couplings
+    """The 4-qubit model with the default field and damping, its couplings
     freshly sampled from the stream of the (base_seed, index) pair ``seed``."""
     return SpinNetworkModel(coupling=sample_coupling_matrix(j_s, 4, seed))
 
 
-@cache
-def _pauli_strings(n: int) -> tuple[tuple, tuple]:
-    """The Z_i strings and the ((i, j), X_i X_j) pairs, i < j in row-major
-    order, of an n-qubit register, read-only.
-
-    Built once per register size; every Hamiltonian of that size reuses them.
-    """
-    z = tuple(embed_single_qubit(PAULI_Z, i, n) for i in range(n))
-    xx = tuple(((i, j), kron_all(PAULI_X if q in (i, j) else PAULI_I for q in range(n)))
-               for i in range(n) for j in range(i + 1, n))
-    for op in (*z, *(term for _, term in xx)):
-        op.flags.writeable = False
-    return z, xx
-
-
 def build_hamiltonian(model: SpinNetworkModel) -> np.ndarray:
     """Transverse-field Ising Hamiltonian: local Z fields plus pairwise XX."""
-    n = len(model.coupling)
-    z, xx = _pauli_strings(n)
-    h = np.zeros((2**n, 2**n), dtype=complex)
-    for z_i in z:
+    h = np.zeros((16, 16), dtype=complex)
+    for z_i in Z_STRINGS:
         h += (model.h_z / 2.0) * z_i
-    for (i, j), term in xx:
+    for (i, j), term in XX_STRINGS:
         jij = model.coupling[i, j]
         if jij == 0.0:
             continue
@@ -136,8 +129,7 @@ def build_jump_operators(model: SpinNetworkModel) -> list[np.ndarray]:
     """One local jump operator sqrt(gamma) * JUMP_BLOCK per qubit, embedded in
     the full register."""
     block = math.sqrt(model.gamma) * JUMP_BLOCK
-    n = len(model.coupling)
-    return [embed_single_qubit(block, i, n) for i in range(n)]
+    return [embed_single_qubit(block, i, 4) for i in range(4)]
 
 
 def liouvillian(hamiltonian: np.ndarray, jump_ops) -> np.ndarray:

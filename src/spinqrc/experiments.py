@@ -68,7 +68,7 @@ from .signals import (
     TRAIN_SEQUENCE_IDS,
     make_input_sequence,
 )
-from .streams import VALIDATE_DOMAIN, stream
+from .streams import VALIDATE_DOMAIN, WORD_LIMIT, stream
 
 EXPERIMENT_NAMES = ("sweep_js", "memory_tail", "delay_dip", "single_run")
 
@@ -139,8 +139,9 @@ class ExperimentConfig:
             raise ValueError("f_values must be positive")
         if self.n_coupling_seeds < 1:
             raise ValueError("n_coupling_seeds must be at least 1")
-        if self.base_seed < 0:
-            raise ValueError("base_seed must be nonnegative")
+        if not 0 <= self.base_seed < WORD_LIMIT:
+            raise ValueError(f"base_seed must be at least 0 and below 2**32, "
+                             f"got {self.base_seed}")
         if self.tau_max < 0:
             raise ValueError("tau_max must be nonnegative")
         if self.lambda_selection not in ("test", "holdout"):
@@ -228,7 +229,7 @@ def parse_config_file(path) -> ExperimentConfig:
     value check that names exactly one key reports that key's line.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # a leading byte-order mark is dropped
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(str(exc), path=path) from exc

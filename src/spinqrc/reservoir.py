@@ -120,12 +120,11 @@ def all_zero_state(n_qubits: int) -> np.ndarray:
 
 
 def interval_map(model: SpinNetworkModel) -> np.ndarray:
-    """The 256 x 256 propagator of one injection interval DELTA_T, vec(rho) -> vec(rho).
+    """The 256 x 256 propagator of one injection interval DELTA_T, vec(rho) -> vec(rho),
+    of the 4-qubit ``model`` (a ``SpinNetworkModel`` is 4 qubits by construction).
 
     Built once per model: every run of a cell shares it.
     """
-    if model.coupling.shape != (4, 4):
-        raise ValueError("the run loop records 4-qubit observables; n_qubits must be 4")
     h = build_hamiltonian(model)
     jump_ops = build_jump_operators(model)
     n_sub = stable_step_count(h, jump_ops, DELTA_T, DT)

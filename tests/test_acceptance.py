@@ -18,13 +18,7 @@ import math
 import numpy as np
 import pytest
 
-from spinqrc.dynamics import (
-    SpinNetworkModel,
-    build_hamiltonian,
-    build_jump_operators,
-    interval_propagator,
-    liouvillian,
-)
+from spinqrc.dynamics import JUMP_BLOCK, interval_propagator, liouvillian
 from spinqrc.entanglement import negativities
 from spinqrc.experiments import (
     DEFAULT_JS_GRID,
@@ -36,7 +30,7 @@ from spinqrc.experiments import (
     seed_averaged_metric,
 )
 from spinqrc.learning import DEFAULT_LAMBDA_GRID, evaluate_capacity_profile, ridge_weights
-from spinqrc.linalg import kron_all
+from spinqrc.linalg import PAULI_Z, kron_all
 from spinqrc.reservoir import sample_index
 from spinqrc.signals import (
     N_COMPONENTS,
@@ -373,9 +367,11 @@ def test_ac6_physics_invariant_suite():
 
 def test_ac7_numerical_oracles(reset_run):
     # RK4 order-4 convergence of the interval propagator every run uses, on
-    # the single-qubit unitary problem over one precession period.
-    model = SpinNetworkModel(coupling=np.zeros((1, 1)), h_z=1.5, gamma=0.0)
-    generator = liouvillian(build_hamiltonian(model), build_jump_operators(model))
+    # the single-qubit unitary problem over one precession period, its
+    # operators built as plain arrays the way the model builds its own.
+    h = np.zeros((2, 2), dtype=complex)
+    h += (1.5 / 2.0) * PAULI_Z
+    generator = liouvillian(h, [math.sqrt(0.0) * JUMP_BLOCK])
     plus = 0.5 * np.ones((2, 2), dtype=complex)
     t_end = 2 * math.pi / 1.5
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -411,6 +412,25 @@ def test_vacuous_counts_and_negative_seeds_rejected(tmp_path, capsys, argv):
         main(argv + ([] if argv[0] == "validate" else ["--out", str(tmp_path / "never")]))
     assert exc.value.code == 2
     assert "at least" in capsys.readouterr().err
+    assert not (tmp_path / "never").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "sweep", "gen-signals"])
+def test_seed_of_more_than_one_word_exits_two(tmp_path, capsys, command):
+    # SeedSequence splits a seed of 2**32 or more into two words, so base
+    # seed 5 * 2**32 + 7 drew the coupling stream of base seed 7 at index 5.
+    out = [] if command == "validate" else [TINY_CFG, "--out", str(tmp_path / "never")]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *out, "--seed", str(2**32)])
+    assert exc.value.code == 2
+    assert "base_seed must be at least 0 and below 2**32" in capsys.readouterr().err
+    if command != "validate":
+        big = tmp_path / "big.cfg"
+        big.write_text(Path(TINY_CFG).read_text().replace("base_seed = 777",
+                                                          f"base_seed = {5 * 2**32 + 7}"))
+        assert main([command, str(big), "--out", str(tmp_path / "never")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {big}:6: base_seed must be")
     assert not (tmp_path / "never").exists()
 
 

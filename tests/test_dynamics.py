@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -35,8 +36,8 @@ from oracles import (
 H_Z = 1.5
 
 
-def zero_coupling_model(n_qubits=4, h_z=H_Z, gamma=0.01):
-    return SpinNetworkModel(coupling=np.zeros((n_qubits, n_qubits)), h_z=h_z, gamma=gamma)
+def zero_coupling_model(h_z=H_Z, gamma=0.01):
+    return SpinNetworkModel(coupling=np.zeros((4, 4)), h_z=h_z, gamma=gamma)
 
 
 def operators(model, jumps="paper"):
@@ -45,9 +46,30 @@ def operators(model, jumps="paper"):
     built as plain arrays the way a script tries another jump set."""
     if jumps == "paper":
         return build_hamiltonian(model), build_jump_operators(model)
-    block = math.sqrt(model.gamma) * 0.5 * (PAULI_X + 1j * PAULI_Y)
-    n = len(model.coupling)
-    return build_hamiltonian(model), [embed_single_qubit(block, i, n) for i in range(n)]
+    return build_hamiltonian(model), register_operators(model.coupling, model.h_z,
+                                                        model.gamma, jumps)[1]
+
+
+def register_operators(coupling, h_z=H_Z, gamma=0.01, jumps="paper"):
+    """The Hamiltonian and jump operators, ``jumps`` as in ``operators``, of an
+    n-qubit register with the n x n ``coupling``, built term by term as plain
+    arrays: the 4-qubit model's term oracle, and a 1- or 2-qubit register."""
+    n = len(coupling)
+    h = np.zeros((2**n, 2**n), dtype=complex)
+    for i in range(n):
+        h += (h_z / 2.0) * embed_single_qubit(PAULI_Z, i, n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            term = kron_all(PAULI_X if q in (i, j) else PAULI_I for q in range(n))
+            h += (coupling[i, j] / 2.0) * term
+    one = JUMP_BLOCK if jumps == "paper" else 0.5 * (PAULI_X + 1j * PAULI_Y)
+    return h, [embed_single_qubit(math.sqrt(gamma) * one, i, n) for i in range(n)]
+
+
+def qubit_generator(h_z=H_Z, gamma=0.0):
+    """The Liouvillian of one qubit under (h_z/2) Z and the jump
+    sqrt(gamma) * JUMP_BLOCK."""
+    return liouvillian(*register_operators(np.zeros((1, 1)), h_z, gamma))
 
 
 def generator(model):
@@ -110,24 +132,18 @@ class TestBuildHamiltonian:
         assert counts == {-3.0: 1, -1.5: 4, 0.0: 6, 1.5: 4, 3.0: 1}
 
     def test_two_qubit_xx(self):
-        coupling = np.array([[0.0, 2.0], [2.0, 0.0]])
+        coupling = np.zeros((4, 4))
+        coupling[1, 2] = coupling[2, 1] = 2.0
         model = SpinNetworkModel(coupling=coupling, h_z=0.0)
         h = build_hamiltonian(model)
-        assert np.allclose(h, np.kron(PAULI_X, PAULI_X), atol=1e-14)
-        assert np.allclose(np.sort(np.linalg.eigvalsh(h)), [-1, -1, 1, 1], atol=1e-12)
+        assert np.allclose(h, kron_all([PAULI_I, PAULI_X, PAULI_X, PAULI_I]), atol=1e-14)
+        assert np.allclose(np.sort(np.linalg.eigvalsh(h)), [-1] * 8 + [1] * 8, atol=1e-12)
 
     def test_matches_term_embedding_oracle(self):
         # The same terms summed in the same order: equal entry for entry.
         model = random_model(3.0, seed=(21, 0))
         h = build_hamiltonian(model)
-        oracle = np.zeros((16, 16), dtype=complex)
-        for i in range(4):
-            oracle += (model.h_z / 2) * embed_single_qubit(PAULI_Z, i, 4)
-        for i in range(4):
-            for j in range(i + 1, 4):
-                term = kron_all(PAULI_X if q in (i, j) else PAULI_I for q in range(4))
-                oracle += (model.coupling[i, j] / 2) * term
-        assert np.array_equal(h, oracle)
+        assert np.array_equal(h, register_operators(model.coupling, model.h_z)[0])
         assert np.array_equal(build_hamiltonian(model), h)
 
 
@@ -137,8 +153,10 @@ class TestJumpOperators:
         assert all(not op.any() for op in ops)
 
     def test_single_qubit_block_literal_form(self):
-        (block,) = build_jump_operators(zero_coupling_model(n_qubits=1, gamma=0.01))
-        assert np.allclose(block, np.array([[0.05, 0.05], [-0.05, -0.05]]), atol=1e-15)
+        # The last qubit's operator is I x I x I x block, whose leading 2 x 2
+        # block is the one-qubit block.
+        last = build_jump_operators(zero_coupling_model(gamma=0.01))[3]
+        assert np.allclose(last[:2, :2], np.array([[0.05, 0.05], [-0.05, -0.05]]), atol=1e-15)
 
     def test_embedding_matches_kron_oracle(self):
         model = zero_coupling_model()
@@ -176,7 +194,7 @@ class TestLindbladRhs:
 
     def test_closed_form_single_qubit_coherence(self):
         rho = np.array([[0.5, 0.2 + 0.1j], [0.2 - 0.1j, 0.5]])
-        out = apply(generator(zero_coupling_model(n_qubits=1, gamma=0.0)), rho)
+        out = apply(qubit_generator(), rho)
         # d rho01 / dt = -i h_z rho01 under H = (h_z/2) Z
         assert out[0, 1] == pytest.approx(-1j * H_Z * rho[0, 1], abs=1e-14)
 
@@ -185,9 +203,10 @@ def plus_state():
     return 0.5 * np.array([[1, 1], [1, 1]], dtype=complex)
 
 
-def propagate(rho, model, dt, n_steps):
-    """rho after n_steps RK4 steps of length dt, as one interval propagator."""
-    return apply(interval_propagator(generator(model), dt, n_steps), rho)
+def propagate(rho, m, dt, n_steps):
+    """rho after n_steps RK4 steps of length dt under the generator ``m``, as
+    one interval propagator."""
+    return apply(interval_propagator(m, dt, n_steps), rho)
 
 
 class TestRk4Step:
@@ -202,7 +221,7 @@ class TestRk4Step:
         for seed in range(5):
             model = random_model(4.0, seed=(seed, 0))
             rho = random_density_matrix(rng, 16)
-            assert np.allclose(hermitianize(propagate(rho, model, 0.025, 1)),
+            assert np.allclose(hermitianize(propagate(rho, generator(model), 0.025, 1)),
                                rk4_reference_step(rho, *operators(model), 0.025), atol=1e-13)
 
     @pytest.mark.parametrize("js", [0.0, 0.005, 0.325, 6.0, 75.0])
@@ -220,23 +239,22 @@ class TestRk4Step:
                                   np.linalg.matrix_power(step, n_steps))
 
     def test_unitary_precession_returns_after_one_period(self):
-        model = zero_coupling_model(n_qubits=1, gamma=0.0)
         period = 2 * math.pi / H_Z
         n = math.ceil(period / 0.01)
-        rho = propagate(plus_state(), model, period / n, n)
+        rho = propagate(plus_state(), qubit_generator(), period / n, n)
         assert np.abs(rho - plus_state()).max() <= 1e-8
 
     def test_trace_drift_per_step(self):
         rho = random_density_matrix(np.random.default_rng(4), 16)
-        out = propagate(rho, random_model(5.0, seed=(9, 0)), 0.025, 1)
+        out = propagate(rho, generator(random_model(5.0, seed=(9, 0))), 0.025, 1)
         assert abs(np.trace(out).real - np.trace(rho).real) <= 1e-12
 
     def test_fourth_order_convergence(self):
         # Error vs the analytic solution drops ~16x when dt halves.
-        model = zero_coupling_model(n_qubits=1, gamma=0.0)
+        m = qubit_generator()
 
         def end_error(n_steps):
-            rho = propagate(plus_state(), model, 1.0 / n_steps, n_steps)
+            rho = propagate(plus_state(), m, 1.0 / n_steps, n_steps)
             expected = 0.5 * np.array([[1.0, np.exp(-1j * H_Z)],
                                        [np.exp(1j * H_Z), 1.0]])
             return np.abs(rho - expected).max()
@@ -251,15 +269,15 @@ class TestEvolve:
     def test_dissipative_self_convergence(self):
         # The (Z + iY)/2 jump operator has no textbook closed form; compare
         # against a 10x finer integration of the same problem.
-        model = SpinNetworkModel(coupling=np.zeros((1, 1)), h_z=0.0, gamma=0.01)
+        m = qubit_generator(h_z=0.0, gamma=0.01)
         rho0 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
-        coarse = propagate(rho0, model, 0.025, 2000)
-        fine = propagate(rho0, model, 0.0025, 20000)
+        coarse = propagate(rho0, m, 0.025, 2000)
+        fine = propagate(rho0, m, 0.0025, 20000)
         assert np.abs(coarse - fine).max() <= 1e-8
 
     def test_trace_and_hermiticity_over_long_run(self):
         rho = random_density_matrix(np.random.default_rng(7), 16)
-        rho = propagate(rho, random_model(5.0, seed=(17, 0)), 0.025, 3000)
+        rho = propagate(rho, generator(random_model(5.0, seed=(17, 0))), 0.025, 3000)
         assert abs(np.trace(rho).real - 1.0) <= 1e-9
         assert np.abs(rho - rho.conj().T).max() <= 1e-9
         assert np.linalg.eigvalsh(rho)[0] >= -1e-7
@@ -289,7 +307,8 @@ class TestStableStepCount:
 
 
 # A J_s of the default 4-qubit model, or the (n_qubits, h_z, gamma) of a
-# model at J_s = 0.325.
+# coupling drawn at J_s = 0.325: a 4-qubit model, or a 1- or 2-qubit register
+# of plain-array operators.
 REFERENCE_MODELS = [0.0, 0.005, 0.325, 6.0, 75.0,
                     pytest.param((1, H_Z, 0.01), id="1-qubit"),
                     pytest.param((2, H_Z, 0.01), id="2-qubit"),
@@ -298,31 +317,34 @@ REFERENCE_MODELS = [0.0, 0.005, 0.325, 6.0, 75.0,
                     pytest.param((4, H_Z, 0.05), id="gamma=0.05")]
 
 
-def reference_model(spec):
+def reference_operators(spec, jumps):
     if isinstance(spec, float):
-        return random_model(spec, seed=(1, 0))
+        return operators(random_model(spec, seed=(1, 0)), jumps)
     n_qubits, h_z, gamma = spec
-    return SpinNetworkModel(coupling=sample_coupling_matrix(0.325, n_qubits, seed=(1, 0)),
-                            h_z=h_z, gamma=gamma)
+    coupling = sample_coupling_matrix(0.325, n_qubits, seed=(1, 0))
+    if n_qubits != 4:
+        return register_operators(coupling, h_z, gamma, jumps)
+    return operators(SpinNetworkModel(coupling=coupling, h_z=h_z, gamma=gamma), jumps)
 
 
 class TestReferenceConstruction:
     """The generator equals the eight-``np.kron`` generator by value (the
     sign of a zero entry may differ), and the interval propagator equals
     the step-by-step reference assembly byte for byte, for the model's jump
-    operators and for a jump set passed in as plain arrays."""
+    operators, for a jump set passed in as plain arrays, and for 1- and
+    2-qubit registers built as plain arrays."""
 
     @pytest.mark.parametrize("jumps", ["paper", "sigma_minus"])
     @pytest.mark.parametrize("spec", REFERENCE_MODELS)
     def test_generator_equals_the_kron_terms(self, spec, jumps):
-        h, jump_ops = operators(reference_model(spec), jumps)
+        h, jump_ops = reference_operators(spec, jumps)
         assert np.array_equal(hermitianize(h), h)
         assert np.array_equal(liouvillian(h, jump_ops), kron_generator(h, jump_ops))
 
     @pytest.mark.parametrize("jumps", ["paper", "sigma_minus"])
     @pytest.mark.parametrize("spec", REFERENCE_MODELS)
     def test_propagator_bytes_equal_the_reference(self, spec, jumps):
-        h, jump_ops = operators(reference_model(spec), jumps)
+        h, jump_ops = reference_operators(spec, jumps)
         n = stable_step_count(h, jump_ops, 7.5, 0.025)
         got = interval_propagator(liouvillian(h, jump_ops), 7.5 / n, n)
         assert got.tobytes() == reference_interval_map(h, jump_ops, 7.5, 0.025).tobytes()
@@ -336,7 +358,7 @@ class TestDecoupledNetwork:
         from oracles import random_pure_product_state
 
         rho = random_pure_product_state(rng, 4)
-        rho = propagate(rho, model, 0.025, 1200)
+        rho = propagate(rho, generator(model), 0.025, 1200)
         # <Z_i> and <Z_0 Z_2> read off the diagonal, as the run loop reads them.
         z0, z2 = (embed_single_qubit(PAULI_Z, i, 4).diagonal().real for i in (0, 2))
         p = rho.diagonal().real
@@ -344,14 +366,17 @@ class TestDecoupledNetwork:
 
 
 class TestModelValidation:
-    @pytest.mark.parametrize("shape", [(2, 3), (4,)])
+    # The model is 4 qubits: a square coupling of another size is refused too.
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (1, 1), (3, 3), (4, 5)])
     def test_non_square_coupling_rejected(self, shape):
-        with pytest.raises(ValueError, match="square"):
+        with pytest.raises(ValueError, match=re.escape(f"coupling has shape {shape}, "
+                                                       "expected (4, 4)")):
             SpinNetworkModel(coupling=np.zeros(shape))
 
     def test_asymmetric_coupling_rejected(self):
-        bad = np.array([[0.0, 1.0], [0.5, 0.0]])
-        with pytest.raises(ValueError):
+        bad = np.zeros((4, 4))
+        bad[0, 1], bad[1, 0] = 1.0, 0.5
+        with pytest.raises(ValueError, match="symmetric"):
             SpinNetworkModel(coupling=bad)
         # A non-finite coupling was refused as asymmetric (NaN) or accepted (inf).
         for value in (np.nan, np.inf):
@@ -359,13 +384,14 @@ class TestModelValidation:
                 SpinNetworkModel(coupling=np.where(np.eye(4), 0.0, value))
 
     def test_nonzero_diagonal_rejected(self):
-        bad = np.array([[1.0, 0.0], [0.0, 0.0]])
-        with pytest.raises(ValueError):
+        bad = np.zeros((4, 4))
+        bad[0, 0] = 1.0
+        with pytest.raises(ValueError, match="zero diagonal"):
             SpinNetworkModel(coupling=bad)
 
     def test_negative_gamma_rejected(self):
-        with pytest.raises(ValueError):
-            SpinNetworkModel(coupling=np.zeros((2, 2)), gamma=-0.1)
+        with pytest.raises(ValueError, match="gamma"):
+            SpinNetworkModel(coupling=np.zeros((4, 4)), gamma=-0.1)
         # A NaN or infinite h_z or gamma passed every check.
         for name in ("h_z", "gamma"):
             for value in (np.nan, np.inf):

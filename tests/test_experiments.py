@@ -163,6 +163,14 @@ class TestFingerprint:
         cfg = parse_config_file(os.path.join(os.path.dirname(__file__), "data", "tiny_sweep.cfg"))
         assert cfg.fingerprint() == TINY_SWEEP_FINGERPRINT
 
+    def test_config_saved_with_a_byte_order_mark_parses(self, tmp_path):
+        # Read as plain utf-8, the mark became part of the first key:
+        # "unknown key '\ufeffexperiment'".
+        source = Path(__file__).parent / "data" / "tiny_sweep.cfg"
+        bom = tmp_path / "bom.cfg"
+        bom.write_bytes(b"\xef\xbb\xbf" + source.read_bytes())
+        assert parse_config_file(bom).fingerprint() == TINY_SWEEP_FINGERPRINT
+
     def test_all_keys_config_pinned_and_round_trips(self, tmp_path):
         path = tmp_path / "all_keys.cfg"
         path.write_text(ALL_KEYS_CONFIG_TEXT)

@@ -10,6 +10,7 @@ from spinqrc.signals import generate_raw_sequence, make_input_sequence, sequence
 from spinqrc.streams import COUPLING_DOMAIN, KEY_WORDS, SIGNAL_DOMAIN, VALIDATE_DOMAIN, stream
 
 PAIR_FORM = r"\(base_seed, index\) pair"
+ONE_WORD = r"has an entry outside \[0, 2\*\*32\)"
 
 
 def test_each_domain_keys_have_one_length(monkeypatch):
@@ -66,6 +67,18 @@ def test_int_seed_aliases_are_refused_or_distinct():
         sample_coupling_matrix(1.0, 4, 3)
     assert not np.array_equal(sample_coupling_matrix(1.0, 4, (3, 0)),
                               sample_coupling_matrix(1.0, 4, (0, 3)))
+    # SeedSequence splits an entry of 2**32 or more into 32-bit words, low
+    # word first, so (5 * 2**32 + 7, 0) drew the stream of (7, 5).
+    with pytest.raises(ValueError, match=ONE_WORD):
+        sample_coupling_matrix(1.0, 4, (5 * 2**32 + 7, 0))
+    assert not np.array_equal(sample_coupling_matrix(1.0, 4, (2**32 - 1, 0)),
+                              sample_coupling_matrix(1.0, 4, (0, 2**32 - 1)))
+
+
+@pytest.mark.parametrize("tail", [(2**32,), (-1,)])
+def test_stream_refuses_a_key_entry_that_is_not_one_word(tail):
+    with pytest.raises(ValueError, match=ONE_WORD):
+        stream(SIGNAL_DOMAIN, (3, 0), *tail)
 
 
 @pytest.mark.parametrize("domain, tail", [
