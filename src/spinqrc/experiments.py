@@ -31,8 +31,7 @@ import math
 import os
 import re
 import time
-from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -102,10 +101,22 @@ class ConfigError(Exception):
         super().__init__(f"{prefix} {message}" if prefix else message)
 
 
+# A config file's key for each field is the field's name, but for this one.
+FILE_KEYS = {"experiment_name": "experiment"}
+
+# The type of a field by its annotation; a tuple field holds floats.
+_SCALAR_TYPES = {"int": int, "float": float, "str": str}
+
+
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
-    """Resolved configuration of one experiment: one field per config key
-    (``CONFIG_FIELDS``), checked once, here."""
+    """Resolved configuration of one experiment, checked once, here.
+
+    Its fields are the config schema: each is one config-file key, its name
+    (``experiment`` for ``experiment_name``, see ``FILE_KEYS``), read as its
+    annotation says (a ``tuple`` as a list of floats). Every field but
+    ``output_dir`` enters ``semantic_dict``.
+    """
 
     experiment_name: str = "sweep_js"
     js_values: tuple = DEFAULT_JS_GRID
@@ -119,6 +130,11 @@ class ExperimentConfig:
     output_dir: str = "results"
 
     def __post_init__(self):
+        for fld in fields(self):  # a bool is an int, so it is refused by name
+            kind = {"int": "an integer", "float": "a number"}.get(fld.type)
+            value = getattr(self, fld.name)
+            if kind and (isinstance(value, bool) or fld.type == "int" and not isinstance(value, int)):
+                raise ValueError(f"{fld.name} must be {kind}, got {value!r}")
         if not 0 < self.t_final < math.inf:
             raise ValueError(f"t_final must be finite and positive, got {self.t_final}")
         if self.washout_steps < 0:
@@ -164,61 +180,30 @@ class ExperimentConfig:
         return int(math.floor(self.t_final / DELTA_T + 1e-9))
 
     def semantic_dict(self) -> dict:
-        """Everything that affects numeric results (not output locations)."""
+        """Everything that affects numeric results: every field but
+        ``output_dir`` as its annotation's type, a tuple as a list of floats."""
         # Retired settings keep their one value, so fingerprints stay put.
         return {"input_qubits": [0, 1], "time_axis": "index", "dissipator_convention": "paper",
                 "delta_t": DELTA_T, "dt": DT, "sample_spacing": SAMPLE_SPACING,
                 "lambda_grid": [float(lam) for lam in DEFAULT_LAMBDA_GRID],
-                **{fld.name: fld.to_json(getattr(self, fld.name))
-                   for fld in CONFIG_FIELDS if fld.semantic}}
+                **{fld.name: ([float(v) for v in getattr(self, fld.name)] if fld.type == "tuple"
+                              else _SCALAR_TYPES[fld.type](getattr(self, fld.name)))
+                   for fld in fields(self) if fld.name != "output_dir"}}
 
     def fingerprint(self) -> str:
         blob = json.dumps(self.semantic_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
 
 
-def _list_of(item, default=None):
-    """Parser of a comma-separated list; the word ``default`` gives ``default``."""
-
-    def parse(text: str):
-        if default is not None and text == "default":
-            return default
-        return tuple(item(tok.strip()) for tok in text.split(",") if tok.strip())
-
-    return parse
-
-
-@dataclass(frozen=True)
-class ConfigField:
-    """One setting: config-file key, parser, and its form in ``semantic_dict``.
-
-    ``name`` is the ``ExperimentConfig`` attribute and the setting's key in
-    ``semantic_dict`` and the manifest. A list value is a tuple in the
-    config and a list of ``item`` in JSON.
-    """
-
-    name: str
-    parse: Callable[[str], object]
-    item: type | None = None
-    semantic: bool = True
-    key: str | None = None
-
-    def to_json(self, value):
-        return value if self.item is None else [self.item(v) for v in value]
-
-
-CONFIG_FIELDS = (
-    ConfigField("experiment_name", str, key="experiment"),
-    ConfigField("js_values", _list_of(float, DEFAULT_JS_GRID), float),
-    ConfigField("f_values", _list_of(float), float),
-    ConfigField("n_coupling_seeds", int),
-    ConfigField("base_seed", int),
-    ConfigField("t_final", float),
-    ConfigField("washout_steps", int),
-    ConfigField("tau_max", int),
-    ConfigField("lambda_selection", str),
-    ConfigField("output_dir", str, semantic=False),
-)
+def _parse(fld, text: str):
+    """A config-file value as its field's annotation reads it: ``int``,
+    ``float``, ``str``, or a comma-separated list of floats for a ``tuple``;
+    ``js_values = default`` gives the 20-point grid."""
+    if fld.type != "tuple":
+        return _SCALAR_TYPES[fld.type](text)
+    if fld.name == "js_values" and text == "default":
+        return DEFAULT_JS_GRID
+    return tuple(float(tok.strip()) for tok in text.split(",") if tok.strip())
 
 
 def parse_config_file(path) -> ExperimentConfig:
@@ -234,7 +219,7 @@ def parse_config_file(path) -> ExperimentConfig:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(str(exc), path=path) from exc
 
-    by_key = {fld.key or fld.name: fld for fld in CONFIG_FIELDS}
+    by_key = {FILE_KEYS.get(fld.name, fld.name): fld for fld in fields(ExperimentConfig)}
     values: dict = {}
     key_lines: dict = {}
     for lineno, line in enumerate(lines, start=1):
@@ -251,7 +236,7 @@ def parse_config_file(path) -> ExperimentConfig:
         if fld.name in values:
             raise ConfigError(f"duplicate key {key!r}", path, lineno)
         try:
-            values[fld.name] = fld.parse(value.strip())
+            values[fld.name] = _parse(fld, value.strip())
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {exc}", path, lineno) from exc
         key_lines[key] = lineno
@@ -364,9 +349,11 @@ def run_sweep(cfg: ExperimentConfig, threads: int = 1, out_dir=None,
     With ``out_dir`` set, each finished cell's status and timing are appended
     to ``cells.jsonl`` (completion order; no results, so a killed sweep is
     run again), and the sorted ``sweep_results.csv`` plus ``manifest.json``
-    are written at the end. Results are identical for any ``threads`` on
-    OpenBLAS's SkylakeX and Sandybridge kernels; on Haswell/Zen the
-    propagator's ``zgemm`` rounds differently at 1 and 2 BLAS threads.
+    are written at the end. An earlier sweep's two are removed at the start,
+    so a sweep that stops leaves no results that are not its own. Results
+    are identical for any ``threads`` on OpenBLAS's SkylakeX and Sandybridge
+    kernels; on Haswell/Zen the propagator's ``zgemm`` rounds differently at
+    1 and 2 BLAS threads.
     ``threads`` > 1 runs the cells on a pool of at most that many worker
     processes. A dying worker breaks the pool; each cell it left unfinished
     is rerun on a one-worker pool of its own, and only a cell whose own
@@ -381,6 +368,9 @@ def run_sweep(cfg: ExperimentConfig, threads: int = 1, out_dir=None,
         jsonl_path = os.path.join(out_dir, "cells.jsonl")
         with open(jsonl_path, "w"):
             pass
+        for name in ("sweep_results.csv", "manifest.json"):
+            if os.path.exists(path := os.path.join(out_dir, name)):
+                os.remove(path)
 
     results: dict[tuple, CellResult] = {}
 

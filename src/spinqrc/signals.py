@@ -49,12 +49,11 @@ def sequence_phases(seq_id: int, seed: tuple[int, int]) -> np.ndarray:
     return rng.uniform(0.0, 1.0, size=N_COMPONENTS)
 
 
-def generate_raw_sequence(f0: float, seq_id: int, seed: tuple[int, int],
-                          n_samples: int = N_SAMPLES) -> np.ndarray:
-    """Un-normalized sum of sinusoids at the sample indices 0..n_samples-1."""
+def generate_raw_sequence(f0: float, seq_id: int, seed: tuple[int, int]) -> np.ndarray:
+    """Un-normalized sum of sinusoids at the sample indices 0..N_SAMPLES-1."""
     freqs = component_frequencies(f0)
     phases = sequence_phases(seq_id, seed)
-    t = np.arange(n_samples, dtype=float)
+    t = np.arange(N_SAMPLES, dtype=float)
     # x(t) = sum_k sin(2 pi f_k t + 2 pi phi_k)
     arg = 2.0 * np.pi * (np.outer(t, freqs) + phases[np.newaxis, :])
     return np.sin(arg).sum(axis=1)

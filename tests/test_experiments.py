@@ -12,9 +12,9 @@ from spinqrc.dynamics import random_model
 from spinqrc.entanglement import PARTITION_LABELS, SUMMARY_FIELDS
 from spinqrc.experiments import (
     CELL_LOG_KEYS,
-    CONFIG_FIELDS,
     DEFAULT_JS_GRID,
     FIGURE_NAMES,
+    FILE_KEYS,
     ConfigError,
     ExperimentConfig,
     blas_info,
@@ -79,10 +79,30 @@ ALL_KEYS_FINGERPRINT = "25fab144c9a22be770bd62dceb7b5a06a5ef1ac179c5c225ca1f1b1a
 
 
 class TestConfigParsing:
-    def test_each_key_is_one_config_field(self):
-        # Every config key sets one field of the one config object.
-        assert ({fld.name for fld in dataclasses.fields(ExperimentConfig)}
-                == {fld.name for fld in CONFIG_FIELDS})
+    @pytest.mark.parametrize("fld", dataclasses.fields(ExperimentConfig), ids=lambda fld: fld.name)
+    def test_each_field_round_trips_through_a_config_file(self, tmp_path, fld):
+        # Each field is read back as its annotation says; a field whose
+        # annotation the parser cannot read fails here.
+        cfg = tiny_config(experiment_name="memory_tail", f_values=(1.5, 3.0), t_final=750.5,
+                          lambda_selection="holdout")
+        assert getattr(cfg, fld.name) != getattr(ExperimentConfig(), fld.name)
+        settings = {FILE_KEYS.get(f.name, f.name): getattr(cfg, f.name)
+                    for f in dataclasses.fields(cfg)}
+        path = tmp_path / "exp.cfg"
+        path.write_text("".join(
+            f"{key} = {', '.join(map(repr, v)) if isinstance(v, tuple) else v}\n"
+            for key, v in settings.items()))
+        parsed, value = getattr(parse_config_file(path), fld.name), getattr(cfg, fld.name)
+        assert parsed == value and type(parsed) is type(value)
+
+    def test_file_keys_are_the_field_names(self, tmp_path):
+        # Every key, in field order, with experiment for experiment_name.
+        assert ([FILE_KEYS.get(fld.name, fld.name) for fld in dataclasses.fields(ExperimentConfig)]
+                == [line.split(" = ")[0] for line in ALL_KEYS_CONFIG_TEXT.splitlines()])
+        path = tmp_path / "exp.cfg"
+        path.write_text("experiment_name = sweep_js\n")
+        with pytest.raises(ConfigError, match="unknown key 'experiment_name'"):
+            parse_config_file(path)
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "exp.cfg"
@@ -185,6 +205,11 @@ class TestFingerprint:
         assert manifest["fingerprint"] == ALL_KEYS_FINGERPRINT
         assert manifest["output_dir"] == cfg.output_dir
 
+    def test_a_whole_t_final_fingerprints_as_its_float(self):
+        # A config file reads t_final = 750 as 750.0; the library's int 750
+        # ran the same cells under another fingerprint (JSON 750).
+        assert tiny_config(t_final=750).fingerprint() == tiny_config().fingerprint()
+
     def test_ignores_output_location(self):
         assert tiny_config().fingerprint() == tiny_config(output_dir="elsewhere").fingerprint()
 
@@ -192,6 +217,16 @@ class TestFingerprint:
         assert DEFAULT_JS_GRID[0] == pytest.approx(0.005)
         assert DEFAULT_JS_GRID[-1] == pytest.approx(75.0)
         assert len(DEFAULT_JS_GRID) == 20
+
+    @pytest.mark.parametrize("name, value", [("base_seed", True), ("n_coupling_seeds", 2.0),
+                                             ("washout_steps", 30.0), ("tau_max", True),
+                                             ("t_final", True)])
+    def test_integer_settings_refuse_bools_and_floats(self, name, value):
+        # base_seed=True and washout_steps=30.0 built, then failed every cell;
+        # n_coupling_seeds=2.0 raised a TypeError outside cell isolation; and
+        # tau_max=True ran as 1 under another fingerprint (JSON true).
+        with pytest.raises(ValueError, match=rf"^{name} must be an? (integer|number), got "):
+            tiny_config(**{name: value})
 
     def test_run_length_invariant_enforced(self):
         # K = 100 cannot host washout 50 plus 2*(tau_max + 10) = 68 steps.
@@ -240,6 +275,24 @@ class TestSweep:
             texts[name] = (out / "sweep_results.csv").read_bytes()
         assert texts["a"] == texts["b"]
         assert texts["a"] == texts["c"]
+
+    def test_a_stopped_sweep_leaves_no_earlier_results(self, tmp_path):
+        from spinqrc.cli import main
+
+        # A sweep that stopped after one cell left the previous sweep's CSV
+        # and manifest beside its own cells.jsonl, and emit read them.
+        run_sweep(tiny_config(js_values=(0.1,), n_coupling_seeds=1), out_dir=tmp_path)
+
+        def stop(result):
+            raise RuntimeError("stopped")
+
+        with pytest.raises(RuntimeError, match="stopped"):
+            run_sweep(tiny_config(js_values=(5.0, 9.0), n_coupling_seeds=1), out_dir=tmp_path,
+                      progress=stop)
+        assert not (tmp_path / "sweep_results.csv").exists()
+        assert not (tmp_path / "manifest.json").exists()
+        assert len((tmp_path / "cells.jsonl").read_text().splitlines()) == 1
+        assert main(["emit", "--results", str(tmp_path)]) == 1
 
     def test_failed_cells_are_isolated(self, tmp_path, seed_one_fails):
         cfg = tiny_config(js_values=(0.2,))
