@@ -15,12 +15,14 @@ and evolved with the Lindblad master equation
 Integration is fixed-step classical RK4. Because the generator is linear and
 time independent, one RK4 step is exactly the degree-4 Taylor polynomial of
 the Liouvillian acting on vec(rho). ``SpinNetworkModel`` is 4 qubits by
-construction, and ``build_hamiltonian`` and ``build_jump_operators`` give
-its 16 x 16 operators. The later stages are functions of plain arrays of
-any size: ``liouvillian`` gives the 4^n x 4^n generator of an n-qubit
-Hamiltonian and jump set, ``stable_step_count`` the number of substeps, and
-``interval_propagator`` builds the step polynomial and composes n steps of
-it into one matrix; ``sample_coupling_matrix`` draws a coupling of any size.
+construction: ``build_hamiltonian`` and ``build_jump_operators`` give its
+16 x 16 operators as scalings of ``Z_STRINGS``, ``XX_STRINGS`` and
+``JUMP_STRINGS``, read-only tables built once at import. The later stages
+are functions of plain arrays of any size: ``liouvillian`` gives the
+4^n x 4^n generator of an n-qubit Hamiltonian and jump set,
+``stable_step_count`` the number of substeps, and ``interval_propagator``
+builds the step polynomial and composes n steps of it into one matrix;
+``sample_coupling_matrix`` draws a coupling of any size.
 
 The generator is written entry by entry through index arrays, never as a
 Kronecker product of two full matrices, and the step polynomial is summed in
@@ -50,12 +52,14 @@ from .streams import COUPLING_DOMAIN, stream
 JUMP_BLOCK = 0.5 * (PAULI_Z + 1j * PAULI_Y)
 JUMP_BLOCK.flags.writeable = False
 
-# The Z_i strings and the ((i, j), X_i X_j) pairs, i < j in row-major order,
-# of the 4-qubit register, read-only: every Hamiltonian sums these.
+# The Z_i strings, the ((i, j), X_i X_j) pairs, i < j in row-major order, and
+# the JUMP_BLOCK_i strings of the 4-qubit register, read-only: a model's
+# Hamiltonian and jump operators are scalings of these.
 Z_STRINGS = tuple(embed_single_qubit(PAULI_Z, i, 4) for i in range(4))
 XX_STRINGS = tuple(((i, j), kron_all(PAULI_X if q in (i, j) else PAULI_I for q in range(4)))
                    for i in range(4) for j in range(i + 1, 4))
-for _op in (*Z_STRINGS, *(term for _, term in XX_STRINGS)):
+JUMP_STRINGS = tuple(embed_single_qubit(JUMP_BLOCK, i, 4) for i in range(4))
+for _op in (*Z_STRINGS, *(term for _, term in XX_STRINGS), *JUMP_STRINGS):
     _op.flags.writeable = False
 
 # Largest |lambda|*dt the RK4 stability polynomial is allowed to see. The
@@ -118,18 +122,14 @@ def build_hamiltonian(model: SpinNetworkModel) -> np.ndarray:
     for z_i in Z_STRINGS:
         h += (model.h_z / 2.0) * z_i
     for (i, j), term in XX_STRINGS:
-        jij = model.coupling[i, j]
-        if jij == 0.0:
-            continue
-        h += (jij / 2.0) * term
+        h += (model.coupling[i, j] / 2.0) * term
     return h
 
 
 def build_jump_operators(model: SpinNetworkModel) -> list[np.ndarray]:
-    """One local jump operator sqrt(gamma) * JUMP_BLOCK per qubit, embedded in
-    the full register."""
-    block = math.sqrt(model.gamma) * JUMP_BLOCK
-    return [embed_single_qubit(block, i, 4) for i in range(4)]
+    """One local jump operator per qubit: sqrt(gamma) times its JUMP_STRINGS
+    table, a fresh array the caller may write into."""
+    return [math.sqrt(model.gamma) * s for s in JUMP_STRINGS]
 
 
 def liouvillian(hamiltonian: np.ndarray, jump_ops) -> np.ndarray:

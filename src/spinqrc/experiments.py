@@ -357,7 +357,10 @@ def run_sweep(cfg: ExperimentConfig, threads: int = 1, out_dir=None,
     ``threads`` > 1 runs the cells on a pool of at most that many worker
     processes. A dying worker breaks the pool; each cell it left unfinished
     is rerun on a one-worker pool of its own, and only a cell whose own
-    worker dies is recorded as an error.
+    worker dies is recorded as an error. A sweep stopped by an exception
+    (from ``progress``, a failed ``cells.jsonl`` write or Ctrl-C) runs no
+    queued cell: the pool cancels every cell it has not yet handed to a
+    worker before the exception leaves it.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
@@ -391,14 +394,19 @@ def run_sweep(cfg: ExperimentConfig, threads: int = 1, out_dir=None,
         from concurrent.futures.process import BrokenProcessPool
 
         def on_pool(batch, workers):
-            """Record each cell of ``batch`` that the pool finishes."""
+            """Record each cell of ``batch`` that the pool finishes; on an
+            exception, cancel the queued cells before leaving the pool."""
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = {pool.submit(_cell_worker, (cfg, *cell)): cell for cell in batch}
-                for future in as_completed(futures):
-                    try:
-                        record(futures[future], future.result())
-                    except BrokenProcessPool:
-                        pass  # rerun below
+                try:
+                    for future in as_completed(futures):
+                        try:
+                            record(futures[future], future.result())
+                        except BrokenProcessPool:
+                            pass  # rerun below
+                except BaseException:
+                    pool.shutdown(cancel_futures=True)
+                    raise
 
         on_pool(cells, min(threads, len(cells)))
         for cell in [c for c in cells if c not in results]:

@@ -35,6 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .dynamics import (
+    Z_STRINGS,
     SpinNetworkModel,
     build_hamiltonian,
     build_jump_operators,
@@ -45,9 +46,9 @@ from .dynamics import (
 from .entanglement import hermitian_negativities
 from .linalg import check_hermitian, hermitianize
 
-# Z_SIGNS[i, b] = <b|Z_i|b>: +1 where qubit i of basis state b is 0, -1 where
-# it is 1. Z_i is diagonal, so <Z_i> of a state is its diagonal times row i.
-Z_SIGNS = 1.0 - 2.0 * ((np.arange(16) >> np.arange(3, -1, -1)[:, None]) & 1)
+# Z_SIGNS[i] is the real diagonal of the table Z_STRINGS[i]. Z_i is diagonal,
+# so <Z_i> of a state is its diagonal times row i.
+Z_SIGNS = np.stack([z.diagonal().real for z in Z_STRINGS])
 
 # The run protocol: injection interval, RK4 step request and input sample spacing.
 DELTA_T = 7.5

@@ -6,6 +6,9 @@ import pytest
 
 from spinqrc.dynamics import (
     JUMP_BLOCK,
+    JUMP_STRINGS,
+    XX_STRINGS,
+    Z_STRINGS,
     SpinNetworkModel,
     build_hamiltonian,
     build_jump_operators,
@@ -146,6 +149,26 @@ class TestBuildHamiltonian:
         assert np.array_equal(h, register_operators(model.coupling, model.h_z)[0])
         assert np.array_equal(build_hamiltonian(model), h)
 
+    @pytest.mark.parametrize("model", [
+        random_model(0.0, seed=(21, 0)),
+        SpinNetworkModel(coupling=np.array([[0.0, 0.4, 0.0, -1.2],
+                                            [0.4, 0.0, 0.0, 0.0],
+                                            [0.0, 0.0, 0.0, 2.5],
+                                            [-1.2, 0.0, 2.5, 0.0]]), h_z=0.7),
+    ], ids=["J_s=0", "some-zero-couplings"])
+    def test_bytes_equal_a_sum_that_skips_zero_couplings(self, model):
+        # A zero-scaled XX term adds only zeros, so summing every term leaves
+        # the bytes of a sum that skips the zero couplings.
+        want = np.zeros((16, 16), dtype=complex)
+        for i in range(4):
+            want += (model.h_z / 2.0) * embed_single_qubit(PAULI_Z, i, 4)
+        for i in range(4):
+            for j in range(i + 1, 4):
+                if model.coupling[i, j] != 0.0:
+                    term = kron_all(PAULI_X if q in (i, j) else PAULI_I for q in range(4))
+                    want += (model.coupling[i, j] / 2.0) * term
+        assert build_hamiltonian(model).tobytes() == want.tobytes()
+
 
 class TestJumpOperators:
     def test_zero_rate_gives_zero_operators(self):
@@ -165,6 +188,23 @@ class TestJumpOperators:
         oracle = np.kron(np.eye(4), np.kron(block, np.eye(2)))
         assert np.allclose(ops[2], oracle, atol=1e-15)
         assert len(ops) == 4
+
+    @pytest.mark.parametrize("gamma", [0.0, 1e-7, 0.01, 0.05, 0.3])
+    def test_bytes_equal_the_embedded_scaled_block(self, gamma):
+        ops = build_jump_operators(zero_coupling_model(gamma=gamma))
+        for i, op in enumerate(ops):
+            want = embed_single_qubit(math.sqrt(gamma) * JUMP_BLOCK, i, 4)
+            assert op.dtype == want.dtype and op.tobytes() == want.tobytes()
+
+    def test_tables_are_read_only_and_builds_are_fresh(self):
+        for table in (*Z_STRINGS, *(term for _, term in XX_STRINGS), *JUMP_STRINGS):
+            assert not table.flags.writeable
+        model = zero_coupling_model()
+        first = build_jump_operators(model)
+        want = [op.copy() for op in first]
+        for op in first:
+            op[:] = 7.0
+        assert all(np.array_equal(a, b) for a, b in zip(build_jump_operators(model), want))
 
 
 class TestLindbladRhs:

@@ -20,7 +20,7 @@ from spinqrc.experiments import (
     write_run_outputs,
 )
 from spinqrc.learning import CapacityProfile
-from spinqrc.linalg import kron, kron_all
+from spinqrc.linalg import kron_all
 from spinqrc.reservoir import TrajectoryRecord, all_zero_state
 
 from oracles import log_negativity_oracle, random_density_matrix, random_pure_product_state
@@ -102,7 +102,7 @@ class TestLogNegativity:
 
     def test_mixing_bell_with_identity_reduces_negativity(self):
         rho4 = 0.75 * BELL + 0.25 * np.eye(4) / 4
-        e = negativities(kron(rho4, kron(KET0, KET0))[None])[0, 0]  # column 0 is E1
+        e = negativities(np.kron(rho4, np.kron(KET0, KET0))[None])[0, 0]  # column 0 is E1
         assert 0.0 < e < 1.0
 
 

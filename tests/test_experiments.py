@@ -392,6 +392,43 @@ class TestSweep:
         assert [key(r) for i, r in enumerate(rows) if i != 2] == [
             key(r) for i, r in enumerate(serial) if i != 2]
 
+    def test_pooled_sweep_that_stops_runs_no_queued_cell(self, tmp_path, monkeypatch):
+        # The first result's progress callback raises. The sweep raises
+        # without running the cells still queued on the pool.
+        import threading
+        import time
+
+        import spinqrc.experiments as exp
+
+        ran = tmp_path / "ran.log"
+
+        def stub(cfg, js, f, seed_index):
+            with open(ran, "a") as fh:
+                fh.write(f"{seed_index}\n")
+            time.sleep(0.2)
+            return exp.CellResult(js, f, seed_index, "ok", None, None, 0.0)
+
+        def stop(result):
+            raise RuntimeError("stop the sweep")
+
+        # Patched before the pool forks, so every worker inherits it.
+        monkeypatch.setattr(exp, "run_cell", stub)
+        cfg = tiny_config(js_values=(0.2,), n_coupling_seeds=20)
+        raised = []
+
+        def sweep():
+            try:
+                run_sweep(cfg, threads=2, out_dir=tmp_path / "out", progress=stop)
+            except RuntimeError as exc:
+                raised.append(exc)
+
+        runner = threading.Thread(target=sweep, daemon=True)
+        runner.start()
+        runner.join(timeout=60)
+        assert raised, "run_sweep did not raise the progress callback's exception"
+        assert len(ran.read_text().splitlines()) <= 10
+        assert (tmp_path / "out" / "cells.jsonl").read_text().count("\n") == 1
+
     def test_pool_has_at_most_one_worker_per_cell(self, monkeypatch):
         import concurrent.futures
         from concurrent.futures import Future

@@ -14,7 +14,7 @@ from spinqrc.dynamics import (
 )
 from spinqrc.entanglement import PARTITION_LABELS, PARTITIONS, negativities
 from spinqrc.experiments import ExperimentConfig
-from spinqrc.linalg import PAULI_Z, embed_single_qubit, hermitianize, kron
+from spinqrc.linalg import PAULI_Z, embed_single_qubit, hermitianize
 from spinqrc.reservoir import (
     DELTA_T,
     DT,
@@ -51,7 +51,7 @@ class TestInject:
         rng = np.random.default_rng(1)
         out = reset_run(random_density_matrix(rng, 16), 0.3, 0.8).states[1]
         marginal = partial_trace_oracle(out, {2, 3}, 4)
-        want = kron(encoded_state(0.3), encoded_state(0.8))
+        want = np.kron(encoded_state(0.3), encoded_state(0.8))
         assert np.allclose(marginal, want, atol=1e-12)
 
     def test_rest_marginal_preserved_exactly(self, reset_run):
