@@ -2,30 +2,21 @@
 """Short-term memory capacity: ridge readout on the delayed bilinear task,
 per-delay profiles in contrasting coupling regimes, and the zero-delay dip.
 
-Run:  python demos/04_memory_capacity.py   (about a minute)
+Run:  python demos/04_memory_capacity.py   (about 3 s on a 2-vCPU AVX-512 Xeon)
 """
 
 import numpy as np
 
-from spinqrc.dynamics import random_model
-from spinqrc.experiments import ExperimentConfig
-from spinqrc.learning import evaluate_capacity_profile
-from spinqrc.reservoir import interval_map, run_reservoir
-from spinqrc.signals import make_input_sequence
+from spinqrc.experiments import ExperimentConfig, run_cell
 
 cfg = ExperimentConfig()
 SEEDS = 3
 
 
 def profile(js, f):
-    acc = []
-    for seed in range(SEEDS):
-        propagator = interval_map(random_model(js, seed=(2024, seed)))
-        seqs = [make_input_sequence(f, q, (2024, seed)) for q in range(4)]
-        train, test = run_reservoir(propagator, [seqs[0:2], seqs[2:4]],
-                                    cfg.n_steps, cfg.washout_steps)
-        acc.append(evaluate_capacity_profile(train, test).per_tau)
-    return np.mean(acc, axis=0)
+    """The seed mean of the sweep cells' capacity per delay."""
+    return np.mean([run_cell(cfg, js, f, seed).capacity.per_tau for seed in range(SEEDS)],
+                   axis=0)
 
 
 def show(label, p):

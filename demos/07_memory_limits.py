@@ -10,7 +10,7 @@ between the input pair and the rest, and the coupling keeps draining stored
 information back into qubits that are about to be erased), and the cap is
 insensitive to the dissipation rate.
 
-Run:  python demos/07_memory_limits.py   (about a minute)
+Run:  python demos/07_memory_limits.py   (about 2 s on a 2-vCPU AVX-512 Xeon)
 """
 
 import numpy as np

@@ -152,18 +152,17 @@ def liouvillian(hamiltonian: np.ndarray, jump_ops) -> np.ndarray:
     m4[:, k, :, k] = hamiltonian
     m4[k, :, k, :] -= hamiltonian.T
     m *= -1j
-    if jump_ops:
-        acc = np.zeros((d, d), dtype=complex)
-        for l in jump_ops:
-            rows, cols = np.nonzero(l)
-            v = l[rows, cols]
-            m4[rows[:, None], rows, cols[:, None], cols] += v[:, None] * v.conj()
-            acc += l.conj().T @ l
-        half = 0.5 * acc
-        m4[k[:, None], k, k[:, None], k] -= half.diagonal()[:, None] + half.diagonal()
-        np.fill_diagonal(half, 0.0)  # x - 0 is x: the diagonal is done
-        m4[:, k, :, k] -= half
-        m4[k, :, k, :] -= half.T
+    acc = np.zeros((d, d), dtype=complex)
+    for l in jump_ops:
+        rows, cols = np.nonzero(l)
+        v = l[rows, cols]
+        m4[rows[:, None], rows, cols[:, None], cols] += v[:, None] * v.conj()
+        acc += l.conj().T @ l
+    half = 0.5 * acc
+    m4[k[:, None], k, k[:, None], k] -= half.diagonal()[:, None] + half.diagonal()
+    np.fill_diagonal(half, 0.0)  # x - 0 is x: the diagonal is done
+    m4[:, k, :, k] -= half
+    m4[k, :, k, :] -= half.T
     return m
 
 

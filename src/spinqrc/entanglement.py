@@ -8,9 +8,10 @@ fixed gather of a state's 256 entries, so ``hermitian_negativities`` takes a
 block of states to its (n, 7, 16, 16) stack of partial transposes in one
 indexing step and solves that stack in one eigensolve.
 
-``negativities`` is the checked entry point: it rejects a stack that is not
-Hermitian and symmetrises each block before that kernel. A run's records
-call the kernel directly, because every state a record holds is exactly
+``negativities`` is the checked entry point: it checks and symmetrises the
+whole stack once, rejecting a stack that is not Hermitian, then calls that
+kernel, whose block loop is the module's only loop. A run's records call
+the kernel directly, because every state a record holds is exactly
 Hermitian (``reservoir.run_reservoir`` stores each as ``hermitianize`` of
 what it computed), and symmetrising such a state returns the same bytes.
 """
@@ -80,18 +81,14 @@ def negativities(states: np.ndarray) -> np.ndarray:
 
     Returns K x 7 in PARTITION_LABELS order, equal bit for bit to the
     per-state reference in ``tests/oracles.py``. ``check_hermitian`` and the
-    symmetrisation run once per block on the states themselves, before
+    symmetrisation run once on the whole stack of states, before
     ``hermitian_negativities``: a partial transpose permutes the entries of
     rho - rho†, so the relative residue is the same number, and
     PT(hermitianize(rho)) equals hermitianize(PT(rho)) entry for entry.
     """
     states = np.asarray(states)
-    out = np.empty((len(states), len(PARTITION_LABELS)))
-    for start in range(0, len(states), NEGATIVITY_BLOCK):
-        block = states[start:start + NEGATIVITY_BLOCK]
-        check_hermitian(block)
-        out[start:start + len(block)] = hermitian_negativities(hermitianize(block))
-    return out
+    check_hermitian(states)
+    return hermitian_negativities(hermitianize(states))
 
 
 def summarize(means) -> dict:

@@ -30,6 +30,7 @@ import json
 import math
 import os
 import re
+import signal
 import time
 from dataclasses import dataclass, field, fields, replace
 
@@ -115,7 +116,10 @@ class ExperimentConfig:
     Its fields are the config schema: each is one config-file key, its name
     (``experiment`` for ``experiment_name``, see ``FILE_KEYS``), read as its
     annotation says (a ``tuple`` as a list of floats). Every field but
-    ``output_dir`` enters ``semantic_dict``.
+    ``output_dir`` enters ``semantic_dict``. An ``int`` field refuses
+    anything but an int, a ``str`` field anything but a str, and a
+    ``float`` field a bool, each by name; a ``tuple`` field stores
+    ``tuple(value)``, so a list or generator is read once.
     """
 
     experiment_name: str = "sweep_js"
@@ -130,10 +134,15 @@ class ExperimentConfig:
     output_dir: str = "results"
 
     def __post_init__(self):
-        for fld in fields(self):  # a bool is an int, so it is refused by name
-            kind = {"int": "an integer", "float": "a number"}.get(fld.type)
+        for fld in fields(self):
             value = getattr(self, fld.name)
-            if kind and (isinstance(value, bool) or fld.type == "int" and not isinstance(value, int)):
+            if fld.type == "tuple":  # read once, here: a list or generator is kept as its tuple
+                object.__setattr__(self, fld.name, tuple(value))
+                continue
+            kind, accepted = {"int": ("an integer", int), "float": ("a number", object),
+                              "str": ("a string", str)}[fld.type]
+            # A bool is an int, so it is refused by name.
+            if isinstance(value, bool) or not isinstance(value, accepted):
                 raise ValueError(f"{fld.name} must be {kind}, got {value!r}")
         if not 0 < self.t_final < math.inf:
             raise ValueError(f"t_final must be finite and positive, got {self.t_final}")
@@ -360,7 +369,8 @@ def run_sweep(cfg: ExperimentConfig, threads: int = 1, out_dir=None,
     worker dies is recorded as an error. A sweep stopped by an exception
     (from ``progress``, a failed ``cells.jsonl`` write or Ctrl-C) runs no
     queued cell: the pool cancels every cell it has not yet handed to a
-    worker before the exception leaves it.
+    worker before the exception leaves it. The workers ignore SIGINT, so
+    only the parent handles a terminal's Ctrl-C.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
@@ -396,7 +406,8 @@ def run_sweep(cfg: ExperimentConfig, threads: int = 1, out_dir=None,
         def on_pool(batch, workers):
             """Record each cell of ``batch`` that the pool finishes; on an
             exception, cancel the queued cells before leaving the pool."""
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with ProcessPoolExecutor(max_workers=workers, initializer=signal.signal,
+                                     initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
                 futures = {pool.submit(_cell_worker, (cfg, *cell)): cell for cell in batch}
                 try:
                     for future in as_completed(futures):
@@ -587,7 +598,7 @@ def read_sweep_results(out_dir) -> tuple[CellResult, ...]:
     header = sweep_csv_header(tau_max)
     with open(csv_path, newline="") as fh:
         reader = csv.reader(fh)
-        if next(reader) != header:
+        if next(reader, None) != header:
             raise ValueError(f"unexpected sweep_results.csv header in {out_dir}")
         records = list(reader)
     if len(records) != len(cells):

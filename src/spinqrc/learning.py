@@ -92,16 +92,16 @@ class CapacityProfile:
 
 def evaluate_capacity_profile(train: TrajectoryRecord, test: TrajectoryRecord,
                               tau_max: int = TAU_MAX_DEFAULT,
-                              lambda_grid=DEFAULT_LAMBDA_GRID,
                               selection: TrajectoryRecord | None = None) -> CapacityProfile:
     """Fit per-tau readouts on the train run and score them on the test run.
 
-    For each tau the regularization strength is the one that maximizes
-    capacity on the ``selection`` run, and the test run is scored once with
-    it. ``selection`` defaults to the test run itself, the default protocol,
-    whose score at the chosen lambda is the one the selection computed (a
-    row of the stacked score equals that row scored alone bit for bit); a
-    held-out run gives the clean variant.
+    For each tau the regularization strength is the one of
+    ``DEFAULT_LAMBDA_GRID`` that maximizes capacity on the ``selection``
+    run, and the test run is scored once with it. ``selection`` defaults to
+    the test run itself, the default protocol, whose score at the chosen
+    lambda is the one the selection computed (a row of the stacked score
+    equals that row scored alone bit for bit); a held-out run gives the
+    clean variant.
     """
     if selection is None:
         selection = test
@@ -120,11 +120,11 @@ def evaluate_capacity_profile(train: TrajectoryRecord, test: TrajectoryRecord,
     lambdas = np.zeros(tau_max + 1)
     for tau in range(tau_max + 1):
         rows, targets = slice(washout + tau, None), slice(washout, k_steps - tau)
-        weights = ridge_weights(r_train[rows], g_train[targets], lambda_grid)
+        weights = ridge_weights(r_train[rows], g_train[targets], DEFAULT_LAMBDA_GRID)
         scores = stm_capacity(np.matmul(r_sel[rows], weights[..., None])[..., 0],
                               g_sel[targets])
         best = int(np.argmax(scores))
         per_tau[tau] = (scores[best] if selection is test
                         else stm_capacity(r_test[rows] @ weights[best], g_test[targets]))
-        lambdas[tau] = float(lambda_grid[best])
+        lambdas[tau] = float(DEFAULT_LAMBDA_GRID[best])
     return CapacityProfile(per_tau=per_tau, lambda_per_tau=lambdas)

@@ -30,15 +30,15 @@ def hermitianize(m: np.ndarray) -> np.ndarray:
 def hermiticity_error(m: np.ndarray) -> float:
     """Max |m - m†| entry, relative to max |m| (0 for the zero matrix).
 
-    For a stack of matrices, the largest such residue over the stack. NaN
-    when an entry is NaN or infinite (inf - inf and inf / inf are NaN, and
-    the NaN is the answer, not a warning).
+    For a stack of matrices, the largest such residue over the stack (0 for
+    an empty stack). NaN when an entry is NaN or infinite (inf - inf and
+    inf / inf are NaN, and the NaN is the answer, not a warning).
     """
     with np.errstate(invalid="ignore"):
         scale = np.abs(m).max(axis=(-2, -1))
         resid = np.abs(m - dagger(m)).max(axis=(-2, -1))
         rel = np.divide(resid, scale, out=np.zeros_like(resid), where=scale != 0.0)
-    return float(rel.max())
+    return float(rel.max(initial=0.0))
 
 
 def check_hermitian(m: np.ndarray) -> None:

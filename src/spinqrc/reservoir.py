@@ -21,7 +21,8 @@ One function, ``run_reservoir(propagator, [(seq1, seq2), ...], n_steps,
 washout_steps)``, runs the loop for every input pair it is given and returns
 one record per pair, in order: a cell's train, test and holdout runs step
 together, and a single run is a one-pair list. Every state a record holds
-is exactly Hermitian: a given ``initial_state`` is recorded as its
+is exactly Hermitian: the start state, the all-|0> default or a given
+``initial_state`` alike, passes ``check_hermitian`` and is recorded as its
 Hermitian part, and every later one is ``hermitianize`` of the evolved
 state. So a record reads its negativities from
 ``entanglement.hermitian_negativities``, with no Hermiticity pass.
@@ -143,11 +144,11 @@ def run_reservoir(propagator: np.ndarray, pairs, n_steps: int, washout_steps: in
     step must remain.
 
     All runs step together, and each record keeps its ``raw`` states only
-    with ``keep_raw``. Every run starts from the all-|0> state unless
-    ``initial_state`` is given (the washout discard makes it immaterial); a
-    given one must pass ``check_hermitian`` and is recorded as its Hermitian
-    part, ``hermitianize(initial_state)``, so that, like every later state,
-    it is exactly Hermitian.
+    with ``keep_raw``. Every run starts from ``initial_state``, the all-|0>
+    state by default (the washout discard makes it immaterial). Either way
+    the start must be 16 x 16 and pass ``check_hermitian``, and it is
+    recorded as its Hermitian part, ``hermitianize`` of it, so that, like
+    every later state, it is exactly Hermitian.
 
     Each step resets qubits 0 and 1 to sqrt(1 - s)|0> + sqrt(s)|1> for its
     pair, applies the propagator and takes ``hermitianize``: the
@@ -177,14 +178,11 @@ def run_reservoir(propagator: np.ndarray, pairs, n_steps: int, washout_steps: in
               * sig[..., 1, None, :, None, :]).reshape(n_runs, n_steps, 4, 4)
 
     states = np.empty((n_runs, n_steps, 16, 16), dtype=complex)
-    if initial_state is None:
-        states[:, 0] = all_zero_state(4)
-    elif np.shape(initial_state) == (16, 16):
-        rho0 = np.asarray(initial_state)
-        check_hermitian(rho0)
-        states[:, 0] = hermitianize(rho0)
-    else:
-        raise ValueError(f"initial state has shape {np.shape(initial_state)}, expected (16, 16)")
+    rho0 = all_zero_state(4) if initial_state is None else np.asarray(initial_state)
+    if rho0.shape != (16, 16):
+        raise ValueError(f"initial state has shape {rho0.shape}, expected (16, 16)")
+    check_hermitian(rho0)
+    states[:, 0] = hermitianize(rho0)
     raw = np.empty_like(states) if keep_raw else None
     # diag[r, k, :, :, i] is the 4 x 4 block of states[r, k] where qubits 0
     # and 1 are in basis state i on both sides.

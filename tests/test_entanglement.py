@@ -68,11 +68,11 @@ class TestLogNegativity:
             # single-vs-rest cuts of 4 qubits are bounded by 1
             assert vals[:4].max() <= 1.0 + 1e-12
 
-    @pytest.mark.parametrize("k", [1, NEGATIVITY_BLOCK - 1, NEGATIVITY_BLOCK,
+    @pytest.mark.parametrize("k", [0, 1, NEGATIVITY_BLOCK - 1, NEGATIVITY_BLOCK,
                                    NEGATIVITY_BLOCK + 1, 300])
     def test_stacked_negativities_equal_the_per_state_reference(self, k):
         rng = np.random.default_rng(k)
-        states = np.stack([random_density_matrix(rng, 16) for _ in range(k)])
+        states = np.array([random_density_matrix(rng, 16) for _ in range(k)]).reshape(k, 16, 16)
         got = negativities(states)
         want = [[log_negativity_oracle(rho, PARTITIONS[lbl]) for lbl in PARTITION_LABELS]
                 for rho in states]

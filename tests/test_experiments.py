@@ -228,6 +228,22 @@ class TestFingerprint:
         with pytest.raises(ValueError, match=rf"^{name} must be an? (integer|number), got "):
             tiny_config(**{name: value})
 
+    def test_a_path_output_dir_is_refused_by_name(self, tmp_path):
+        # A Path ran every cell, then json.dump failed partway through
+        # manifest.json, which read_sweep_results then called "not JSON".
+        with pytest.raises(ValueError, match=r"^output_dir must be a string, got PosixPath"):
+            tiny_config(output_dir=tmp_path / "out")
+
+    def test_list_values_are_kept_as_their_tuple(self):
+        # A generator passed every check by being consumed by it, and its
+        # sweep had no cells.
+        want = tiny_config()
+        for js_values in ((v for v in (0.1, 1.0)), [0.1, 1.0]):
+            cfg = tiny_config(js_values=js_values)
+            assert cfg.js_values == (0.1, 1.0)
+            assert sweep_cells(cfg) == sweep_cells(want)
+            assert cfg.fingerprint() == want.fingerprint()
+
     def test_run_length_invariant_enforced(self):
         # K = 100 cannot host washout 50 plus 2*(tau_max + 10) = 68 steps.
         with pytest.raises(ValueError, match="run too short"):
@@ -440,7 +456,7 @@ class TestSweep:
         class Recording:
             """Runs each cell in this process; records the pool size asked for."""
 
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer, initargs):
                 sizes.append(max_workers)
 
             def __enter__(self):
@@ -466,6 +482,29 @@ class TestSweep:
         assert sizes == [2, 4, 4]
         with pytest.raises(ValueError, match="threads"):
             run_sweep(cfg, threads=0)
+
+    def test_pool_workers_ignore_sigint(self, monkeypatch):
+        # A terminal's Ctrl-C signals the whole process group: a worker that
+        # took it printed a KeyboardInterrupt traceback. Only the parent
+        # handles it.
+        import signal
+        import threading
+
+        import spinqrc.experiments as exp
+
+        def stub(cfg, js, f, seed_index):
+            return exp.CellResult(js, f, seed_index, "ok", None, None, 0.0,
+                                  error=repr(signal.getsignal(signal.SIGINT)))
+
+        # Patched before the pool forks, so every worker inherits it.
+        monkeypatch.setattr(exp, "run_cell", stub)
+        done = []
+        runner = threading.Thread(
+            target=lambda: done.append(run_sweep(tiny_config(), threads=2)), daemon=True)
+        runner.start()
+        runner.join(timeout=60)
+        assert done, "run_sweep did not return"
+        assert [r.error for r in done[0]] == [repr(signal.SIG_IGN)] * 4
 
     def test_stage_timings_recorded(self, tmp_path):
         cfg = tiny_config(js_values=(0.5,), n_coupling_seeds=1)
@@ -681,6 +720,18 @@ class TestSweep:
         path.write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="unexpected sweep_results.csv header"):
             read_sweep_results(tmp_path)
+
+    def test_empty_results_file_is_named(self, tmp_path, capsys):
+        # An empty sweep_results.csv made emit print "error: StopIteration: ".
+        from spinqrc.cli import main
+
+        run_sweep(tiny_config(js_values=(0.5,)), out_dir=tmp_path)
+        (tmp_path / "sweep_results.csv").write_bytes(b"")
+        message = f"unexpected sweep_results.csv header in {tmp_path}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_sweep_results(tmp_path)
+        assert main(["emit", "--results", str(tmp_path)]) == 1
+        assert message in capsys.readouterr().err
 
     def test_holdout_lambda_selection_mode(self):
         # The clean protocol selects lambda on the held-out sequences 4,5 and

@@ -242,7 +242,8 @@ class TestEvaluateCapacityProfile:
 
     def test_feature_rescaling_leaves_capacity_unchanged(self):
         # Scaling every feature by c and every lambda by c^2 rescales the
-        # ridge predictions by an affine map, so Pearson^2 is untouched.
+        # ridge predictions by an affine map, so Pearson^2 is untouched:
+        # each lambda's test-window score, at every delay.
         rng = np.random.default_rng(14)
         s1 = rng.uniform(0, 1, 70)
         s2 = rng.uniform(0, 1, 70)
@@ -251,16 +252,16 @@ class TestEvaluateCapacityProfile:
                                  rng.uniform(0, 1, 70), rng.uniform(0, 1, 70),
                                  np.ones(70)])
         feats_test = np.roll(feats, 2, axis=0)
+        g, g_test = s1 * s2, np.roll(s1 * s2, 2)
         scale = 7.3
-        grid = tuple(np.geomspace(1e-8, 1e2, 11))
-        grid_scaled = tuple(scale**2 * g for g in grid)
-        train = make_record(feats, s1, s2, washout=5)
-        test = make_record(feats_test, np.roll(s1, 2), np.roll(s2, 2), washout=5)
-        train_s = make_record(scale * feats, s1, s2, washout=5)
-        test_s = make_record(scale * feats_test, np.roll(s1, 2), np.roll(s2, 2), washout=5)
-        a = evaluate_capacity_profile(train, test, tau_max=4, lambda_grid=grid)
-        b = evaluate_capacity_profile(train_s, test_s, tau_max=4, lambda_grid=grid_scaled)
-        assert np.allclose(a.per_tau, b.per_tau, atol=1e-8)
+        grid = np.geomspace(1e-8, 1e2, 11)
+        for tau in range(5):
+            rows, targets = slice(5 + tau, None), slice(5, 70 - tau)
+            scores = []
+            for c in (1.0, scale):
+                weights = ridge_weights(c * feats[rows], g[targets], c**2 * grid)
+                scores.append(stm_capacity(weights @ (c * feats_test[rows]).T, g_test[targets]))
+            assert np.allclose(scores[0], scores[1], atol=1e-8)
 
     @pytest.mark.parametrize("holdout", [False, True])
     def test_equals_a_per_lambda_loop(self, holdout):
