@@ -16,7 +16,7 @@ OUT = os.path.join(os.path.dirname(__file__), "output")
 os.makedirs(OUT, exist_ok=True)
 
 # The (base_seed, index) pair of coupling seed 0 of a sweep with base seed 2024:
-# its train, test and holdout runs read these nine sequences.
+# its train and test runs read four of these nine sequences.
 SEED = (2024, 0)
 
 print("=== component frequency bands ===")
@@ -28,8 +28,7 @@ for f0 in (1.0, 2.0, 3.0):
 print("\n=== the nine sequences at f = 2 ===")
 family = [make_input_sequence(2.0, q, SEED) for q in range(N_SEQUENCES)]
 for q, s in enumerate(family):
-    role = {0: "train s1", 1: "train s2", 2: "test s1", 3: "test s2",
-            4: "holdout s1", 5: "holdout s2"}.get(q, "reserved")
+    role = {0: "train s1", 1: "train s2", 2: "test s1", 3: "test s2"}.get(q, "reserved")
     print(f"  seq {q} ({role:10s}): mean {s.mean():.3f}  std {s.std():.3f}  "
           f"range [{s.min():.0f}, {s.max():.0f}]")
 

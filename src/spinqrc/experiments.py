@@ -32,7 +32,9 @@ import os
 import re
 import signal
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field, fields, replace
+from numbers import Real
 
 import numpy as np
 
@@ -61,7 +63,6 @@ from .reservoir import (
     samples_needed,
 )
 from .signals import (
-    HOLDOUT_SEQUENCE_IDS,
     N_SAMPLES,
     N_SEQUENCES,
     TEST_SEQUENCE_IDS,
@@ -117,9 +118,11 @@ class ExperimentConfig:
     (``experiment`` for ``experiment_name``, see ``FILE_KEYS``), read as its
     annotation says (a ``tuple`` as a list of floats). Every field but
     ``output_dir`` enters ``semantic_dict``. An ``int`` field refuses
-    anything but an int, a ``str`` field anything but a str, and a
-    ``float`` field a bool, each by name; a ``tuple`` field stores
-    ``tuple(value)``, so a list or generator is read once.
+    anything but an int, a ``float`` field anything but a real number, a
+    ``str`` field anything but a str, and a ``tuple`` field anything but a
+    list of real numbers (a str or a bare number too), a bool everywhere,
+    each by name. A ``tuple`` field stores ``tuple(value)``, so a list or
+    generator is read once.
     """
 
     experiment_name: str = "sweep_js"
@@ -130,19 +133,25 @@ class ExperimentConfig:
     t_final: float = 2750.0
     washout_steps: int = 50
     tau_max: int = TAU_MAX_DEFAULT
-    lambda_selection: str = "test"
     output_dir: str = "results"
 
     def __post_init__(self):
         for fld in fields(self):
             value = getattr(self, fld.name)
-            if fld.type == "tuple":  # read once, here: a list or generator is kept as its tuple
-                object.__setattr__(self, fld.name, tuple(value))
-                continue
-            kind, accepted = {"int": ("an integer", int), "float": ("a number", object),
+            # What the field, or each entry of a tuple field, accepts.
+            kind, accepted = {"int": ("an integer", int), "float": ("a number", Real),
+                              "tuple": ("a list of numbers", Real),
                               "str": ("a string", str)}[fld.type]
+            if fld.type == "tuple":
+                # A str or a bare number is no list: it is refused whole,
+                # not split. A list or generator is read once, here.
+                if isinstance(value, str) or not isinstance(value, Iterable):
+                    raise ValueError(f"{fld.name} must be {kind}, got {value!r}")
+                value = tuple(value)
+                object.__setattr__(self, fld.name, value)
             # A bool is an int, so it is refused by name.
-            if isinstance(value, bool) or not isinstance(value, accepted):
+            if any(isinstance(v, bool) or not isinstance(v, accepted)
+                   for v in (value if fld.type == "tuple" else (value,))):
                 raise ValueError(f"{fld.name} must be {kind}, got {value!r}")
         if not 0 < self.t_final < math.inf:
             raise ValueError(f"t_final must be finite and positive, got {self.t_final}")
@@ -169,8 +178,6 @@ class ExperimentConfig:
                              f"got {self.base_seed}")
         if self.tau_max < 0:
             raise ValueError("tau_max must be nonnegative")
-        if self.lambda_selection not in ("test", "holdout"):
-            raise ValueError(f"unknown lambda_selection {self.lambda_selection!r}")
         if not self.output_dir:
             raise ValueError("output_dir must be nonempty")
         # Train/test segments must stay non-degenerate at the largest delay.
@@ -195,6 +202,7 @@ class ExperimentConfig:
         return {"input_qubits": [0, 1], "time_axis": "index", "dissipator_convention": "paper",
                 "delta_t": DELTA_T, "dt": DT, "sample_spacing": SAMPLE_SPACING,
                 "lambda_grid": [float(lam) for lam in DEFAULT_LAMBDA_GRID],
+                "lambda_selection": "test",
                 **{fld.name: ([float(v) for v in getattr(self, fld.name)] if fld.type == "tuple"
                               else _SCALAR_TYPES[fld.type](getattr(self, fld.name)))
                    for fld in fields(self) if fld.name != "output_dir"}}
@@ -299,31 +307,27 @@ class CellResult:
 def run_cell(cfg: ExperimentConfig, js: float, f: float, seed_index: int) -> CellResult:
     """Run the train and test reservoirs for one cell and evaluate them.
 
-    Every run of the cell shares one interval map, and the runs (train,
-    test and, with ``lambda_selection = holdout``, the holdout run) step
-    together in one ``run_reservoir`` loop. The summary reads the
-    negativities of the post-washout steps of the train and test runs only,
-    so no other state's are computed. The result carries both records, so a
-    caller can export or rescore them without running the reservoirs again.
+    Both runs share one interval map and step together in one
+    ``run_reservoir`` loop. The summary reads the negativities of their
+    post-washout steps only, so no other state's are computed. The result
+    carries both records, so a caller can export or rescore them without
+    running the reservoirs again.
     """
     start = time.perf_counter()
     try:
         model = random_model(js, seed=(cfg.base_seed, seed_index))
-        runs = (TRAIN_SEQUENCE_IDS, TEST_SEQUENCE_IDS) + (
-            (HOLDOUT_SEQUENCE_IDS,) if cfg.lambda_selection == "holdout" else ())
         pairs = [tuple(make_input_sequence(f, q, (cfg.base_seed, seed_index)) for q in ids)
-                 for ids in runs]
+                 for ids in (TRAIN_SEQUENCE_IDS, TEST_SEQUENCE_IDS)]
         t_build = time.perf_counter()
         propagator = interval_map(model)
         t_runs = time.perf_counter()
-        train, test, *holdout = run_reservoir(propagator, pairs, cfg.n_steps, cfg.washout_steps)
+        train, test = run_reservoir(propagator, pairs, cfg.n_steps, cfg.washout_steps)
         del propagator  # 1 MiB the readout, where the cell peaks, need not hold
-        selection = holdout[0] if holdout else None
         t_negs = time.perf_counter()
         # Entanglement statistics use the post-washout samples of both runs.
         samples = np.vstack([train.steady_entanglement, test.steady_entanglement])
         t_readout = time.perf_counter()
-        profile = evaluate_capacity_profile(train, test, cfg.tau_max, selection=selection)
+        profile = evaluate_capacity_profile(train, test, cfg.tau_max)
         summary = summarize(samples.mean(axis=0))
         end = time.perf_counter()
         stage_s = {"propagator": t_runs - t_build, "reservoirs": t_negs - t_runs,

@@ -91,40 +91,31 @@ class CapacityProfile:
 
 
 def evaluate_capacity_profile(train: TrajectoryRecord, test: TrajectoryRecord,
-                              tau_max: int = TAU_MAX_DEFAULT,
-                              selection: TrajectoryRecord | None = None) -> CapacityProfile:
+                              tau_max: int = TAU_MAX_DEFAULT) -> CapacityProfile:
     """Fit per-tau readouts on the train run and score them on the test run.
 
-    For each tau the regularization strength is the one of
-    ``DEFAULT_LAMBDA_GRID`` that maximizes capacity on the ``selection``
-    run, and the test run is scored once with it. ``selection`` defaults to
-    the test run itself, the default protocol, whose score at the chosen
-    lambda is the one the selection computed (a row of the stacked score
-    equals that row scored alone bit for bit); a held-out run gives the
-    clean variant.
+    For each tau every lambda of ``DEFAULT_LAMBDA_GRID`` is scored on the
+    test run in one stack, and the delay reports the best score with its
+    lambda (the first, on a tie): a row of the stacked score equals that
+    row's prediction scored alone, bit for bit.
     """
-    if selection is None:
-        selection = test
-    for other in (test, selection):
-        if other.n_steps != train.n_steps or other.washout_steps != train.washout_steps:
-            raise ValueError("train, test and selection records must share K and washout")
+    if test.n_steps != train.n_steps or test.washout_steps != train.washout_steps:
+        raise ValueError("train and test records must share K and washout")
 
     washout = train.washout_steps
     k_steps = train.n_steps
     if washout + tau_max >= k_steps:
         raise ValueError(f"empty target window: washout {washout} + tau {tau_max} >= K {k_steps}")
-    r_train, r_test, r_sel = (r.features for r in (train, test, selection))
-    g_train, g_test, g_sel = (r.injected_values[:, 0] * r.injected_values[:, 1]
-                              for r in (train, test, selection))
+    r_train, r_test = train.features, test.features
+    g_train, g_test = (r.injected_values[:, 0] * r.injected_values[:, 1] for r in (train, test))
     per_tau = np.zeros(tau_max + 1)
     lambdas = np.zeros(tau_max + 1)
     for tau in range(tau_max + 1):
         rows, targets = slice(washout + tau, None), slice(washout, k_steps - tau)
         weights = ridge_weights(r_train[rows], g_train[targets], DEFAULT_LAMBDA_GRID)
-        scores = stm_capacity(np.matmul(r_sel[rows], weights[..., None])[..., 0],
-                              g_sel[targets])
+        scores = stm_capacity(np.matmul(r_test[rows], weights[..., None])[..., 0],
+                              g_test[targets])
         best = int(np.argmax(scores))
-        per_tau[tau] = (scores[best] if selection is test
-                        else stm_capacity(r_test[rows] @ weights[best], g_test[targets]))
+        per_tau[tau] = scores[best]
         lambdas[tau] = float(DEFAULT_LAMBDA_GRID[best])
     return CapacityProfile(per_tau=per_tau, lambda_per_tau=lambdas)

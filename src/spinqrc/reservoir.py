@@ -19,7 +19,7 @@ time k * DELTA_T, ``sample_index(k)``, so an n-step run reads
 
 One function, ``run_reservoir(propagator, [(seq1, seq2), ...], n_steps,
 washout_steps)``, runs the loop for every input pair it is given and returns
-one record per pair, in order: a cell's train, test and holdout runs step
+one record per pair, in order: a cell's train and test runs step
 together, and a single run is a one-pair list. Every state a record holds
 is exactly Hermitian: the start state, the all-|0> default or a given
 ``initial_state`` alike, passes ``check_hermitian`` and is recorded as its

@@ -3,7 +3,7 @@
 Each raw sequence is a sum of 20 sinusoids with frequencies linearly spaced
 over [f0/5000, f0/50] and independent uniform phases, min-max normalized to
 [0, 1]. Nine sequences (ids 0..8) are generated per (f0, seed): ids 0-1 drive
-the training run, 2-3 the test run, 4-5 the holdout run; 6-8 are unused.
+the training run, 2-3 the test run; 4-8 are unused.
 
 The time variable is the integer sample index k = 0..N-1, so the component
 periods span 50/f0 .. 5000/f0 samples and the signal varies slowly but
@@ -26,7 +26,6 @@ N_COMPONENTS = 20
 
 TRAIN_SEQUENCE_IDS = (0, 1)
 TEST_SEQUENCE_IDS = (2, 3)
-HOLDOUT_SEQUENCE_IDS = (4, 5)
 N_SEQUENCES = 9
 
 

@@ -68,14 +68,13 @@ base_seed = 5
 t_final = 600
 washout_steps = 20
 tau_max = 8
-lambda_selection = holdout
 output_dir = results/all_keys
 """
 
 # A fingerprint names the results of a sweep: a change of either value means
 # old and new sweeps of the same file no longer match.
 TINY_SWEEP_FINGERPRINT = "108f217369d0a64ce36a9096da1628327bb529386007f1fc5f4e01c284a7459f"
-ALL_KEYS_FINGERPRINT = "25fab144c9a22be770bd62dceb7b5a06a5ef1ac179c5c225ca1f1b1af7ffe6e3"
+ALL_KEYS_FINGERPRINT = "bcc15460d17d8717df78035ff1b6d7ec66a3d5188a5d1f045121cb45257ea070"
 
 
 class TestConfigParsing:
@@ -83,8 +82,7 @@ class TestConfigParsing:
     def test_each_field_round_trips_through_a_config_file(self, tmp_path, fld):
         # Each field is read back as its annotation says; a field whose
         # annotation the parser cannot read fails here.
-        cfg = tiny_config(experiment_name="memory_tail", f_values=(1.5, 3.0), t_final=750.5,
-                          lambda_selection="holdout")
+        cfg = tiny_config(experiment_name="memory_tail", f_values=(1.5, 3.0), t_final=750.5)
         assert getattr(cfg, fld.name) != getattr(ExperimentConfig(), fld.name)
         settings = {FILE_KEYS.get(f.name, f.name): getattr(cfg, f.name)
                     for f in dataclasses.fields(cfg)}
@@ -195,7 +193,6 @@ class TestFingerprint:
         path = tmp_path / "all_keys.cfg"
         path.write_text(ALL_KEYS_CONFIG_TEXT)
         cfg = parse_config_file(path)
-        assert cfg.lambda_selection == "holdout"
         assert cfg.output_dir == "results/all_keys"
         assert cfg.fingerprint() == ALL_KEYS_FINGERPRINT
         rows = run_sweep(cfg, out_dir=tmp_path / "out")
@@ -226,6 +223,21 @@ class TestFingerprint:
         # n_coupling_seeds=2.0 raised a TypeError outside cell isolation; and
         # tau_max=True ran as 1 under another fingerprint (JSON true).
         with pytest.raises(ValueError, match=rf"^{name} must be an? (integer|number), got "):
+            tiny_config(**{name: value})
+
+    @pytest.mark.parametrize("name, value", [("t_final", "750"), ("t_final", None),
+                                             ("f_values", (2.0, "3")), ("js_values", "0.3"),
+                                             ("js_values", 0.3), ("f_values", (True,)),
+                                             ("js_values", (0.1, True))],
+                             ids=["t_final-str", "t_final-None", "f_values-str-entry",
+                                  "js_values-str", "js_values-number", "f_values-bool-entry",
+                                  "js_values-bool-entry"])
+    def test_number_settings_refuse_strings_and_bools(self, name, value):
+        # t_final="750" and f_values=(2.0, "3") raised a TypeError from a
+        # later check; js_values="0.3" was stored as ('0', '.', '3'); and a
+        # bool entry fingerprinted as 1.0.
+        kind = "a number" if name == "t_final" else "a list of numbers"
+        with pytest.raises(ValueError, match=rf"^{name} must be {kind}, got "):
             tiny_config(**{name: value})
 
     def test_a_path_output_dir_is_refused_by_name(self, tmp_path):
@@ -520,7 +532,7 @@ class TestSweep:
         assert "stage" not in (tmp_path / "sweep_results.csv").read_text()
 
     def test_cell_builds_one_propagator(self, monkeypatch):
-        # Train and test (and holdout) runs share one interval map.
+        # Train and test runs share one interval map.
         import spinqrc.reservoir
 
         calls = []
@@ -531,20 +543,16 @@ class TestSweep:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(spinqrc.reservoir, "interval_propagator", counted)
-        for selection in ("test", "holdout"):
-            calls.clear()
-            cfg = tiny_config(js_values=(0.3,), n_coupling_seeds=1, lambda_selection=selection)
-            assert run_cell(cfg, 0.3, 2.0, 0).status == "ok"
-            assert len(calls) == 1
+        cfg = tiny_config(js_values=(0.3,), n_coupling_seeds=1)
+        assert run_cell(cfg, 0.3, 2.0, 0).status == "ok"
+        assert len(calls) == 1
 
     def test_cell_computes_only_the_negativities_it_reads(self, negativity_calls):
         # The summary reads the post-washout states of the train and test
-        # runs; the washout states and the holdout run are never eigensolved.
-        for selection in ("test", "holdout"):
-            negativity_calls.clear()
-            cfg = tiny_config(js_values=(0.3,), n_coupling_seeds=1, lambda_selection=selection)
-            assert run_sweep(cfg)[0].status == "ok"
-            assert sum(negativity_calls) == 2 * (cfg.n_steps - cfg.washout_steps)
+        # runs; the washout states are never eigensolved.
+        cfg = tiny_config(js_values=(0.3,), n_coupling_seeds=1)
+        assert run_sweep(cfg)[0].status == "ok"
+        assert sum(negativity_calls) == 2 * (cfg.n_steps - cfg.washout_steps)
 
     def test_manifest_contents(self, tmp_path):
         cfg = tiny_config(js_values=(0.5,), n_coupling_seeds=1)
@@ -732,21 +740,6 @@ class TestSweep:
             read_sweep_results(tmp_path)
         assert main(["emit", "--results", str(tmp_path)]) == 1
         assert message in capsys.readouterr().err
-
-    def test_holdout_lambda_selection_mode(self):
-        # The clean protocol selects lambda on the held-out sequences 4,5 and
-        # scores the test run once with the winner.
-        cfg_test = tiny_config(js_values=(0.3,), n_coupling_seeds=1)
-        cfg_holdout = tiny_config(js_values=(0.3,), n_coupling_seeds=1,
-                                  lambda_selection="holdout")
-        a = run_cell(cfg_test, 0.3, 2.0, 0)
-        b = run_cell(cfg_holdout, 0.3, 2.0, 0)
-        assert a.status == b.status == "ok"
-        assert np.all(b.capacity.per_tau >= 0.0) and np.all(b.capacity.per_tau <= 1.0)
-        # Test-set selection takes the per-tau maximum over the grid, so it
-        # can never lose to holdout selection on the same test run.
-        assert np.all(a.capacity.per_tau >= b.capacity.per_tau - 1e-12)
-        assert cfg_test.fingerprint() != cfg_holdout.fingerprint()
 
     def test_desk_scale_capacity_ordering(self):
         # Miniature of the coupling sweep: capacity peaks between the

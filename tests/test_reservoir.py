@@ -192,7 +192,7 @@ class TestRunReservoir:
     @pytest.mark.parametrize("js", [0.005, 75.0])
     @pytest.mark.parametrize("mixed_start", [False, True])
     def test_runs_stepped_together_equal_runs_stepped_alone(self, js, mixed_start):
-        # One call over three pairs, the shape of a holdout cell, gives each
+        # One call over three pairs, one more than a cell steps, gives each
         # run the states, raw states, injected values and features of a
         # one-pair call bit for bit, with raw states kept or not.
         cfg = ExperimentConfig()

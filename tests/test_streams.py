@@ -24,11 +24,9 @@ def test_each_domain_keys_have_one_length(monkeypatch):
 
     for module in (spinqrc.dynamics, spinqrc.signals, spinqrc.experiments):
         monkeypatch.setattr(module, "stream", recording)
-    for selection in ("test", "holdout"):
-        cfg = ExperimentConfig(js_values=(0.3,), n_coupling_seeds=1, base_seed=5,
-                               t_final=750.0, washout_steps=30, tau_max=10,
-                               lambda_selection=selection)
-        assert run_cell(cfg, 0.3, 2.0, 0).status == "ok"
+    cfg = ExperimentConfig(js_values=(0.3,), n_coupling_seeds=1, base_seed=5,
+                           t_final=750.0, washout_steps=30, tau_max=10)
+    assert run_cell(cfg, 0.3, 2.0, 0).status == "ok"
     run_invariant_suite(2, 5)
     lengths = {}
     for key in keys:
